@@ -19,15 +19,14 @@ from typing import Optional
 
 from .syntax import (
     ChanType, Name, Output, Par, Process, SUCCESS, SumType, TupleType,
-    UnitType, VInl, VInr, VName, VTuple, VUNIT, canonical_process,
-    canonicalize, free_names, print_process, print_value, rename_free,
-    substitute, value_names,
+    UnitType, VInl, VInr, VName, VTuple, VUNIT, canonicalize, free_names,
+    print_process, print_value, rename_free, substitute, value_names,
 )
 from .typecheck import ANY, dual, typecheck
 from .internal import internalize, is_internal
 from .semantics import (
-    BoundOut, Composite, In, Tau, composite_step, explore, reduce,
-    strong_barbs, weak_barbs,
+    BoundOut, Composite, In, Tau, canonical_barbs, closure, composite_step,
+    delta_key, explore, reducts, reduction_closure, state, tau_steps,
 )
 
 
@@ -89,127 +88,11 @@ class Verdict:
         return self.result == INCONCLUSIVE
 
 
-def _delta_key(delta):
-    return ",".join(sorted(f"{a}-{b}" for a, b in delta))
-
-
-def _ckey(comp: Composite) -> str:
-    return canonicalize(comp.process).key + "@" + _delta_key(comp.delta)
-
-
 def _label_key(mu) -> str:
     if isinstance(mu, BoundOut):
         pol = "i" if mu.exported_is_input else "o"
         return f"{mu.subject}!(new {mu.exported}/{pol})"
     return str(mu)
-
-
-_MOVES_CACHE = {}
-
-
-def _std_moves(comp: Composite, d: int):
-    """Transitions of ``comp`` with introduced names canonicalized.
-
-    Input parameters become %i#d, exported pair ends %e#d with companion
-    %k#d, so moves taken at the same play depth by the two sides carry
-    identical labels.  Returns (key, label, kind, target) tuples.
-    """
-    comp = Composite(canonical_process(comp.process), comp.delta)
-    mk = (_ckey(comp), d)
-    hit = _MOVES_CACHE.get(mk)
-    if hit is not None:
-        return hit
-    out = []
-    for mu, c2 in composite_step(comp):
-        if isinstance(mu, In):
-            c = Name("%i", d)
-            tgt = Composite(rename_free(c2.process, {mu.param: c}), c2.delta)
-            mu2 = In(mu.subject, c)
-            out.append((_label_key(mu2), mu2, "in", tgt))
-        elif isinstance(mu, BoundOut):
-            e, k = Name("%e", d), Name("%k", d)
-            ren = {mu.exported: e, mu.companion: k}
-            p2 = rename_free(c2.process, ren)
-            d2 = frozenset((ren.get(x, x), ren.get(y, y)) for x, y in c2.delta)
-            mu2 = BoundOut(mu.subject, e, k, mu.in_type, mu.exported_is_input)
-            out.append((_label_key(mu2), mu2, "bout", Composite(p2, d2)))
-        elif isinstance(mu, Tau):
-            out.append(("tau", mu, "tau", c2))
-        else:
-            out.append((_label_key(mu), mu, "out", c2))
-    out.sort(key=lambda t: t[0])
-    if len(_MOVES_CACHE) < 50000:
-        _MOVES_CACHE[mk] = out
-    return out
-
-
-_CLOSURE_CACHE = {}
-
-
-def _tau_closure(comp: Composite, budget: int):
-    comp = Composite(canonical_process(comp.process), comp.delta)
-    ck = (_ckey(comp), budget)
-    hit = _CLOSURE_CACHE.get(ck)
-    if hit is not None:
-        return hit
-    seen = {_ckey(comp): comp}
-    frontier = [comp]
-    truncated = False
-    while frontier:
-        if len(seen) >= budget:
-            truncated = True
-            break
-        cur = frontier.pop()
-        for mu, c2 in composite_step(cur):
-            if not isinstance(mu, Tau):
-                continue
-            c2 = Composite(canonical_process(c2.process), c2.delta)
-            key = _ckey(c2)
-            if key not in seen:
-                seen[key] = c2
-                frontier.append(c2)
-    res = (list(seen.values()), truncated)
-    if len(_CLOSURE_CACHE) < 50000:
-        _CLOSURE_CACHE[ck] = res
-    return res
-
-
-def _weak_after(comp: Composite, key: str, d: int, budget: int):
-    """Targets of tau* . key . tau* from ``comp``; ("", key="tau") allows
-    the empty move."""
-    pre, trunc = _tau_closure(comp, budget)
-    found = {}
-    if key == "tau":
-        for c in pre:
-            found[_ckey(c)] = c
-        return list(found.values()), trunc
-    for c1 in pre:
-        for k2, mu, kind, c2 in _std_moves(c1, d):
-            if k2 != key:
-                continue
-            post, t2 = _tau_closure(c2, budget)
-            trunc = trunc or t2
-            for c3 in post:
-                found[_ckey(c3)] = c3
-    return list(found.values()), trunc
-
-
-def _weak_after_in(comp: Composite, subject: Name, d: int, budget: int,
-                   value):
-    """Targets of tau* . subject(value) . tau*, instantiating the bound
-    parameter with the attack value so destructors in the body can fire."""
-    pre, trunc = _tau_closure(comp, budget)
-    found = {}
-    for c1 in pre:
-        for k2, mu, kind, c2 in _std_moves(c1, d):
-            if kind != "in" or mu.subject != subject:
-                continue
-            inst = substitute(c2.process, {mu.param: value})
-            post, t2 = _tau_closure(Composite(inst, c2.delta), budget)
-            trunc = trunc or t2
-            for c3 in post:
-                found[_ckey(c3)] = c3
-    return list(found.values()), trunc
 
 
 def _value_shapes(t):
@@ -289,6 +172,74 @@ class _Game:
         self.env = dict(env or {})
         self.memo = {}
         self.truncated = False
+        self._moves = {}     # (state key, play depth) -> _std_moves result
+        self._closures = {}  # state key -> tau closure
+
+    # -- moves and closures of states --------------------------------------
+
+    def _std_moves(self, comp: Composite, d: int):
+        """Transitions of ``comp`` with introduced names canonicalized.
+
+        Input parameters become %i#d, exported pair ends %e#d with companion
+        %k#d, so moves taken at the same play depth by the two sides carry
+        identical labels.  Returns (key, label, kind, target) tuples.
+        """
+        mk = (comp.key, d)
+        out = self._moves.get(mk)
+        if out is not None:
+            return out
+        out = []
+        for mu, c2 in composite_step(comp):
+            if isinstance(mu, In):
+                c = Name("%i", d)
+                tgt = state(rename_free(c2.process, {mu.param: c}), c2.delta)
+                mu2 = In(mu.subject, c)
+                out.append((_label_key(mu2), mu2, "in", tgt))
+            elif isinstance(mu, BoundOut):
+                e, k = Name("%e", d), Name("%k", d)
+                ren = {mu.exported: e, mu.companion: k}
+                p2 = rename_free(c2.process, ren)
+                d2 = frozenset((ren.get(x, x), ren.get(y, y)) for x, y in c2.delta)
+                mu2 = BoundOut(mu.subject, e, k, mu.in_type, mu.exported_is_input)
+                out.append((_label_key(mu2), mu2, "bout", state(p2, d2)))
+            elif isinstance(mu, Tau):
+                out.append(("tau", mu, "tau", state(c2.process, c2.delta)))
+            else:
+                out.append((_label_key(mu), mu, "out",
+                            state(c2.process, c2.delta)))
+        out.sort(key=lambda t: t[0])
+        self._moves[mk] = out
+        return out
+
+    def _closure(self, comp: Composite):
+        """States tau-reachable from ``comp`` within the tau budget, and
+        whether the budget cut the closure short."""
+        hit = self._closures.get(comp.key)
+        if hit is None:
+            reach, trunc = closure(comp, tau_steps, self.cfg.tau_budget)
+            hit = self._closures[comp.key] = (list(reach.values()), trunc)
+        return hit
+
+    def _weak_after(self, comp: Composite, key: str, d: int, value=None):
+        """Targets of tau* . key . tau* from ``comp``; key "tau" allows the
+        empty move.  A ``value`` instantiates the parameter of the matched
+        input with the attack value, so destructors in the body can fire."""
+        pre, trunc = self._closure(comp)
+        if key == "tau":
+            return pre, trunc
+        found = {}
+        for c1 in pre:
+            for k2, mu, kind, c2 in self._std_moves(c1, d):
+                if k2 != key:
+                    continue
+                if value is not None:
+                    c2 = state(substitute(c2.process, {mu.param: value}),
+                               c2.delta)
+                post, t2 = self._closure(c2)
+                trunc = trunc or t2
+                for c3 in post:
+                    found[c3.key] = c3
+        return list(found.values()), trunc
 
     # -- move disciplines --------------------------------------------------
 
@@ -300,7 +251,7 @@ class _Game:
         fallback and for non-input moves); ``intro`` lists the fresh
         observer names inside it with their types.
         """
-        moves = _std_moves(comp, d)
+        moves = self._std_moves(comp, d)
         if self.method != "internal":
             return [(key, mu, kind, tgt, None, ())
                     for key, mu, kind, tgt in moves]
@@ -336,7 +287,7 @@ class _Game:
         for val, intro in variants:
             p2 = substitute(tgt.process, {mu.param: val})
             k2 = f"{mu.subject}({print_value(val)})"
-            out.append((k2, mu, "in", Composite(p2, tgt.delta), val, intro))
+            out.append((k2, mu, "in", state(p2, tgt.delta), val, intro))
         return out
 
     def _spend(self, mu, kind, env, spent):
@@ -348,27 +299,20 @@ class _Game:
         return spent
 
     def _responses(self, dfn: Composite, key, mu, kind, d, env, value=None):
-        """Defender continuations: (defender_comp, delta', env') tuples."""
-        cfg = self.cfg
+        """Defender continuations: (defender state, env') pairs."""
         if self.method == "strong":
-            outs = [(t, t.delta, env) for k, m, kd, t in _std_moves(dfn, d)
+            outs = [(t, env) for k, m, kd, t in self._std_moves(dfn, d)
                     if k == key]
             return outs, False
+        targets, trunc = self._weak_after(dfn, _label_key(mu), d, value)
+        outs = [(t, env) for t in targets]
         if self.method != "internal" or kind != "in":
-            targets, trunc = _weak_after(dfn, key, d, cfg.tau_budget)
-            return [(t, t.delta, env) for t in targets], trunc
+            return outs, trunc
         # internal-bisimilarity input clause: match the input directly, or
         # absorb the message at the companion side of the connection
         subject = mu.subject
         payload = VName(mu.param) if value is None else value
-        outs = []
-        if value is None:
-            direct, trunc = _weak_after(dfn, key, d, cfg.tau_budget)
-        else:
-            direct, trunc = _weak_after_in(dfn, subject, d, cfg.tau_budget,
-                                           value)
-        outs += [(t, t.delta, env) for t in direct]
-        stay, t2 = _tau_closure(dfn, cfg.tau_budget)
+        stay, t2 = self._closure(dfn)
         trunc = trunc or t2
         companion = None
         for x, y in dfn.delta:
@@ -378,8 +322,7 @@ class _Game:
         if companion is not None:
             for q in stay:
                 p2 = Par(q.process, self._particle(companion, payload, env))
-                outs.append((Composite(canonical_process(p2), q.delta),
-                             q.delta, env))
+                outs.append((state(p2, q.delta), env))
         elif subject not in dnames:
             comp_name = Name("%a", d)
             env2 = dict(env)
@@ -388,7 +331,7 @@ class _Game:
             for q in stay:
                 d2 = q.delta | {(subject, comp_name)}
                 p2 = Par(q.process, self._particle(comp_name, payload, env2))
-                outs.append((Composite(canonical_process(p2), d2), d2, env2))
+                outs.append((state(p2, d2), env2))
         return outs, trunc
 
     def _particle(self, at: Name, payload, env):
@@ -424,15 +367,13 @@ class _Game:
             env = self.env
         if n == 0:
             return True, ()
-        ka, kb = _ckey(a), _ckey(b)
-        if ka == kb:
+        if a.key == b.key:
             return True, ()  # identical states match each other move for move
-        mk = (ka, kb, n, tuple(sorted((str(x), repr(t))
-                                      for x, t in env.items())),
+        mk = (a.key, b.key, n, tuple(sorted((str(x), repr(t))
+                                            for x, t in env.items())),
               frozenset(str(s) for s in spent))
         if mk in self.memo:
             return self.memo[mk]
-        self.memo[mk] = (True, ())  # coinductive assumption on revisit
         sides = (("left", a, b), ("right", b, a))
         if self.method == "sim":
             sides = sides[:1]
@@ -445,13 +386,12 @@ class _Game:
                 spent1 = self._spend(mu, kind, env, spent)
                 responses, trunc = self._responses(dfn, key, mu, kind, d,
                                                    env1, val)
-                tk = _ckey(tgt)
-                responses.sort(key=lambda r: _ckey(r[0]) != tk)
+                responses.sort(key=lambda r: r[0].key != tgt.key)
                 matched = False
                 saw_open = trunc
                 first_fail = None
-                for (resp, d2, env2) in responses:
-                    att2 = Composite(tgt.process, d2)
+                for resp, env2 in responses:
+                    att2 = tgt.with_delta(resp.delta)
                     pair = (att2, resp) if side == "left" else (resp, att2)
                     sub, w = self.run(pair[0], pair[1], n - 1, d + 1, env2,
                                       spent1)
@@ -461,7 +401,7 @@ class _Game:
                     if sub is None:
                         saw_open = True
                     elif first_fail is None:
-                        first_fail = (_ckey(resp), w)
+                        first_fail = (resp.key, w)
                 if matched:
                     continue
                 if saw_open:
@@ -469,9 +409,9 @@ class _Game:
                     self.truncated = True
                     continue
                 step = WitnessStep(
-                    side=side, label=key, attacker_after=_ckey(tgt),
+                    side=side, label=key, attacker_after=tgt.key,
                     defender_after=first_fail[0] if first_fail else None,
-                    delta=_delta_key(tgt.delta))
+                    delta=delta_key(tgt.delta))
                 witness = (step,) + (first_fail[1] if first_fail else ())
                 self.memo[mk] = (False, witness)
                 return False, witness
@@ -489,10 +429,6 @@ def _verdict(res, witness, cfg, method, truncated):
     return Verdict(INCONCLUSIVE, (), bounds, True)
 
 
-def _start(p: Process, delta) -> Composite:
-    return Composite(canonical_process(p), frozenset(delta))
-
-
 # ---------------------------------------------------------------------------
 # partition refinement, used when both graphs are finite and label-stable
 
@@ -500,8 +436,8 @@ def _start(p: Process, delta) -> Composite:
 def _stable_graphs(p, q, delta, cfg):
     out = []
     for r in (p, q):
-        g = explore(frozenset(delta), canonical_process(r),
-                    depth_bound=cfg.state_budget, state_bound=cfg.state_budget)
+        g = explore(delta, r, depth_bound=cfg.state_budget,
+                    state_bound=cfg.state_budget)
         if g.truncated:
             return None
         for src, mu, dst in g.edges:
@@ -554,14 +490,14 @@ def strong_bisim(p: Process, q: Process, delta=frozenset(), cfg=None):
                           tau_budget=cfg.tau_budget,
                           state_budget=cfg.state_budget, kind="strong")
     game = _Game("strong", cfg)
-    res, w = game.run(_start(p, delta), _start(q, delta), cfg.depth)
+    res, w = game.run(state(p, delta), state(q, delta), cfg.depth)
     return _verdict(res, w, cfg, "strong", game.truncated)
 
 
 def weak_bisim(p: Process, q: Process, delta=frozenset(), cfg=None):
     cfg = cfg or BisimConfig(kind="weak")
     game = _Game("weak", cfg)
-    res, w = game.run(_start(p, delta), _start(q, delta), cfg.depth)
+    res, w = game.run(state(p, delta), state(q, delta), cfg.depth)
     return _verdict(res, w, cfg, "weak", game.truncated)
 
 
@@ -569,7 +505,7 @@ def weak_sim(p: Process, q: Process, cfg=None, delta=frozenset()):
     """Does q weakly simulate p: every move of p has a weak answer in q."""
     cfg = cfg or BisimConfig(kind="sim")
     game = _Game("sim", cfg)
-    res, w = game.run(_start(p, delta), _start(q, delta), cfg.depth)
+    res, w = game.run(state(p, delta), state(q, delta), cfg.depth)
     return _verdict(res, w, cfg, "sim", game.truncated)
 
 
@@ -587,41 +523,26 @@ def barbed_bisim(p: Process, q: Process, cfg=None):
     def game(a, b, n):
         if n == 0:
             return True, ()
-        ka, kb = canonicalize(a).key, canonicalize(b).key
-        if (ka, kb, n) in memo:
-            return memo[(ka, kb, n)]
-        memo[(ka, kb, n)] = (True, ())
+        mk = (a.key, b.key, n)
+        if mk in memo:
+            return memo[mk]
         for side, x, y in (("left", a, b), ("right", b, a)):
-            wb = weak_barbs(y, budget=cfg.tau_budget)
+            closure_y, wb = reduction_closure(y, cfg.tau_budget)
             truncated[0] = truncated[0] or wb.truncated
-            missing = strong_barbs(x) - wb
+            missing = canonical_barbs(x.process) - wb
             if missing:
                 if wb.truncated:
-                    memo[(ka, kb, n)] = (None, ())
+                    memo[mk] = (None, ())
                     return None, ()
                 s = sorted(missing, key=str)[0]
-                step = WitnessStep(side, f"{s}!()", canonicalize(x).key,
-                                   None, "")
-                memo[(ka, kb, n)] = (False, (step,))
+                step = WitnessStep(side, f"{s}!()", x.key, None, "")
+                memo[mk] = (False, (step,))
                 return False, (step,)
-            closure = [y]
-            seen = {canonicalize(y).key}
-            i = 0
-            while i < len(closure):
-                if len(seen) >= cfg.tau_budget:
-                    truncated[0] = True
-                    break
-                for nxt in reduce(closure[i]):
-                    k = canonicalize(nxt).key
-                    if k not in seen:
-                        seen.add(k)
-                        closure.append(nxt)
-                i += 1
-            for x2 in reduce(x):
+            for x2 in reducts(x):
                 matched = False
                 open_branch = False
                 fail = None
-                for y2 in closure:
+                for y2 in closure_y:
                     sub, w = game(x2, y2, n - 1) if side == "left" \
                         else game(y2, x2, n - 1)
                     if sub is True:
@@ -630,20 +551,20 @@ def barbed_bisim(p: Process, q: Process, cfg=None):
                     if sub is None:
                         open_branch = True
                     elif fail is None:
-                        fail = (canonicalize(y2).key, w)
+                        fail = (y2.key, w)
                 if matched:
                     continue
-                if open_branch or len(seen) >= cfg.tau_budget:
-                    memo[(ka, kb, n)] = (None, ())
+                if open_branch or wb.truncated:
+                    memo[mk] = (None, ())
                     return None, ()
-                step = WitnessStep(side, "tau", canonicalize(x2).key,
+                step = WitnessStep(side, "tau", x2.key,
                                    fail[0] if fail else None, "")
                 wit = (step,) + (fail[1] if fail else ())
-                memo[(ka, kb, n)] = (False, wit)
+                memo[mk] = (False, wit)
                 return False, wit
         return True, ()
 
-    res, w = game(canonical_process(p), canonical_process(q), cfg.depth)
+    res, w = game(canonicalize(p), canonicalize(q), cfg.depth)
     return _verdict(res, w, cfg, "barbed", truncated[0])
 
 
@@ -659,19 +580,19 @@ def internal_bisim_n(delta, p: Process, q: Process, n: int,
     cfg = cfg or BisimConfig(kind="internal")
     env = dict(env or {})
     delta = frozenset(delta)
-    cp, cq = canonical_process(p), canonical_process(q)
-    for side, proc in (("left", cp), ("right", cq)):
+    a, b = state(p, delta), state(q, delta)
+    for side, proc in (("left", a.process), ("right", b.process)):
         if not is_internal(proc, env):
             raise NotInternal(f"{side} process is not in the internal "
                               f"fragment: {print_process(proc)}")
     if env:
-        for side, proc in (("left", cp), ("right", cq)):
+        for side, proc in (("left", a.process), ("right", b.process)):
             v = typecheck(env, proc)
             if not v.ok:
                 raise TypeMismatch(f"{side} process does not typecheck: "
                                    f"{v.errors[0]}")
     game = _Game("internal", cfg, env)
-    res, w = game.run(Composite(cp, delta), Composite(cq, delta), n)
+    res, w = game.run(a, b, n)
     bounds = {"method": "internal", "depth": n,
               "tau_budget": cfg.tau_budget, "state_budget": cfg.state_budget}
     if res is True:
@@ -704,8 +625,8 @@ def replay_witness(p: Process, q: Process, verdict: Verdict,
     if method == "barbed":
         return _replay_barbed(p, q, verdict, cfg)
     game = _Game(method, cfg, env)
-    a = _start(p, delta)
-    b = _start(q, delta)
+    a = state(p, delta)
+    b = state(q, delta)
     envc = dict(env or {})
     spent = frozenset()
     d = 1
@@ -714,7 +635,7 @@ def replay_witness(p: Process, q: Process, verdict: Verdict,
         move = None
         for key, mu, kind, tgt, val, intro in game._attacks(
                 att, d, envc, spent):
-            if key == step.label and _ckey(tgt) == step.attacker_after:
+            if key == step.label and tgt.key == step.attacker_after:
                 move = (key, mu, kind, tgt, val, intro)
                 break
         if move is None:
@@ -728,15 +649,14 @@ def replay_witness(p: Process, q: Process, verdict: Verdict,
                 return False
             return i == len(verdict.witness) - 1
         chosen = None
-        for resp, d2, env2 in responses:
-            if _ckey(resp) == step.defender_after:
-                chosen = (resp, d2, env2)
+        for resp, env2 in responses:
+            if resp.key == step.defender_after:
+                chosen = (resp, env2)
                 break
         if chosen is None:
             return False
-        resp, d2, env2 = chosen
-        envc = env2
-        att2 = Composite(tgt.process, d2)
+        resp, envc = chosen
+        att2 = tgt.with_delta(resp.delta)
         a, b = (att2, resp) if step.side == "left" else (resp, att2)
         d += 1
     # trace ended on a step that still had responses: not a valid witness
@@ -744,38 +664,25 @@ def replay_witness(p: Process, q: Process, verdict: Verdict,
 
 
 def _replay_barbed(p, q, verdict, cfg):
-    a, b = canonical_process(p), canonical_process(q)
+    a, b = canonicalize(p), canonicalize(q)
     for i, step in enumerate(verdict.witness):
         att, dfn = (a, b) if step.side == "left" else (b, a)
         if step.defender_after is None:
             if step.label == "tau":
                 return False
             barb = step.label.split("!")[0]
-            here = {str(n) for n in strong_barbs(att)}
-            there = {str(n) for n in weak_barbs(dfn, budget=cfg.tau_budget)}
+            _, weak = reduction_closure(dfn, cfg.tau_budget)
+            here = {str(n) for n in canonical_barbs(att.process)}
+            there = {str(n) for n in weak}
             ok = barb in here and barb not in there
             return ok and i == len(verdict.witness) - 1
         if step.label != "tau":
             return False
-        nxt = [r for r in reduce(att)
-               if canonicalize(r).key == step.attacker_after]
-        if not nxt:
-            return False
-        att2 = nxt[0]
-        resp = None
-        frontier = [dfn]
-        seen = {canonicalize(dfn).key}
-        while frontier and len(seen) < cfg.tau_budget:
-            cur = frontier.pop()
-            if canonicalize(cur).key == step.defender_after:
-                resp = cur
-                break
-            for r in reduce(cur):
-                k = canonicalize(r).key
-                if k not in seen:
-                    seen.add(k)
-                    frontier.append(r)
-        if resp is None:
+        att2 = next((r for r in reducts(att) if r.key == step.attacker_after),
+                    None)
+        reach, _ = reduction_closure(dfn, cfg.tau_budget)
+        resp = next((r for r in reach if r.key == step.defender_after), None)
+        if att2 is None or resp is None:
             return False
         a, b = (att2, resp) if step.side == "left" else (resp, att2)
     return False

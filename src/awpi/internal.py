@@ -13,14 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .syntax import (
-    Case, ChanType, Input, LetTuple, Name, Nil, Output, Par, Process,
-    RepInput, Res, TupleType, SumType, UNIT, VInl, VInr, VName, VTuple,
-    VUnit, Value, ValueType, bound_names, free_names,
+    Case, ChanType, Input, LetTuple, Name, Nil, OUTPUT_MODES, Output, Par,
+    Process, RepInput, Res, TupleType, SumType, UNIT, VInl, VInr, VName,
+    VTuple, VUnit, Value, ValueType, bound_names, free_names,
 )
 from .typecheck import ANY, dual
-
-INPUT_MODES = ("i", "li")
-OUTPUT_MODES = ("o", "lo")
 
 
 @dataclass(frozen=True)

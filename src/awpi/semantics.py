@@ -17,14 +17,17 @@ by the test suite; neither is defined in terms of the other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import api
 from .syntax import (
-    Case, ChanType, Input, LetTuple, Name, Nil, NIL, Output, Par, Process,
-    RepInput, Res, SUCCESS, VInl, VInr, VName, VTuple, VUNIT, Value,
-    canonicalize, canonical_process, free_names, fresh_name,
-    print_value, rename_free, substitute, substitute_value, value_names,
+    Case, CanonicalForm, ChanType, Input, LetTuple, Name, Nil, NIL, Output,
+    Par, Process, RepInput, Res, SUCCESS, VInl, VInr, VName, VTuple, VUNIT,
+    Value, _chain, _par, _par_list, _split_chain, canonicalize,
+    canonical_process, free_names, fresh_name, print_value, rename_free,
+    substitute, substitute_value, value_names,
 )
 
 
@@ -134,6 +137,11 @@ def delta_names(delta) -> frozenset:
         out.add(a)
         out.add(b)
     return frozenset(out)
+
+
+def delta_key(delta) -> str:
+    """``"a-b,c-d"``, sorted: the connection set's part of a state key."""
+    return ",".join(sorted(f"{a}-{b}" for a, b in delta))
 
 
 def parse_delta(text: str) -> frozenset:
@@ -276,8 +284,28 @@ def lts_step(delta, p: Process):
 
 @dataclass(frozen=True)
 class Composite:
+    """A process with its connection set.
+
+    ``pkey`` is the canonical key of ``process``, set when :func:`state`
+    built the composite (``process`` is then in canonical form).  ``key``
+    identifies the state modulo structural congruence as ``pkey@a-b,...``;
+    a composite built without ``pkey`` canonicalizes its process the first
+    time ``key`` is read.
+    """
+
     process: Process
     delta: frozenset  # of (Name, Name)
+    pkey: str | None = field(default=None, compare=False, repr=False)
+
+    @cached_property
+    def key(self) -> str:
+        pkey = self.pkey
+        if pkey is None:
+            pkey = canonicalize(self.process).key
+        return f"{pkey}@{delta_key(self.delta)}"
+
+    def with_delta(self, delta) -> "Composite":
+        return Composite(self.process, frozenset(delta), self.pkey)
 
     def gc(self) -> "Composite":
         """Drop connection pairs no longer touching the process."""
@@ -285,7 +313,18 @@ class Composite:
         kept = frozenset((a, b) for a, b in self.delta if a in fn or b in fn)
         if kept == self.delta:
             return self
-        return Composite(self.process, kept)
+        return self.with_delta(kept)
+
+
+def state(process: Process, delta) -> Composite:
+    """The composite of ``process`` in canonical form, carrying its key.
+
+    This is where a state gets its identity: everything built from a state
+    (moves, closures, explored nodes) reads the stored key instead of
+    canonicalizing again.
+    """
+    c = canonicalize(process)
+    return Composite(c.process, frozenset(delta), c.key)
 
 
 def composite_step(comp: Composite):
@@ -300,43 +339,42 @@ def composite_step(comp: Composite):
     return out
 
 
+def tau_steps(comp: Composite):
+    """Targets of the tau transitions of ``comp``, as states."""
+    return [state(q.process, q.delta) for mu, q in composite_step(comp)
+            if isinstance(mu, Tau)]
+
+
+# ---------------------------------------------------------------------------
+# Bounded closure
+# ---------------------------------------------------------------------------
+
+def closure(start, successors, budget: int):
+    """Everything reachable from ``start`` through ``successors``.
+
+    States are identified by their ``key`` (composites, canonical forms).
+    The search is depth first and expands a state only while fewer than
+    ``budget`` states are known.  Returns ``key -> state`` in insertion
+    order (``start`` first) and whether the budget cut the search short.
+    """
+    seen = {start.key: start}
+    stack = [start]
+    while stack:
+        if len(seen) >= budget:
+            return seen, True
+        for nxt in successors(stack.pop()):
+            if nxt.key not in seen:
+                seen[nxt.key] = nxt
+                stack.append(nxt)
+    return seen, False
+
+
 # ---------------------------------------------------------------------------
 # Reduction (normal-form route, independent of the LTS)
 # ---------------------------------------------------------------------------
 
-def _split_chain(p):
-    pairs = []
-    while isinstance(p, Res):
-        pairs.append((p.in_name, p.out_name, p.in_type))
-        p = p.body
-    return pairs, p
-
-
-def _par_list(p):
-    if isinstance(p, Par):
-        return _par_list(p.left) + _par_list(p.right)
-    return [p]
-
-
-def _rebuild(pairs, atoms):
-    core = NIL
-    if atoms:
-        core = atoms[0]
-        for a in atoms[1:]:
-            core = Par(core, a)
-    for a, b, t in reversed(pairs):
-        core = Res(a, b, t, core)
-    return core
-
-
-def reduce(p: Process):
-    """One-step reducts of ``p`` modulo structural congruence.
-
-    Synchronization happens only across a restriction connecting the input
-    end to the output end; destructors fire on literal values.  Results are
-    canonical, deduplicated.
-    """
-    canon = canonicalize(p).process
+def _reducts(canon: Process) -> dict:
+    """One-step reducts of a canonical process as ``key -> process``."""
     pairs, core = _split_chain(canon)
     atoms = _par_list(core)
     if atoms == [NIL]:
@@ -361,7 +399,7 @@ def reduce(p: Process):
                 body = substitute(recv.body, {recv.param: send.payload})
                 rest = [x for k, x in enumerate(atoms) if k not in (i, j)]
                 newatoms = [body] + ([replica] if replica else []) + rest
-                emit(_rebuild(pairs, newatoms))
+                emit(_chain(pairs, _par(newatoms)))
     for i, atom in enumerate(atoms):
         fired = None
         if isinstance(atom, LetTuple) and isinstance(atom.scrutinee, VTuple) \
@@ -376,8 +414,25 @@ def reduce(p: Process):
                                {atom.right_param: atom.scrutinee.value})
         if fired is not None:
             rest = [x for k, x in enumerate(atoms) if k != i]
-            emit(_rebuild(pairs, [fired] + rest))
-    return set(results.values())
+            emit(_chain(pairs, _par([fired] + rest)))
+    return results
+
+
+def reduce(p: Process):
+    """One-step reducts of ``p`` modulo structural congruence.
+
+    Synchronization happens only across a restriction connecting the input
+    end to the output end; destructors fire on literal values.  Results are
+    canonical, deduplicated.
+    """
+    return set(_reducts(canonical_process(p)).values())
+
+
+def reducts(c: CanonicalForm):
+    """One-step reducts of a canonical form, as canonical forms in key
+    order, so that searches over them do not depend on hashing."""
+    return [CanonicalForm(q, k)
+            for k, q in sorted(_reducts(c.process).items())]
 
 
 # ---------------------------------------------------------------------------
@@ -396,68 +451,49 @@ class ProcessSet(frozenset):
     truncated = False
 
 
+def canonical_barbs(canon: Process) -> frozenset:
+    """Success names with an unguarded output in a canonical process."""
+    _, core = _split_chain(canon)
+    return frozenset(atom.subject for atom in _par_list(core)
+                     if isinstance(atom, Output)
+                     and atom.subject.kind == SUCCESS)
+
+
 def strong_barbs(p: Process) -> NameSet:
     """Success names with an unguarded output occurrence."""
-    canon = canonicalize(p).process
-    _, core = _split_chain(canon)
-    barbs = set()
-    for atom in _par_list(core):
-        if isinstance(atom, Output) and atom.subject.kind == SUCCESS:
-            barbs.add(atom.subject)
-    return NameSet(barbs)
+    return NameSet(canonical_barbs(canonical_process(p)))
+
+
+def reduction_closure(c: CanonicalForm, budget: int):
+    """Canonical forms reachable from ``c`` by reduction within the budget,
+    in search order, and the union of their strong barbs (``truncated``
+    when the budget cut the search short)."""
+    reach, truncated = closure(c, reducts, budget)
+    barbs = NameSet(n for r in reach.values()
+                    for n in canonical_barbs(r.process))
+    barbs.truncated = truncated
+    return list(reach.values()), barbs
 
 
 def weak_barbs(p: Process, budget: int = 2000) -> NameSet:
     """Union of strong barbs over reducts reachable within the budget."""
-    seen = {}
-    start = canonicalize(p)
-    seen[start.key] = start.process
-    frontier = [start.process]
-    barbs = set(strong_barbs(start.process))
-    truncated = False
-    while frontier:
-        if len(seen) >= budget:
-            truncated = True
-            break
-        cur = frontier.pop()
-        for q in reduce(cur):
-            k = canonicalize(q).key
-            if k in seen:
-                continue
-            seen[k] = q
-            barbs |= strong_barbs(q)
-            frontier.append(q)
-    res = NameSet(barbs)
-    res.truncated = truncated
-    return res
+    return reduction_closure(canonicalize(p), budget)[1]
 
 
 # ---------------------------------------------------------------------------
 # Weak transitions
 # ---------------------------------------------------------------------------
 
-def weak_closure(delta, p: Process, budget: int = 2000) -> ProcessSet:
-    """Processes reachable by tau transitions, canonical, budget-bounded."""
-    start = canonicalize(p)
-    seen = {start.key: start.process}
-    frontier = [start.process]
-    truncated = False
-    while frontier:
-        if len(seen) >= budget:
-            truncated = True
-            break
-        cur = frontier.pop()
-        for mu, q in lts_step(delta, cur):
-            if not isinstance(mu, Tau):
-                continue
-            c = canonicalize(q)
-            if c.key in seen:
-                continue
-            seen[c.key] = c.process
-            frontier.append(c.process)
-    res = ProcessSet(seen.values())
+def _process_set(states, truncated: bool) -> ProcessSet:
+    res = ProcessSet(s.process for s in states)
     res.truncated = truncated
     return res
+
+
+def weak_closure(delta, p: Process, budget: int = 2000) -> ProcessSet:
+    """Processes reachable by tau transitions, canonical, budget-bounded."""
+    reach, truncated = closure(state(p, delta), tau_steps, budget)
+    return _process_set(reach.values(), truncated)
 
 
 def match_label(mu: Label, ell: Label):
@@ -491,28 +527,23 @@ def match_label(mu: Label, ell: Label):
 
 def weak_transitions(delta, p: Process, ell: Label, budget: int = 2000) -> ProcessSet:
     """Targets of tau* ell tau* (tau* alone when ell is Tau)."""
-    pre = weak_closure(delta, p, budget)
+    pre, truncated = closure(state(p, delta), tau_steps, budget)
     if isinstance(ell, Tau):
-        return pre
+        return _process_set(pre.values(), truncated)
     mids = {}
-    for q in pre:
-        for mu, r in lts_step(delta, q):
+    for q in pre.values():
+        for mu, r in lts_step(q.delta, q.process):
             ren = match_label(mu, ell)
             if ren is None:
                 continue
-            r2 = rename_free(r, ren) if ren else r
-            c = canonicalize(r2)
-            mids[c.key] = c.process
+            m = state(rename_free(r, ren) if ren else r, q.delta)
+            mids[m.key] = m
     out = {}
-    truncated = pre.truncated
-    for r in mids.values():
-        post = weak_closure(delta, r, budget)
-        truncated = truncated or post.truncated
-        for s in post:
-            out[canonicalize(s).key] = s
-    res = ProcessSet(out.values())
-    res.truncated = truncated
-    return res
+    for m in mids.values():
+        post, t = closure(m, tau_steps, budget)
+        truncated = truncated or t
+        out.update(post)
+    return _process_set(out.values(), truncated)
 
 
 # ---------------------------------------------------------------------------
@@ -532,37 +563,31 @@ class LtsGraph:
         return self.depth_truncated or self.state_truncated
 
 
-def _comp_key(comp: Composite):
-    return (canonicalize(comp.process).key,
-            tuple(sorted((str(a), str(b)) for a, b in comp.delta)))
-
-
 def explore(delta, p: Process, depth_bound: int = 6,
             state_bound: int = 2000) -> LtsGraph:
     """Breadth-first LTS exploration over canonical composite states."""
-    root = Composite(canonical_process(p), frozenset(delta)).gc()
+    root = state(p, delta).gc()
     nodes = [root]
-    index = {_comp_key(root): 0}
+    index = {root.key: 0}
     edges = []
     depth_trunc = False
     state_trunc = False
-    frontier = [(0, 0)]
+    frontier = deque([(0, 0)])
     while frontier:
-        nid, depth = frontier.pop(0)
+        nid, depth = frontier.popleft()
+        steps = composite_step(nodes[nid])
         if depth >= depth_bound:
-            if composite_step(nodes[nid]):
-                depth_trunc = True
+            depth_trunc = depth_trunc or bool(steps)
             continue
-        for mu, nxt in composite_step(nodes[nid]):
-            nxt = Composite(canonical_process(nxt.process), nxt.delta).gc()
-            key = _comp_key(nxt)
-            tid = index.get(key)
+        for mu, nxt in steps:
+            nxt = state(nxt.process, nxt.delta).gc()
+            tid = index.get(nxt.key)
             if tid is None:
                 if len(nodes) >= state_bound:
                     state_trunc = True
                     continue
                 tid = len(nodes)
-                index[key] = tid
+                index[nxt.key] = tid
                 nodes.append(nxt)
                 frontier.append((tid, depth + 1))
             edges.append((nid, mu, tid))

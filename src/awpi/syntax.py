@@ -1062,16 +1062,12 @@ def _merge(seed):
             for atom in _par_list(core):
                 if not isinstance(atom, Nil):
                     atoms.append(atom)
-    # drop dead restrictions (derivable from scope extrusion + nil axioms)
-    while True:
-        used = set()
-        for atom in atoms:
-            used |= free_names(atom)
-        kept = [(a, b, t) for (a, b, t) in pairs if a in used or b in used]
-        if len(kept) == len(pairs):
-            break
-        pairs = kept  # a pair can only be used by atoms, so one pass suffices
-        break
+    # drop dead restrictions (derivable from scope extrusion + nil axioms);
+    # a pair can only be used by atoms, so one pass suffices
+    used = set()
+    for atom in atoms:
+        used |= free_names(atom)
+    pairs = [(a, b, t) for (a, b, t) in pairs if a in used or b in used]
     if not atoms:
         return NIL
     return _chain(pairs, _par(atoms))

@@ -1,13 +1,20 @@
 """Equivalence checkers: games, the algebraic law corpus, witnesses."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
-from awpi.syntax import Name, parse_file, parse_process, parse_vtype
+import awpi
+from awpi.syntax import (
+    Name, canonicalize, parse_file, parse_process, parse_vtype,
+)
 from awpi.internal import internalize
-from awpi.semantics import Composite, erase_to_api
+from awpi.semantics import Composite, delta_key, erase_to_api, state
 from awpi import api
 from awpi.equivalence import (
-    BisimConfig, NotClosed, NotInternal, TypeMismatch, barbed_bisim,
+    BisimConfig, NotClosed, NotInternal, TypeMismatch, _Game, barbed_bisim,
     internal_bisim_n, replay_witness, strong_bisim, weak_bisim, weak_sim,
 )
 
@@ -103,6 +110,42 @@ def test_barbed_distinct_committed_choices_distinguished():
     v = barbed_bisim(p, q)
     assert v.distinguished
     assert replay_witness(p, q, v)
+
+
+BARBED_CHOICE_SCRIPT = """
+from awpi.syntax import parse_file
+from awpi.equivalence import barbed_bisim, replay_witness
+head = "success ok; success err; new(a: i[unit + unit], b)( a(x).case x "
+tail = " | b!(inl ()) | b!(inr ()) )"
+p = parse_file(head + "{ inl y -> ok!() ; inr z -> err!() }" + tail).process
+q = parse_file(head + "{ inl y -> 0 ; inr z -> 0 }" + tail).process
+v = barbed_bisim(p, q)
+print(v.result, replay_witness(p, q, v))
+print(v.witness)
+"""
+
+
+def test_barbed_witness_does_not_depend_on_hash_seed():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(awpi.__file__)))
+    outs = []
+    for seed in ("0", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", BARBED_CHOICE_SCRIPT],
+                             env=env, capture_output=True, text=True,
+                             check=True)
+        outs.append(run.stdout)
+    assert outs[0].startswith("distinguished True")
+    assert outs[0] == outs[1]
+
+
+def test_game_closure_states_carry_fresh_keys():
+    p = proc("a(x).(c!() | new(d: i[unit], e)( d(y).k!() | e!() )) "
+             "| b!() | b!()")
+    delta = frozenset({(nm("a"), nm("b"))})
+    reach, truncated = _Game("weak", BisimConfig())._closure(state(p, delta))
+    assert len(reach) == 3 and not truncated
+    for s in reach:
+        assert s.key == canonicalize(s.process).key + "@" + delta_key(s.delta)
 
 
 def test_truncated_search_reports_inconclusive_not_distinguished():

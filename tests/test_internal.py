@@ -260,7 +260,7 @@ def _scan():
         for _ in range(3):
             nxt = []
             for comp, cenv in frontier:
-                key = S._comp_key(comp)
+                key = comp.key
                 if key in seen:
                     continue
                 seen.add(key)

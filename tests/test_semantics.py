@@ -393,6 +393,29 @@ def test_explore_depth_bound_truncates():
     assert g.depth_truncated
 
 
+CLIENT_SERVER_SRC = """
+success ok;
+new(s: i[o[unit]], so) (
+  !s(r).r!()
+  | new(r: i[unit], ro) ( so!(ro) | r(x).ok!() )
+  | new(r: i[unit], ro) ( so!(ro) | r(x).ok!() )
+)
+"""
+
+
+def fresh_key(comp):
+    return canonicalize(comp.process).key + "@" + S.delta_key(comp.delta)
+
+
+def test_explored_states_carry_fresh_keys():
+    p = parse_file(CLIENT_SERVER_SRC).process
+    g = explore(frozenset(), p, depth_bound=12, state_bound=100)
+    assert len(g.nodes) == 10 and not g.truncated
+    for node in g.nodes:
+        assert node.key == fresh_key(node)
+    assert len({node.key for node in g.nodes}) == len(g.nodes)
+
+
 def test_explore_edges_replay():
     p = parse_file(CHOICE_SRC).process
     g = explore(frozenset(), p, depth_bound=10, state_bound=100)
@@ -401,9 +424,8 @@ def test_explore_edges_replay():
         moves = composite_step(node)
         hits = [c2 for mu2, c2 in moves if mu2 == mu]
         assert any(
-            S._comp_key(Composite(canonical_process(c2.process),
-                                  c2.delta).gc())
-            == S._comp_key(g.nodes[dst]) for c2 in hits)
+            Composite(canonical_process(c2.process), c2.delta).gc().key
+            == g.nodes[dst].key for c2 in hits)
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +552,7 @@ def test_erasure_simulation_on_typed_composites():
         for _ in range(3):
             nxt = []
             for c in frontier:
-                k = S._comp_key(c)
+                k = c.key
                 if k in seen:
                     continue
                 seen.add(k)
