@@ -436,6 +436,9 @@ def _verdict(res, witness, cfg, method, truncated):
 def _stable_graphs(p, q, delta, cfg):
     out = []
     for r in (p, q):
+        if out and state(r, delta).gc().key == out[0].nodes[out[0].root].key:
+            out.append(out[0])  # same start state: the same graph
+            break
         g = explore(delta, r, depth_bound=cfg.state_budget,
                     state_bound=cfg.state_budget)
         if g.truncated:

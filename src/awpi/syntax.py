@@ -17,7 +17,6 @@ bound names are renamed positionally.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 
@@ -498,8 +497,12 @@ def _alpha(p, q, envl, envr, counter) -> bool:
     if isinstance(p, Nil):
         return True
     if isinstance(p, Par):
-        return (_alpha(p.left, q.left, envl, envr, counter)
-                and _alpha(p.right, q.right, envl, envr, counter))
+        # walk the left spine in a loop, so a wide chain compares
+        while isinstance(p, Par) and isinstance(q, Par):
+            if not _alpha(p.right, q.right, envl, envr, counter):
+                return False
+            p, q = p.left, q.left
+        return _alpha(p, q, envl, envr, counter)
     if isinstance(p, Output):
         return (_alpha_name(p.subject, q.subject, envl, envr)
                 and _alpha_value(p.payload, q.payload, envl, envr))
@@ -574,9 +577,14 @@ def print_process(p: Process) -> str:
         return "0"
     if isinstance(p, Par):
         # '|' parses left associative: a left-nested chain prints flat and a
-        # Par in right position keeps parentheses so the shape round-trips
-        left = print_process(p.left) if isinstance(p.left, Par) else _print_prefix(p.left)
-        return f"{left} | {_print_prefix(p.right)}"
+        # Par in right position keeps parentheses so the shape round-trips;
+        # the left spine is walked in a loop, so a wide chain prints
+        rights = []
+        while isinstance(p, Par):
+            rights.append(p.right)
+            p = p.left
+        rights.append(p)
+        return " | ".join(_print_prefix(q) for q in reversed(rights))
     if isinstance(p, Input):
         return f"{p.subject}({p.param}).{_print_prefix(p.body)}"
     if isinstance(p, RepInput):
@@ -976,9 +984,16 @@ def _split_chain(p):
 
 
 def _par_list(p):
-    if isinstance(p, Par):
-        return _par_list(p.left) + _par_list(p.right)
-    return [p]
+    """The components of a ``|`` tree, left to right, without recursion."""
+    out, todo = [], [p]
+    while todo:
+        q = todo.pop()
+        if isinstance(q, Par):
+            todo.append(q.right)
+            todo.append(q.left)
+        else:
+            out.append(q)
+    return out
 
 
 def _chain(pairs, core):
@@ -996,272 +1011,6 @@ def _par(atoms):
     return out
 
 
-def _normalize(p: Process) -> Process:
-    """Flatten parallel structure, hoist restrictions, drop nil and dead pairs.
-
-    The result at every level is a restriction chain over a flat parallel
-    composition of non-nil, non-par, non-res atoms (in source order; ordering
-    happens in the renaming pass).
-    """
-    if isinstance(p, Nil) or isinstance(p, Output):
-        return p
-    if isinstance(p, Input):
-        return Input(p.subject, p.param, _normalize(p.body))
-    if isinstance(p, RepInput):
-        return RepInput(p.subject, p.param, _normalize(p.body))
-    if isinstance(p, LetTuple):
-        return LetTuple(p.params, p.scrutinee, _normalize(p.body))
-    if isinstance(p, Case):
-        return Case(p.scrutinee, p.left_param, _normalize(p.left_body),
-                    p.right_param, _normalize(p.right_body))
-    if isinstance(p, Par):
-        comps = [_normalize(c) for c in _par_list(p)]
-        return _merge(([], comps))
-    if isinstance(p, Res):
-        body = _normalize(p.body)
-        return _merge(([(p.in_name, p.out_name, p.in_type)], [body]))
-    raise TypeError(f"not a process: {p!r}")
-
-
-def _merge(seed):
-    """Combine components under one restriction chain with capture avoidance."""
-    own_pairs, comps = seed
-    pairs = list(own_pairs)
-    atoms = []
-    # free names of everything at this level, used for capture avoidance
-    taken = set()
-    for c in comps:
-        taken |= free_names(c)
-    for a, b, _ in pairs:
-        taken.add(a)
-        taken.add(b)
-    for c in comps:
-        cpairs, core = _split_chain(c)
-        if cpairs:
-            renames = {}
-            for i, (a, b, t) in enumerate(cpairs):
-                na, nb = a, b
-                if a in taken:
-                    na = fresh_name(a, taken | set(renames))
-                    renames[a] = na
-                taken.add(na)
-                if b in taken:
-                    nb = fresh_name(b, taken | set(renames) | {na})
-                    renames[b] = nb
-                taken.add(nb)
-                cpairs[i] = (na, nb, t)
-            if renames:
-                core = rename_free(core, renames)
-                # renames may affect deeper pair bodies only via free names,
-                # which rename_free already handled (binders were peeled off)
-            pairs.extend(cpairs)
-            for atom in _par_list(core):
-                if not isinstance(atom, Nil):
-                    atoms.append(atom)
-        else:
-            for atom in _par_list(core):
-                if not isinstance(atom, Nil):
-                    atoms.append(atom)
-    # drop dead restrictions (derivable from scope extrusion + nil axioms);
-    # a pair can only be used by atoms, so one pass suffices
-    used = set()
-    for atom in atoms:
-        used |= free_names(atom)
-    pairs = [(a, b, t) for (a, b, t) in pairs if a in used or b in used]
-    if not atoms:
-        return NIL
-    return _chain(pairs, _par(atoms))
-
-
-# Canonical renaming: bound names become Name("_", k) in print order, with k
-# starting above any free name that already uses the "_" base.
-
-def _pend_tag(pend, n):
-    info = pend.get(n)
-    if info is None:
-        return None
-    which, t = info
-    return f"?{which}:{t}"
-
-
-def _ckey_value(v, env, pend):
-    if isinstance(v, VName):
-        tag = _pend_tag(pend, v.name)
-        if tag is not None:
-            return tag
-        return env.get(v.name, str(v.name))
-    if isinstance(v, VUnit):
-        return "()"
-    if isinstance(v, VTuple):
-        return "(" + ",".join(_ckey_value(i, env, pend) for i in v.items) + ")"
-    if isinstance(v, VInl):
-        return "inl " + _ckey_value(v.value, env, pend)
-    if isinstance(v, VInr):
-        return "inr " + _ckey_value(v.value, env, pend)
-    raise TypeError(f"not a value: {v!r}")
-
-
-def _ckey_name(n, env, pend):
-    tag = _pend_tag(pend, n)
-    if tag is not None:
-        return tag
-    return env.get(n, str(n))
-
-
-class _LocalAlloc:
-    def __init__(self):
-        self.k = 0
-
-    def take(self):
-        s = f"%{self.k}"
-        self.k += 1
-        return s
-
-
-def _ckey(p, env, pend, alloc):
-    """Alpha-invariant rendering used to order parallel components.
-
-    ``env`` maps already-named binders (and nothing else) to strings; ``pend``
-    maps the current chain's binders to typed placeholders; all other binders
-    are numbered locally in print order.
-    """
-    if isinstance(p, Nil):
-        return "0"
-    if isinstance(p, Output):
-        return f"{_ckey_name(p.subject, env, pend)}!({_ckey_value(p.payload, env, pend)})"
-    if isinstance(p, (Input, RepInput)):
-        bang = "!" if isinstance(p, RepInput) else ""
-        px = alloc.take()
-        env2 = dict(env)
-        env2[p.param] = px
-        pend2 = {k: v for k, v in pend.items() if k != p.param}
-        return f"{bang}{_ckey_name(p.subject, env, pend)}({px}).{_ckey(p.body, env2, pend2, alloc)}"
-    if isinstance(p, LetTuple):
-        env2 = dict(env)
-        ps = []
-        for prm in p.params:
-            s = alloc.take()
-            env2[prm] = s
-            ps.append(s)
-        pend2 = {k: v for k, v in pend.items() if k not in p.params}
-        return (f"let({','.join(ps)})={_ckey_value(p.scrutinee, env, pend)}"
-                f" in {_ckey(p.body, env2, pend2, alloc)}")
-    if isinstance(p, Case):
-        sv = _ckey_value(p.scrutinee, env, pend)
-        lx = alloc.take()
-        envl = dict(env)
-        envl[p.left_param] = lx
-        pendl = {k: v for k, v in pend.items() if k != p.left_param}
-        lk = _ckey(p.left_body, envl, pendl, alloc)
-        rx = alloc.take()
-        envr = dict(env)
-        envr[p.right_param] = rx
-        pendr = {k: v for k, v in pend.items() if k != p.right_param}
-        rk = _ckey(p.right_body, envr, pendr, alloc)
-        return f"case {sv}{{inl {lx}->{lk};inr {rx}->{rk}}}"
-    # a restriction chain over components: order them before rendering
-    pairs, core = _split_chain(p)
-    if pairs:
-        atoms = _par_list(core)
-        own_pend = dict(pend)
-        for a, b, t in pairs:
-            own_pend[a] = ("in", str(t))
-            own_pend[b] = ("out", str(t))
-        idx = sorted(range(len(atoms)),
-                     key=lambda i: _ckey(atoms[i], env, own_pend, _LocalAlloc()))
-        # assign local numbers to this chain's binders by first use
-        order = _first_use_order([atoms[i] for i in idx], pairs)
-        env2 = dict(env)
-        names = {}
-        for a, b, t in order:
-            names[a] = alloc.take()
-            names[b] = alloc.take()
-            env2[a] = names[a]
-            env2[b] = names[b]
-        pend2 = {k: v for k, v in pend.items() if k not in names}
-        header = "".join(f"new({names[a]}:{t},{names[b]})" for a, b, t in order)
-        body = "|".join(_ckey(atoms[i], env2, pend2, alloc) for i in idx)
-        return header + "(" + body + ")"
-    if isinstance(p, Par):
-        atoms = _par_list(p)
-        idx = sorted(range(len(atoms)),
-                     key=lambda i: _ckey(atoms[i], env, pend, _LocalAlloc()))
-        return "|".join(_ckey(atoms[i], env, pend, alloc) for i in idx)
-    raise TypeError(f"not a process: {p!r}")
-
-
-def _occurrences(p, targets, out):
-    """Append names from ``targets`` to ``out`` in print order (pre-order)."""
-    if isinstance(p, Nil):
-        return
-    if isinstance(p, Output):
-        if p.subject in targets:
-            out.append(p.subject)
-        _value_occurrences(p.payload, targets, out)
-        return
-    if isinstance(p, (Input, RepInput)):
-        if p.subject in targets:
-            out.append(p.subject)
-        if p.param in targets:
-            _occurrences(p.body, targets - {p.param}, out)
-        else:
-            _occurrences(p.body, targets, out)
-        return
-    if isinstance(p, Res):
-        inner = targets - {p.in_name, p.out_name}
-        _occurrences(p.body, inner, out)
-        return
-    if isinstance(p, Par):
-        _occurrences(p.left, targets, out)
-        _occurrences(p.right, targets, out)
-        return
-    if isinstance(p, LetTuple):
-        _value_occurrences(p.scrutinee, targets, out)
-        _occurrences(p.body, targets - set(p.params), out)
-        return
-    if isinstance(p, Case):
-        _value_occurrences(p.scrutinee, targets, out)
-        _occurrences(p.left_body, targets - {p.left_param}, out)
-        _occurrences(p.right_body, targets - {p.right_param}, out)
-        return
-    raise TypeError(f"not a process: {p!r}")
-
-
-def _value_occurrences(v, targets, out):
-    if isinstance(v, VName):
-        if v.name in targets:
-            out.append(v.name)
-        return
-    if isinstance(v, VUnit):
-        return
-    if isinstance(v, VTuple):
-        for item in v.items:
-            _value_occurrences(item, targets, out)
-        return
-    if isinstance(v, (VInl, VInr)):
-        _value_occurrences(v.value, targets, out)
-        return
-    raise TypeError(f"not a value: {v!r}")
-
-
-def _first_use_order(sorted_atoms, pairs):
-    """Order restriction pairs by the first occurrence of either member."""
-    members = set()
-    for a, b, _ in pairs:
-        members.add(a)
-        members.add(b)
-    seq = []
-    for atom in sorted_atoms:
-        _occurrences(atom, members, seq)
-    rank = {}
-    for i, n in enumerate(seq):
-        rank.setdefault(n, i)
-    def pair_rank(pr):
-        a, b, _ = pr
-        return min(rank.get(a, 1 << 30), rank.get(b, 1 << 30))
-    return sorted(pairs, key=pair_rank)
-
-
 class _GlobalAlloc:
     def __init__(self, start):
         self.k = start
@@ -1272,126 +1021,437 @@ class _GlobalAlloc:
         return n
 
 
-# When parallel components tie under the alpha-invariant sort key (possible
-# when distinct restriction pairs of the same type render alike), the final
-# naming can depend on their order.  Try every ordering within tied groups,
-# up to this many candidates, and keep the lexicographically least result.
-_TIE_CANDIDATES = 128
+def _ranks(sigs):
+    """Dense ranks of ``sigs`` in sorted order, so colours are canonical."""
+    rank = {s: r for r, s in enumerate(sorted(set(sigs)))}
+    return [rank[s] for s in sigs]
 
 
-def _tied_orderings(atoms, idx, keys):
-    """Yield candidate index orders: permutations within equal-key groups."""
-    groups = []
-    i = 0
-    while i < len(idx):
-        j = i
-        while j + 1 < len(idx) and keys[idx[j + 1]] == keys[idx[i]]:
-            j += 1
-        groups.append(idx[i:j + 1])
-        i = j + 1
-
-    def expand(gi):
-        if gi == len(groups):
-            yield []
-            return
-        group = groups[gi]
-        if len(group) == 1:
-            for rest in expand(gi + 1):
-                yield group + rest
-            return
-        seen = set()
-        for perm in itertools.permutations(group):
-            sig = tuple(print_process(atoms[i]) for i in perm)
-            if sig in seen:
-                continue
-            seen.add(sig)
-            for rest in expand(gi + 1):
-                yield list(perm) + rest
-
-    count = 0
-    for order in expand(0):
-        yield order
-        count += 1
-        if count >= _TIE_CANDIDATES:
-            return
+def _render_value(v, env):
+    if isinstance(v, VName):
+        return env.get(v.name) or str(v.name)
+    if isinstance(v, VUnit):
+        return "()"
+    if isinstance(v, VTuple):
+        return "(" + ",".join(_render_value(i, env) for i in v.items) + ")"
+    if isinstance(v, VInl):
+        return "inl " + _render_value(v.value, env)
+    if isinstance(v, VInr):
+        return "inr " + _render_value(v.value, env)
+    raise TypeError(f"not a value: {v!r}")
 
 
-def _build(p, env, alloc):
-    """Rebuild ``p`` with canonical bound names and sorted parallel order."""
-    if isinstance(p, Nil):
+def _value_leaves(v):
+    if isinstance(v, VTuple):
+        for item in v.items:
+            yield from _value_leaves(item)
+    elif isinstance(v, (VInl, VInr)):
+        yield from _value_leaves(v.value)
+    else:
+        yield v
+
+
+def _pair_labels(order, d, env):
+    """``env`` plus de Bruijn levels ``%d``, ``%d+1``, ... for ``order``."""
+    out = dict(env)
+    for r, (a, b, _) in enumerate(order):
+        out[a], out[b] = f"%{d + 2 * r}", f"%{d + 2 * r + 1}"
+    return out
+
+
+def _hide(names, binders):
+    if any(b in names for b in binders):
+        return {n: v for n, v in names.items() if n not in binders}
+    return names
+
+
+class _Canon:
+    """The memo tables of one :func:`canonicalize` call.
+
+    ``fvs`` maps ``id(node)`` to ``(node, free names)``; holding the node
+    keeps its id from being reused while the call runs.  ``memo`` maps
+    ``(id(node), depth, shape, labels of the node's free names)`` to the
+    node's rendering and, for a level, the decisions that produced it.
+    """
+
+    def __init__(self):
+        self.fvs = {}
+        self.memo = {}
+
+    def fv(self, p):
+        got = self.fvs.get(id(p))
+        if got is not None:
+            return got[1]
+        if isinstance(p, Par):
+            out = frozenset().union(*[self.fv(c) for c in _par_list(p)])
+        elif isinstance(p, (Input, RepInput)):
+            out = (self.fv(p.body) - {p.param}) | {p.subject}
+        elif isinstance(p, Res):
+            out = self.fv(p.body) - {p.in_name, p.out_name}
+        elif isinstance(p, LetTuple):
+            out = (self.fv(p.body) - set(p.params)) | value_names(p.scrutinee)
+        elif isinstance(p, Case):
+            out = (value_names(p.scrutinee)
+                   | (self.fv(p.left_body) - {p.left_param})
+                   | (self.fv(p.right_body) - {p.right_param}))
+        else:
+            out = free_names(p)
+        self.fvs[id(p)] = (p, out)
+        return out
+
+    # -- normalization ----------------------------------------------------
+
+    def normalize(self, p):
+        """Flatten ``|``, hoist restrictions, drop nil and dead pairs.
+
+        Every level of the result is a restriction chain over a flat ``|``
+        of atoms (inputs, outputs, lets and cases), in source order.
+        """
+        if isinstance(p, (Input, RepInput)):
+            return type(p)(p.subject, p.param, self.normalize(p.body))
+        if isinstance(p, LetTuple):
+            return LetTuple(p.params, p.scrutinee, self.normalize(p.body))
+        if isinstance(p, Case):
+            return Case(p.scrutinee, p.left_param, self.normalize(p.left_body),
+                        p.right_param, self.normalize(p.right_body))
+        if isinstance(p, Par):
+            return self._merge([], [self.normalize(c) for c in _par_list(p)])
+        if isinstance(p, Res):
+            return self._merge([(p.in_name, p.out_name, p.in_type)],
+                               [self.normalize(p.body)])
         return p
-    if isinstance(p, Output):
-        return Output(env.get(p.subject, p.subject),
-                      substitute_value(p.payload, {k: VName(v) for k, v in env.items()}))
-    if isinstance(p, (Input, RepInput)):
-        nx = alloc.take()
-        env2 = dict(env)
-        env2[p.param] = nx
-        return type(p)(env.get(p.subject, p.subject), nx, _build(p.body, env2, alloc))
-    if isinstance(p, LetTuple):
-        env2 = dict(env)
-        nps = []
-        for prm in p.params:
-            nn = alloc.take()
-            env2[prm] = nn
-            nps.append(nn)
-        scrut = substitute_value(p.scrutinee, {k: VName(v) for k, v in env.items()})
-        return LetTuple(tuple(nps), scrut, _build(p.body, env2, alloc))
-    if isinstance(p, Case):
-        scrut = substitute_value(p.scrutinee, {k: VName(v) for k, v in env.items()})
-        lx = alloc.take()
-        envl = dict(env)
-        envl[p.left_param] = lx
-        lb = _build(p.left_body, envl, alloc)
-        rx = alloc.take()
-        envr = dict(env)
-        envr[p.right_param] = rx
-        rb = _build(p.right_body, envr, alloc)
-        return Case(scrut, lx, lb, rx, rb)
-    pairs, core = _split_chain(p)
-    if pairs or isinstance(p, Par):
+
+    def _merge(self, pairs, comps):
+        """Combine components under one restriction chain with capture
+        avoidance; a pair no atom uses is dropped (scope extrusion and the
+        nil axioms derive this)."""
+        taken = set().union(*[self.fv(c) for c in comps])
+        for a, b, _ in pairs:
+            taken |= {a, b}
+        pairs = list(pairs)
+        atoms = []
+        for c in comps:
+            cpairs, core = _split_chain(c)
+            renames = {}
+            for a, b, t in cpairs:
+                for n in (a, b):
+                    if n in taken:
+                        renames[n] = fresh_name(n, taken)
+                    taken.add(renames.get(n, n))
+                pairs.append((renames.get(a, a), renames.get(b, b), t))
+            for atom in _par_list(core):
+                if not isinstance(atom, Nil):
+                    atoms.append(rename_free(atom, renames) if renames else atom)
+        used = set().union(*[self.fv(x) for x in atoms])
+        pairs = [(a, b, t) for a, b, t in pairs if a in used or b in used]
+        return _chain(pairs, _par(atoms)) if atoms else NIL
+
+    # -- certificates -----------------------------------------------------
+
+    def render(self, p, d, env, shape):
+        """Certificate of ``p`` with binder depth ``d``.
+
+        Names in ``env`` print as their labels and other free names as
+        themselves; binders inside ``p`` print as their de Bruijn level
+        ``%k``.  A level's restriction pairs are numbered by
+        :meth:`_search`, or, when ``shape`` is set, print as typed slots,
+        which gives an invariant of ``p`` without any search.
+        """
+        if isinstance(p, Output):
+            return (f"{env.get(p.subject) or str(p.subject)}"
+                    f"!({_render_value(p.payload, env)})")
+        if isinstance(p, Nil):
+            return "0"
+        key = (id(p), d, shape, tuple([env.get(n) for n in self.fv(p)]))
+        got = self.memo.get(key)
+        if got is not None:
+            return got[0]
+        decision = None
+        if isinstance(p, (Input, RepInput)):
+            x = f"%{d}"
+            body = self.render(p.body, d + 1, {**env, p.param: x}, shape)
+            bang = "!" if isinstance(p, RepInput) else ""
+            s = f"{bang}{env.get(p.subject) or str(p.subject)}({x}).({body})"
+        elif isinstance(p, LetTuple):
+            xs = [f"%{d + i}" for i in range(len(p.params))]
+            inner = {**env, **dict(zip(p.params, xs))}
+            body = self.render(p.body, d + len(xs), inner, shape)
+            s = (f"let({','.join(xs)})={_render_value(p.scrutinee, env)}"
+                 f" in ({body})")
+        elif isinstance(p, Case):
+            x = f"%{d}"
+            left = self.render(p.left_body, d + 1, {**env, p.left_param: x}, shape)
+            right = self.render(p.right_body, d + 1, {**env, p.right_param: x},
+                                shape)
+            s = (f"case {_render_value(p.scrutinee, env)}"
+                 f"{{inl {x}->({left});inr {x}->({right})}}")
+        else:
+            s, decision = self._level(p, d, env, shape)
+        self.memo[key] = (s, decision)
+        return s
+
+    def _level(self, p, d, env, shape):
+        """A restriction chain over ``|``: its connected components (atoms
+        linked by the pairs they use) in certificate order, components
+        with pairs first."""
+        pairs, core = _split_chain(p)
         atoms = _par_list(core)
-        env_str = {k: str(v) for k, v in env.items()}
-        own_pend = {}
-        for a, b, t in pairs:
-            own_pend[a] = ("in", str(t))
-            own_pend[b] = ("out", str(t))
-        keys = [_ckey(a, env_str, own_pend, _LocalAlloc()) for a in atoms]
-        idx = sorted(range(len(atoms)), key=lambda i: keys[i])
-        has_tie = any(keys[idx[i]] == keys[idx[i + 1]] for i in range(len(idx) - 1))
-        orders = _tied_orderings(atoms, idx, keys) if has_tie else [idx]
-        best = None
-        start_k = alloc.k
-        for order in orders:
-            alloc.k = start_k
-            pair_order = _first_use_order([atoms[i] for i in order], pairs)
-            env2 = dict(env)
-            new_pairs = []
-            for a, b, t in pair_order:
-                na = alloc.take()
-                nb = alloc.take()
-                env2[a] = na
-                env2[b] = nb
-                new_pairs.append((na, nb, t))
-            built = [_build(atoms[i], env2, alloc) for i in order]
-            cand = _chain(new_pairs, _par(built))
-            ckey = print_process(cand)
-            if best is None or ckey < best[0]:
-                best = (ckey, cand, alloc.k)
-        alloc.k = best[2]
+        if shape:
+            slots = dict(env)
+            for a, b, t in pairs:
+                slots[a], slots[b] = f"?i:{t}", f"?o:{t}"
+            return "|".join(sorted(self.render(x, d, slots, True)
+                                   for x in atoms)), None
+        comps = []
+        for cpairs, catoms in self._components(pairs, atoms):
+            if cpairs:
+                order = self._search(cpairs, catoms, d, env)
+                cert, catoms = self._leaf(order, catoms, d, env)
+            else:
+                order, cert = [], self.render(catoms[0], d, env, False)
+            comps.append((not order, cert, order, catoms))
+        comps.sort(key=lambda c: c[:2])
+        return ("|".join(c[1] for c in comps),
+                [(order, catoms, d + 2 * len(order))
+                 for _, _, order, catoms in comps])
+
+    def _components(self, pairs, atoms):
+        """Connected components of a level: ``(pairs, atoms)`` groups."""
+        owner = {}
+        for k, (a, b, _) in enumerate(pairs):
+            owner[a] = owner[b] = k
+        root = list(range(len(pairs)))
+
+        def find(k):
+            while root[k] != k:
+                root[k] = k = root[root[k]]
+            return k
+
+        uses = []
+        for x in atoms:
+            ks = [owner[n] for n in self.fv(x) & owner.keys()]
+            uses.append(ks)
+            for k in ks[1:]:
+                root[find(k)] = find(ks[0])
+        comps = {}
+        for k, pair in enumerate(pairs):
+            comps.setdefault(find(k), ([], []))[0].append(pair)
+        out = []
+        for x, ks in zip(atoms, uses):
+            if ks:
+                comps[find(ks[0])][1].append(x)
+            else:
+                out.append(([], [x]))
+        return out + list(comps.values())
+
+    def _leaf(self, order, atoms, d, env):
+        """Certificate of a component whose pairs are numbered in
+        ``order``, and its atoms in certificate order."""
+        labels = _pair_labels(order, d, env)
+        ad = d + 2 * len(order)
+        certs = [self.render(x, ad, labels, False) for x in atoms]
+        idx = sorted(range(len(atoms)), key=certs.__getitem__)
+        head = "".join(f"new({labels[a]}:{t},{labels[b]})" for a, b, t in order)
+        return (f"{head}({'|'.join(certs[i] for i in idx)})",
+                [atoms[i] for i in idx])
+
+    def _occurrences(self, p, owner):
+        """``(role, pair)`` for each use of a pair name in atom ``p``.  The
+        role is the end used, the kind and prefix depth of the position
+        and the index within a value, so it does not depend on names or on
+        the order of ``|``."""
+        out = []
+
+        def use(n, role, names):
+            got = names.get(n)
+            if got is not None:
+                out.append(((got[1],) + role, got[0]))
+
+        def walk(q, depth, names):
+            if not names.keys() & self.fv(q):
+                return
+            if isinstance(q, Output):
+                use(q.subject, ("o", depth, -1), names)
+                for pos, v in enumerate(_value_leaves(q.payload)):
+                    if isinstance(v, VName):
+                        use(v.name, ("v", depth, pos), names)
+            elif isinstance(q, (Input, RepInput)):
+                use(q.subject, ("r" if isinstance(q, RepInput) else "i",
+                                depth, -1), names)
+                walk(q.body, depth + 1, _hide(names, (q.param,)))
+            elif isinstance(q, Res):
+                walk(q.body, depth, _hide(names, (q.in_name, q.out_name)))
+            elif isinstance(q, Par):
+                for c in _par_list(q):
+                    walk(c, depth, names)
+            elif isinstance(q, LetTuple):
+                for pos, v in enumerate(_value_leaves(q.scrutinee)):
+                    if isinstance(v, VName):
+                        use(v.name, ("l", depth, pos), names)
+                walk(q.body, depth + 1, _hide(names, q.params))
+            elif isinstance(q, Case):
+                for pos, v in enumerate(_value_leaves(q.scrutinee)):
+                    if isinstance(v, VName):
+                        use(v.name, ("c", depth, pos), names)
+                walk(q.left_body, depth + 1, _hide(names, (q.left_param,)))
+                walk(q.right_body, depth + 1, _hide(names, (q.right_param,)))
+
+        walk(p, 0, owner)
+        return out
+
+    def _search(self, pairs, atoms, d, env):
+        """Canonical order of a component's pairs.
+
+        Pairs start coloured by type and atoms by their shape; colour
+        refinement splits them by the colours of what they use and are
+        used by.  While a cell of pairs is tied, each member in turn is
+        individualized and refined; a member is skipped when aligning its
+        refined colouring with an explored sibling's gives an automorphism
+        (checked on atom certificates) that fixes the earlier choices and
+        maps the sibling to it.  The least leaf certificate wins.
+        """
+        m = len(pairs)
+        types = _ranks([str(t) for _, _, t in pairs])
+        if len(set(types)) == m:
+            return [pairs[k] for k in sorted(range(m), key=types.__getitem__)]
+        ad = d + 2 * m
+        slots = dict(env)
+        owner = {}
+        for k, (a, b, t) in enumerate(pairs):
+            slots[a], slots[b] = f"?i:{t}", f"?o:{t}"
+            owner[a], owner[b] = (k, "i"), (k, "o")
+        occ = [self._occurrences(x, owner) for x in atoms]
+        inc = [[] for _ in range(m)]
+        for i, uses in enumerate(occ):
+            for role, k in uses:
+                inc[k].append((role, i))
+        base = _pair_labels(pairs, d, env)
+
+        def refine(pc, ac):
+            while True:
+                ac2 = _ranks([(ac[i], tuple(sorted((r, pc[k]) for r, k in uses)))
+                              for i, uses in enumerate(occ)])
+                pc2 = _ranks([(pc[k], tuple(sorted((r, ac2[i]) for r, i in inc[k])))
+                              for k in range(m)])
+                if len(set(pc2)) == len(set(pc)) and len(set(ac2)) == len(set(ac)):
+                    return pc2, ac2
+                pc, ac = pc2, ac2
+
+        def cells(pc):
+            out = {}
+            for k, c in enumerate(pc):
+                out.setdefault(c, []).append(k)
+            return out
+
+        def maps_onto(pi, pj, i, j, fixed):
+            gamma = list(range(m))
+            cj = cells(pj)
+            for c, a in cells(pi).items():
+                b = cj.get(c, [])
+                if len(a) != len(b):
+                    return False
+                for x, y in zip(sorted(set(a) - set(b)), sorted(set(b) - set(a))):
+                    gamma[x] = y
+            if gamma[i] != j or any(gamma[k] != k for k in fixed):
+                return False
+            image = list(pairs)
+            for k in range(m):
+                image[gamma[k]] = pairs[k]
+            moved = _pair_labels(image, d, env)
+            touched = {a for k in range(m) if gamma[k] != k for _, a in inc[k]}
+            return (sorted(self.render(atoms[a], ad, base, False) for a in touched)
+                    == sorted(self.render(atoms[a], ad, moved, False)
+                              for a in touched))
+
+        best = []
+
+        def visit(pc, ac, fixed):
+            split = cells(pc)
+            if len(split) == m:
+                order = [pairs[k] for k in sorted(range(m), key=pc.__getitem__)]
+                cert = self._leaf(order, atoms, d, env)[0]
+                if not best or cert < best[0]:
+                    best[:] = [cert, order]
+                return
+            _, c = min((len(v), c) for c, v in split.items() if len(v) > 1)
+            explored = []
+            for j in split[c]:
+                pj, aj = refine([2 * x + (k != j) for k, x in enumerate(pc)], ac)
+                if any(maps_onto(pi, pj, i, j, fixed) for i, pi in explored):
+                    continue
+                explored.append((j, pj))
+                visit(pj, aj, fixed + [j])
+
+        shapes = _ranks([self.render(x, ad, slots, True) for x in atoms])
+        visit(*refine(types, shapes), [])
         return best[1]
-    raise TypeError(f"not a process: {p!r}")
+
+    # -- the canonical process --------------------------------------------
+
+    def build(self, p, d, labels, names, alloc):
+        """``p`` rebuilt in the order its certificate under ``labels``
+        chose, with binders renamed ``_#k`` in print order."""
+        if isinstance(p, Nil):
+            return p
+        if isinstance(p, Output):
+            return Output(names.get(p.subject, VName(p.subject)).name,
+                          substitute_value(p.payload, names))
+        if isinstance(p, (Input, RepInput)):
+            x = alloc.take()
+            body = self.build(p.body, d + 1, {**labels, p.param: f"%{d}"},
+                              {**names, p.param: VName(x)}, alloc)
+            return type(p)(names.get(p.subject, VName(p.subject)).name, x, body)
+        if isinstance(p, LetTuple):
+            xs = [alloc.take() for _ in p.params]
+            lab, nam = dict(labels), dict(names)
+            for i, (prm, x) in enumerate(zip(p.params, xs)):
+                lab[prm], nam[prm] = f"%{d + i}", VName(x)
+            return LetTuple(tuple(xs), substitute_value(p.scrutinee, names),
+                            self.build(p.body, d + len(xs), lab, nam, alloc))
+        if isinstance(p, Case):
+            scrut = substitute_value(p.scrutinee, names)
+            x = alloc.take()
+            left = self.build(p.left_body, d + 1, {**labels, p.left_param: f"%{d}"},
+                              {**names, p.left_param: VName(x)}, alloc)
+            y = alloc.take()
+            right = self.build(p.right_body, d + 1,
+                               {**labels, p.right_param: f"%{d}"},
+                               {**names, p.right_param: VName(y)}, alloc)
+            return Case(scrut, x, left, y, right)
+        key = (id(p), d, False, tuple([labels.get(n) for n in self.fv(p)]))
+        pairs, scopes = [], []
+        for order, atoms, ad in self.memo[key][1]:
+            nam = dict(names)
+            for a, b, t in order:
+                x, y = alloc.take(), alloc.take()
+                nam[a], nam[b] = VName(x), VName(y)
+                pairs.append((x, y, t))
+            scopes.append((atoms, ad, _pair_labels(order, d, labels), nam))
+        built = [self.build(x, ad, lab, nam, alloc)
+                 for atoms, ad, lab, nam in scopes for x in atoms]
+        return _chain(pairs, _par(built))
 
 
 def canonicalize(p: Process) -> CanonicalForm:
-    """Normal form for structural congruence (sound; desk-scale complete)."""
-    norm = _normalize(p)
-    frees = free_names(norm)
-    start = 0
-    for n in frees:
-        if n.base == "_" and n.kind == REGULAR:
-            start = max(start, n.index + 1)
-    built = _build(norm, {}, _GlobalAlloc(start))
+    """Normal form for structural congruence.
+
+    Every level (the top, an input or let body, a case branch) becomes one
+    restriction chain over a flat ``|`` of atoms, with no nil component
+    and no unused pair.  The level's connected components (atoms linked by
+    the pairs they use) come in certificate order, components with pairs
+    first; within a component the pairs are numbered by colour refinement
+    and individualization, keeping the least certificate, and the atoms
+    follow in certificate order.  Bound names become ``_#k`` in print
+    order, above the index of any free name with base ``_``.  Congruent
+    processes get equal keys and, as the key prints the rebuilt process,
+    only they do.
+    """
+    c = _Canon()
+    norm = c.normalize(p)
+    start = max((n.index + 1 for n in c.fv(norm)
+                 if n.base == "_" and n.kind == REGULAR), default=0)
+    c.render(norm, 0, {}, False)
+    built = c.build(norm, 0, {}, {}, _GlobalAlloc(start))
     return CanonicalForm(built, print_process(built))
 
 

@@ -327,6 +327,30 @@ def test_strong_refinement_verdict_is_exact_on_finite_graphs():
     assert v.bounds.get("exact")
 
 
+def test_strong_bisim_explores_once_when_start_states_share_a_key(monkeypatch):
+    from awpi.semantics import explore
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return explore(*args, **kwargs)
+
+    monkeypatch.setattr("awpi.equivalence.explore", counting)
+    client = "new(r{0}: i[unit], ro{0})( so!(ro{0}) | r{0}(x).ok!() )"
+    p = proc("success ok; new(s: i[o[unit]], so)( !s(r).r!() | "
+             + client.format(1) + " | " + client.format(2) + " )")
+    q = proc("success ok; new(t: i[o[unit]], to)( "
+             + client.format(3).replace("so!", "to!") + " | !t(r).r!() | "
+             + client.format(4).replace("so!", "to!") + " )")
+    v = strong_bisim(p, q)
+    assert len(calls) == 1
+    assert v.equivalent
+    budget = BisimConfig(kind="strong").state_budget
+    nodes = len(explore(frozenset(), p, depth_bound=budget,
+                        state_bound=budget).nodes)
+    assert v.bounds == {"method": "strong", "exact": True, "states": 2 * nodes}
+
+
 def test_strong_distinction_found_through_refinement_fallback():
     p = proc("success ok; new(a: i[unit], b)( a(x).( ok!() | ok!() ) | b!() )")
     q = proc("success ok; new(a: i[unit], b)( a(x).ok!() | b!() )")

@@ -10,7 +10,7 @@ from awpi.syntax import (
     RepInput, Res, SUCCESS, UNIT, VName, VUNIT, alpha_eq, ast_size,
     bound_names, canonicalize, congruent, free_names, fresh_name, parse_file,
     parse_process, parse_value, parse_vtype, print_process, print_value,
-    print_vtype, substitute,
+    print_vtype, substitute, substitute_value,
 )
 
 from oracles import (
@@ -341,3 +341,156 @@ def test_ast_size():
     assert ast_size(parse_process("0")) == 1
     assert ast_size(parse_process("a!() | b!()")) == 3
     assert ast_size(parse_process("new(a: i[unit], b) a(x).0")) == 3
+
+
+# ---------------------------------------------------------------------------
+# Canonical forms: congruent copies and scaling families
+# ---------------------------------------------------------------------------
+
+def _variant(p, rng, env=None, ctr=None):
+    """A congruent copy: every ``|`` chain shuffled and re-associated, every
+    restriction chain reordered, every binder renamed to a fresh ``v#k``."""
+    from awpi.syntax import Case, LetTuple
+    env = env or {}
+    ctr = ctr if ctr is not None else [1000]
+
+    def fresh():
+        ctr[0] += 1
+        return Name("v", ctr[0])
+
+    def value(v):
+        return substitute_value(v, {k: VName(n) for k, n in env.items()})
+
+    if isinstance(p, Nil):
+        return p
+    if isinstance(p, Par):
+        atoms, todo = [], [p]
+        while todo:
+            q = todo.pop()
+            if isinstance(q, Par):
+                todo += [q.right, q.left]
+            else:
+                atoms.append(_variant(q, rng, env, ctr))
+        rng.shuffle(atoms)
+        while len(atoms) > 1:
+            i = rng.randrange(len(atoms) - 1)
+            atoms[i:i + 2] = [Par(atoms[i], atoms[i + 1])]
+        return atoms[0]
+    if isinstance(p, Output):
+        return Output(env.get(p.subject, p.subject), value(p.payload))
+    if isinstance(p, (Input, RepInput)):
+        x = fresh()
+        return type(p)(env.get(p.subject, p.subject), x,
+                       _variant(p.body, rng, {**env, p.param: x}, ctr))
+    if isinstance(p, Res):
+        chain, inner = [], dict(env)
+        while isinstance(p, Res):
+            a, b = fresh(), fresh()
+            inner[p.in_name], inner[p.out_name] = a, b
+            chain.append((a, b, p.in_type))
+            p = p.body
+        body = _variant(p, rng, inner, ctr)
+        rng.shuffle(chain)
+        for a, b, t in chain:
+            body = Res(a, b, t, body)
+        return body
+    if isinstance(p, LetTuple):
+        xs = tuple(fresh() for _ in p.params)
+        return LetTuple(xs, value(p.scrutinee),
+                        _variant(p.body, rng, {**env, **dict(zip(p.params, xs))},
+                                 ctr))
+    if isinstance(p, Case):
+        x, y = fresh(), fresh()
+        return Case(value(p.scrutinee),
+                    x, _variant(p.left_body, rng, {**env, p.left_param: x}, ctr),
+                    y, _variant(p.right_body, rng, {**env, p.right_param: y}, ctr))
+    raise TypeError(p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**48 - 1), st.integers(1, 16))
+def test_canonical_key_invariant_under_congruent_copies(seed, size):
+    rng = random.Random(seed)
+    p = random_process(rng, size)
+    key = canonicalize(p).key
+    for _ in range(3):
+        assert canonicalize(_variant(p, rng)).key == key, print_process(p)
+
+
+def test_canonicalize_complete_within_three_rewrites():
+    """Every term three axiom rewrites away (under a size cap) gets the
+    key of the process it came from."""
+    from oracles import _one_step
+    rng = random.Random(31)
+    checked = 0
+    for _ in range(100):
+        p = random_process(rng, rng.randint(4, 10))
+        key = canonicalize(p).key
+        cap = ast_size(p) + 4
+        seen = {alpha_key(p)}
+        frontier = [p]
+        for _ in range(3):
+            nxt = []
+            for q in frontier:
+                for r in _one_step(q):
+                    k = alpha_key(r)
+                    if ast_size(r) <= cap and k not in seen:
+                        seen.add(k)
+                        nxt.append(r)
+                        assert canonicalize(r).key == key, \
+                            f"{print_process(p)}  vs  {print_process(r)}"
+            frontier = nxt
+        checked += len(seen) - 1
+    assert checked >= 5000
+
+
+def _ring(size):
+    """``size`` restricted ``i[unit]`` pairs; atom i forwards to pair i+1."""
+    t = ChanType("i", UNIT)
+    pairs = [(Name(f"a{i}"), Name(f"b{i}")) for i in range(size)]
+    body = Nil()
+    for i, (a, _) in enumerate(pairs):
+        atom = Input(a, Name(f"x{i}"), Output(pairs[(i + 1) % size][1], VUNIT))
+        body = atom if i == 0 else Par(body, atom)
+    for a, b in reversed(pairs):
+        body = Res(a, b, t, body)
+    return body
+
+
+def _client_server(n):
+    client = "new(r: i[unit], ro)( so!(ro) | r(x).ok!() )"
+    return parse_file("success ok; new(s: i[o[unit]], so)( !s(r).r!() | "
+                      + " | ".join([client] * n) + " )").process
+
+
+def _nested(depth):
+    text = "k!()"
+    for i in range(depth, 0, -1):
+        text = f"new(a{i}: i[unit], b{i})( b{i}!() | a{i}(x{i}).({text}) )"
+    return parse_process(text)
+
+
+@pytest.mark.parametrize("family, p", [
+    ("ring-7", _ring(7)),
+    ("ring-10", _ring(10)),
+    ("client-server-8", _client_server(8)),
+    ("identical-12", parse_process(" | ".join(["k!()"] * 12))),
+    ("nested-20", _nested(20)),
+])
+def test_scaling_family_shuffles_share_one_key(family, p):
+    rng = random.Random(37)
+    key = canonicalize(p).key
+    keys = {canonicalize(_variant(p, rng)).key for _ in range(20)}
+    assert keys == {key}, family
+
+
+def test_wide_par_round_trips_and_canonicalizes():
+    atoms = [parse_process("k!()")] * 1500
+    text = " | ".join(["k!()"] * 1500)
+    p = parse_process(text)
+    assert print_process(p) == text
+    assert alpha_eq(p, parse_process(print_process(p)))
+    right = atoms[-1]
+    for a in atoms[-2::-1]:
+        right = Par(a, right)
+    assert canonicalize(right).key == canonicalize(p).key
