@@ -86,7 +86,16 @@ def free_names(p: Process) -> frozenset:
     if isinstance(p, Nil):
         return frozenset()
     if isinstance(p, Par):
-        return free_names(p.left) | free_names(p.right)
+        # walk the | spine in a loop, so that a wide composition cannot
+        # exhaust the recursion limit
+        names, todo = set(), [p]
+        while todo:
+            q = todo.pop()
+            if isinstance(q, Par):
+                todo += (q.left, q.right)
+            else:
+                names |= free_names(q)
+        return frozenset(names)
     if isinstance(p, Input) or isinstance(p, RepInput):
         return frozenset((p.subject,)) | (free_names(p.body) - {p.param})
     if isinstance(p, Output):
@@ -388,40 +397,26 @@ def _freshen_bound(mu, target, avoid):
 
 
 def lts_step(p: Process):
-    """Early transitions (ground inputs), written from the standard rules."""
+    """Early transitions (ground inputs), written from the standard rules.
+
+    One bottom-up walk: each subterm's transitions come with its free
+    names, so a ``|`` node freshens bound labels against its children's
+    names instead of re-walking a sibling once per step.
+    """
+    return _steps(p)[0]
+
+
+def _steps(p: Process):
+    """``(transitions of p, free names of p)``."""
     out = []
-    if isinstance(p, Nil):
-        return out
-    if isinstance(p, Input):
-        out.append((InLabel(p.subject, p.param), p.body))
-        return out
-    if isinstance(p, RepInput):
-        out.append((InLabel(p.subject, p.param), Par(p.body, p)))
-        return out
-    if isinstance(p, Output):
-        out.append((OutLabel(p.subject, p.payload), NIL))
-        return out
-    if isinstance(p, LetTuple):
-        if isinstance(p.scrutinee, VTuple) and len(p.scrutinee.items) == len(p.params):
-            out.append((TAU, substitute(p.body,
-                                        dict(zip(p.params, p.scrutinee.items)))))
-        return out
-    if isinstance(p, Case):
-        if isinstance(p.scrutinee, VInl):
-            out.append((TAU, substitute(p.left_body,
-                                        {p.left_param: p.scrutinee.value})))
-        elif isinstance(p.scrutinee, VInr):
-            out.append((TAU, substitute(p.right_body,
-                                        {p.right_param: p.scrutinee.value})))
-        return out
     if isinstance(p, Par):
-        lsteps = lts_step(p.left)
-        rsteps = lts_step(p.right)
+        lsteps, lnames = _steps(p.left)
+        rsteps, rnames = _steps(p.right)
         for mu, l2 in lsteps:
-            mu2, l3 = _freshen_bound(mu, l2, free_names(p.right))
+            mu2, l3 = _freshen_bound(mu, l2, rnames)
             out.append((mu2, Par(l3, p.right)))
         for mu, r2 in rsteps:
-            mu2, r3 = _freshen_bound(mu, r2, free_names(p.left))
+            mu2, r3 = _freshen_bound(mu, r2, lnames)
             out.append((mu2, Par(p.left, r3)))
         for fromleft in (True, False):
             isteps = lsteps if fromleft else rsteps
@@ -441,9 +436,10 @@ def lts_step(p: Process):
                         inst = substitute(pi, {mu_i.param: VName(mu_o2.exported)})
                         body = Par(inst, qo2) if fromleft else Par(qo2, inst)
                         out.append((TAU, Res(mu_o2.exported, body)))
-        return out
+        return out, lnames | rnames
     if isinstance(p, Res):
-        for mu, q in lts_step(p.body):
+        steps, names = _steps(p.body)
+        for mu, q in steps:
             if isinstance(mu, OutLabel) and mu.subject != p.name \
                     and p.name in value_names(mu.payload):
                 if mu.payload == VName(p.name):
@@ -453,5 +449,24 @@ def lts_step(p: Process):
             if p.name in label_names(mu):
                 continue
             out.append((mu, Res(p.name, q)))
-        return out
-    raise TypeError(f"not a process: {p!r}")
+        return out, names - {p.name}
+    if isinstance(p, Input):
+        out.append((InLabel(p.subject, p.param), p.body))
+    elif isinstance(p, RepInput):
+        out.append((InLabel(p.subject, p.param), Par(p.body, p)))
+    elif isinstance(p, Output):
+        out.append((OutLabel(p.subject, p.payload), NIL))
+    elif isinstance(p, LetTuple):
+        if isinstance(p.scrutinee, VTuple) and len(p.scrutinee.items) == len(p.params):
+            out.append((TAU, substitute(p.body,
+                                        dict(zip(p.params, p.scrutinee.items)))))
+    elif isinstance(p, Case):
+        if isinstance(p.scrutinee, VInl):
+            out.append((TAU, substitute(p.left_body,
+                                        {p.left_param: p.scrutinee.value})))
+        elif isinstance(p.scrutinee, VInr):
+            out.append((TAU, substitute(p.right_body,
+                                        {p.right_param: p.scrutinee.value})))
+    elif not isinstance(p, Nil):
+        raise TypeError(f"not a process: {p!r}")
+    return out, free_names(p)

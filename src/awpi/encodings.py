@@ -460,45 +460,61 @@ def alpi_to_api(p: AlpiProcess) -> api.Process:
     raise TypeError(f"not a localised process: {p!r}")
 
 
-def _api_closure_iter(p: api.Process, budget: int, trunc: list):
-    """Weak tau descendants in breadth-first order, lazily.
+def _api_closure_iter(p: api.Process, budget: int, trunc: list, memo=None):
+    """Weak tau descendants in breadth-first order, lazily, each yielded as
+    ``(state, transitions)`` so that no caller steps a state again.
 
     The image of a replicated input can regenerate requests without bound,
     so closures must not be materialised eagerly; callers stop at the
     first useful state.  ``trunc[0]`` is set when the budget cuts the walk.
+    ``memo``, when given, maps alpha keys to transitions and is shared
+    with the caller (see ``_api_weak_sim``).
     """
     from collections import deque
 
-    seen = {api.alpha_key(p)}
-    queue = deque((p,))
+    key = api.alpha_key(p)
+    seen = {key}
+    queue = deque(((key, p),))
     count = 0
     while queue:
         if count >= budget:
             trunc[0] = True
             return
-        cur = queue.popleft()
+        key, cur = queue.popleft()
         count += 1
-        yield cur
-        for mu, q in api.lts_step(cur):
+        moves = _api_moves(cur, key, memo)
+        yield cur, moves
+        for mu, q in moves:
             if not isinstance(mu, api.TauLabel):
                 continue
             k = api.alpha_key(q)
             if k not in seen:
                 seen.add(k)
-                queue.append(q)
+                queue.append((k, q))
 
 
-def _api_weak_after_iter(p: api.Process, mu, budget: int, trunc: list):
+def _api_moves(p: api.Process, key: str, memo):
+    """The transitions of ``p``, whose alpha key is ``key``, through
+    ``memo`` when one is given."""
+    if memo is None:
+        return api.lts_step(p)
+    if key not in memo:
+        memo[key] = api.lts_step(p)
+    return memo[key]
+
+
+def _api_weak_after_iter(p: api.Process, mu, budget: int, trunc: list, memo):
     if isinstance(mu, api.TauLabel):
-        yield from _api_closure_iter(p, budget, trunc)
+        for p1, _moves in _api_closure_iter(p, budget, trunc, memo):
+            yield p1
         return
     want = repr(mu)
     keys = set()
-    for p1 in _api_closure_iter(p, budget, trunc):
-        for mv, p2 in api.lts_step(p1):
+    for _p1, moves in _api_closure_iter(p, budget, trunc, memo):
+        for mv, p2 in moves:
             if isinstance(mv, api.TauLabel) or repr(mv) != want:
                 continue
-            for p3 in _api_closure_iter(p2, budget, trunc):
+            for p3, _moves in _api_closure_iter(p2, budget, trunc, memo):
                 k = api.alpha_key(p3)
                 if k not in keys:
                     keys.add(k)
@@ -506,8 +522,17 @@ def _api_weak_after_iter(p: api.Process, mu, budget: int, trunc: list):
 
 
 def _api_weak_sim(p: api.Process, q: api.Process, cfg: BisimConfig):
-    """Does ``q`` weakly simulate ``p``?  Three-valued and bounded."""
+    """Does ``q`` weakly simulate ``p``?  Three-valued and bounded.
+
+    The game and its closures share one memo from alpha key to
+    transitions, so each state is stepped at most once per call.  That is
+    sound because the processes compared are closed (the entry point
+    raises ``NotClosed`` otherwise), so their labels are tau or outputs on
+    success names: alpha-equivalent states then have the same labels and
+    alpha-equivalent targets.
+    """
     memo = {}
+    moves = {}
     calls = [0]
 
     def play(a, b, n):
@@ -516,16 +541,18 @@ def _api_weak_sim(p: api.Process, q: api.Process, cfg: BisimConfig):
         calls[0] += 1
         if calls[0] > cfg.state_budget:
             return None
-        key = (api.alpha_key(a), api.alpha_key(b), n)
+        ka = api.alpha_key(a)
+        key = (ka, api.alpha_key(b), n)
         if key in memo:
             return memo[key]
         memo[key] = True
         result = True
-        for mu, a2 in api.lts_step(a):
+        for mu, a2 in _api_moves(a, ka, moves):
             trunc = [False]
             matched = False
             saw_open = False
-            for b2 in _api_weak_after_iter(b, mu, cfg.tau_budget, trunc):
+            for b2 in _api_weak_after_iter(b, mu, cfg.tau_budget, trunc,
+                                           moves):
                 sub = play(a2, b2, n - 1)
                 if sub is True:
                     matched = True
@@ -545,8 +572,8 @@ def _api_weak_sim(p: api.Process, q: api.Process, cfg: BisimConfig):
 def _api_weak_barbs(p: api.Process, budget: int):
     trunc = [False]
     barbs = set()
-    for s in _api_closure_iter(p, budget, trunc):
-        for mu, _t in api.lts_step(s):
+    for _s, moves in _api_closure_iter(p, budget, trunc):
+        for mu, _t in moves:
             if isinstance(mu, api.OutLabel) and mu.subject.kind == SUCCESS:
                 barbs.add(str(mu.subject))
     return frozenset(barbs), trunc[0]

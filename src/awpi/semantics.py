@@ -188,43 +188,26 @@ def lts_step(delta, p: Process):
 
     Ground style: input parameters stay uninstantiated.  The caller is
     expected to have canonicalized ``p`` (or otherwise guaranteed distinct
-    bound names, disjoint from n(delta)).
+    bound names, disjoint from n(delta)).  One bottom-up walk: each
+    subterm's transitions come with its free names, so a ``|`` node
+    freshens bound labels without re-walking a sibling once per step.
     """
+    return _steps(delta, p)[0]
+
+
+def _steps(delta, p: Process):
+    """``(transitions of p, free names of p)``."""
     out = []
-    if isinstance(p, Nil):
-        return out
-    if isinstance(p, Input):
-        out.append((In(p.subject, p.param), p.body))
-        return out
-    if isinstance(p, RepInput):
-        out.append((In(p.subject, p.param), Par(p.body, p)))
-        return out
-    if isinstance(p, Output):
-        out.append((FreeOut(p.subject, p.payload), NIL))
-        return out
-    if isinstance(p, LetTuple):
-        if isinstance(p.scrutinee, VTuple) and len(p.scrutinee.items) == len(p.params):
-            body = substitute(p.body, dict(zip(p.params, p.scrutinee.items)))
-            out.append((TAU, body))
-        return out
-    if isinstance(p, Case):
-        if isinstance(p.scrutinee, VInl):
-            out.append((TAU, substitute(p.left_body,
-                                        {p.left_param: p.scrutinee.value})))
-        elif isinstance(p.scrutinee, VInr):
-            out.append((TAU, substitute(p.right_body,
-                                        {p.right_param: p.scrutinee.value})))
-        return out
     if isinstance(p, Par):
-        lsteps = lts_step(delta, p.left)
-        rsteps = lts_step(delta, p.right)
+        lsteps, lnames = _steps(delta, p.left)
+        rsteps, rnames = _steps(delta, p.right)
         for mu, l2 in lsteps:
-            mu2, l3 = _freshen_bound(mu, l2, free_names(p.right))
+            mu2, l3 = _freshen_bound(mu, l2, rnames)
             out.append((mu2, Par(l3, p.right)))
         for mu, r2 in rsteps:
-            mu2, r3 = _freshen_bound(mu, r2, free_names(p.left))
+            mu2, r3 = _freshen_bound(mu, r2, lnames)
             out.append((mu2, Par(p.left, r3)))
-        for ina, fromleft in ((p.left, True), (p.right, False)):
+        for fromleft in (True, False):
             isteps = lsteps if fromleft else rsteps
             osteps = rsteps if fromleft else lsteps
             for mu_i, pi in isteps:
@@ -250,11 +233,12 @@ def lts_step(delta, p: Process):
                         else:
                             a, b = mu_o2.companion, mu_o2.exported
                         out.append((TAU, Res(a, b, mu_o2.in_type, body)))
-        return out
+        return out, lnames | rnames
     if isinstance(p, Res):
         pair = {p.in_name, p.out_name}
         inner = frozenset(delta) | {(p.in_name, p.out_name)}
-        for mu, q in lts_step(inner, p.body):
+        steps, names = _steps(inner, p.body)
+        for mu, q in steps:
             if isinstance(mu, Tau):
                 out.append((TAU, Res(p.in_name, p.out_name, p.in_type, q)))
                 continue
@@ -274,8 +258,27 @@ def lts_step(delta, p: Process):
             if label_names(mu) & pair:
                 continue
             out.append((mu, Res(p.in_name, p.out_name, p.in_type, q)))
-        return out
-    raise TypeError(f"not a process: {p!r}")
+        return out, names - pair
+    if isinstance(p, Input):
+        out.append((In(p.subject, p.param), p.body))
+    elif isinstance(p, RepInput):
+        out.append((In(p.subject, p.param), Par(p.body, p)))
+    elif isinstance(p, Output):
+        out.append((FreeOut(p.subject, p.payload), NIL))
+    elif isinstance(p, LetTuple):
+        if isinstance(p.scrutinee, VTuple) and len(p.scrutinee.items) == len(p.params):
+            body = substitute(p.body, dict(zip(p.params, p.scrutinee.items)))
+            out.append((TAU, body))
+    elif isinstance(p, Case):
+        if isinstance(p.scrutinee, VInl):
+            out.append((TAU, substitute(p.left_body,
+                                        {p.left_param: p.scrutinee.value})))
+        elif isinstance(p.scrutinee, VInr):
+            out.append((TAU, substitute(p.right_body,
+                                        {p.right_param: p.scrutinee.value})))
+    elif not isinstance(p, Nil):
+        raise TypeError(f"not a process: {p!r}")
+    return out, free_names(p)
 
 
 # ---------------------------------------------------------------------------

@@ -285,7 +285,9 @@ def free_names(p: Process) -> frozenset:
     if isinstance(p, Nil):
         return frozenset()
     if isinstance(p, Par):
-        return free_names(p.left) | free_names(p.right)
+        # the | spine is walked in a loop, so a wide composition cannot
+        # exhaust the recursion limit
+        return frozenset().union(*map(free_names, _par_list(p)))
     if isinstance(p, (Input, RepInput)):
         return frozenset((p.subject,)) | (free_names(p.body) - {p.param})
     if isinstance(p, Output):

@@ -6,8 +6,9 @@ import pytest
 from awpi import api
 from awpi.syntax import (
     ChanType, Input, Name, NIL, Output, Par, ParseError, RepInput, Res,
-    VName, alpha_eq, parse_process, print_process,
+    VName, alpha_eq, canonical_process, parse_process, print_process,
 )
+from awpi.semantics import Composite, erase_to_api
 from awpi.typecheck import ANY, typecheck
 from awpi.internal import internalize
 from awpi.equivalence import BisimConfig, NotClosed, internal_bisim_n, \
@@ -15,10 +16,10 @@ from awpi.equivalence import BisimConfig, NotClosed, internal_bisim_n, \
 from awpi.encodings import (
     ALPI_NIL, AlpiChan, AlpiInput, AlpiOutput, AlpiPar, AlpiRepInput,
     AlpiRes, ALPI_UNIT, Arrow, BASE, IllTyped, LocalityViolation, SApp,
-    SLam, SVar, UnmappedName, _api_weak_sim, alpi_env, alpi_free_names,
-    alpi_to_api, check_alpi_correspondence, check_locality, encode_alpi,
-    encode_stlc, encode_stlc_type, is_local, is_negative_for, parse_alpi,
-    parse_stlc, parse_stlc_type, stlc_env, stlc_type, term_size,
+    SLam, SVar, UnmappedName, _api_weak_barbs, _api_weak_sim, alpi_env,
+    alpi_free_names, alpi_to_api, check_alpi_correspondence, check_locality,
+    encode_alpi, encode_stlc, encode_stlc_type, is_local, is_negative_for,
+    parse_alpi, parse_stlc, parse_stlc_type, stlc_env, stlc_type, term_size,
     trans_alpi_type, type_order,
 )
 
@@ -198,6 +199,52 @@ def test_api_weak_sim_distinguishes():
     err = alpi_to_api(parse_alpi("success err; err!()"))
     assert _api_weak_sim(ok, err, cfg) is False
     assert _api_weak_sim(ok, ok, cfg) is True
+
+
+def _replication_pair():
+    """The replication fixture's source and its erased image, built as
+    ``check_alpi_correspondence`` builds them."""
+    (src,) = [s for name, s, _b in FIXTURES if name == "replication"]
+    p = parse_alpi(src)
+    image = canonical_process(encode_alpi(p, {}))
+    return alpi_to_api(p), erase_to_api(Composite(image, frozenset()))
+
+
+def _record_steps(monkeypatch):
+    """Record the alpha key of each outermost ``api.lts_step`` call."""
+    keys = []
+    original = api.lts_step
+    depth = [0]
+
+    def recorded(p):
+        if not depth[0]:
+            keys.append(api.alpha_key(p))
+        depth[0] += 1
+        try:
+            return original(p)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(api, "lts_step", recorded)
+    return keys
+
+
+def test_api_weak_sim_steps_each_state_once(monkeypatch):
+    cfg = BisimConfig(depth=6, tau_budget=400)
+    direct, erased = _replication_pair()
+    keys = _record_steps(monkeypatch)
+    for p, q in ((direct, erased), (erased, direct)):
+        keys.clear()
+        assert _api_weak_sim(p, q, cfg) is True
+        assert keys and len(keys) == len(set(keys))
+
+
+def test_api_weak_barbs_steps_each_visited_state_once(monkeypatch):
+    _direct, erased = _replication_pair()
+    keys = _record_steps(monkeypatch)
+    barbs, truncated = _api_weak_barbs(erased, 400)
+    assert barbs == {"ok"} and truncated
+    assert len(keys) == len(set(keys)) == 400
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from awpi.syntax import (
     ChanType, Name, UNIT, VName, VUNIT, canonical_process, canonicalize,
     free_names, parse_file, parse_process, print_process, print_value,
 )
+from awpi.syntax import Input as SInput, Output as SOutput, Par as SPar
 from awpi.typecheck import typecheck
 from awpi import api
 from awpi import semantics as S
@@ -323,6 +324,59 @@ def test_closed_terms_only_do_tau_and_success():
         if isinstance(mu, Tau):
             continue
         assert isinstance(mu, FreeOut) and mu.subject.kind == "success", str(mu)
+
+
+def _left_par(atoms, par):
+    out = atoms[0]
+    for a in atoms[1:]:
+        out = par(out, a)
+    return out
+
+
+def _count_calls(monkeypatch, modules):
+    """Count calls of ``free_names`` through each of ``modules``' bindings,
+    recursive calls included."""
+    calls = [0]
+    for m in modules:
+        original = m.free_names
+
+        def counted(p, _original=original):
+            calls[0] += 1
+            return _original(p)
+
+        monkeypatch.setattr(m, "free_names", counted)
+    return calls
+
+
+@pytest.mark.parametrize("side", ["semantics", "api"])
+def test_lts_step_walks_a_wide_par_once(monkeypatch, side):
+    import awpi.syntax
+    if side == "semantics":
+        label, inp, out, par = In, SInput, SOutput, SPar
+        modules, step = (awpi.syntax, S), lambda p: lts_step(frozenset(), p)
+    else:
+        label, inp, out, par = api.InLabel, api.Input, api.Output, api.Par
+        modules, step = (api,), api.lts_step
+    width = 64
+    body = out(Name("k"), VUNIT)
+    subjects = [(Name(f"a{i}"), Name(f"x{i}")) for i in range(width)]
+    atoms = [inp(a, x, body) for a, x in subjects]
+    p = _left_par(atoms, par)
+    expected = [(label(a, x), _left_par(atoms[:i] + [body] + atoms[i + 1:], par))
+                for i, (a, x) in enumerate(subjects)]
+    calls = _count_calls(monkeypatch, modules)
+    steps = step(p)
+    # re-walking a sibling's free names per step made 10,017 calls here
+    assert calls[0] <= 4 * width
+    assert steps == expected
+
+
+def test_free_names_of_a_wide_par():
+    width = 1500
+    p = parse_process(" | ".join(["k!()"] * width))
+    assert free_names(p) == {Name("k")}
+    ap = _left_par([api.Output(Name("k"), VUNIT)] * width, api.Par)
+    assert api.free_names(ap) == {Name("k")}
 
 
 # ---------------------------------------------------------------------------
