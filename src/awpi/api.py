@@ -205,10 +205,14 @@ def rename_free(p: Process, renames) -> Process:
 
 
 def print_process(p: Process) -> str:
-    if isinstance(p, Par):
-        left = print_process(p.left) if isinstance(p.left, Par) else _atom(p.left)
-        return f"{left} | {_atom(p.right)}"
-    return _atom(p)
+    # walk the left | spine in a loop, so that a wide composition cannot
+    # exhaust the recursion limit; a right operand that is a | prints in
+    # parentheses
+    rights = []
+    while isinstance(p, Par):
+        rights.append(p.right)
+        p = p.left
+    return " | ".join([_atom(p)] + [_atom(r) for r in reversed(rights)])
 
 
 def _atom(p: Process) -> str:
@@ -271,7 +275,17 @@ def _akey(p, env, counter):
     if isinstance(p, Nil):
         return "0"
     if isinstance(p, Par):
-        return f"({_akey(p.left, env, counter)}|{_akey(p.right, env, counter)})"
+        # walk the left | spine in a loop, so that a wide composition
+        # cannot exhaust the recursion limit; binders are numbered left to
+        # right
+        rights = []
+        while isinstance(p.left, Par):
+            rights.append(p.right)
+            p = p.left
+        out = f"({_akey(p.left, env, counter)}|{_akey(p.right, env, counter)})"
+        for r in reversed(rights):
+            out = f"({out}|{_akey(r, env, counter)})"
+        return out
     if isinstance(p, (Input, RepInput)):
         bang = "!" if isinstance(p, RepInput) else ""
         env2 = _bind(env, counter, p.param)

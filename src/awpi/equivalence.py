@@ -14,7 +14,7 @@ sides agree on labels without a nominal state-space construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .syntax import (
@@ -26,7 +26,7 @@ from .typecheck import ANY, dual, typecheck
 from .internal import internalize, is_internal
 from .semantics import (
     BoundOut, Composite, In, Tau, canonical_barbs, closure, composite_step,
-    delta_key, explore, reducts, reduction_closure, state, tau_steps,
+    delta_key, explore, reducts, reduction_closure, state,
 )
 
 
@@ -172,24 +172,48 @@ class _Game:
         self.env = dict(env or {})
         self.memo = {}
         self.truncated = False
+        self._steps = {}     # state key -> _step result
         self._moves = {}     # (state key, play depth) -> _std_moves result
         self._closures = {}  # state key -> tau closure
+        self._fed = {}       # (state key, param, value) -> _feed result
 
     # -- moves and closures of states --------------------------------------
+
+    def _step(self, comp: Composite):
+        """The transitions of ``comp``, computed once per game.
+
+        The table is per game and keyed by the state key: every state the
+        game steps was built by :func:`state` (or re-pointed at another
+        connection set by ``with_delta``), so one key means one canonical
+        process under one connection set, hence one list of transitions.
+        Tau and free-output targets are built as states here, once; input
+        and bound-output targets stay raw, because :meth:`_std_moves`
+        renames the names they introduce per play depth.
+        """
+        out = self._steps.get(comp.key)
+        if out is None:
+            out = self._steps[comp.key] = [
+                (mu, c2 if isinstance(mu, (In, BoundOut))
+                 else state(c2.process, c2.delta))
+                for mu, c2 in composite_step(comp)]
+        return out
 
     def _std_moves(self, comp: Composite, d: int):
         """Transitions of ``comp`` with introduced names canonicalized.
 
         Input parameters become %i#d, exported pair ends %e#d with companion
         %k#d, so moves taken at the same play depth by the two sides carry
-        identical labels.  Returns (key, label, kind, target) tuples.
+        identical labels; those targets are built as states per (state
+        key, play depth).  Tau and free-output targets are the states of
+        :meth:`_step`.  Returns (key, label, kind, target) tuples sorted by
+        key.
         """
         mk = (comp.key, d)
         out = self._moves.get(mk)
         if out is not None:
             return out
         out = []
-        for mu, c2 in composite_step(comp):
+        for mu, c2 in self._step(comp):
             if isinstance(mu, In):
                 c = Name("%i", d)
                 tgt = state(rename_free(c2.process, {mu.param: c}), c2.delta)
@@ -203,22 +227,44 @@ class _Game:
                 mu2 = BoundOut(mu.subject, e, k, mu.in_type, mu.exported_is_input)
                 out.append((_label_key(mu2), mu2, "bout", state(p2, d2)))
             elif isinstance(mu, Tau):
-                out.append(("tau", mu, "tau", state(c2.process, c2.delta)))
+                out.append(("tau", mu, "tau", c2))
             else:
-                out.append((_label_key(mu), mu, "out",
-                            state(c2.process, c2.delta)))
+                out.append((_label_key(mu), mu, "out", c2))
         out.sort(key=lambda t: t[0])
         self._moves[mk] = out
         return out
 
     def _closure(self, comp: Composite):
         """States tau-reachable from ``comp`` within the tau budget, and
-        whether the budget cut the closure short."""
+        whether the budget cut the closure short.
+
+        The table is per game and keyed by the state key, like
+        :meth:`_step`, whose tau targets it follows in transition order.
+        """
         hit = self._closures.get(comp.key)
         if hit is None:
-            reach, trunc = closure(comp, tau_steps, self.cfg.tau_budget)
+            reach, trunc = closure(comp, self._tau_targets,
+                                   self.cfg.tau_budget)
             hit = self._closures[comp.key] = (list(reach.values()), trunc)
         return hit
+
+    def _tau_targets(self, comp: Composite):
+        return [c2 for mu, c2 in self._step(comp) if isinstance(mu, Tau)]
+
+    def _feed(self, tgt: Composite, param: Name, value):
+        """The input target ``tgt`` with its parameter bound to ``value``.
+
+        The table is per game and keyed by (state key, parameter, printed
+        value).  ``tgt`` is an input target of :meth:`_std_moves`, a state
+        whose parameter was renamed to the %i name ``param``; one key
+        therefore means one canonical process and one substitution.
+        """
+        fk = (tgt.key, param, print_value(value))
+        out = self._fed.get(fk)
+        if out is None:
+            out = self._fed[fk] = state(
+                substitute(tgt.process, {param: value}), tgt.delta)
+        return out
 
     def _weak_after(self, comp: Composite, key: str, d: int, value=None):
         """Targets of tau* . key . tau* from ``comp``; key "tau" allows the
@@ -233,8 +279,7 @@ class _Game:
                 if k2 != key:
                     continue
                 if value is not None:
-                    c2 = state(substitute(c2.process, {mu.param: value}),
-                               c2.delta)
+                    c2 = self._feed(c2, mu.param, value)
                 post, t2 = self._closure(c2)
                 trunc = trunc or t2
                 for c3 in post:
@@ -285,9 +330,9 @@ class _Game:
             return [(key, mu, "in", tgt, None, ())]
         out = []
         for val, intro in variants:
-            p2 = substitute(tgt.process, {mu.param: val})
             k2 = f"{mu.subject}({print_value(val)})"
-            out.append((k2, mu, "in", state(p2, tgt.delta), val, intro))
+            out.append((k2, mu, "in", self._feed(tgt, mu.param, val), val,
+                        intro))
         return out
 
     def _spend(self, mu, kind, env, spent):
@@ -579,8 +624,10 @@ def internal_bisim_n(delta, p: Process, q: Process, n: int,
     matching obligation; an input may be answered directly or absorbed by
     emitting the message at the subject's companion, extending the
     connection set with a fresh pair when the subject is unconnected.
+    The game is played to depth ``n``, which replaces ``cfg.depth``; a
+    negative ``n`` raises ``ValueError`` as ``BisimConfig`` does.
     """
-    cfg = cfg or BisimConfig(kind="internal")
+    cfg = replace(cfg or BisimConfig(kind="internal"), depth=n)
     env = dict(env or {})
     delta = frozenset(delta)
     a, b = state(p, delta), state(q, delta)
@@ -596,13 +643,7 @@ def internal_bisim_n(delta, p: Process, q: Process, n: int,
                                    f"{v.errors[0]}")
     game = _Game("internal", cfg, env)
     res, w = game.run(a, b, n)
-    bounds = {"method": "internal", "depth": n,
-              "tau_budget": cfg.tau_budget, "state_budget": cfg.state_budget}
-    if res is True:
-        return Verdict(EQUIVALENT, (), bounds, game.truncated)
-    if res is False:
-        return Verdict(DISTINGUISHED, tuple(w), bounds, game.truncated)
-    return Verdict(INCONCLUSIVE, (), bounds, True)
+    return _verdict(res, w, cfg, "internal", game.truncated)
 
 
 # ---------------------------------------------------------------------------

@@ -258,6 +258,58 @@ def test_law_count_covers_the_suite():
     assert len(LAWS) >= 20
 
 
+def _law_game(name):
+    _, espec, dspec, lsrc, rsrc = next(l for l in LAWS if l[0] == name)
+    env = tenv(espec)
+    delta = frozenset()
+    for item in filter(None, dspec.split(",")):
+        i, o = item.split("-")
+        delta |= {(nm(i), nm(o))}
+    lhs = internalize(parse_process(lsrc), env)
+    rhs = internalize(parse_process(rsrc), env)
+    return internal_bisim_n(delta, lhs, rhs, 6, env=env)
+
+
+STEP_ONCE_LAWS = ["wire-subst-out-twice", "message-meets-companion-payload"]
+
+
+@pytest.mark.parametrize("name", STEP_ONCE_LAWS)
+def test_game_steps_each_state_once(monkeypatch, name):
+    import awpi.equivalence
+    import awpi.semantics
+    step = awpi.semantics.composite_step
+    calls = {}
+
+    def counting(comp):
+        calls[comp.key] = calls.get(comp.key, 0) + 1
+        return step(comp)
+
+    monkeypatch.setattr(awpi.semantics, "composite_step", counting)
+    monkeypatch.setattr(awpi.equivalence, "composite_step", counting)
+    assert _law_game(name).equivalent
+    # moves and tau closures each stepped a state again: up to 9 per key
+    assert calls and max(calls.values()) == 1
+
+
+@pytest.mark.parametrize("name", STEP_ONCE_LAWS)
+def test_game_instantiates_each_input_once(monkeypatch, name):
+    import awpi.equivalence
+    from awpi.syntax import print_process, print_value
+    subst = awpi.equivalence.substitute
+    seen = []
+
+    def recording(p, mapping):
+        seen.append((print_process(p), tuple(sorted(
+            (str(k), print_value(v)) for k, v in mapping.items()))))
+        return subst(p, mapping)
+
+    monkeypatch.setattr(awpi.equivalence, "substitute", recording)
+    assert _law_game(name).equivalent
+    # each partner of an attacker state instantiated its input again:
+    # up to 18 times per input
+    assert seen and len(seen) == len(set(seen))
+
+
 def test_mutated_wire_distinguished_and_witnessed():
     env = tenv("a: o[unit]; k: o[unit]; c: o[o[unit]]")
     lhs = internalize(
@@ -299,6 +351,25 @@ def test_strata_are_anti_monotone():
     assert flipped == sorted(flipped)
     assert results[0].equivalent
     assert results[-1].distinguished
+
+
+def test_internal_game_rejects_a_negative_depth():
+    k = parse_process("k!()")
+    env = tenv("k: o[unit]")
+    with pytest.raises(ValueError, match="depth must be >= 0"):
+        internal_bisim_n(frozenset(), k, parse_process("k!() | k!()"), -1,
+                         env=env)
+
+
+@pytest.mark.parametrize("n", [0, 6])
+def test_internal_bounds_name_the_depth_played(n):
+    env = tenv("k: o[unit]")
+    cfg = BisimConfig(depth=3, tau_budget=50, state_budget=70)
+    v = internal_bisim_n(frozenset(), parse_process("k!()"),
+                         parse_process("k!() | k!()"), n, env=env, cfg=cfg)
+    assert v.bounds == {"method": "internal", "depth": n, "tau_budget": 50,
+                        "state_budget": 70}
+    assert v.result == ("equivalent" if n == 0 else "distinguished")
 
 
 def test_depth_zero_relates_everything():

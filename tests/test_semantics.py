@@ -379,6 +379,45 @@ def test_free_names_of_a_wide_par():
     assert api.free_names(ap) == {Name("k")}
 
 
+def test_api_print_and_alpha_key_of_a_wide_par():
+    width = 1500
+    ap = _left_par([api.Output(Name("k"), VUNIT)] * width, api.Par)
+    assert api.print_process(ap) == " | ".join(["k!()"] * width)
+    assert api.alpha_key(ap) == ("(" * (width - 1) + "f:k!*"
+                                 + "|f:k!*)" * (width - 1))
+
+
+def _api_nested_terms():
+    par, res, out, nil = api.Par, api.Res, api.Output, api.NIL
+    inp, rep = api.Input, api.RepInput
+    a, b, c, x, y, z = (Name(s) for s in "abcxyz")
+    return [
+        par(par(inp(a, x, out(x, VUNIT)),
+                res(b, par(out(b, VName(a)), inp(b, y, nil)))),
+            rep(c, z, par(out(z, VUNIT), out(c, VName(z))))),
+        par(res(b, inp(b, x, par(out(x, VUNIT), nil))),
+            par(inp(a, y, res(c, out(y, VName(c)))), par(out(a, VUNIT), nil))),
+        res(b, par(par(inp(b, x, inp(x, y, out(y, VUNIT))), out(b, VName(a))),
+                   res(c, par(out(c, VUNIT), inp(c, z, nil))))),
+    ]
+
+
+def test_api_print_and_alpha_key_of_nested_terms_are_unchanged():
+    # the strings of the recursive walks; alpha keys number binders left
+    # to right and parenthesize every |
+    expected = [
+        ("a(x).x!() | new(b) (b!(a) | b(y).0) | !c(z).(z!() | c!(z))",
+         "((f:a?.b0!*|nu.(b1!f:a|b1?.0))|!f:c?.(b3!*|f:c!b3))"),
+        ("new(b) b(x).(x!() | 0) | (a(y).new(c) y!(c) | (a!() | 0))",
+         "(nu.b0?.(b1!*|0)|(f:a?.nu.b2!b3|(f:a!*|0)))"),
+        ("new(b) (b(x).x(y).y!() | b!(a) | new(c) (c!() | c(z).0))",
+         "nu.((b0?.b1?.b2!*|b0!f:a)|nu.(b3!*|b3?.0))"),
+    ]
+    got = [(api.print_process(t), api.alpha_key(t))
+           for t in _api_nested_terms()]
+    assert got == expected
+
+
 # ---------------------------------------------------------------------------
 # composites and exploration
 # ---------------------------------------------------------------------------
