@@ -174,8 +174,10 @@ class _Game:
         self.truncated = False
         self._steps = {}     # state key -> _step result
         self._moves = {}     # (state key, play depth) -> _std_moves result
+        self._targets = {}   # (state key, index[, play depth]) -> state
         self._closures = {}  # state key -> tau closure
-        self._fed = {}       # (state key, param, value) -> _feed result
+        self._fed = {}       # (state key, index, value) -> _feed result
+        self._absorbed = {}  # (state key, particle, delta) -> _absorb result
 
     # -- moves and closures of states --------------------------------------
 
@@ -186,52 +188,68 @@ class _Game:
         game steps was built by :func:`state` (or re-pointed at another
         connection set by ``with_delta``), so one key means one canonical
         process under one connection set, hence one list of transitions.
-        Tau and free-output targets are built as states here, once; input
-        and bound-output targets stay raw, because :meth:`_std_moves`
-        renames the names they introduce per play depth.
+        Tau targets are built as states here, once, because closures need
+        their keys; every other target stays raw until :meth:`_target` or
+        :meth:`_feed` reads it.
         """
         out = self._steps.get(comp.key)
         if out is None:
             out = self._steps[comp.key] = [
-                (mu, c2 if isinstance(mu, (In, BoundOut))
-                 else state(c2.process, c2.delta))
+                (mu, state(c2.process, c2.delta) if isinstance(mu, Tau)
+                 else c2)
                 for mu, c2 in composite_step(comp)]
         return out
 
     def _std_moves(self, comp: Composite, d: int):
-        """Transitions of ``comp`` with introduced names canonicalized.
+        """Moves of ``comp`` as (key, label, kind, index) tuples sorted by
+        key; ``index`` points into :meth:`_step`, and no target is built.
 
         Input parameters become %i#d, exported pair ends %e#d with companion
         %k#d, so moves taken at the same play depth by the two sides carry
-        identical labels; those targets are built as states per (state
-        key, play depth).  Tau and free-output targets are the states of
-        :meth:`_step`.  Returns (key, label, kind, target) tuples sorted by
-        key.
+        identical labels.  The table is per game and keyed by (state key,
+        play depth), the two things a label depends on.
         """
         mk = (comp.key, d)
         out = self._moves.get(mk)
         if out is not None:
             return out
         out = []
-        for mu, c2 in self._step(comp):
+        for i, (mu, _) in enumerate(self._step(comp)):
             if isinstance(mu, In):
-                c = Name("%i", d)
-                tgt = state(rename_free(c2.process, {mu.param: c}), c2.delta)
-                mu2 = In(mu.subject, c)
-                out.append((_label_key(mu2), mu2, "in", tgt))
+                mu, kind = In(mu.subject, Name("%i", d)), "in"
             elif isinstance(mu, BoundOut):
-                e, k = Name("%e", d), Name("%k", d)
-                ren = {mu.exported: e, mu.companion: k}
-                p2 = rename_free(c2.process, ren)
-                d2 = frozenset((ren.get(x, x), ren.get(y, y)) for x, y in c2.delta)
-                mu2 = BoundOut(mu.subject, e, k, mu.in_type, mu.exported_is_input)
-                out.append((_label_key(mu2), mu2, "bout", state(p2, d2)))
-            elif isinstance(mu, Tau):
-                out.append(("tau", mu, "tau", c2))
+                mu, kind = BoundOut(mu.subject, Name("%e", d), Name("%k", d),
+                                    mu.in_type, mu.exported_is_input), "bout"
             else:
-                out.append((_label_key(mu), mu, "out", c2))
+                kind = "tau" if isinstance(mu, Tau) else "out"
+            out.append((_label_key(mu), mu, kind, i))
         out.sort(key=lambda t: t[0])
         self._moves[mk] = out
+        return out
+
+    def _target(self, comp: Composite, i: int, d: int):
+        """The target of transition ``i`` of ``comp`` as a state.
+
+        The table is per game.  ``i`` indexes :meth:`_step`'s list, fixed
+        per state key, so (state key, i) names one raw target; an input or
+        bound-output target also renames its introduced names to play depth
+        ``d``'s %-names, as :meth:`_std_moves` does, and is keyed by (state
+        key, i, d).  Tau targets are :meth:`_step`'s states.
+        """
+        mu, c2 = self._step(comp)[i]
+        if isinstance(mu, Tau):
+            return c2
+        ren = {}
+        if isinstance(mu, In):
+            ren = {mu.param: Name("%i", d)}
+        elif isinstance(mu, BoundOut):
+            ren = {mu.exported: Name("%e", d), mu.companion: Name("%k", d)}
+        tk = (comp.key, i, d) if ren else (comp.key, i)
+        out = self._targets.get(tk)
+        if out is None:
+            out = self._targets[tk] = state(
+                rename_free(c2.process, ren),
+                frozenset((ren.get(x, x), ren.get(y, y)) for x, y in c2.delta))
         return out
 
     def _closure(self, comp: Composite):
@@ -251,35 +269,39 @@ class _Game:
     def _tau_targets(self, comp: Composite):
         return [c2 for mu, c2 in self._step(comp) if isinstance(mu, Tau)]
 
-    def _feed(self, tgt: Composite, param: Name, value):
-        """The input target ``tgt`` with its parameter bound to ``value``.
+    def _feed(self, comp: Composite, i: int, value):
+        """The target of input transition ``i`` of ``comp`` with its
+        parameter bound to ``value``.
 
-        The table is per game and keyed by (state key, parameter, printed
-        value).  ``tgt`` is an input target of :meth:`_std_moves`, a state
-        whose parameter was renamed to the %i name ``param``; one key
-        therefore means one canonical process and one substitution.
+        The table is per game and keyed by (state key, i, printed value),
+        with no play depth: the value is substituted into the raw
+        :meth:`_step` target at its own parameter, which gives the state
+        that renaming the parameter to %i#d first gives, as substitution
+        avoids capture.  One key means one raw target and one value.
         """
-        fk = (tgt.key, param, print_value(value))
+        fk = (comp.key, i, print_value(value))
         out = self._fed.get(fk)
         if out is None:
+            mu, c2 = self._step(comp)[i]
             out = self._fed[fk] = state(
-                substitute(tgt.process, {param: value}), tgt.delta)
+                substitute(c2.process, {mu.param: value}), c2.delta)
         return out
 
     def _weak_after(self, comp: Composite, key: str, d: int, value=None):
         """Targets of tau* . key . tau* from ``comp``; key "tau" allows the
         empty move.  A ``value`` instantiates the parameter of the matched
-        input with the attack value, so destructors in the body can fire."""
+        input with the attack value, so destructors in the body can fire.
+        Only the targets of matching moves are built."""
         pre, trunc = self._closure(comp)
         if key == "tau":
             return pre, trunc
         found = {}
         for c1 in pre:
-            for k2, mu, kind, c2 in self._std_moves(c1, d):
+            for k2, mu, kind, i in self._std_moves(c1, d):
                 if k2 != key:
                     continue
-                if value is not None:
-                    c2 = self._feed(c2, mu.param, value)
+                c2 = self._target(c1, i, d) if value is None \
+                    else self._feed(c1, i, value)
                 post, t2 = self._closure(c2)
                 trunc = trunc or t2
                 for c3 in post:
@@ -294,45 +316,46 @@ class _Game:
         ``value`` is the concrete input fed by the observer when the
         subject's payload type determines its shape (None for the opaque
         fallback and for non-input moves); ``intro`` lists the fresh
-        observer names inside it with their types.
+        observer names inside it with their types.  Only the targets of
+        the moves kept are built.
         """
         moves = self._std_moves(comp, d)
         if self.method != "internal":
-            return [(key, mu, kind, tgt, None, ())
-                    for key, mu, kind, tgt in moves]
+            return [(key, mu, kind, self._target(comp, i, d), None, ())
+                    for key, mu, kind, i in moves]
         kept = []
         dnames = {n for pair in comp.delta for n in pair}
-        for key, mu, kind, tgt in moves:
+        for key, mu, kind, i in moves:
             if kind == "bout":
-                if mu.exported in free_names(tgt.process):
+                # checked on the raw target, under the name lts_step chose,
+                # so that unobserved outputs need not be built
+                raw_mu, raw = self._step(comp)[i]
+                if raw_mu.exported in free_names(raw.process):
                     raise RuntimeError(
-                        f"exported name {mu.exported} retained after {mu}; "
-                        "strict duality violated")
-                if mu.subject in dnames:
-                    continue  # outputs toward the connection are unobserved
-            if kind == "out" and mu.subject in dnames:
-                continue
+                        f"exported name {raw_mu.exported} retained after "
+                        f"{raw_mu}; strict duality violated")
+            if kind in ("out", "bout") and mu.subject in dnames:
+                continue  # outputs toward the connection are unobserved
             if kind == "in":
                 if mu.subject in spent:
                     # the environment's one output at the linear dual is
                     # used up
                     continue
-                kept.extend(self._input_attacks(key, mu, tgt, d, env))
+                kept.extend(self._input_attacks(comp, key, mu, i, d, env))
                 continue
-            kept.append((key, mu, kind, tgt, None, ()))
+            kept.append((key, mu, kind, self._target(comp, i, d), None, ()))
         return kept
 
-    def _input_attacks(self, key, mu, tgt, d, env):
+    def _input_attacks(self, comp, key, mu, i, d, env):
         t = (env or {}).get(mu.subject)
         variants = _ground_variants(t.payload, d) \
             if isinstance(t, ChanType) else None
         if variants is None:
-            return [(key, mu, "in", tgt, None, ())]
+            return [(key, mu, "in", self._target(comp, i, d), None, ())]
         out = []
         for val, intro in variants:
             k2 = f"{mu.subject}({print_value(val)})"
-            out.append((k2, mu, "in", self._feed(tgt, mu.param, val), val,
-                        intro))
+            out.append((k2, mu, "in", self._feed(comp, i, val), val, intro))
         return out
 
     def _spend(self, mu, kind, env, spent):
@@ -346,8 +369,8 @@ class _Game:
     def _responses(self, dfn: Composite, key, mu, kind, d, env, value=None):
         """Defender continuations: (defender state, env') pairs."""
         if self.method == "strong":
-            outs = [(t, env) for k, m, kd, t in self._std_moves(dfn, d)
-                    if k == key]
+            outs = [(self._target(dfn, i, d), env)
+                    for k, m, kd, i in self._std_moves(dfn, d) if k == key]
             return outs, False
         targets, trunc = self._weak_after(dfn, _label_key(mu), d, value)
         outs = [(t, env) for t in targets]
@@ -365,19 +388,34 @@ class _Game:
                 companion = y
         dnames = {n for pair in dfn.delta for n in pair}
         if companion is not None:
-            for q in stay:
-                p2 = Par(q.process, self._particle(companion, payload, env))
-                outs.append((state(p2, q.delta), env))
+            at, pair = companion, frozenset()
         elif subject not in dnames:
-            comp_name = Name("%a", d)
-            env2 = dict(env)
-            t = env2.get(subject)
-            env2[comp_name] = dual(t) if isinstance(t, ChanType) else ANY
-            for q in stay:
-                d2 = q.delta | {(subject, comp_name)}
-                p2 = Par(q.process, self._particle(comp_name, payload, env2))
-                outs.append((state(p2, d2), env2))
+            at = Name("%a", d)
+            pair = frozenset({(subject, at)})
+            env = dict(env)
+            t = env.get(subject)
+            env[at] = dual(t) if isinstance(t, ChanType) else ANY
+        else:
+            return outs, trunc
+        particle = self._particle(at, payload, env)
+        for q in stay:
+            outs.append((self._absorb(q, particle, q.delta | pair), env))
         return outs, trunc
+
+    def _absorb(self, q: Composite, particle, delta):
+        """The defender state ``q`` with the absorbed message ``particle``
+        beside it, under connection set ``delta``.
+
+        The table is per game and keyed by (state key, printed particle,
+        connection-set key).  The particle depends on the environment only
+        through :func:`internalize`, and its printed form records that
+        dependence, so one key means one process under one connection set.
+        """
+        ak = (q.key, print_process(particle), delta_key(delta))
+        out = self._absorbed.get(ak)
+        if out is None:
+            out = self._absorbed[ak] = state(Par(q.process, particle), delta)
+        return out
 
     def _particle(self, at: Name, payload, env):
         """The absorbed message, wrapped into the internal fragment when

@@ -307,7 +307,7 @@ def bound_names(p: Process) -> frozenset:
     if isinstance(p, (Nil, Output)):
         return frozenset()
     if isinstance(p, Par):
-        return bound_names(p.left) | bound_names(p.right)
+        return frozenset().union(*map(bound_names, _par_list(p)))
     if isinstance(p, (Input, RepInput)):
         return frozenset((p.param,)) | bound_names(p.body)
     if isinstance(p, Res):
@@ -318,29 +318,6 @@ def bound_names(p: Process) -> frozenset:
         return (frozenset((p.left_param, p.right_param))
                 | bound_names(p.left_body) | bound_names(p.right_body))
     raise TypeError(f"not a process: {p!r}")
-
-
-# AST paths: tuples of field names, used by the type checker's error reports.
-CHILD_FIELDS = {
-    Par: ("left", "right"),
-    Input: ("body",),
-    RepInput: ("body",),
-    Res: ("body",),
-    LetTuple: ("body",),
-    Case: ("left_body", "right_body"),
-    Nil: (),
-    Output: (),
-}
-
-
-def resolve_path(p: Process, path) -> Process:
-    """Follow a field path from ``p``; raises KeyError on an invalid step."""
-    cur = p
-    for step in path:
-        if step not in CHILD_FIELDS[type(cur)]:
-            raise KeyError(f"no child {step!r} at {type(cur).__name__}")
-        cur = getattr(cur, step)
-    return cur
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +396,15 @@ def _subst(p: Process, mapping) -> Process:
     if isinstance(p, Nil):
         return p
     if isinstance(p, Par):
-        return Par(_subst(p.left, mapping), _subst(p.right, mapping))
+        # the left | spine is walked in a loop, as in free_names, shape kept
+        rights = []
+        while isinstance(p, Par):
+            rights.append(p.right)
+            p = p.left
+        out = _subst(p, mapping)
+        for r in reversed(rights):
+            out = Par(out, _subst(r, mapping))
+        return out
     if isinstance(p, Output):
         return Output(_subst_subject(p.subject, mapping),
                       substitute_value(p.payload, mapping))

@@ -127,11 +127,6 @@ def combine_env(env1: dict, env2: dict) -> dict:
     return out
 
 
-def iname_set(env: dict) -> frozenset:
-    return frozenset(n for n, t in env.items()
-                     if isinstance(t, ChanType) and t.mode == "i")
-
-
 # ---------------------------------------------------------------------------
 # Value typing
 # ---------------------------------------------------------------------------

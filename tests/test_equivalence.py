@@ -8,7 +8,7 @@ import pytest
 
 import awpi
 from awpi.syntax import (
-    Name, canonicalize, parse_file, parse_process, parse_vtype,
+    Name, VUNIT, canonicalize, parse_file, parse_process, parse_vtype,
 )
 from awpi.internal import internalize
 from awpi.semantics import Composite, delta_key, erase_to_api, state
@@ -308,6 +308,59 @@ def test_game_instantiates_each_input_once(monkeypatch, name):
     # each partner of an attacker state instantiated its input again:
     # up to 18 times per input
     assert seen and len(seen) == len(set(seen))
+
+
+def _record_states(monkeypatch):
+    """Patch the game's ``state`` to record each (printed process, delta)
+    it is asked to build."""
+    import awpi.equivalence
+    from awpi.syntax import print_process
+    build = awpi.equivalence.state
+    built = []
+
+    def recording(p, delta):
+        built.append((print_process(p), delta_key(frozenset(delta))))
+        return build(p, delta)
+
+    monkeypatch.setattr(awpi.equivalence, "state", recording)
+    return built
+
+
+def test_game_moves_build_no_state(monkeypatch):
+    p = proc("a(x).k!() | c!() | new(d: i[unit], e)( m!(e) | d(y).k!() )")
+    comp = state(p, frozenset())
+    built = _record_states(monkeypatch)
+    moves = _Game("internal", BisimConfig())._std_moves(comp, 1)
+    assert sorted(m[2] for m in moves) == ["bout", "in", "out"]
+    # building every move's target here made three states
+    assert built == []
+
+
+def test_game_feeds_an_input_once_across_play_depths(monkeypatch):
+    env = tenv("a: i[unit]; k: o[unit]")
+    comp = state(proc("a(x).k!()"), frozenset())
+    game = _Game("internal", BisimConfig(), env)
+    built = _record_states(monkeypatch)
+    targets = [game._attacks(comp, d, env)[0][3] for d in (1, 2)]
+    assert targets[0] is targets[1]
+    # renaming the parameter to %i#1 and %i#2 before feeding made four
+    # states, a renamed and a fed target at each depth
+    assert built == [("k!()", "")]
+
+
+def test_game_absorbs_a_message_once(monkeypatch):
+    env = tenv("a: i[unit]; k: o[unit]")
+    dfn = state(proc("new(d: i[unit], e)( d(y).k!() | e!() )"), frozenset())
+    game = _Game("internal", BisimConfig(), env)
+    mu = game._std_moves(state(proc("a(x).k!()"), frozenset()), 1)[0][1]
+    built = _record_states(monkeypatch)
+    first, _ = game._responses(dfn, "a(())", mu, "in", 1, env, VUNIT)
+    second, _ = game._responses(dfn, "a(())", mu, "in", 1, env, VUNIT)
+    assert [s.key for s, e in first] == [s.key for s, e in second]
+    assert len(first) == 2 and all("%a#1!()" in s.key for s, e in first)
+    # rebuilding them on the second call made four absorption states
+    absorbed = [b for b in built if "%a#1" in b[0]]
+    assert len(absorbed) == 2 and len(set(absorbed)) == 2
 
 
 def test_mutated_wire_distinguished_and_witnessed():

@@ -3,6 +3,7 @@ import pytest
 from awpi.syntax import (
     ChanType, Name, UNIT, VName, VUNIT, canonical_process, canonicalize,
     free_names, parse_file, parse_process, print_process, print_value,
+    rename_free,
 )
 from awpi.syntax import Input as SInput, Output as SOutput, Par as SPar
 from awpi.typecheck import typecheck
@@ -377,6 +378,17 @@ def test_free_names_of_a_wide_par():
     assert free_names(p) == {Name("k")}
     ap = _left_par([api.Output(Name("k"), VUNIT)] * width, api.Par)
     assert api.free_names(ap) == {Name("k")}
+
+
+def test_rename_free_of_a_wide_par():
+    width = 1500
+    p = parse_process(" | ".join(["k!()"] * width))
+    q = rename_free(p, {Name("k"): Name("m")})
+    # a left-nested chain prints flat: the shape is kept
+    assert print_process(q) == " | ".join(["m!()"] * width)
+    under = rename_free(parse_process(f"a(x).({print_process(p)})"),
+                        {Name("k"): Name("m")})
+    assert print_process(under) == f"a(x).({print_process(q)})"
 
 
 def test_api_print_and_alpha_key_of_a_wide_par():
