@@ -127,13 +127,6 @@ def _subst_subject(n: Name, mapping) -> Name:
     raise ValueError(f"cannot use non-name value as subject for {n}")
 
 
-def _avoid(mapping, p):
-    taken = set(free_names(p))
-    for v in mapping.values():
-        taken |= value_names(v)
-    return taken
-
-
 def _refresh(binders, mapping, bodies):
     """Drop shadowed entries, rename binders clashing with incoming names."""
     live = {k: v for k, v in mapping.items() if k not in binders}

@@ -2,7 +2,12 @@
 
 Strong and weak bisimilarity, weak similarity, barbed bisimilarity on
 closed processes, and the connection-set-indexed internal bisimilarity,
-all decided as stratified games over the composite transition system.
+all played as one stratified game, :class:`_Game`, whose method picks the
+moves and the responses.  Barbed moves come from the reduction route
+(:func:`semantics.reducts`), never from the LTS, and each success barb is
+a move of its own.  Strong bisimilarity on two finite explored graphs is
+decided exactly by partition refinement; the game, seeded with those
+graphs, then only supplies a distinguished pair's witness.
 Verdicts are three-valued: budget edges surface as ``inconclusive``
 rather than as a silent guess, and every ``distinguished`` verdict
 carries a trace that :func:`replay_witness` can re-validate.
@@ -18,15 +23,15 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .syntax import (
-    ChanType, Name, Output, Par, Process, SUCCESS, SumType, TupleType,
-    UnitType, VInl, VInr, VName, VTuple, VUNIT, canonicalize, free_names,
+    CanonicalForm, ChanType, Name, Output, Par, Process, SUCCESS, SumType,
+    TupleType, UnitType, VInl, VInr, VName, VTuple, VUNIT, free_names,
     print_process, print_value, rename_free, substitute, value_names,
 )
 from .typecheck import ANY, dual, typecheck
 from .internal import internalize, is_internal
 from .semantics import (
-    BoundOut, Composite, In, Tau, canonical_barbs, closure, composite_step,
-    delta_key, explore, reducts, reduction_closure, state,
+    TAU, BoundOut, Composite, FreeOut, In, Tau, canonical_barbs, closure,
+    composite_step, delta_key, explore, reducts, state,
 )
 
 
@@ -52,7 +57,6 @@ class BisimConfig:
     depth: int = 6
     tau_budget: int = 300
     state_budget: int = 4000
-    kind: str = "weak"
 
     def __post_init__(self):
         if self.depth < 0:
@@ -190,14 +194,20 @@ class _Game:
         process under one connection set, hence one list of transitions.
         Tau targets are built as states here, once, because closures need
         their keys; every other target stays raw until :meth:`_target` or
-        :meth:`_feed` reads it.
+        :meth:`_feed` reads it.  The barbed method's transitions are the
+        reducts of the normal-form route, as tau moves.
         """
         out = self._steps.get(comp.key)
         if out is None:
-            out = self._steps[comp.key] = [
-                (mu, state(c2.process, c2.delta) if isinstance(mu, Tau)
-                 else c2)
-                for mu, c2 in composite_step(comp)]
+            if self.method == "barbed":
+                canon = CanonicalForm(comp.process, comp.pkey)
+                out = [(TAU, Composite(r.process, comp.delta, r.key))
+                       for r in reducts(canon)]
+            else:
+                out = [(mu, state(c2.process, c2.delta)
+                        if isinstance(mu, Tau) else c2)
+                       for mu, c2 in composite_step(comp)]
+            self._steps[comp.key] = out
         return out
 
     def _std_moves(self, comp: Composite, d: int):
@@ -234,16 +244,18 @@ class _Game:
         per state key, so (state key, i) names one raw target; an input or
         bound-output target also renames its introduced names to play depth
         ``d``'s %-names, as :meth:`_std_moves` does, and is keyed by (state
-        key, i, d).  Tau targets are :meth:`_step`'s states.
+        key, i, d).  A target that is already a state with nothing to
+        rename, as a tau target or a node of a seeded graph, is returned
+        as it is.
         """
         mu, c2 = self._step(comp)[i]
-        if isinstance(mu, Tau):
-            return c2
         ren = {}
         if isinstance(mu, In):
             ren = {mu.param: Name("%i", d)}
         elif isinstance(mu, BoundOut):
             ren = {mu.exported: Name("%e", d), mu.companion: Name("%k", d)}
+        elif c2.pkey is not None:
+            return c2
         tk = (comp.key, i, d) if ren else (comp.key, i)
         out = self._targets.get(tk)
         if out is None:
@@ -257,7 +269,8 @@ class _Game:
         whether the budget cut the closure short.
 
         The table is per game and keyed by the state key, like
-        :meth:`_step`, whose tau targets it follows in transition order.
+        :meth:`_step`, whose tau targets it follows in transition order:
+        reducts, for the barbed method.
         """
         hit = self._closures.get(comp.key)
         if hit is None:
@@ -317,13 +330,19 @@ class _Game:
         subject's payload type determines its shape (None for the opaque
         fallback and for non-input moves); ``intro`` lists the fresh
         observer names inside it with their types.  Only the targets of
-        the moves kept are built.
+        the moves kept are built.  A barbed attacker also shows each of its
+        success barbs, first and in name order, as a "barb" move that stays
+        at ``comp``.
         """
         moves = self._std_moves(comp, d)
-        if self.method != "internal":
-            return [(key, mu, kind, self._target(comp, i, d), None, ())
-                    for key, mu, kind, i in moves]
         kept = []
+        if self.method == "barbed":
+            for s in sorted(canonical_barbs(comp.process), key=str):
+                mu = FreeOut(s, VUNIT)
+                kept.append((_label_key(mu), mu, "barb", comp, None, ()))
+        if self.method != "internal":
+            return kept + [(key, mu, kind, self._target(comp, i, d), None, ())
+                           for key, mu, kind, i in moves]
         dnames = {n for pair in comp.delta for n in pair}
         for key, mu, kind, i in moves:
             if kind == "bout":
@@ -367,7 +386,13 @@ class _Game:
         return spent
 
     def _responses(self, dfn: Composite, key, mu, kind, d, env, value=None):
-        """Defender continuations: (defender state, env') pairs."""
+        """Defender continuations: (defender state, env') pairs.  A barb
+        is answered by the states of the defender's closure that show it,
+        and nothing follows."""
+        if kind == "barb":
+            stay, trunc = self._closure(dfn)
+            return [(q, env) for q in stay
+                    if mu.subject in canonical_barbs(q.process)], trunc
         if self.method == "strong":
             outs = [(self._target(dfn, i, d), env)
                     for k, m, kd, i in self._std_moves(dfn, d) if k == key]
@@ -469,6 +494,8 @@ class _Game:
                 spent1 = self._spend(mu, kind, env, spent)
                 responses, trunc = self._responses(dfn, key, mu, kind, d,
                                                    env1, val)
+                if kind == "barb" and responses:
+                    continue  # a shown barb ends the play
                 responses.sort(key=lambda r: r[0].key != tgt.key)
                 matched = False
                 saw_open = trunc
@@ -528,7 +555,7 @@ def _stable_graphs(p, q, delta, cfg):
             return None
         for src, mu, dst in g.edges:
             if isinstance(mu, (In, BoundOut)):
-                return None  # introduced names make naive refinement unsound
+                return None  # the game renames introduced names per depth
         out.append(g)
     return out
 
@@ -558,30 +585,50 @@ def _refine(ga, gb):
     return block[("a", ga.root)] == block[("b", gb.root)]
 
 
+def _seed(game: _Game, g, delta):
+    """Enter the transitions of explored graph ``g`` into ``game``'s
+    table and return its root, so that the game builds no state again.
+
+    A graph :func:`_stable_graphs` accepts has no bound output, so no
+    transition grows the connection set: every node lives under ``delta``,
+    of which ``explore`` only dropped the pairs the node no longer touches.
+    """
+    nodes = [c.with_delta(delta) for c in g.nodes]
+    steps = {c.key: [] for c in nodes}
+    for src, mu, dst in g.edges:
+        steps[nodes[src].key].append((mu, nodes[dst]))
+    game._steps.update(steps)
+    return nodes[g.root]
+
+
 # ---------------------------------------------------------------------------
 # public checkers
 
 
 def strong_bisim(p: Process, q: Process, delta=frozenset(), cfg=None):
-    cfg = cfg or BisimConfig(kind="strong")
+    """Strong bisimilarity.  When both processes have finite graphs whose
+    labels introduce no names, partition refinement decides exactly; a
+    distinguished pair's witness then comes from the game, played on those
+    graphs one round deeper than they have states together."""
+    cfg = cfg or BisimConfig()
+    game = _Game("strong", cfg)
     graphs = _stable_graphs(p, q, delta, cfg)
-    if graphs is not None:
+    if graphs is None:
+        a, b = state(p, delta), state(q, delta)
+    else:
         ga, gb = graphs
         if _refine(ga, gb):
             bounds = {"method": "strong", "exact": True,
                       "states": len(ga.nodes) + len(gb.nodes)}
             return Verdict(EQUIVALENT, (), bounds, False)
-        # fall through to the game so the verdict carries a witness
-        cfg = BisimConfig(depth=len(ga.nodes) + len(gb.nodes) + 1,
-                          tau_budget=cfg.tau_budget,
-                          state_budget=cfg.state_budget, kind="strong")
-    game = _Game("strong", cfg)
-    res, w = game.run(state(p, delta), state(q, delta), cfg.depth)
+        a, b = _seed(game, ga, delta), _seed(game, gb, delta)
+        cfg = replace(cfg, depth=len(ga.nodes) + len(gb.nodes) + 1)
+    res, w = game.run(a, b, cfg.depth)
     return _verdict(res, w, cfg, "strong", game.truncated)
 
 
 def weak_bisim(p: Process, q: Process, delta=frozenset(), cfg=None):
-    cfg = cfg or BisimConfig(kind="weak")
+    cfg = cfg or BisimConfig()
     game = _Game("weak", cfg)
     res, w = game.run(state(p, delta), state(q, delta), cfg.depth)
     return _verdict(res, w, cfg, "weak", game.truncated)
@@ -589,7 +636,7 @@ def weak_bisim(p: Process, q: Process, delta=frozenset(), cfg=None):
 
 def weak_sim(p: Process, q: Process, cfg=None, delta=frozenset()):
     """Does q weakly simulate p: every move of p has a weak answer in q."""
-    cfg = cfg or BisimConfig(kind="sim")
+    cfg = cfg or BisimConfig()
     game = _Game("sim", cfg)
     res, w = game.run(state(p, delta), state(q, delta), cfg.depth)
     return _verdict(res, w, cfg, "sim", game.truncated)
@@ -600,58 +647,15 @@ def _closed(p: Process) -> bool:
 
 
 def barbed_bisim(p: Process, q: Process, cfg=None):
-    cfg = cfg or BisimConfig(kind="barbed")
+    """Barbed bisimilarity of closed processes: reductions are answered by
+    the defender's reduction closure, and every success barb must show
+    somewhere in the defender's closure."""
+    cfg = cfg or BisimConfig()
     if not _closed(p) or not _closed(q):
         raise NotClosed("barbed bisimilarity needs closed processes")
-    memo = {}
-    truncated = [False]
-
-    def game(a, b, n):
-        if n == 0:
-            return True, ()
-        mk = (a.key, b.key, n)
-        if mk in memo:
-            return memo[mk]
-        for side, x, y in (("left", a, b), ("right", b, a)):
-            closure_y, wb = reduction_closure(y, cfg.tau_budget)
-            truncated[0] = truncated[0] or wb.truncated
-            missing = canonical_barbs(x.process) - wb
-            if missing:
-                if wb.truncated:
-                    memo[mk] = (None, ())
-                    return None, ()
-                s = sorted(missing, key=str)[0]
-                step = WitnessStep(side, f"{s}!()", x.key, None, "")
-                memo[mk] = (False, (step,))
-                return False, (step,)
-            for x2 in reducts(x):
-                matched = False
-                open_branch = False
-                fail = None
-                for y2 in closure_y:
-                    sub, w = game(x2, y2, n - 1) if side == "left" \
-                        else game(y2, x2, n - 1)
-                    if sub is True:
-                        matched = True
-                        break
-                    if sub is None:
-                        open_branch = True
-                    elif fail is None:
-                        fail = (y2.key, w)
-                if matched:
-                    continue
-                if open_branch or wb.truncated:
-                    memo[mk] = (None, ())
-                    return None, ()
-                step = WitnessStep(side, "tau", x2.key,
-                                   fail[0] if fail else None, "")
-                wit = (step,) + (fail[1] if fail else ())
-                memo[mk] = (False, wit)
-                return False, wit
-        return True, ()
-
-    res, w = game(canonicalize(p), canonicalize(q), cfg.depth)
-    return _verdict(res, w, cfg, "barbed", truncated[0])
+    game = _Game("barbed", cfg)
+    res, w = game.run(state(p, frozenset()), state(q, frozenset()), cfg.depth)
+    return _verdict(res, w, cfg, "barbed", game.truncated)
 
 
 def internal_bisim_n(delta, p: Process, q: Process, n: int,
@@ -665,7 +669,7 @@ def internal_bisim_n(delta, p: Process, q: Process, n: int,
     The game is played to depth ``n``, which replaces ``cfg.depth``; a
     negative ``n`` raises ``ValueError`` as ``BisimConfig`` does.
     """
-    cfg = replace(cfg or BisimConfig(kind="internal"), depth=n)
+    cfg = replace(cfg or BisimConfig(), depth=n)
     env = dict(env or {})
     delta = frozenset(delta)
     a, b = state(p, delta), state(q, delta)
@@ -698,15 +702,11 @@ def replay_witness(p: Process, q: Process, verdict: Verdict,
     """
     if not verdict.distinguished or not verdict.witness:
         return False
-    method = verdict.bounds.get("method", "weak")
     cfg = BisimConfig(
         depth=verdict.bounds.get("depth", 6),
         tau_budget=verdict.bounds.get("tau_budget", 300),
-        state_budget=verdict.bounds.get("state_budget", 4000),
-        kind=method)
-    if method == "barbed":
-        return _replay_barbed(p, q, verdict, cfg)
-    game = _Game(method, cfg, env)
+        state_budget=verdict.bounds.get("state_budget", 4000))
+    game = _Game(verdict.bounds.get("method", "weak"), cfg, env)
     a = state(p, delta)
     b = state(q, delta)
     envc = dict(env or {})
@@ -726,6 +726,8 @@ def replay_witness(p: Process, q: Process, verdict: Verdict,
         spent = game._spend(mu, kind, envc, spent)
         envc = game._env_after(mu, kind, envc, val, intro)
         responses, trunc = game._responses(dfn, key, mu, kind, d, envc, val)
+        if kind == "barb" and responses:
+            return False  # a shown barb ends the play, as in :meth:`run`
         if step.defender_after is None:
             if responses or trunc:
                 return False
@@ -744,27 +746,3 @@ def replay_witness(p: Process, q: Process, verdict: Verdict,
     # trace ended on a step that still had responses: not a valid witness
     return False
 
-
-def _replay_barbed(p, q, verdict, cfg):
-    a, b = canonicalize(p), canonicalize(q)
-    for i, step in enumerate(verdict.witness):
-        att, dfn = (a, b) if step.side == "left" else (b, a)
-        if step.defender_after is None:
-            if step.label == "tau":
-                return False
-            barb = step.label.split("!")[0]
-            _, weak = reduction_closure(dfn, cfg.tau_budget)
-            here = {str(n) for n in canonical_barbs(att.process)}
-            there = {str(n) for n in weak}
-            ok = barb in here and barb not in there
-            return ok and i == len(verdict.witness) - 1
-        if step.label != "tau":
-            return False
-        att2 = next((r for r in reducts(att) if r.key == step.attacker_after),
-                    None)
-        reach, _ = reduction_closure(dfn, cfg.tau_budget)
-        resp = next((r for r in reach if r.key == step.defender_after), None)
-        if att2 is None or resp is None:
-            return False
-        a, b = (att2, resp) if step.side == "left" else (resp, att2)
-    return False

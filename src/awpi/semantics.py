@@ -467,20 +467,14 @@ def strong_barbs(p: Process) -> NameSet:
     return NameSet(canonical_barbs(canonical_process(p)))
 
 
-def reduction_closure(c: CanonicalForm, budget: int):
-    """Canonical forms reachable from ``c`` by reduction within the budget,
-    in search order, and the union of their strong barbs (``truncated``
-    when the budget cut the search short)."""
-    reach, truncated = closure(c, reducts, budget)
+def weak_barbs(p: Process, budget: int = 2000) -> NameSet:
+    """Union of strong barbs over reducts reachable within the budget
+    (``truncated`` when the budget cut the search short)."""
+    reach, truncated = closure(canonicalize(p), reducts, budget)
     barbs = NameSet(n for r in reach.values()
                     for n in canonical_barbs(r.process))
     barbs.truncated = truncated
-    return list(reach.values()), barbs
-
-
-def weak_barbs(p: Process, budget: int = 2000) -> NameSet:
-    """Union of strong barbs over reducts reachable within the budget."""
-    return reduction_closure(canonicalize(p), budget)[1]
+    return barbs
 
 
 # ---------------------------------------------------------------------------

@@ -936,13 +936,6 @@ def parse_file(text: str) -> SourceFile:
     return SourceFile(env, tuple(success), proc)
 
 
-def print_file(f: SourceFile) -> str:
-    lines = [f"free {n} : {t};" for n, t in f.env.items()]
-    lines += [f"success {n};" for n in f.success]
-    lines.append(print_process(f.process))
-    return "\n".join(lines)
-
-
 # ---------------------------------------------------------------------------
 # Canonical form
 # ---------------------------------------------------------------------------

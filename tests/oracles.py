@@ -452,3 +452,30 @@ def random_process(rng: random.Random, size: int, frees=None) -> Process:
                     x2, gen(budget - 1 - half, scope + [x2]))
 
     return gen(size, list(frees))
+
+
+# ---------------------------------------------------------------------------
+# Strong bisimilarity on a finite graph by naive partition refinement
+# ---------------------------------------------------------------------------
+
+def bisimulation_classes(nodes, edges):
+    """The coarsest strong bisimulation on a finite labelled graph, as a
+    block number per node.
+
+    ``edges`` are (source, label, target) triples over ``nodes``; labels
+    compare by equality.  Every round splits each block by the set of
+    (label, target block) pairs of its members, until no block splits.
+    """
+    succ = {s: [] for s in nodes}
+    for src, label, dst in edges:
+        succ[src].append((label, dst))
+    block = {s: 0 for s in nodes}
+    while True:
+        ids = {}
+        nxt = {s: ids.setdefault(
+                   (block[s], frozenset((l, block[t]) for l, t in succ[s])),
+                   len(ids))
+               for s in nodes}
+        if len(ids) == len(set(block.values())):
+            return block  # refinement only splits: same count, same blocks
+        block = nxt

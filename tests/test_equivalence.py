@@ -14,9 +14,12 @@ from awpi.internal import internalize
 from awpi.semantics import Composite, delta_key, erase_to_api, state
 from awpi import api
 from awpi.equivalence import (
-    BisimConfig, NotClosed, NotInternal, TypeMismatch, _Game, barbed_bisim,
+    DISTINGUISHED, BisimConfig, NotClosed, NotInternal, TypeMismatch,
+    Verdict, WitnessStep, _Game, _stable_graphs, barbed_bisim,
     internal_bisim_n, replay_witness, strong_bisim, weak_bisim, weak_sim,
 )
+
+from oracles import bisimulation_classes
 
 
 def nm(s):
@@ -112,6 +115,19 @@ def test_barbed_distinct_committed_choices_distinguished():
     assert replay_witness(p, q, v)
 
 
+def test_barbed_shown_barb_ends_the_play():
+    p = proc("success ok; success err; "
+             "ok!() | new(a: i[unit], b)( a(x).err!() | b!() )")
+    q = proc("success ok; ok!()")
+    v = barbed_bisim(p, q)
+    assert v.distinguished
+    # q shows ok, so that move has no continuation: the witness goes
+    # through the reduction and ends on the err barb q cannot show
+    assert [(s.label, s.defender_after) for s in v.witness] == [
+        ("tau", "ok!()@"), ("err!()", None)]
+    assert replay_witness(p, q, v)
+
+
 BARBED_CHOICE_SCRIPT = """
 from awpi.syntax import parse_file
 from awpi.equivalence import barbed_bisim, replay_witness
@@ -158,6 +174,8 @@ def test_truncated_search_reports_inconclusive_not_distinguished():
     tight = BisimConfig(depth=6, tau_budget=2)
     assert weak_bisim(chain, flat, cfg=tight).inconclusive
     assert weak_bisim(chain, flat).equivalent
+    assert barbed_bisim(chain, flat, cfg=tight).inconclusive
+    assert barbed_bisim(chain, flat).equivalent
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +487,7 @@ def test_strong_bisim_explores_once_when_start_states_share_a_key(monkeypatch):
     v = strong_bisim(p, q)
     assert len(calls) == 1
     assert v.equivalent
-    budget = BisimConfig(kind="strong").state_budget
+    budget = BisimConfig().state_budget
     nodes = len(explore(frozenset(), p, depth_bound=budget,
                         state_bound=budget).nodes)
     assert v.bounds == {"method": "strong", "exact": True, "states": 2 * nodes}
@@ -483,6 +501,82 @@ def test_strong_distinction_found_through_refinement_fallback():
     assert replay_witness(p, q, v)
 
 
+def _strong_pair(n, m):
+    """``!a(x).ok!()`` fed by n messages against m one-shot copies of
+    ``a(x).ok!()``, each fed by its own message: strongly bisimilar, and
+    not congruent, exactly when n == m."""
+    p = proc("success ok; new(a: i[unit], b)( !a(x).ok!() | "
+             + " | ".join(["b!()"] * n) + " )")
+    q = proc("success ok; "
+             + " | ".join(["new(a: i[unit], b)( a(x).ok!() | b!() )"] * m))
+    return p, q
+
+
+# (left, right, states of both graphs when bisimilar, else None)
+STRONG_PAIRS = [_strong_pair(n, n) + (s,) for n, s in ((2, 12), (3, 20),
+                                                        (4, 30))] + [
+    _strong_pair(2, 3) + (None,), _strong_pair(3, 2) + (None,),
+    (proc("success ok; new(a: i[unit], b)( a(x).( ok!() | ok!() ) | b!() )"),
+     proc("success ok; new(a: i[unit], b)( a(x).ok!() | b!() )"), None),
+    (proc("success ok; new(a: i[unit], b)( a(x).ok!() | b!() )"),
+     proc("success ok; ok!()"), None),
+]
+
+
+@pytest.mark.parametrize("p,q,states", STRONG_PAIRS)
+def test_strong_bisim_agrees_with_partition_refinement(monkeypatch, p, q,
+                                                       states):
+    assert canonicalize(p).key != canonicalize(q).key
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return canonicalize(x)
+
+    monkeypatch.setattr("awpi.semantics.canonicalize", counting)
+    graphs = _stable_graphs(p, q, frozenset(), BisimConfig())
+    explored = len(calls)
+    del calls[:]
+    v = strong_bisim(p, q)
+    # refinement, and the witness game on the explored graphs, build no
+    # state again
+    assert len(calls) == explored
+    monkeypatch.undo()
+
+    ga, gb = graphs
+    nodes = ([("a", i) for i in range(len(ga.nodes))]
+             + [("b", j) for j in range(len(gb.nodes))])
+    edges = [((tag, s), mu, (tag, t))
+             for tag, g in (("a", ga), ("b", gb)) for s, mu, t in g.edges]
+    block = bisimulation_classes(nodes, edges)
+    bisimilar = block[("a", ga.root)] == block[("b", gb.root)]
+    assert bisimilar == (states is not None)
+    if bisimilar:
+        assert v.bounds == {"method": "strong", "exact": True,
+                            "states": states}
+    else:
+        assert v.distinguished
+        assert replay_witness(p, q, v)
+
+
+def test_strong_bisim_is_exact_on_a_large_cyclic_pair():
+    # four counters of sizes 10, 6, 3 and 3 beside a message that a
+    # replicated input keeps re-sending, so every state has a tau
+    # self-loop and no play of the game ever ends: 540 states a side
+    loop = "new(a: i[unit], b)( !a(x).b!() | b!() )"
+    sizes = (3, 2, 1, 1)
+    head = "".join(f"success o{i}; " for i in range(len(sizes)))
+    p = proc(head + " | ".join(
+        f"new(a: i[unit], b)( !a(x).o{i}!() | " + " | ".join(["b!()"] * n)
+        + " )" for i, n in enumerate(sizes)) + " | " + loop)
+    q = proc(head + " | ".join(
+        f"new(a: i[unit], b)( a(x).o{i}!() | b!() )"
+        for i, n in enumerate(sizes) for _ in range(n)) + " | " + loop)
+    assert canonicalize(p).key != canonicalize(q).key
+    v = strong_bisim(p, q)
+    assert v.bounds == {"method": "strong", "exact": True, "states": 1080}
+
+
 # ---------------------------------------------------------------------------
 # witness integrity
 
@@ -490,11 +584,25 @@ def test_strong_distinction_found_through_refinement_fallback():
 def test_witness_replay_rejects_tampering():
     p = proc("success ok; ok!()")
     q = proc("success err; err!()")
-    v = weak_bisim(p, q)
-    assert v.distinguished
-    assert replay_witness(p, q, v)
-    # swapping the comparands invalidates the trace
-    assert not replay_witness(q, p, v)
+    for v in (weak_bisim(p, q), barbed_bisim(p, q)):
+        assert v.distinguished
+        assert replay_witness(p, q, v)
+        # swapping the comparands invalidates the trace
+        assert not replay_witness(q, p, v)
+    # a barb the defender shows ends the play: a trace that goes on from
+    # there, here to "distinguish" a process from itself, is rejected
+    p = proc("success ok; success err; "
+             "ok!() | new(a: i[unit], b)( a(x).err!() | a(x).0 | b!() )")
+    start = state(p, frozenset())
+    shows_err, silent = sorted(
+        (c for _, c in _Game("barbed", BisimConfig())._step(start)),
+        key=lambda c: "err" not in c.key)
+    forged = Verdict(DISTINGUISHED, (
+        WitnessStep("left", "ok!()", start.key, silent.key, ""),
+        WitnessStep("left", "tau", shows_err.key, silent.key, ""),
+        WitnessStep("left", "err!()", shows_err.key, None, "")),
+        {"method": "barbed"})
+    assert not replay_witness(p, p, forged)
 
 
 def test_witness_replay_needs_a_distinguished_verdict():
