@@ -150,7 +150,15 @@ def _subst(p: Process, mapping) -> Process:
     if isinstance(p, Nil):
         return p
     if isinstance(p, Par):
-        return Par(substitute(p.left, mapping), substitute(p.right, mapping))
+        # walk the left | spine in a loop, keeping its left-nested shape
+        rights = []
+        while isinstance(p, Par):
+            rights.append(p.right)
+            p = p.left
+        out = substitute(p, mapping)
+        for r in reversed(rights):
+            out = Par(out, substitute(r, mapping))
+        return out
     if isinstance(p, Output):
         return Output(_subst_subject(p.subject, mapping),
                       substitute_value(p.payload, mapping))
@@ -415,35 +423,17 @@ def lts_step(p: Process):
 
 def _steps(p: Process):
     """``(transitions of p, free names of p)``."""
-    out = []
     if isinstance(p, Par):
-        lsteps, lnames = _steps(p.left)
-        rsteps, rnames = _steps(p.right)
-        for mu, l2 in lsteps:
-            mu2, l3 = _freshen_bound(mu, l2, rnames)
-            out.append((mu2, Par(l3, p.right)))
-        for mu, r2 in rsteps:
-            mu2, r3 = _freshen_bound(mu, r2, lnames)
-            out.append((mu2, Par(p.left, r3)))
-        for fromleft in (True, False):
-            isteps = lsteps if fromleft else rsteps
-            osteps = rsteps if fromleft else lsteps
-            for mu_i, pi in isteps:
-                if not isinstance(mu_i, InLabel):
-                    continue
-                for mu_o, qo in osteps:
-                    if isinstance(mu_o, OutLabel) and mu_o.subject == mu_i.subject:
-                        inst = substitute(pi, {mu_i.param: mu_o.payload})
-                        tgt = Par(inst, qo) if fromleft else Par(qo, inst)
-                        out.append((TAU, tgt))
-                    elif (isinstance(mu_o, BoundOutLabel)
-                          and mu_o.subject == mu_i.subject):
-                        mu_o2, qo2 = _freshen_bound(
-                            mu_o, qo, free_names(pi) | {mu_i.param})
-                        inst = substitute(pi, {mu_i.param: VName(mu_o2.exported)})
-                        body = Par(inst, qo2) if fromleft else Par(qo2, inst)
-                        out.append((TAU, Res(mu_o2.exported, body)))
-        return out, lnames | rnames
+        # the left | spine in a loop, combined as the recursion would
+        spine = []
+        while isinstance(p, Par):
+            spine.append(p)
+            p = p.left
+        steps, names = _steps(p)
+        for node in reversed(spine):
+            steps, names = _par_steps(node, steps, names)
+        return steps, names
+    out = []
     if isinstance(p, Res):
         steps, names = _steps(p.body)
         for mu, q in steps:
@@ -477,3 +467,34 @@ def _steps(p: Process):
     elif not isinstance(p, Nil):
         raise TypeError(f"not a process: {p!r}")
     return out, free_names(p)
+
+
+def _par_steps(p: Par, lsteps, lnames):
+    """The transitions and free names of ``p`` from those of ``p.left``."""
+    rsteps, rnames = _steps(p.right)
+    out = []
+    for mu, l2 in lsteps:
+        mu2, l3 = _freshen_bound(mu, l2, rnames)
+        out.append((mu2, Par(l3, p.right)))
+    for mu, r2 in rsteps:
+        mu2, r3 = _freshen_bound(mu, r2, lnames)
+        out.append((mu2, Par(p.left, r3)))
+    for fromleft in (True, False):
+        isteps = lsteps if fromleft else rsteps
+        osteps = rsteps if fromleft else lsteps
+        for mu_i, pi in isteps:
+            if not isinstance(mu_i, InLabel):
+                continue
+            for mu_o, qo in osteps:
+                if isinstance(mu_o, OutLabel) and mu_o.subject == mu_i.subject:
+                    inst = substitute(pi, {mu_i.param: mu_o.payload})
+                    tgt = Par(inst, qo) if fromleft else Par(qo, inst)
+                    out.append((TAU, tgt))
+                elif (isinstance(mu_o, BoundOutLabel)
+                      and mu_o.subject == mu_i.subject):
+                    mu_o2, qo2 = _freshen_bound(
+                        mu_o, qo, free_names(pi) | {mu_i.param})
+                    inst = substitute(pi, {mu_i.param: VName(mu_o2.exported)})
+                    body = Par(inst, qo2) if fromleft else Par(qo2, inst)
+                    out.append((TAU, Res(mu_o2.exported, body)))
+    return out, lnames | rnames

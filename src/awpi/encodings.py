@@ -13,12 +13,13 @@ names.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from . import api
 from .syntax import (
-    ChanType, LetTuple, Name, NIL, Input, Output, Par, ParseError, Process,
-    RepInput, Res, SUCCESS, TupleType, UNIT, VName, VUNIT, bound_names,
+    ChanType, LetTuple, Name, NIL, Input, Output, Par, Process, RepInput, Res,
+    SUCCESS, TokenStream, TupleType, UNIT, VName, VUNIT, bound_names,
     canonical_process, free_names, fresh_name, vtuple,
 )
 from .typecheck import ANY
@@ -293,102 +294,71 @@ def alpi_env(p: AlpiProcess) -> dict:
 #   par     := "0" | "(" process ")" | "new" "(" name ":" "^" type ")" par
 #            | ["!"] name "(" name? ")" "." par | name "!" "(" name? ")"
 #   type    := "unit" | "o" "[" type "]"
+#
+# A comment runs from "#" to the end of the line (".awpi" files use "##").
 
-_ALPI_PUNCT = ("|", ".", "!", "(", ")", ":", ";", "^", "[", "]")
-
-
-def _alpi_tokens(text: str):
-    toks = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "#":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-            continue
-        if ch == "0":
-            toks.append("0")
-            i += 1
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(text[i:j])
-            i = j
-            continue
-        if ch in _ALPI_PUNCT:
-            toks.append(ch)
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}")
-    return toks
+_ALPI_TOKENS = re.compile(r"""
+    (?P<ws>\s+|\#[^\n]*)
+  | (?P<zero>0)
+  | (?P<ident>[^\W\d]\w*)
+  | (?P<punct>[|.!():;^\[\]])
+""", re.VERBOSE)
 
 
-class _AlpiParser:
-    def __init__(self, toks, success):
-        self.toks = toks
-        self.pos = 0
-        self.success = set(success)
+def _variable(stream: TokenStream) -> str:
+    """A localised-pi or lambda-calculus name: a letter or "_" first."""
+    t = stream.next()
+    # the ident regex also admits numerals that are not letters, as "²"
+    if t.kind != "ident" or not (t.text[0].isalpha() or t.text[0] == "_"):
+        stream.fail(f"expected a name, found {t.text or 'end of input'!r}", t)
+    return t.text
 
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
 
-    def take(self):
-        t = self.peek()
-        if t is None:
-            raise ParseError("unexpected end of input")
-        self.pos += 1
-        return t
+class _AlpiParser(TokenStream):
+    tokens = _ALPI_TOKENS
 
-    def expect(self, tok):
-        t = self.take()
-        if t != tok:
-            raise ParseError(f"expected {tok!r}, found {t!r}")
+    def file(self):
+        self.success = set()
+        while self.peek().text == "success":
+            self.next()
+            self.success.add(self.name().base)
+            self.expect(";")
+        return self.process()
 
     def name(self):
-        t = self.take()
-        if not (t[0].isalpha() or t[0] == "_"):
-            raise ParseError(f"expected a name, found {t!r}")
-        kind = SUCCESS if t in self.success else "regular"
-        return Name(t, kind=kind)
+        t = _variable(self)
+        return Name(t, kind=SUCCESS if t in self.success else "regular")
 
     def type(self):
-        t = self.take()
-        if t == "unit":
+        t = self.next()
+        if t.text == "unit":
             return ALPI_UNIT
-        if t == "o":
+        if t.text == "o":
             self.expect("[")
             inner = self.type()
             self.expect("]")
             return AlpiChan(inner)
-        raise ParseError(f"expected a payload type, found {t!r}")
+        self.fail(f"expected a payload type, found {t.text!r}", t)
 
     def process(self):
-        parts = [self.prefix()]
-        while self.peek() == "|":
-            self.take()
-            parts.append(self.prefix())
-        out = parts[0]
-        for nxt in parts[1:]:
-            out = AlpiPar(out, nxt)
+        out = self.prefix()
+        while self.peek().kind == "|":
+            self.next()
+            out = AlpiPar(out, self.prefix())
         return out
 
     def prefix(self):
         t = self.peek()
-        if t == "0":
-            self.take()
+        if t.kind == "zero":
+            self.next()
             return ALPI_NIL
-        if t == "(":
-            self.take()
+        if t.kind == "(":
+            self.next()
             inner = self.process()
             self.expect(")")
             return inner
-        if t == "new":
-            self.take()
+        if t.text == "new":
+            self.next()
             self.expect("(")
             n = self.name()
             self.expect(":")
@@ -396,45 +366,33 @@ class _AlpiParser:
             ty = self.type()
             self.expect(")")
             return AlpiRes(n, ty, self.prefix())
-        if t == "!":
-            self.take()
+        if t.kind == "!":
+            self.next()
             return self.guard(replicated=True)
         return self.guard(replicated=False)
 
     def guard(self, replicated: bool):
         subject = self.name()
-        t = self.take()
-        if t == "!":
+        t = self.next()
+        if t.kind == "!":
             if replicated:
-                raise ParseError("replication guards an input, not an output")
+                self.fail("replication guards an input, not an output", t)
             self.expect("(")
-            payload = None if self.peek() == ")" else self.name()
+            payload = None if self.peek().kind == ")" else self.name()
             self.expect(")")
             return AlpiOutput(subject, payload)
-        if t == "(":
-            param = self.name() if self.peek() != ")" else Name("_w")
+        if t.kind == "(":
+            param = self.name() if self.peek().kind != ")" else Name("_w")
             self.expect(")")
             self.expect(".")
             body = self.prefix()
             cls = AlpiRepInput if replicated else AlpiInput
             return cls(subject, param, body)
-        raise ParseError(f"expected '!' or '(' after name {subject}")
+        self.fail(f"expected '!' or '(' after name {subject}", t)
 
 
 def parse_alpi(text: str):
-    toks = _alpi_tokens(text)
-    success = []
-    pos = 0
-    while pos < len(toks) and toks[pos] == "success":
-        success.append(toks[pos + 1])
-        if pos + 2 >= len(toks) or toks[pos + 2] != ";":
-            raise ParseError("expected ';' after success declaration")
-        pos += 3
-    parser = _AlpiParser(toks[pos:], success)
-    p = parser.process()
-    if parser.peek() is not None:
-        raise ParseError(f"trailing input at {parser.peek()!r}")
-    return p
+    return _AlpiParser(text).whole(_AlpiParser.file)
 
 
 # ---------------------------------------------------------------------------
@@ -738,118 +696,68 @@ def type_order(t: StlcType) -> int:
 #   term := "\" name ":" type "." term | atom { atom }
 #   atom := name | "(" term ")"
 #   type := "o" | type "->" type (right associative) | "(" type ")"
+#
+# A comment runs from "#" to the end of the line (".awpi" files use "##").
 
-def _stlc_tokens(text: str):
-    toks = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "#":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-            continue
-        if text.startswith("->", i):
-            toks.append("->")
-            i += 2
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(text[i:j])
-            i = j
-            continue
-        if ch in ("\\", ":", ".", "(", ")"):
-            toks.append(ch)
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}")
-    return toks
+_STLC_TOKENS = re.compile(r"""
+    (?P<ws>\s+|\#[^\n]*)
+  | (?P<arrow>->)
+  | (?P<ident>[^\W\d]\w*)
+  | (?P<punct>[\\:.()])
+""", re.VERBOSE)
 
 
-class _StlcParser:
-    def __init__(self, toks):
-        self.toks = toks
-        self.pos = 0
-
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
-
-    def take(self):
-        t = self.peek()
-        if t is None:
-            raise ParseError("unexpected end of input")
-        self.pos += 1
-        return t
-
-    def expect(self, tok):
-        t = self.take()
-        if t != tok:
-            raise ParseError(f"expected {tok!r}, found {t!r}")
+class _StlcParser(TokenStream):
+    tokens = _STLC_TOKENS
 
     def type_atom(self):
-        t = self.take()
-        if t == "o":
+        t = self.next()
+        if t.text == "o":
             return BASE
-        if t == "(":
+        if t.kind == "(":
             inner = self.type()
             self.expect(")")
             return inner
-        raise ParseError(f"expected a type, found {t!r}")
+        self.fail(f"expected a type, found {t.text or 'end of input'!r}", t)
 
     def type(self):
         left = self.type_atom()
-        if self.peek() == "->":
-            self.take()
+        if self.peek().kind == "arrow":
+            self.next()
             return Arrow(left, self.type())
         return left
 
     def term(self):
-        if self.peek() == "\\":
-            self.take()
-            var = self.take()
-            if not (var[0].isalpha() or var[0] == "_"):
-                raise ParseError(f"expected a variable, found {var!r}")
+        if self.peek().kind == "\\":
+            self.next()
+            var = _variable(self)
             self.expect(":")
             ty = self.type()
             self.expect(".")
             return SLam(var, ty, self.term())
         out = self.atom()
-        while self.peek() is not None and self.peek() not in (")",):
+        while self.peek().kind not in ("eof", ")"):
             out = SApp(out, self.atom())
         return out
 
     def atom(self):
-        t = self.take()
-        if t == "(":
+        t = self.peek()
+        if t.kind == "\\":
+            return self.term()
+        if t.kind == "(":
+            self.next()
             inner = self.term()
             self.expect(")")
             return inner
-        if t == "\\":
-            self.pos -= 1
-            return self.term()
-        if t[0].isalpha() or t[0] == "_":
-            return SVar(t)
-        raise ParseError(f"expected a term, found {t!r}")
+        return SVar(_variable(self))
 
 
 def parse_stlc(text: str) -> StlcTerm:
-    parser = _StlcParser(_stlc_tokens(text))
-    t = parser.term()
-    if parser.peek() is not None:
-        raise ParseError(f"trailing input at {parser.peek()!r}")
-    return t
+    return _StlcParser(text).whole(_StlcParser.term)
 
 
 def parse_stlc_type(text: str) -> StlcType:
-    parser = _StlcParser(_stlc_tokens(text))
-    t = parser.type()
-    if parser.peek() is not None:
-        raise ParseError(f"trailing input at {parser.peek()!r}")
-    return t
+    return _StlcParser(text).whole(_StlcParser.type)
 
 
 # ---------------------------------------------------------------------------

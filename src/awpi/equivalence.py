@@ -178,7 +178,7 @@ class _Game:
         self.truncated = False
         self._steps = {}     # state key -> _step result
         self._moves = {}     # (state key, play depth) -> _std_moves result
-        self._targets = {}   # (state key, index[, play depth]) -> state
+        self._targets = {}   # (state key, index, depth | label) -> state
         self._closures = {}  # state key -> tau closure
         self._fed = {}       # (state key, index, value) -> _feed result
         self._absorbed = {}  # (state key, particle, delta) -> _absorb result
@@ -244,9 +244,11 @@ class _Game:
         per state key, so (state key, i) names one raw target; an input or
         bound-output target also renames its introduced names to play depth
         ``d``'s %-names, as :meth:`_std_moves` does, and is keyed by (state
-        key, i, d).  A target that is already a state with nothing to
-        rename, as a tau target or a node of a seeded graph, is returned
-        as it is.
+        key, i, d).  A free-output target is keyed by (state key, label):
+        the output is a top-level atom of the canonical state, so equal
+        labels give congruent targets, as :func:`explore` argues.  A target
+        that is already a state with nothing to rename, as a tau target or
+        a node of a seeded graph, is returned as it is.
         """
         mu, c2 = self._step(comp)[i]
         ren = {}
@@ -256,7 +258,7 @@ class _Game:
             ren = {mu.exported: Name("%e", d), mu.companion: Name("%k", d)}
         elif c2.pkey is not None:
             return c2
-        tk = (comp.key, i, d) if ren else (comp.key, i)
+        tk = (comp.key, i, d) if ren else (comp.key, mu)
         out = self._targets.get(tk)
         if out is None:
             out = self._targets[tk] = state(

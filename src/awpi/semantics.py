@@ -26,8 +26,8 @@ from .syntax import (
     Case, CanonicalForm, ChanType, Input, LetTuple, Name, Nil, NIL, Output,
     Par, Process, RepInput, Res, SUCCESS, VInl, VInr, VName, VTuple, VUNIT,
     Value, _chain, _par, _par_list, _split_chain, canonicalize,
-    canonical_process, free_names, fresh_name, print_value, rename_free,
-    substitute, substitute_value, value_names,
+    canonical_process, free_names, fresh_name, parse_name, print_value,
+    rename_free, substitute, substitute_value, value_names,
 )
 
 
@@ -145,24 +145,17 @@ def delta_key(delta) -> str:
 
 
 def parse_delta(text: str) -> frozenset:
-    """Parse ``"a-b,c-d"`` into a set of (input name, output name) pairs."""
-    pairs = set()
-    text = text.strip()
-    if not text:
+    """Parse ``"a-b,c-d"`` into a set of (input name, output name) pairs,
+    each name read by the process grammar's name rule."""
+    if not text.strip():
         return frozenset()
+    pairs = set()
     for part in text.split(","):
         left, sep, right = part.partition("-")
-        if not sep or not left.strip() or not right.strip():
+        if not sep:
             raise ValueError(f"bad connection {part!r}; expected in-out")
-        pairs.add((_parse_name(left.strip()), _parse_name(right.strip())))
+        pairs.add((parse_name(left), parse_name(right)))
     return frozenset(pairs)
-
-
-def _parse_name(s: str) -> Name:
-    if "#" in s:
-        base, idx = s.split("#")
-        return Name(base, int(idx))
-    return Name(s)
 
 
 # ---------------------------------------------------------------------------
@@ -197,43 +190,17 @@ def lts_step(delta, p: Process):
 
 def _steps(delta, p: Process):
     """``(transitions of p, free names of p)``."""
-    out = []
     if isinstance(p, Par):
-        lsteps, lnames = _steps(delta, p.left)
-        rsteps, rnames = _steps(delta, p.right)
-        for mu, l2 in lsteps:
-            mu2, l3 = _freshen_bound(mu, l2, rnames)
-            out.append((mu2, Par(l3, p.right)))
-        for mu, r2 in rsteps:
-            mu2, r3 = _freshen_bound(mu, r2, lnames)
-            out.append((mu2, Par(p.left, r3)))
-        for fromleft in (True, False):
-            isteps = lsteps if fromleft else rsteps
-            osteps = rsteps if fromleft else lsteps
-            for mu_i, pi in isteps:
-                if not isinstance(mu_i, In):
-                    continue
-                for mu_o, qo in osteps:
-                    if isinstance(mu_o, FreeOut):
-                        if (mu_i.subject, mu_o.subject) not in delta:
-                            continue
-                        inst = substitute(pi, {mu_i.param: mu_o.payload})
-                        tgt = Par(inst, qo) if fromleft else Par(qo, inst)
-                        out.append((TAU, tgt))
-                    elif isinstance(mu_o, BoundOut):
-                        if (mu_i.subject, mu_o.subject) not in delta:
-                            continue
-                        # keep the extruded pair clear of the receiving side
-                        mu_o2, qo2 = _freshen_bound(
-                            mu_o, qo, free_names(pi) | {mu_i.param})
-                        inst = substitute(pi, {mu_i.param: VName(mu_o2.exported)})
-                        body = Par(inst, qo2) if fromleft else Par(qo2, inst)
-                        if mu_o2.exported_is_input:
-                            a, b = mu_o2.exported, mu_o2.companion
-                        else:
-                            a, b = mu_o2.companion, mu_o2.exported
-                        out.append((TAU, Res(a, b, mu_o2.in_type, body)))
-        return out, lnames | rnames
+        # the left | spine in a loop, combined as the recursion would
+        spine = []
+        while isinstance(p, Par):
+            spine.append(p)
+            p = p.left
+        steps, names = _steps(delta, p)
+        for node in reversed(spine):
+            steps, names = _par_steps(delta, node, steps, names)
+        return steps, names
+    out = []
     if isinstance(p, Res):
         pair = {p.in_name, p.out_name}
         inner = frozenset(delta) | {(p.in_name, p.out_name)}
@@ -279,6 +246,46 @@ def _steps(delta, p: Process):
     elif not isinstance(p, Nil):
         raise TypeError(f"not a process: {p!r}")
     return out, free_names(p)
+
+
+def _par_steps(delta, p: Par, lsteps, lnames):
+    """The transitions and free names of ``p`` from those of ``p.left``."""
+    rsteps, rnames = _steps(delta, p.right)
+    out = []
+    for mu, l2 in lsteps:
+        mu2, l3 = _freshen_bound(mu, l2, rnames)
+        out.append((mu2, Par(l3, p.right)))
+    for mu, r2 in rsteps:
+        mu2, r3 = _freshen_bound(mu, r2, lnames)
+        out.append((mu2, Par(p.left, r3)))
+    for fromleft in (True, False):
+        isteps = lsteps if fromleft else rsteps
+        osteps = rsteps if fromleft else lsteps
+        for mu_i, pi in isteps:
+            if not isinstance(mu_i, In):
+                continue
+            for mu_o, qo in osteps:
+                if isinstance(mu_o, FreeOut):
+                    if (mu_i.subject, mu_o.subject) not in delta:
+                        continue
+                    inst = substitute(pi, {mu_i.param: mu_o.payload})
+                    tgt = Par(inst, qo) if fromleft else Par(qo, inst)
+                    out.append((TAU, tgt))
+                elif isinstance(mu_o, BoundOut):
+                    if (mu_i.subject, mu_o.subject) not in delta:
+                        continue
+                    # keep the extruded pair clear of the receiving side
+                    mu_o2, qo2 = _freshen_bound(
+                        mu_o, qo, free_names(pi) | {mu_i.param})
+                    inst = substitute(pi, {mu_i.param: VName(mu_o2.exported)})
+                    body = Par(inst, qo2) if fromleft else Par(qo2, inst)
+                    if mu_o2.exported_is_input:
+                        a, b = mu_o2.exported, mu_o2.companion
+                    else:
+                        a, b = mu_o2.companion, mu_o2.exported
+                    out.append((TAU, Res(a, b, mu_o2.in_type, body)))
+    return out, lnames | rnames
+
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +569,13 @@ class LtsGraph:
 
 def explore(delta, p: Process, depth_bound: int = 6,
             state_bound: int = 2000) -> LtsGraph:
-    """Breadth-first LTS exploration over canonical composite states."""
+    """Breadth-first LTS exploration over canonical composite states.
+
+    A free-output target is built once per (node, label): an unguarded
+    output whose names are all free is a top-level atom of the canonical
+    node, so equal labels remove identical atoms, under the same
+    connection set (``composite_step`` keeps it on a free output).
+    """
     root = state(p, delta).gc()
     nodes = [root]
     index = {root.key: 0}
@@ -576,8 +589,13 @@ def explore(delta, p: Process, depth_bound: int = 6,
         if depth >= depth_bound:
             depth_trunc = depth_trunc or bool(steps)
             continue
-        for mu, nxt in steps:
-            nxt = state(nxt.process, nxt.delta).gc()
+        outs = {}  # free-output label -> its target
+        for mu, c in steps:
+            nxt = outs.get(mu)
+            if nxt is None:
+                nxt = state(c.process, c.delta).gc()
+                if isinstance(mu, FreeOut):
+                    outs[mu] = nxt
             tid = index.get(nxt.key)
             if tid is None:
                 if len(nodes) >= state_bound:

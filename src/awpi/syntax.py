@@ -8,7 +8,10 @@ asynchronous output, restriction, a tuple destructor and a case split.
 
 This module owns the concrete syntax (parser and printer), free names,
 capture-avoiding substitution, alpha equality and the canonical form used
-everywhere as state identity.  Canonicalization implements the structural
+everywhere as state identity.  :class:`TokenStream` is the one lexer of
+every front end: the ``.awpi`` grammar here and the localised-pi and
+lambda-calculus grammars in ``encodings`` each subclass it with their own
+token regex.  Canonicalization implements the structural
 congruence axioms as a normal form: parallel compositions are flattened to a
 sorted multiset, nil components and dead restrictions are dropped,
 restrictions are extruded outward as far as parallel structure allows, and
@@ -21,7 +24,7 @@ import re
 from dataclasses import dataclass
 
 
-class ParseError(Exception):
+class ParseError(ValueError):
     def __init__(self, msg, line=None, col=None):
         loc = "" if line is None else f" at {line}:{col}"
         super().__init__(f"{msg}{loc}")
@@ -594,10 +597,12 @@ def print_process(p: Process) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer / parser
+# Token stream / parser
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"""
+# One token regex per language: the group ``ws`` is skipped, a ``punct``
+# token's kind is its text and any other token's kind is its group name.
+_AWPI_TOKENS = re.compile(r"""
     (?P<ws>\s+|\#\#[^\n]*)
   | (?P<arrow>->)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_']*(\#[0-9]+)?)
@@ -610,50 +615,40 @@ KEYWORDS = {"new", "let", "in", "case", "inl", "inr", "unit", "free", "success"}
 
 @dataclass
 class _Tok:
-    kind: str  # "ident" | "zero" | "arrow" | punctuation char | "eof"
+    kind: str  # group name, punctuation text, or "eof"
     text: str
     line: int
     col: int
 
 
-def _tokenize(text: str):
-    toks = []
-    pos = 0
-    line = 1
-    linestart = 0
-    n = len(text)
-    while pos < n:
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}",
-                             line, pos - linestart + 1)
-        col = pos - linestart + 1
-        if m.lastgroup == "ws":
-            nl = m.group(0).count("\n")
-            if nl:
-                line += nl
-                linestart = pos + m.group(0).rindex("\n") + 1
-        elif m.lastgroup == "ident":
-            toks.append(_Tok("ident", m.group(0), line, col))
-        elif m.lastgroup == "zero":
-            toks.append(_Tok("zero", "0", line, col))
-        elif m.lastgroup == "arrow":
-            toks.append(_Tok("arrow", "->", line, col))
-        else:
-            toks.append(_Tok(m.group(0), m.group(0), line, col))
-        pos = m.end()
-    toks.append(_Tok("eof", "", line, n - linestart + 1))
-    return toks
+class TokenStream:
+    """The one lexer and cursor of every front end.
 
+    A subclass is one language: it sets ``tokens`` to that language's
+    token regex and adds only its grammar methods.  Errors carry the
+    line and column of the token reached.
+    """
 
-class _Parser:
-    def __init__(self, text: str, success=()):
-        self.toks = _tokenize(text)
-        self.pos = 0
-        # map (base, index) -> Name with success kind
-        success = [Name(s, kind=SUCCESS) if isinstance(s, str) else s
-                   for s in success]
-        self.success = {(s.base, s.index): s for s in success}
+    tokens: re.Pattern
+
+    def __init__(self, text: str):
+        toks, match = [], self.tokens.match
+        pos, line, linestart = 0, 1, 0
+        while pos < len(text):
+            m = match(text, pos)
+            if m is None:
+                raise ParseError(f"unexpected character {text[pos]!r}",
+                                 line, pos - linestart + 1)
+            got, group = m.group(0), m.lastgroup
+            if group != "ws":
+                toks.append(_Tok(got if group == "punct" else group, got, line,
+                                 pos - linestart + 1))
+            elif "\n" in got:
+                line += got.count("\n")
+                linestart = pos + got.rindex("\n") + 1
+            pos = m.end()
+        toks.append(_Tok("eof", "", line, len(text) - linestart + 1))
+        self.toks, self.pos = toks, 0
 
     def peek(self, ahead=0) -> _Tok:
         return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
@@ -671,15 +666,40 @@ class _Parser:
                              t.line, t.col)
         return t
 
-    def fail(self, msg):
-        t = self.peek()
+    def fail(self, msg, t=None):
+        t = t or self.peek()
         raise ParseError(msg, t.line, t.col)
+
+    def whole(self, parse):
+        """``parse(self)``, which must read the whole input.  Nesting too
+        deep for the recursive grammar is a ParseError at the token
+        reached, not a RecursionError."""
+        try:
+            out = parse(self)
+        except RecursionError:
+            pass
+        else:
+            if self.peek().kind != "eof":
+                self.fail(f"trailing input {self.peek().text!r}")
+            return out
+        self.fail("input nested too deeply")
+
+
+class _Parser(TokenStream):
+    tokens = _AWPI_TOKENS
+
+    def __init__(self, text: str, success=()):
+        super().__init__(text)
+        # map (base, index) -> Name with success kind
+        success = [Name(s, kind=SUCCESS) if isinstance(s, str) else s
+                   for s in success]
+        self.success = {(s.base, s.index): s for s in success}
 
     # -- names ------------------------------------------------------------
     def parse_name(self) -> Name:
         t = self.expect("ident")
         if t.text in KEYWORDS:
-            raise ParseError(f"{t.text!r} is a keyword, not a name", t.line, t.col)
+            self.fail(f"{t.text!r} is a keyword, not a name", t)
         if "#" in t.text:
             base, idx = t.text.split("#")
             nm = Name(base, int(idx))
@@ -687,15 +707,13 @@ class _Parser:
             nm = Name(t.text)
         return self.success.get((nm.base, nm.index), nm)
 
-    def _name_list(self):
-        names = []
-        if self.peek().kind == ")":
-            return names
-        names.append(self.parse_name())
+    def _list(self, item):
+        """``item``s separated by commas, up to a closing parenthesis."""
+        out = [] if self.peek().kind == ")" else [item()]
         while self.peek().kind == ",":
             self.next()
-            names.append(self.parse_name())
-        return names
+            out.append(item())
+        return out
 
     # -- types ------------------------------------------------------------
     def parse_vtype(self) -> ValueType:
@@ -731,26 +749,12 @@ class _Parser:
                 return ChanType(t.text, payload)
         self.fail(f"expected a type, found {t.text!r}")
 
-    def parse_ctype(self) -> ChanType:
-        t = self.peek()
-        got = self.parse_vtype()
-        if not isinstance(got, ChanType):
-            raise ParseError("restriction annotation must be a channel type",
-                             t.line, t.col)
-        return got
-
     # -- values -----------------------------------------------------------
     def parse_value(self) -> Value:
         t = self.peek()
         if t.kind == "(":
             self.next()
-            if self.peek().kind == ")":
-                self.next()
-                return VUNIT
-            items = [self.parse_value()]
-            while self.peek().kind == ",":
-                self.next()
-                items.append(self.parse_value())
+            items = self._list(self.parse_value)
             self.expect(")")
             return vtuple(items)
         if t.kind == "ident" and t.text == "inl":
@@ -762,16 +766,6 @@ class _Parser:
         if t.kind == "ident":
             return VName(self.parse_name())
         self.fail(f"expected a value, found {t.text or 'end of input'!r}")
-
-    def _value_list(self):
-        vals = []
-        if self.peek().kind == ")":
-            return vals
-        vals.append(self.parse_value())
-        while self.peek().kind == ",":
-            self.next()
-            vals.append(self.parse_value())
-        return vals
 
     # -- processes ----------------------------------------------------------
     def parse_proc(self) -> Process:
@@ -799,12 +793,13 @@ class _Parser:
             self.expect("(")
             in_name = self.parse_name()
             self.expect(":")
-            in_type = self.parse_ctype()
+            tt = self.peek()
+            in_type = self.parse_vtype()
             self.expect(",")
             out_name = self.parse_name()
             self.expect(")")
-            if in_type.mode not in INPUT_MODES:
-                self.fail("restriction annotates the input end: mode must be i or li")
+            if not (isinstance(in_type, ChanType) and in_type.mode in INPUT_MODES):
+                self.fail("restriction annotates the input end: i[T] or li[T]", tt)
             if in_name == out_name:
                 self.fail("restriction must bind two distinct names")
             body = self.parse_prefix()
@@ -812,7 +807,7 @@ class _Parser:
         if t.kind == "ident" and t.text == "let":
             self.next()
             self.expect("(")
-            params = self._name_list()
+            params = self._list(self.parse_name)
             self.expect(")")
             if len(params) < 2:
                 self.fail("let destructures a tuple: at least two names")
@@ -820,7 +815,7 @@ class _Parser:
             scrut = self.parse_value()
             tin = self.expect("ident")
             if tin.text != "in":
-                raise ParseError("expected 'in'", tin.line, tin.col)
+                self.fail("expected 'in'", tin)
             body = self.parse_prefix()
             return LetTuple(tuple(params), scrut, body)
         if t.kind == "ident" and t.text == "case":
@@ -829,14 +824,14 @@ class _Parser:
             self.expect("{")
             kw = self.expect("ident")
             if kw.text != "inl":
-                raise ParseError("expected 'inl'", kw.line, kw.col)
+                self.fail("expected 'inl'", kw)
             lp = self.parse_name()
             self.expect("arrow")
             lbody = self.parse_proc()
             self.expect(";")
             kw = self.expect("ident")
             if kw.text != "inr":
-                raise ParseError("expected 'inr'", kw.line, kw.col)
+                self.fail("expected 'inr'", kw)
             rp = self.parse_name()
             self.expect("arrow")
             rbody = self.parse_proc()
@@ -848,7 +843,7 @@ class _Parser:
             if nxt.kind == "!":
                 self.next()
                 self.expect("(")
-                vals = self._value_list()
+                vals = self._list(self.parse_value)
                 self.expect(")")
                 return Output(subject, vtuple(vals))
             if nxt.kind == "(":
@@ -860,7 +855,7 @@ class _Parser:
     def _input(self, replicated: bool) -> Process:
         subject = self.parse_name()
         self.expect("(")
-        params = self._name_list()
+        params = self._list(self.parse_name)
         self.expect(")")
         self.expect(".")
         body = self.parse_prefix()
@@ -874,31 +869,39 @@ class _Parser:
             return cls(subject, tmp, body)
         return cls(subject, tmp, LetTuple(tuple(params), VName(tmp), body))
 
+    def source_file(self) -> "SourceFile":
+        env = {}
+        success = []
+        while self.peek().text in ("free", "success"):
+            kw = self.next()
+            nm = self.parse_name()
+            if kw.text == "free":
+                self.expect(":")
+                env[nm] = self.parse_vtype()
+            else:
+                nm = Name(nm.base, nm.index, SUCCESS)
+                self.success[(nm.base, nm.index)] = nm
+                success.append(nm)
+            self.expect(";")
+        return SourceFile(env, tuple(success), self.parse_proc())
+
 
 def parse_process(text: str, success=()) -> Process:
     """Parse a process term.  ``success`` lists names with the success kind."""
-    p = _Parser(text, success)
-    proc = p.parse_proc()
-    t = p.peek()
-    if t.kind != "eof":
-        raise ParseError(f"trailing input {t.text!r}", t.line, t.col)
-    return proc
+    return _Parser(text, success).whole(_Parser.parse_proc)
 
 
 def parse_value(text: str, success=()) -> Value:
-    p = _Parser(text, success)
-    v = p.parse_value()
-    if p.peek().kind != "eof":
-        p.fail("trailing input after value")
-    return v
+    return _Parser(text, success).whole(_Parser.parse_value)
 
 
 def parse_vtype(text: str) -> ValueType:
-    p = _Parser(text)
-    t = p.parse_vtype()
-    if p.peek().kind != "eof":
-        p.fail("trailing input after type")
-    return t
+    return _Parser(text).whole(_Parser.parse_vtype)
+
+
+def parse_name(text: str) -> Name:
+    """One name, read by the process grammar's name rule."""
+    return _Parser(text).whole(_Parser.parse_name)
 
 
 @dataclass
@@ -912,28 +915,7 @@ class SourceFile:
 
 def parse_file(text: str) -> SourceFile:
     """Parse header lines (``free a : T;`` / ``success ok;``) then a process."""
-    p = _Parser(text)
-    env = {}
-    success = []
-    while p.peek().kind == "ident" and p.peek().text in ("free", "success"):
-        kw = p.next()
-        if kw.text == "free":
-            nm = p.parse_name()
-            p.expect(":")
-            t = p.parse_vtype()
-            p.expect(";")
-            env[nm] = t
-        else:
-            nm = p.parse_name()
-            p.expect(";")
-            nm = Name(nm.base, nm.index, SUCCESS)
-            p.success[(nm.base, nm.index)] = nm
-            success.append(nm)
-    proc = p.parse_proc()
-    t = p.peek()
-    if t.kind != "eof":
-        raise ParseError(f"trailing input {t.text!r}", t.line, t.col)
-    return SourceFile(env, tuple(success), proc)
+    return _Parser(text).whole(_Parser.source_file)
 
 
 # ---------------------------------------------------------------------------

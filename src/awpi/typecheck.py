@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 from .syntax import (
     Case, ChanType, INPUT_MODES, Input, LetTuple, LINEAR_MODES, Name, Nil,
     Output, Par, Process, RepInput, Res, SUCCESS, SumType, TupleType, UNIT,
-    UnitType, VInl, VInr, VName, VTuple, VUnit, Value, ValueType, free_names,
-    value_names,
+    UnitType, VInl, VInr, VName, VTuple, VUnit, Value, ValueType, _par_list,
+    free_names, value_names,
 )
 
 
@@ -188,9 +188,9 @@ class TypeVerdict:
         return self.ok
 
 
-def _shared_ok(env, left_frees, right_frees, path, rule):
-    """Names free on both sides of a multiplicative split must be copyable."""
-    for n in left_frees & right_frees:
+def _shared_ok(env, shared, path, rule):
+    """Names free on two sides of a multiplicative split must be copyable."""
+    for n in sorted(shared):
         t = env.get(n)
         if t is None or is_copyable(t):
             continue
@@ -226,9 +226,16 @@ def _check(env: dict, p: Process, path: tuple):
     if isinstance(p, Nil):
         return
     if isinstance(p, Par):
-        _shared_ok(env, free_names(p.left), free_names(p.right), path, "Par")
-        _check(env, p.left, path + ("left",))
-        _check(env, p.right, path + ("right",))
+        # one | level as a list: a wide | costs one pass, no recursion
+        comps = _par_list(p)
+        seen, shared = set(), set()
+        for c in comps:
+            names = free_names(c)
+            shared |= seen & names
+            seen |= names
+        _shared_ok(env, shared, path, "Par")
+        for i, c in enumerate(comps):
+            _check(env, c, path + (f"par{i}",))
         return
     if isinstance(p, Output):
         t = _subject_type(env, p.subject, path, "Out", "o")
@@ -306,7 +313,7 @@ def _check(env: dict, p: Process, path: tuple):
     if isinstance(p, LetTuple):
         _check_success_binder(p.params, path, "With")
         body_frees = free_names(p.body) - set(p.params)
-        _shared_ok(env, value_names(p.scrutinee), body_frees, path, "With")
+        _shared_ok(env, value_names(p.scrutinee) & body_frees, path, "With")
         st = typecheck_value(env, p.scrutinee, path, "With")
         if isinstance(st, AnyType):
             comp = tuple(ANY for _ in p.params)
@@ -325,7 +332,7 @@ def _check(env: dict, p: Process, path: tuple):
         _check_success_binder((p.left_param, p.right_param), path, "Case")
         branch_frees = ((free_names(p.left_body) - {p.left_param})
                         | (free_names(p.right_body) - {p.right_param}))
-        _shared_ok(env, value_names(p.scrutinee), branch_frees, path, "Case")
+        _shared_ok(env, value_names(p.scrutinee) & branch_frees, path, "Case")
         st = typecheck_value(env, p.scrutinee, path, "Case")
         if isinstance(st, AnyType):
             lt = rt = ANY

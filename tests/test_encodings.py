@@ -57,6 +57,16 @@ def test_parse_alpi_rejects_junk():
             parse_alpi(src)
 
 
+def test_parse_alpi_success_header_reads_a_name():
+    # a bare header raised IndexError, and any token after "success" was
+    # taken as a success name, "(" included
+    for src in ("success", "success ( ; 0", "success ok", "success ; 0"):
+        with pytest.raises(ParseError):
+            parse_alpi(src)
+    p = parse_alpi("success ok; success _w ; ok!() | _w!()")
+    assert p.left.subject.kind == p.right.subject.kind == "success"
+
+
 def test_locality_flags_received_input_subject():
     p = parse_alpi("a(y).y(z).0")
     with pytest.raises(LocalityViolation):
@@ -274,6 +284,38 @@ def test_parse_stlc_rejects_junk():
     for src in ("", "\\x. x", "\\x:o x", "(x", "x )"):
         with pytest.raises(ParseError):
             parse_stlc(src)
+
+
+def test_front_end_errors_carry_a_position():
+    cases = [(parse_alpi, src) for src in (
+        "a!", "new(a) 0", "a(y)", "!a!(b)", "a(y).0 |", "success",
+        "a(y).0 )", "a $ b", "²!()", "new(a: ^x) 0")]
+    cases += [(parse_stlc, src) for src in (
+        "", "\\x. x", "\\x:o x", "(x", "x )", "x 1", "\\²:o. x")]
+    cases += [(parse_stlc_type, src) for src in ("", "o ->", "(o", "o o", "x")]
+    for parse, src in cases:
+        with pytest.raises(ParseError) as e:
+            parse(src)
+        assert e.value.line is not None and e.value.col is not None, src
+    with pytest.raises(ParseError) as e:
+        parse_alpi("a(y).0\n | b!() )")
+    assert (e.value.line, e.value.col) == (2, 9)
+
+
+@pytest.mark.parametrize("parse, src", [
+    (parse_alpi, "a(x)." * 2000 + "0"),
+    (parse_alpi, "(" * 2000 + "0" + ")" * 2000),
+    (parse_stlc, "(" * 2000 + "x" + ")" * 2000),
+    (parse_stlc, "\\x:o. " * 2000 + "x"),
+    (parse_stlc_type, "(" * 2000 + "o" + ")" * 2000),
+    (parse_stlc_type, "o -> " * 2000 + "o"),
+], ids=["alpi-prefix", "alpi-parens", "stlc-parens", "stlc-lambdas",
+        "type-parens", "type-arrows"])
+def test_deep_nesting_is_a_parse_error(parse, src):
+    # each raised RecursionError
+    with pytest.raises(ParseError, match="nested too deeply") as e:
+        parse(src)
+    assert e.value.line == 1 and e.value.col > 1
 
 
 def test_stlc_typing_errors():

@@ -381,6 +381,18 @@ def test_game_absorbs_a_message_once(monkeypatch):
     assert len(absorbed) == 2 and len(set(absorbed)) == 2
 
 
+def test_game_builds_one_target_for_two_copies_of_a_message(monkeypatch):
+    comp = state(proc("k!() | k!() | a(x).0"), frozenset())
+    game = _Game("internal", BisimConfig())
+    outs = [i for _, _, kind, i in game._std_moves(comp, 1) if kind == "out"]
+    assert len(outs) == 2
+    built = _record_states(monkeypatch)
+    first, second = (game._target(comp, i, 1) for i in outs)
+    assert first is second
+    # keying by transition index built it twice
+    assert built == [("a(_).0 | 0 | k!()", "")]
+
+
 def test_mutated_wire_distinguished_and_witnessed():
     env = tenv("a: o[unit]; k: o[unit]; c: o[o[unit]]")
     lhs = internalize(

@@ -399,6 +399,36 @@ def test_api_print_and_alpha_key_of_a_wide_par():
                                  + "|f:k!*)" * (width - 1))
 
 
+def test_lts_step_and_api_substitute_of_a_wide_par():
+    # each recursed down the | spine and raised RecursionError
+    width = 1500
+    p = parse_process(" | ".join(["k!()"] * width))
+    steps = lts_step(frozenset(), p)
+    assert len(steps) == width
+    assert {mu for mu, _ in steps} == {FreeOut(Name("k"), VUNIT)}
+    ap = _left_par([api.Output(Name("k"), VUNIT)] * width, api.Par)
+    assert len(api.lts_step(ap)) == width
+    q = api.substitute(ap, {Name("k"): VName(Name("m"))})
+    assert api.print_process(q) == " | ".join(["m!()"] * width)
+
+
+def test_explore_builds_a_free_output_target_once_per_label(monkeypatch):
+    calls = [0]
+    build = S.canonicalize
+
+    def counted(p):
+        calls[0] += 1
+        return build(p)
+
+    monkeypatch.setattr(S, "canonicalize", counted)
+    g = explore(frozenset(), parse_process(" | ".join(["k!()"] * 30)),
+                depth_bound=30)
+    # one call per state; building one target per edge made 466
+    assert calls[0] == 31
+    assert (len(g.nodes), len(g.edges), g.truncated) == (31, 465, False)
+    assert [dst for _, _, dst in g.edges[:30]] == [1] * 30
+
+
 def _api_nested_terms():
     par, res, out, nil = api.Par, api.Res, api.Output, api.NIL
     inp, rep = api.Input, api.RepInput
@@ -693,6 +723,11 @@ def test_parse_delta():
     assert S.parse_delta("") == frozenset()
     with pytest.raises(ValueError):
         S.parse_delta("a")
+    # names no process can contain: Name("a b"), Name("("), Name("b-c") and
+    # the keyword Name("new") were accepted
+    for bad in ("a b-c", "(-)", "a-b-c", "new-b", "a-", "a-b,"):
+        with pytest.raises(ValueError):
+            S.parse_delta(bad)
 
 
 def test_delta_names():

@@ -107,6 +107,25 @@ def test_comment_lines():
     assert isinstance(p, Par)
 
 
+def test_deep_prefix_round_trips_and_deeper_is_a_parse_error():
+    p = parse_process("".join(f"a(x{i})." for i in range(400)) + "k!()")
+    assert alpha_eq(p, parse_process(print_process(p)))
+    # 2,000 levels raised RecursionError
+    for src in ("a(x)." * 2000 + "0", "(" * 2000 + "0" + ")" * 2000):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_process(src)
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_value("inl " * 2000 + "x")
+
+
+def test_every_entry_point_rejects_trailing_input():
+    for parse, src in [(parse_process, "0 0"), (parse_value, "x y"),
+                       (parse_vtype, "unit unit"), (parse_file, "0 )")]:
+        with pytest.raises(ParseError, match="trailing input") as e:
+            parse(src)
+        assert (e.value.line, e.value.col) == (1, src.rindex(" ") + 2)
+
+
 def test_round_trip_seeded_bulk():
     rng = random.Random(20260819)
     for i in range(1000):

@@ -383,6 +383,18 @@ def test_error_reports_rule_and_path():
     assert isinstance(err.path, tuple)
 
 
+def test_wide_par_typechecks_and_keeps_the_one_input_check():
+    env = {Name("k"): parse_vtype("o[unit]")}
+    # a 1,500-way | raised RecursionError
+    assert typecheck(env, parse_process(" | ".join(["k!()"] * 1500)))
+    env[Name("a")] = parse_vtype("i[unit]")
+    for src in ("a(x).0 | k!() | a(y).0", "k!() | (a(x).0 | a(y).0)"):
+        v = typecheck(env, parse_process(src))
+        assert rules_of(v) == {"OneInputViolation"} and v.errors[0].path == ()
+    v = typecheck(env, parse_process("k!() | a(x).(b!() | k!())"))
+    assert rules_of(v) == {"Out"} and v.errors[0].path == ("par1", "body", "par0")
+
+
 # ---------------------------------------------------------------------------
 # generated coverage
 # ---------------------------------------------------------------------------
