@@ -264,12 +264,27 @@ def _akey_value(v, env):
     return "*"
 
 
-def _bind(env, counter, *names):
-    env = dict(env)
-    for n in names:
-        env[n] = f"b{counter[0]}"
-        counter[0] += 1
-    return env
+def _labels(counter, k):
+    """The next ``k`` binder labels; binders are numbered left to right."""
+    first = counter[0]
+    counter[0] += k
+    return [f"b{i}" for i in range(first, first + k)]
+
+
+def _bind(env, names, labels):
+    """Bind ``names`` to ``labels`` in place, so that no binder copies
+    ``env``; return the entries they shadow, which ``_unbind`` puts back."""
+    shadowed = [(n, env.get(n)) for n in names]
+    env.update(zip(names, labels))
+    return shadowed
+
+
+def _unbind(env, shadowed):
+    for n, old in reversed(shadowed):
+        if old is None:
+            del env[n]
+        else:
+            env[n] = old
 
 
 def _akey(p, env, counter):
@@ -289,23 +304,35 @@ def _akey(p, env, counter):
         return out
     if isinstance(p, (Input, RepInput)):
         bang = "!" if isinstance(p, RepInput) else ""
-        env2 = _bind(env, counter, p.param)
-        return f"{bang}{_akey_name(p.subject, env)}?.{_akey(p.body, env2, counter)}"
+        subject = _akey_name(p.subject, env)
+        shadowed = _bind(env, (p.param,), _labels(counter, 1))
+        body = _akey(p.body, env, counter)
+        _unbind(env, shadowed)
+        return f"{bang}{subject}?.{body}"
     if isinstance(p, Output):
         return f"{_akey_name(p.subject, env)}!{_akey_value(p.payload, env)}"
     if isinstance(p, Res):
-        env2 = _bind(env, counter, p.name)
-        return f"nu.{_akey(p.body, env2, counter)}"
+        shadowed = _bind(env, (p.name,), _labels(counter, 1))
+        body = _akey(p.body, env, counter)
+        _unbind(env, shadowed)
+        return f"nu.{body}"
     if isinstance(p, LetTuple):
         s = _akey_value(p.scrutinee, env)
-        env2 = _bind(env, counter, *p.params)
-        return f"let{len(p.params)} {s} in {_akey(p.body, env2, counter)}"
+        shadowed = _bind(env, p.params, _labels(counter, len(p.params)))
+        body = _akey(p.body, env, counter)
+        _unbind(env, shadowed)
+        return f"let{len(p.params)} {s} in {body}"
     if isinstance(p, Case):
+        # both branch binders are numbered before either branch is keyed
         s = _akey_value(p.scrutinee, env)
-        envl = _bind(env, counter, p.left_param)
-        envr = _bind(env, counter, p.right_param)
-        return (f"case {s} [{_akey(p.left_body, envl, counter)}]"
-                f"[{_akey(p.right_body, envr, counter)}]")
+        ll, lr = _labels(counter, 2)
+        shadowed = _bind(env, (p.left_param,), (ll,))
+        left = _akey(p.left_body, env, counter)
+        _unbind(env, shadowed)
+        shadowed = _bind(env, (p.right_param,), (lr,))
+        right = _akey(p.right_body, env, counter)
+        _unbind(env, shadowed)
+        return f"case {s} [{left}][{right}]"
     raise TypeError(f"not a process: {p!r}")
 
 

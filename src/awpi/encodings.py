@@ -14,6 +14,7 @@ names.
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import dataclass
 
 from . import api
@@ -418,19 +419,29 @@ def alpi_to_api(p: AlpiProcess) -> api.Process:
     raise TypeError(f"not a localised process: {p!r}")
 
 
-def _api_closure_iter(p: api.Process, budget: int, trunc: list, memo=None):
-    """Weak tau descendants in breadth-first order, lazily, each yielded as
-    ``(state, transitions)`` so that no caller steps a state again.
+def _api_step(table: dict, key: str, p: api.Process):
+    """The transitions of ``p``, whose alpha key is ``key``, as
+    ``(label, target, target key)`` triples, through ``table``: each
+    alpha key is stepped, and each of its targets keyed, once per table.
+    ``_api_weak_sim`` says why one table may serve alpha-equivalent
+    states."""
+    moves = table.get(key)
+    if moves is None:
+        moves = table[key] = [(mu, q, api.alpha_key(q))
+                              for mu, q in api.lts_step(p)]
+    return moves
+
+
+def _api_closure_iter(p: api.Process, key: str, budget: int, trunc: list,
+                      table: dict):
+    """Weak tau descendants of ``p`` (alpha key ``key``) in breadth-first
+    order, lazily, each yielded as ``(state, key, transitions)`` so that no
+    caller steps or keys a state again.
 
     The image of a replicated input can regenerate requests without bound,
     so closures must not be materialised eagerly; callers stop at the
     first useful state.  ``trunc[0]`` is set when the budget cuts the walk.
-    ``memo``, when given, maps alpha keys to transitions and is shared
-    with the caller (see ``_api_weak_sim``).
     """
-    from collections import deque
-
-    key = api.alpha_key(p)
     seen = {key}
     queue = deque(((key, p),))
     count = 0
@@ -440,78 +451,71 @@ def _api_closure_iter(p: api.Process, budget: int, trunc: list, memo=None):
             return
         key, cur = queue.popleft()
         count += 1
-        moves = _api_moves(cur, key, memo)
-        yield cur, moves
-        for mu, q in moves:
-            if not isinstance(mu, api.TauLabel):
-                continue
-            k = api.alpha_key(q)
-            if k not in seen:
+        moves = _api_step(table, key, cur)
+        yield cur, key, moves
+        for mu, q, k in moves:
+            if isinstance(mu, api.TauLabel) and k not in seen:
                 seen.add(k)
                 queue.append((k, q))
 
 
-def _api_moves(p: api.Process, key: str, memo):
-    """The transitions of ``p``, whose alpha key is ``key``, through
-    ``memo`` when one is given."""
-    if memo is None:
-        return api.lts_step(p)
-    if key not in memo:
-        memo[key] = api.lts_step(p)
-    return memo[key]
-
-
-def _api_weak_after_iter(p: api.Process, mu, budget: int, trunc: list, memo):
+def _api_weak_after_iter(p: api.Process, key: str, mu, budget: int,
+                         trunc: list, table: dict):
+    """The distinct weak ``mu``-descendants of ``p`` as ``(state, key)``."""
     if isinstance(mu, api.TauLabel):
-        for p1, _moves in _api_closure_iter(p, budget, trunc, memo):
-            yield p1
+        for p1, k1, _moves in _api_closure_iter(p, key, budget, trunc, table):
+            yield p1, k1
         return
     want = repr(mu)
     keys = set()
-    for _p1, moves in _api_closure_iter(p, budget, trunc, memo):
-        for mv, p2 in moves:
+    for _p1, _k1, moves in _api_closure_iter(p, key, budget, trunc, table):
+        for mv, p2, k2 in moves:
             if isinstance(mv, api.TauLabel) or repr(mv) != want:
                 continue
-            for p3, _moves in _api_closure_iter(p2, budget, trunc, memo):
-                k = api.alpha_key(p3)
-                if k not in keys:
-                    keys.add(k)
-                    yield p3
+            for p3, k3, _moves in _api_closure_iter(p2, k2, budget, trunc,
+                                                    table):
+                if k3 not in keys:
+                    keys.add(k3)
+                    yield p3, k3
 
 
-def _api_weak_sim(p: api.Process, q: api.Process, cfg: BisimConfig):
+def _api_weak_sim(p: api.Process, q: api.Process, cfg: BisimConfig,
+                  table: dict = None):
     """Does ``q`` weakly simulate ``p``?  Three-valued and bounded.
 
-    The game and its closures share one memo from alpha key to
-    transitions, so each state is stepped at most once per call.  That is
-    sound because the processes compared are closed (the entry point
-    raises ``NotClosed`` otherwise), so their labels are tau or outputs on
-    success names: alpha-equivalent states then have the same labels and
-    alpha-equivalent targets.
+    The game and its closures step states through one table from alpha
+    key to transitions, each stored with its target's alpha key, so each
+    state is stepped and keyed at most once per table.  That is sound
+    because the processes compared are closed (the entry point raises
+    ``NotClosed`` otherwise), so their labels are tau or outputs on
+    success names: alpha-equivalent states then have the same labels, in
+    the same order, and alpha-equivalent targets.  The argument does not
+    depend on which process or which direction first stepped a key, so
+    ``check_alpi_correspondence`` passes one ``table`` to both directions
+    and both barb walks.
     """
+    table = {} if table is None else table
     memo = {}
-    moves = {}
     calls = [0]
 
-    def play(a, b, n):
+    def play(a, ka, b, kb, n):
         if n == 0:
             return True
         calls[0] += 1
         if calls[0] > cfg.state_budget:
             return None
-        ka = api.alpha_key(a)
-        key = (ka, api.alpha_key(b), n)
+        key = (ka, kb, n)
         if key in memo:
             return memo[key]
         memo[key] = True
         result = True
-        for mu, a2 in _api_moves(a, ka, moves):
+        for mu, a2, ka2 in _api_step(table, ka, a):
             trunc = [False]
             matched = False
             saw_open = False
-            for b2 in _api_weak_after_iter(b, mu, cfg.tau_budget, trunc,
-                                           moves):
-                sub = play(a2, b2, n - 1)
+            for b2, kb2 in _api_weak_after_iter(b, kb, mu, cfg.tau_budget,
+                                                trunc, table):
+                sub = play(a2, ka2, b2, kb2, n - 1)
                 if sub is True:
                     matched = True
                     break
@@ -524,16 +528,31 @@ def _api_weak_sim(p: api.Process, q: api.Process, cfg: BisimConfig):
         memo[key] = result
         return result
 
-    return play(p, q, cfg.depth)
+    return play(p, api.alpha_key(p), q, api.alpha_key(q), cfg.depth)
 
 
-def _api_weak_barbs(p: api.Process, budget: int):
+def _api_weak_barbs(p: api.Process, budget: int, table: dict = None):
+    """The success barbs of the closed ``p`` after any number of tau steps,
+    and whether the tau budget cut the walk short.
+
+    The walk stops as soon as its barbs are all the success names free in
+    ``p``, and then reports ``truncated = False``.  That answer is exact: a
+    tau step never adds a free name, so no state of the walk can show a
+    barb on a name outside that set.  When ``p`` has no free success name,
+    the walk stops after its first state.  ``table`` is as in
+    ``_api_weak_sim``.
+    """
+    possible = {str(n) for n in api.free_names(p) if n.kind == SUCCESS}
+    table = {} if table is None else table
     trunc = [False]
     barbs = set()
-    for _s, moves in _api_closure_iter(p, budget, trunc):
-        for mu, _t in moves:
+    for _s, _k, moves in _api_closure_iter(p, api.alpha_key(p), budget, trunc,
+                                           table):
+        for mu, _t, _kt in moves:
             if isinstance(mu, api.OutLabel) and mu.subject.kind == SUCCESS:
                 barbs.add(str(mu.subject))
+        if barbs == possible:
+            return frozenset(barbs), False
     return frozenset(barbs), trunc[0]
 
 
@@ -544,7 +563,13 @@ def check_alpi_correspondence(p: AlpiProcess, cfg: BisimConfig = None) -> Verdic
     asynchronous calculus; the image runs on the workbench semantics and
     is erased to the same calculus.  The verdict combines a weak
     simulation game in each direction with a comparison of the weak
-    success barbs.
+    success barbs.  The four walks share one state table, so each alpha
+    class of states is stepped and keyed once per call.
+
+    A barb walk that has seen every free success name stops there, and
+    its answer is exact, not truncated.  So ``barbs_open`` can only become
+    more precise: an ``inconclusive`` verdict may become exact, but
+    ``equivalent`` and ``distinguished`` never swap.
     """
     cfg = cfg or BisimConfig()
     for n in alpi_free_names(p):
@@ -554,10 +579,11 @@ def check_alpi_correspondence(p: AlpiProcess, cfg: BisimConfig = None) -> Verdic
     image = encode_alpi(p, {})
     erased = erase_to_api(Composite(canonical_process(image), frozenset()))
 
-    fwd = _api_weak_sim(direct, erased, cfg)
-    bwd = _api_weak_sim(erased, direct, cfg)
-    barbs_d, tr_d = _api_weak_barbs(direct, cfg.tau_budget)
-    barbs_e, tr_e = _api_weak_barbs(erased, cfg.tau_budget)
+    table = {}
+    fwd = _api_weak_sim(direct, erased, cfg, table)
+    bwd = _api_weak_sim(erased, direct, cfg, table)
+    barbs_d, tr_d = _api_weak_barbs(direct, cfg.tau_budget, table)
+    barbs_e, tr_e = _api_weak_barbs(erased, cfg.tau_budget, table)
 
     def word(v):
         return "equivalent" if v is True else (

@@ -625,7 +625,15 @@ def erase_to_api(comp: Composite) -> api.Process:
         if isinstance(p, Nil):
             return api.NIL
         if isinstance(p, Par):
-            return api.Par(go(p.left, m), go(p.right, m))
+            # walk the left | spine in a loop, keeping its left-nested shape
+            rights = []
+            while isinstance(p, Par):
+                rights.append(p.right)
+                p = p.left
+            out = go(p, m)
+            for r in reversed(rights):
+                out = api.Par(out, go(r, m))
+            return out
         if isinstance(p, Input):
             return api.Input(m.get(p.subject, p.subject), p.param, go(p.body, m))
         if isinstance(p, RepInput):

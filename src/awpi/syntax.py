@@ -472,13 +472,22 @@ def _alpha_value(v, w, envl, envr) -> bool:
 
 
 def _alpha_bind(names_l, names_r, envl, envr, counter):
-    envl = dict(envl)
-    envr = dict(envr)
+    """Bind each pair of binders to the next number, in place; return the
+    entries they shadow, which ``_alpha_unbind`` puts back."""
+    undo = []
     for a, b in zip(names_l, names_r):
+        undo += ((envl, a, envl.get(a)), (envr, b, envr.get(b)))
         counter[0] += 1
-        envl[a] = counter[0]
-        envr[b] = counter[0]
-    return envl, envr
+        envl[a] = envr[b] = counter[0]
+    return undo
+
+
+def _alpha_unbind(undo):
+    for env, n, old in reversed(undo):
+        if old is None:
+            del env[n]
+        else:
+            env[n] = old
 
 
 def _alpha(p, q, envl, envr, counter) -> bool:
@@ -496,33 +505,38 @@ def _alpha(p, q, envl, envr, counter) -> bool:
     if isinstance(p, Output):
         return (_alpha_name(p.subject, q.subject, envl, envr)
                 and _alpha_value(p.payload, q.payload, envl, envr))
+    # the scopes a binder opens, each as (left binders, right binders,
+    # left body, right body), compared in order
     if isinstance(p, (Input, RepInput)):
         if not _alpha_name(p.subject, q.subject, envl, envr):
             return False
-        el, er = _alpha_bind((p.param,), (q.param,), envl, envr, counter)
-        return _alpha(p.body, q.body, el, er, counter)
-    if isinstance(p, Res):
+        scopes = (((p.param,), (q.param,), p.body, q.body),)
+    elif isinstance(p, Res):
         if p.in_type != q.in_type:
             return False
-        el, er = _alpha_bind((p.in_name, p.out_name), (q.in_name, q.out_name),
-                             envl, envr, counter)
-        return _alpha(p.body, q.body, el, er, counter)
-    if isinstance(p, LetTuple):
+        scopes = (((p.in_name, p.out_name), (q.in_name, q.out_name),
+                   p.body, q.body),)
+    elif isinstance(p, LetTuple):
         if len(p.params) != len(q.params):
             return False
         if not _alpha_value(p.scrutinee, q.scrutinee, envl, envr):
             return False
-        el, er = _alpha_bind(p.params, q.params, envl, envr, counter)
-        return _alpha(p.body, q.body, el, er, counter)
-    if isinstance(p, Case):
+        scopes = ((p.params, q.params, p.body, q.body),)
+    elif isinstance(p, Case):
         if not _alpha_value(p.scrutinee, q.scrutinee, envl, envr):
             return False
-        el, er = _alpha_bind((p.left_param,), (q.left_param,), envl, envr, counter)
-        if not _alpha(p.left_body, q.left_body, el, er, counter):
+        scopes = (((p.left_param,), (q.left_param,), p.left_body, q.left_body),
+                  ((p.right_param,), (q.right_param,), p.right_body,
+                   q.right_body))
+    else:
+        raise TypeError(f"not a process: {p!r}")
+    for names_l, names_r, body_l, body_r in scopes:
+        undo = _alpha_bind(names_l, names_r, envl, envr, counter)
+        same = _alpha(body_l, body_r, envl, envr, counter)
+        _alpha_unbind(undo)
+        if not same:
             return False
-        el, er = _alpha_bind((p.right_param,), (q.right_param,), envl, envr, counter)
-        return _alpha(p.right_body, q.right_body, el, er, counter)
-    raise TypeError(f"not a process: {p!r}")
+    return True
 
 
 # ---------------------------------------------------------------------------

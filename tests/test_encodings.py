@@ -211,13 +211,20 @@ def test_api_weak_sim_distinguishes():
     assert _api_weak_sim(ok, ok, cfg) is True
 
 
-def _replication_pair():
-    """The replication fixture's source and its erased image, built as
+def _api_pair(p):
+    """The source ``p`` and its erased image, built as
     ``check_alpi_correspondence`` builds them."""
-    (src,) = [s for name, s, _b in FIXTURES if name == "replication"]
-    p = parse_alpi(src)
     image = canonical_process(encode_alpi(p, {}))
     return alpi_to_api(p), erase_to_api(Composite(image, frozenset()))
+
+
+def _replication_source():
+    (src,) = [s for name, s, _b in FIXTURES if name == "replication"]
+    return parse_alpi(src)
+
+
+def _replication_pair():
+    return _api_pair(_replication_source())
 
 
 def _record_steps(monkeypatch):
@@ -250,11 +257,38 @@ def test_api_weak_sim_steps_each_state_once(monkeypatch):
 
 
 def test_api_weak_barbs_steps_each_visited_state_once(monkeypatch):
-    _direct, erased = _replication_pair()
+    # beside a stuck ``err`` the replication image never shows every free
+    # success name, so its walk runs to the tau budget
+    _direct, erased = _api_pair(parse_alpi(
+        "success ok; success err; new(a: ^unit)( a!() | a!() | !a(y).ok!() )"
+        " | new(c: ^unit)( c(z).err!() )"))
     keys = _record_steps(monkeypatch)
     barbs, truncated = _api_weak_barbs(erased, 400)
     assert barbs == {"ok"} and truncated
     assert len(keys) == len(set(keys)) == 400
+
+
+def test_api_weak_barbs_stops_once_every_success_name_is_seen(monkeypatch):
+    _direct, erased = _replication_pair()
+    keys = _record_steps(monkeypatch)
+    assert _api_weak_barbs(erased, 400) == ({"ok"}, False)
+    assert len(keys) <= 40
+
+
+def test_api_weak_barbs_without_success_names_steps_once(monkeypatch):
+    loop = alpi_to_api(parse_alpi("new(a: ^unit)( a!() | !a(y).a!() )"))
+    keys = _record_steps(monkeypatch)
+    assert _api_weak_barbs(loop, 400) == (frozenset(), False)
+    assert len(keys) == 1
+
+
+def test_correspondence_steps_each_state_once(monkeypatch):
+    # both simulation directions and both barb walks share one state table
+    keys = _record_steps(monkeypatch)
+    v = check_alpi_correspondence(_replication_source(),
+                                  BisimConfig(depth=6, tau_budget=400))
+    assert v.equivalent
+    assert keys and len(keys) == len(set(keys))
 
 
 # ---------------------------------------------------------------------------

@@ -412,6 +412,16 @@ def test_lts_step_and_api_substitute_of_a_wide_par():
     assert api.print_process(q) == " | ".join(["m!()"] * width)
 
 
+def test_erase_to_api_of_a_wide_par():
+    # recursed down the | spine and raised RecursionError
+    width = 1500
+    p = parse_process(" | ".join(["k!()"] * width))
+    ap = erase_to_api(Composite(p, frozenset()))
+    assert api.print_process(ap) == " | ".join(["k!()"] * width)
+    assert api.alpha_key(ap) == api.alpha_key(
+        _left_par([api.Output(Name("k"), VUNIT)] * width, api.Par))
+
+
 def test_explore_builds_a_free_output_target_once_per_label(monkeypatch):
     calls = [0]
     build = S.canonicalize
@@ -458,6 +468,20 @@ def test_api_print_and_alpha_key_of_nested_terms_are_unchanged():
     got = [(api.print_process(t), api.alpha_key(t))
            for t in _api_nested_terms()]
     assert got == expected
+
+
+def test_api_alpha_key_scopes_end_at_their_body():
+    # binders are bound in place: an inner binder of the same name shadows
+    # the outer one in its own body only, and a free use after a binder's
+    # body stays free
+    a, b, x = Name("a"), Name("b"), Name("x")
+    out = api.Output(x, VUNIT)
+    t = api.Input(a, x, api.Par(api.Input(x, x, out), out))
+    assert api.alpha_key(api.Par(t, api.Output(b, VName(x)))) == \
+        "(f:a?.(b0?.b1!*|b0!*)|f:b!f:x)"
+    case = api.Case(VName(b), x, out, x, api.Par(out, api.Res(x, out)))
+    assert api.alpha_key(api.Par(case, out)) == \
+        "(case f:b [b0!*][(b1!*|nu.b2!*)]|f:x!*)"
 
 
 # ---------------------------------------------------------------------------

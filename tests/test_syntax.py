@@ -217,6 +217,17 @@ def test_alpha_eq_basic():
                         parse_process("new(n: li[unit], m) n(x).0"))
 
 
+def test_alpha_eq_scopes_end_at_their_body():
+    # binders are bound in place: an inner binder of the same name shadows
+    # the outer one in its own body only (a | compares its right operand
+    # first, so each left operand here is read after a scope has closed)
+    p = parse_process("x!() | a(x).(x!() | x(x).x!())")
+    assert alpha_eq(p, parse_process("x!() | a(y).(y!() | y(z).z!())"))
+    assert not alpha_eq(p, parse_process("x!() | a(y).(z!() | y(z).z!())"))
+    assert not alpha_eq(p, parse_process("x!() | a(y).(y!() | y(z).y!())"))
+    assert not alpha_eq(p, parse_process("y!() | a(y).(y!() | y(z).z!())"))
+
+
 def test_alpha_eq_is_not_commutativity():
     assert not alpha_eq(parse_process("a!() | b!()"), parse_process("b!() | a!()"))
 
