@@ -704,10 +704,9 @@ def replay_witness(p: Process, q: Process, verdict: Verdict,
     """
     if not verdict.distinguished or not verdict.witness:
         return False
-    cfg = BisimConfig(
-        depth=verdict.bounds.get("depth", 6),
-        tau_budget=verdict.bounds.get("tau_budget", 300),
-        state_budget=verdict.bounds.get("state_budget", 4000))
+    cfg = replace(BisimConfig(), **{
+        k: verdict.bounds[k] for k in ("depth", "tau_budget", "state_budget")
+        if k in verdict.bounds})
     game = _Game(verdict.bounds.get("method", "weak"), cfg, env)
     a = state(p, delta)
     b = state(q, delta)

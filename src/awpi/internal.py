@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from .syntax import (
     Case, ChanType, Input, LetTuple, Name, Nil, OUTPUT_MODES, Output, Par,
     Process, RepInput, Res, TupleType, SumType, UNIT, VInl, VInr, VName,
-    VTuple, VUnit, Value, ValueType, bound_names, free_names,
+    VTuple, VUnit, Value, ValueType, _par_list, _split_chain, bound_names,
+    free_names,
 )
 from .typecheck import ANY, dual
 
@@ -257,23 +258,6 @@ def is_internal(p: Process, env) -> bool:
     return _chk(p, dict(env))
 
 
-def _region(p):
-    pairs = []
-    while isinstance(p, Res):
-        pairs.append((p.in_name, p.out_name, p.in_type))
-        p = p.body
-    atoms = []
-    stack = [p]
-    while stack:
-        q = stack.pop()
-        if isinstance(q, Par):
-            stack.append(q.right)
-            stack.append(q.left)
-        else:
-            atoms.append(q)
-    return pairs, atoms
-
-
 def _occ_in_value(v: Value, m: Name) -> int:
     if isinstance(v, VName):
         return 1 if v.name == m else 0
@@ -317,7 +301,8 @@ def _payload_occurrences(p: Process, m: Name) -> int:
 
 
 def _chk(p: Process, env) -> bool:
-    pairs, atoms = _region(p)
+    pairs, core = _split_chain(p)
+    atoms = _par_list(core)
     env = dict(env)
     in_of = {}
     out_of = {}

@@ -1,6 +1,10 @@
 """Operational semantics: reduction, barbs, the connection-set LTS,
-composite processes, weak transitions, state-space exploration, and the
-erasure into the ordinary asynchronous pi-calculus.
+composite processes, one bounded closure walk, state-space exploration,
+and the erasure into the ordinary asynchronous pi-calculus.
+
+:func:`closure` is the one bounded tau/reduction walk: :func:`weak_barbs`
+runs it over reducts, and the games in ``equivalence`` run it over the
+tau transitions of their states to build weak moves.
 
 Two independent routes to dynamics are kept deliberately separate:
 
@@ -349,12 +353,6 @@ def composite_step(comp: Composite):
     return out
 
 
-def tau_steps(comp: Composite):
-    """Targets of the tau transitions of ``comp``, as states."""
-    return [state(q.process, q.delta) for mu, q in composite_step(comp)
-            if isinstance(mu, Tau)]
-
-
 # ---------------------------------------------------------------------------
 # Bounded closure
 # ---------------------------------------------------------------------------
@@ -363,19 +361,24 @@ def closure(start, successors, budget: int):
     """Everything reachable from ``start`` through ``successors``.
 
     States are identified by their ``key`` (composites, canonical forms).
-    The search is depth first and expands a state only while fewer than
+    The search is breadth first and expands a state only while fewer than
     ``budget`` states are known.  Returns ``key -> state`` in insertion
     order (``start`` first) and whether the budget cut the search short.
+
+    Breadth first, because a process that keeps regenerating work, as a
+    replicated server fed by its own requests, has an unbounded path of
+    ever larger states: a depth-first walk follows that path until the
+    budget fires and never reaches the states a few steps off it.
     """
     seen = {start.key: start}
-    stack = [start]
-    while stack:
+    queue = deque((start,))
+    while queue:
         if len(seen) >= budget:
             return seen, True
-        for nxt in successors(stack.pop()):
+        for nxt in successors(queue.popleft()):
             if nxt.key not in seen:
                 seen[nxt.key] = nxt
-                stack.append(nxt)
+                queue.append(nxt)
     return seen, False
 
 
@@ -455,12 +458,6 @@ class NameSet(frozenset):
     truncated = False
 
 
-class ProcessSet(frozenset):
-    """Set of processes; ``truncated`` marks an exhausted search budget."""
-
-    truncated = False
-
-
 def canonical_barbs(canon: Process) -> frozenset:
     """Success names with an unguarded output in a canonical process."""
     _, core = _split_chain(canon)
@@ -476,78 +473,31 @@ def strong_barbs(p: Process) -> NameSet:
 
 def weak_barbs(p: Process, budget: int = 2000) -> NameSet:
     """Union of strong barbs over reducts reachable within the budget
-    (``truncated`` when the budget cut the search short)."""
-    reach, truncated = closure(canonicalize(p), reducts, budget)
-    barbs = NameSet(n for r in reach.values()
-                    for n in canonical_barbs(r.process))
-    barbs.truncated = truncated
-    return barbs
+    (``truncated`` when the budget cut the search short).
 
-
-# ---------------------------------------------------------------------------
-# Weak transitions
-# ---------------------------------------------------------------------------
-
-def _process_set(states, truncated: bool) -> ProcessSet:
-    res = ProcessSet(s.process for s in states)
-    res.truncated = truncated
-    return res
-
-
-def weak_closure(delta, p: Process, budget: int = 2000) -> ProcessSet:
-    """Processes reachable by tau transitions, canonical, budget-bounded."""
-    reach, truncated = closure(state(p, delta), tau_steps, budget)
-    return _process_set(reach.values(), truncated)
-
-
-def match_label(mu: Label, ell: Label):
-    """Match ``mu`` against requested ``ell`` up to bound-name renaming.
-
-    Returns a rename map (possibly empty) to apply to mu's target, or None
-    if the labels differ.
+    The walk is :func:`closure`, so breadth first, and it stops once it
+    has seen every success name free in ``p``: from then on its successor
+    function returns nothing, and the answer is not truncated.  That is
+    exact, because a reduction never adds a free name, so no reduct can
+    show a barb outside that set.
     """
-    if type(mu) is not type(ell):
-        return None
-    if isinstance(mu, Tau):
-        return {}
-    if isinstance(mu, In):
-        if mu.subject != ell.subject:
-            return None
-        return {} if mu.param == ell.param else {mu.param: ell.param}
-    if isinstance(mu, FreeOut):
-        return {} if (mu.subject == ell.subject and mu.payload == ell.payload) else None
-    if isinstance(mu, BoundOut):
-        if (mu.subject != ell.subject or mu.in_type != ell.in_type
-                or mu.exported_is_input != ell.exported_is_input):
-            return None
-        ren = {}
-        if mu.exported != ell.exported:
-            ren[mu.exported] = ell.exported
-        if mu.companion != ell.companion:
-            ren[mu.companion] = ell.companion
-        return ren
-    raise TypeError(f"not a label: {mu!r}")
+    start = canonicalize(p)
+    possible = frozenset(n for n in free_names(start.process)
+                         if n.kind == SUCCESS)
+    seen = set(canonical_barbs(start.process))
 
+    def successors(c):
+        if seen == possible:
+            return ()
+        out = reducts(c)
+        for r in out:
+            seen.update(canonical_barbs(r.process))
+        return out
 
-def weak_transitions(delta, p: Process, ell: Label, budget: int = 2000) -> ProcessSet:
-    """Targets of tau* ell tau* (tau* alone when ell is Tau)."""
-    pre, truncated = closure(state(p, delta), tau_steps, budget)
-    if isinstance(ell, Tau):
-        return _process_set(pre.values(), truncated)
-    mids = {}
-    for q in pre.values():
-        for mu, r in lts_step(q.delta, q.process):
-            ren = match_label(mu, ell)
-            if ren is None:
-                continue
-            m = state(rename_free(r, ren) if ren else r, q.delta)
-            mids[m.key] = m
-    out = {}
-    for m in mids.values():
-        post, t = closure(m, tau_steps, budget)
-        truncated = truncated or t
-        out.update(post)
-    return _process_set(out.values(), truncated)
+    _, truncated = closure(start, successors, budget)
+    barbs = NameSet(seen)
+    barbs.truncated = truncated and seen != possible
+    return barbs
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Equivalence checkers: games, the algebraic law corpus, witnesses."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -8,8 +9,10 @@ import pytest
 
 import awpi
 from awpi.syntax import (
-    Name, VUNIT, canonicalize, parse_file, parse_process, parse_vtype,
+    Name, VUNIT, canonical_process, canonicalize, parse_file, parse_process,
+    parse_vtype,
 )
+from awpi.encodings import encode_alpi, parse_alpi
 from awpi.internal import internalize
 from awpi.semantics import Composite, delta_key, erase_to_api, state
 from awpi import api
@@ -126,6 +129,25 @@ def test_barbed_shown_barb_ends_the_play():
     assert [(s.label, s.defender_after) for s in v.witness] == [
         ("tau", "ok!()@"), ("err!()", None)]
     assert replay_witness(p, q, v)
+
+
+def test_barbed_reaches_the_barb_of_a_regenerating_image():
+    # the compiled image's server keeps issuing requests; the ok barb is a
+    # few reductions off that path, past a depth-first tau walk's budget
+    image = canonical_process(encode_alpi(parse_alpi(
+        "success ok; new(a: ^unit)( a!() | a!() | !a(y).ok!() )"), {}))
+    v = barbed_bisim(proc("success ok; ok!()"), image,
+                     BisimConfig(depth=1, tau_budget=100))
+    assert v.equivalent
+
+
+def test_replay_reads_missing_bounds_from_the_config_defaults():
+    p = proc("success ok; success err; ok!()")
+    q = proc("success ok; success err; err!()")
+    v = barbed_bisim(p, q)
+    assert v.distinguished
+    bare = dataclasses.replace(v, bounds={"method": "barbed"})
+    assert replay_witness(p, q, bare)
 
 
 BARBED_CHOICE_SCRIPT = """

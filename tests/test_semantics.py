@@ -11,9 +11,10 @@ from awpi import api
 from awpi import semantics as S
 from awpi.semantics import (
     BoundOut, Composite, FreeOut, In, Tau, TAU, composite_step, erase_label,
-    erase_to_api, explore, lts_step, match_label, reduce, strong_barbs,
-    weak_barbs, weak_closure, weak_transitions,
+    closure, erase_to_api, explore, lts_step, reduce, strong_barbs,
+    weak_barbs,
 )
+from awpi.encodings import _api_weak_barbs, encode_alpi, parse_alpi
 
 from gen_typed import random_typed
 from oracles import enumerate_core
@@ -150,10 +151,61 @@ def test_weak_barbs_of_internal_choice():
 
 
 def test_weak_barbs_budget_truncation():
-    p = proc("new(a: i[unit], b) (!a(x).(b!() | b!()) | b!())")
+    # the requests regenerate without end, and the guarded ok never fires
+    p = proc("new(a: i[unit], b) (!a(x).(b!() | b!()) | b!()) "
+             "| new(c: i[unit], d) c(y).ok!()", success=("ok",))
     wb = weak_barbs(p, budget=6)
     assert wb.truncated
     assert wb == frozenset()
+
+
+def test_weak_barbs_without_success_names_is_exact():
+    p = proc("new(a: i[unit], b) (!a(x).(b!() | b!()) | b!())")
+    wb = weak_barbs(p, budget=6)
+    assert wb == frozenset() and not wb.truncated
+
+
+REPLICATION_IMAGE = canonical_process(encode_alpi(parse_alpi(
+    "success ok; new(a: ^unit)( a!() | a!() | !a(y).ok!() )"), {}))
+
+
+@pytest.mark.parametrize("budget", [25, 2000])
+def test_weak_barbs_find_the_barb_of_a_regenerating_image(budget):
+    # the image's replicated server keeps issuing requests; a depth-first
+    # walk follows them until the budget fires and never sees the barb
+    wb = weak_barbs(REPLICATION_IMAGE, budget=budget)
+    assert {str(n) for n in wb} == {"ok"}
+    assert not wb.truncated
+
+
+def test_weak_barbs_stop_once_every_success_name_is_seen(monkeypatch):
+    calls = []
+    real = S.reducts
+    monkeypatch.setattr(S, "reducts", lambda c: calls.append(c) or real(c))
+    p = proc("new(a: i[unit], b) ( a(x).ok!() | b!() "
+             "| !a(y).(b!() | b!()) )", success=("ok",))
+    wb = weak_barbs(p)
+    assert {str(n) for n in wb} == {"ok"} and not wb.truncated
+    assert len(calls) == 1
+
+
+def test_weak_barbs_agree_with_the_reference_route():
+    """On closed enumerated processes (the free output renamed to a
+    success name), the reduction route's weak barbs equal the reference
+    LTS's wherever neither walk was cut short."""
+    ok = parse_process("ok!()", success=("ok",)).subject
+    compared = shown = 0
+    for p in enumerate_core(6, in_frees=()):
+        p = rename_free(p, {Name("b"): ok})
+        wb = weak_barbs(p, budget=50)
+        erased = erase_to_api(Composite(p, frozenset()))
+        barbs, truncated = _api_weak_barbs(erased, 50)
+        if wb.truncated or truncated:
+            continue
+        assert {str(n) for n in wb} == barbs, print_process(p)
+        compared += 1
+        shown += bool(barbs)
+    assert compared > 2000 and 0 < shown < compared
 
 
 # ---------------------------------------------------------------------------
@@ -243,14 +295,6 @@ def test_lts_destructors_fire_silently():
     ((mu, q),) = lts_step(frozenset(),
                           proc("case inr c { inl x -> 0; inr y -> y!() }"))
     assert mu == TAU and q == proc("c!()")
-
-
-def test_match_label_renames_bound_names():
-    mu = In(Name("a"), Name("x"))
-    ell = In(Name("a"), Name("z"))
-    assert match_label(mu, ell) == {Name("x"): Name("z")}
-    assert match_label(mu, In(Name("b"), Name("x"))) is None
-    assert match_label(TAU, TAU) == {}
 
 
 # ---------------------------------------------------------------------------
@@ -588,38 +632,28 @@ def test_explore_edges_replay():
 
 
 # ---------------------------------------------------------------------------
-# weak machinery
+# bounded closure
 # ---------------------------------------------------------------------------
 
-def test_weak_closure_collects_tau_reachables():
-    p = proc("new(a: i[unit], b) ( a(x).c!(x) | b!() )")
-    wc = weak_closure(frozenset(), p)
-    assert keys(wc) == keys([p, proc("c!()")])
-    assert not wc.truncated
+class _Node:
+    def __init__(self, key):
+        self.key = key
 
 
-def test_weak_closure_budget():
-    p = proc("new(a: i[unit], b) (!a(x).(b!() | b!()) | b!())")
-    wc = weak_closure(frozenset(), p, budget=4)
-    assert wc.truncated
+def test_closure_is_breadth_first():
+    # a path that regenerates work forever next to a state one step away
+    succ = {"s": ["near", "deep1"], "near": ["done"]}
 
+    def successors(n):
+        k = n.key
+        if k.startswith("deep"):
+            return [_Node("deep" + str(int(k[4:]) + 1))]
+        return [_Node(x) for x in succ.get(k, [])]
 
-def test_weak_transitions_through_taus():
-    p = proc("new(a: i[unit], b) ( a(x).c!(x) | b!() )")
-    wt = weak_transitions(frozenset(), p, FreeOut(Name("c"), VUNIT))
-    assert keys(wt) == keys([proc("0")])
-
-
-def test_weak_transitions_renames_bound_names():
-    p = proc("a(x).x!()")
-    wt = weak_transitions(frozenset(), p, In(Name("a"), Name("z")))
-    assert keys(wt) == keys([proc("z!()")])
-
-
-def test_weak_transitions_tau_is_closure():
-    p = proc("new(a: i[unit], b) ( a(x).0 | b!() )")
-    assert keys(weak_transitions(frozenset(), p, TAU)) == \
-        keys([p, proc("0")])
+    reach, truncated = closure(_Node("s"), successors, 5)
+    # depth first, the walk would follow deep1, deep2, ... and miss done
+    assert list(reach) == ["s", "near", "deep1", "done", "deep2"]
+    assert truncated
 
 
 # ---------------------------------------------------------------------------
