@@ -14,11 +14,16 @@ carries a trace that :func:`replay_witness` can re-validate.
 
 Names introduced during a play (input parameters, exported ends) are
 renamed to reserved ``%``-names indexed by the play depth, so the two
-sides agree on labels without a nominal state-space construction.
+sides agree on labels without a nominal state-space construction.  The
+game's memo is keyed by position, up to those names, and a
+``distinguished`` witness is read off it by one walk from the root.
 """
 
 from __future__ import annotations
 
+import math
+import re
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -54,6 +59,12 @@ INCONCLUSIVE = "inconclusive"
 
 @dataclass(frozen=True)
 class BisimConfig:
+    """Bounds of a check.  ``depth``: rounds of the game and of the
+    correspondence check's simulation.  ``tau_budget``: states of each weak
+    closure.  ``state_budget``: only :func:`strong_bisim`'s :func:`explore`
+    and the play count of ``encodings._api_weak_sim``; the game ignores it.
+    """
+
     depth: int = 6
     tau_budget: int = 300
     state_budget: int = 4000
@@ -99,67 +110,40 @@ def _label_key(mu) -> str:
     return str(mu)
 
 
-def _value_shapes(t):
-    """Observer value skeletons at a payload type, one per sum choice.
-
-    None means the type does not pin the shape down (wildcards), in which
-    case the game falls back to an opaque parameter.
-    """
+def _ground_variants(t, d, k=0):
+    """Concrete inputs an observer can feed at payload type ``t``, one per
+    sum choice, as (value, its channel slots' reserved names ``%v<d>#j``,
+    j counting from ``k`` left to right, with their types).  None when a
+    wildcard leaves the shape open: the game then falls back to an opaque
+    parameter, on which a tuple-destructuring input would sit stuck and
+    the game would equate processes vacuously."""
     if isinstance(t, UnitType):
-        return [("unit",)]
+        return [(VUNIT, ())]
     if isinstance(t, ChanType):
-        return [("chan", t)]
-    if isinstance(t, TupleType):
-        outs = [()]
-        for comp in t.items:
-            shapes = _value_shapes(comp)
-            if shapes is None:
-                return None
-            outs = [prev + (s,) for prev in outs for s in shapes]
-        return [("tuple", o) for o in outs]
+        n = Name(f"%v{d}", k)
+        return [(VName(n), ((n, t),))]
     if isinstance(t, SumType):
-        ls, rs = _value_shapes(t.left), _value_shapes(t.right)
+        ls, rs = _ground_variants(t.left, d, k), _ground_variants(t.right, d, k)
         if ls is None or rs is None:
             return None
-        return [("inl", s) for s in ls] + [("inr", s) for s in rs]
-    return None
-
-
-def _fill_shape(shape, d, counter, intro):
-    tag = shape[0]
-    if tag == "unit":
-        return VUNIT
-    if tag == "chan":
-        n = Name(f"%v{d}", counter[0])
-        counter[0] += 1
-        intro.append((n, shape[1]))
-        return VName(n)
-    if tag == "tuple":
-        return VTuple(tuple(_fill_shape(s, d, counter, intro)
-                            for s in shape[1]))
-    if tag == "inl":
-        return VInl(_fill_shape(shape[1], d, counter, intro))
-    return VInr(_fill_shape(shape[1], d, counter, intro))
-
-
-def _ground_variants(payload, d):
-    """Concrete inputs an observer can feed at a known payload type.
-
-    Channel slots become reserved %v names, reported with their types;
-    a sum contributes one variant per branch.  Without the instantiation
-    a tuple-destructuring input would sit stuck on an opaque parameter
-    and the game would equate processes vacuously.
-    """
-    shapes = _value_shapes(payload)
-    if shapes is None:
+        return [(VInl(v), i) for v, i in ls] + [(VInr(v), i) for v, i in rs]
+    if not isinstance(t, TupleType):
         return None
-    out = []
-    for shape in shapes:
-        counter = [0]
-        intro = []
-        val = _fill_shape(shape, d, counter, intro)
-        out.append((val, tuple(intro)))
-    return out
+    outs = [((), ())]
+    for comp in t.items:
+        longer = []
+        for vals, intro in outs:
+            more = _ground_variants(comp, d, k + len(intro))
+            if more is None:
+                return None
+            longer += [(vals + (v,), intro + i) for v, i in more]
+        outs = longer
+    return [(VTuple(vals), intro) for vals, intro in outs]
+
+
+# a name introduced during a play, as it prints in a state key
+_INTRODUCED = re.compile(r"%[a-z]+\d*(?:#\d+)?")
+_Round = namedtuple("_Round", "side label target truncated nexts")
 
 
 class _Game:
@@ -167,7 +151,10 @@ class _Game:
 
     A pair is equivalent at depth 0; at depth n every attacker move must
     have a defender response whose continuation is equivalent at n-1.
-    ``method`` selects the move/response discipline.
+    ``method`` selects the move/response discipline.  :meth:`_round` is
+    one round, shared by the search, the witness walk and
+    :func:`replay_witness`; the search is the local, on-the-fly game of
+    Stirling ("Local model checking games", CONCUR 1995).
     """
 
     def __init__(self, method: str, cfg: BisimConfig, env=None):
@@ -357,35 +344,18 @@ class _Game:
                         f"{raw_mu}; strict duality violated")
             if kind in ("out", "bout") and mu.subject in dnames:
                 continue  # outputs toward the connection are unobserved
-            if kind == "in":
-                if mu.subject in spent:
-                    # the environment's one output at the linear dual is
-                    # used up
-                    continue
-                kept.extend(self._input_attacks(comp, key, mu, i, d, env))
+            if kind == "in" and mu.subject in spent:
+                # the environment's one output at the linear dual is used up
                 continue
-            kept.append((key, mu, kind, self._target(comp, i, d), None, ()))
+            t = (env or {}).get(mu.subject) if kind == "in" else None
+            variants = _ground_variants(t.payload, d) \
+                if isinstance(t, ChanType) else None
+            if variants is None:
+                kept.append((key, mu, kind, self._target(comp, i, d), None, ()))
+            for val, intro in variants or ():
+                kept.append((f"{mu.subject}({print_value(val)})", mu, kind,
+                             self._feed(comp, i, val), val, intro))
         return kept
-
-    def _input_attacks(self, comp, key, mu, i, d, env):
-        t = (env or {}).get(mu.subject)
-        variants = _ground_variants(t.payload, d) \
-            if isinstance(t, ChanType) else None
-        if variants is None:
-            return [(key, mu, "in", self._target(comp, i, d), None, ())]
-        out = []
-        for val, intro in variants:
-            k2 = f"{mu.subject}({print_value(val)})"
-            out.append((k2, mu, "in", self._feed(comp, i, val), val, intro))
-        return out
-
-    def _spend(self, mu, kind, env, spent):
-        if self.method != "internal" or kind != "in":
-            return spent
-        t = (env or {}).get(mu.subject)
-        if isinstance(t, ChanType) and t.mode == "li":
-            return spent | {mu.subject}
-        return spent
 
     def _responses(self, dfn: Composite, key, mu, kind, d, env, value=None):
         """Defender continuations: (defender state, env') pairs.  A barb
@@ -470,75 +440,137 @@ class _Game:
 
     # -- the game ----------------------------------------------------------
 
-    def run(self, a: Composite, b: Composite, n: int, d: int = 1, env=None,
-            spent=frozenset()):
-        """Returns (True | False | None, witness_steps)."""
-        if env is None:
-            env = self.env
-        if n == 0:
-            return True, ()
-        if a.key == b.key:
-            return True, ()  # identical states match each other move for move
-        mk = (a.key, b.key, n, tuple(sorted((str(x), repr(t))
-                                            for x, t in env.items())),
-              frozenset(str(s) for s in spent))
-        if mk in self.memo:
-            return self.memo[mk]
+    def _round(self, side, dfn: Composite, attack, d, env, spent):
+        """One round: ``attack`` from ``side``, and each answer of defender
+        ``dfn`` (one at the attacker's own target first) with the position
+        it leads to.  None if the attack is a barb the defender shows."""
+        key, mu, kind, tgt, val, intro = attack
+        env1 = self._env_after(mu, kind, env, val, intro)
+        responses, trunc = self._responses(dfn, key, mu, kind, d, env1, val)
+        if kind == "barb" and responses:
+            return None
+        responses.sort(key=lambda r: r[0].key != tgt.key)
+        t = kind == "in" and self.method == "internal" and env.get(mu.subject)
+        if isinstance(t, ChanType) and t.mode == "li":
+            spent = spent | {mu.subject}
+        nexts = []
+        for resp, env2 in responses:
+            att2 = tgt.with_delta(resp.delta)
+            pair = (att2, resp) if side == "left" else (resp, att2)
+            nexts.append((resp.key, pair + (env2, spent)))
+        return _Round(side, key, tgt, trunc, nexts)
+
+    def _rounds(self, a, b, env, spent, d, step=None):
+        """The rounds of position (a, b, env, spent) at play depth ``d``,
+        or only those of a witness ``step``'s attack."""
         sides = (("left", a, b), ("right", b, a))
-        if self.method == "sim":
-            sides = sides[:1]
+        for side, att, dfn in sides[:1] if self.method == "sim" else sides:
+            for attack in self._attacks(att, d, env, spent):
+                if step and (side, attack[0], attack[3].key) != (
+                        step.side, step.label, step.attacker_after):
+                    continue
+                rnd = self._round(side, dfn, attack, d, env, spent)
+                if rnd is not None:
+                    yield rnd
+
+    def _position(self, a, b, env, spent):
+        """A position's memo key: the state keys with introduced names
+        renamed in first-use order, those names' types and the spent
+        subjects.  Strata are closed under injective renaming of introduced
+        names, and the interface environment is fixed per game."""
+        live = {}
+
+        def rename(m):
+            return live.setdefault(m.group(), f"%{len(live)}")
+
+        keys = (_INTRODUCED.sub(rename, a.key), _INTRODUCED.sub(rename, b.key))
+        types = frozenset((live[str(x)], t) for x, t in env.items()
+                          if str(x) in live)
+        return keys, types, frozenset(live.get(s, s) for s in map(str, spent)
+                                      if s in live or s[0] != "%")
+
+    def _solve(self, pos, n, d):
+        """True, False or None (a budget cut it short): does the defender
+        of ``pos`` at play depth ``d`` answer every attack for ``n`` rounds.
+        A loop over a stack of :meth:`_play` generators; the memo maps a
+        :meth:`_position` to [largest depth proved, smallest depth refuted,
+        inconclusive depths], as strata are anti-monotone."""
+        stack, sub = [], None
+        while True:
+            if pos is not None and (n == 0 or pos[0].key == pos[1].key):
+                sub = True  # identical states match each other move for move
+            elif pos is not None:
+                key = self._position(*pos)
+                proved, refuted, open_ = self.memo.setdefault(
+                    key, [0, math.inf, set()])
+                sub = True if n <= proved else False if n >= refuted else None
+                if sub is None and n not in open_:
+                    stack.append((key, n, d, self._play(pos, d)))
+            if not stack:
+                return sub
+            key, n, d, play = stack[-1]
+            try:
+                pos, n, d = play.send(sub), n - 1, d + 1
+            except StopIteration as stop:
+                stack.pop()
+                pos, sub, entry = None, stop.value, self.memo[key]
+                if sub is True:
+                    entry[0] = n
+                elif sub is False:
+                    entry[1] = min(entry[1], n)
+                else:
+                    entry[2].add(n)
+
+    def _play(self, pos, d):
+        """Yields the position of each answer, is sent its result, and
+        returns the result of ``pos``."""
         verdict = True
-        witness = ()
-        for side, att, dfn in sides:
-            for key, mu, kind, tgt, val, intro in self._attacks(
-                    att, d, env, spent):
-                env1 = self._env_after(mu, kind, env, val, intro)
-                spent1 = self._spend(mu, kind, env, spent)
-                responses, trunc = self._responses(dfn, key, mu, kind, d,
-                                                   env1, val)
-                if kind == "barb" and responses:
-                    continue  # a shown barb ends the play
-                responses.sort(key=lambda r: r[0].key != tgt.key)
-                matched = False
-                saw_open = trunc
-                first_fail = None
-                for resp, env2 in responses:
-                    att2 = tgt.with_delta(resp.delta)
-                    pair = (att2, resp) if side == "left" else (resp, att2)
-                    sub, w = self.run(pair[0], pair[1], n - 1, d + 1, env2,
-                                      spent1)
-                    if sub is True:
-                        matched = True
-                        break
-                    if sub is None:
-                        saw_open = True
-                    elif first_fail is None:
-                        first_fail = (resp.key, w)
-                if matched:
-                    continue
-                if saw_open:
-                    verdict = None
-                    self.truncated = True
-                    continue
-                step = WitnessStep(
-                    side=side, label=key, attacker_after=tgt.key,
-                    defender_after=first_fail[0] if first_fail else None,
-                    delta=delta_key(tgt.delta))
-                witness = (step,) + (first_fail[1] if first_fail else ())
-                self.memo[mk] = (False, witness)
-                return False, witness
-        self.memo[mk] = (verdict, ())
-        return verdict, ()
+        for rnd in self._rounds(*pos, d):
+            open_ = rnd.truncated
+            for _, nxt in rnd.nexts:
+                sub = yield nxt
+                if sub is True:
+                    break
+                open_ = open_ or sub is None
+            else:
+                if not open_:
+                    return False
+                verdict, self.truncated = None, True
+        return verdict
+
+    def run(self, a: Composite, b: Composite, n: int):
+        """True, False or None: the game from (a, b) to depth ``n``."""
+        return self._solve((a, b, self.env, frozenset()), n, 1)
+
+    def witness(self, a: Composite, b: Composite):
+        """After :meth:`run` returned False, the attacker's winning play in
+        its own %-names, read off the memo.  At each position, refuted at
+        depth m at the least, it takes the first attack whose answers are
+        complete and refuted at m - 1 (solving any refuted only under other
+        names), and follows that attack's first answer."""
+        steps, pos, d = [], (a, b, self.env, frozenset()), 1
+        while pos is not None:
+            n = self.memo[self._position(*pos)][1]
+            rnd = next(r for r in self._rounds(*pos, d) if not r.truncated
+                       and all(self._solve(nxt, n - 1, d + 1) is False
+                               for _, nxt in r.nexts))
+            answer, pos = rnd.nexts[0] if rnd.nexts else (None, None)
+            steps.append(WitnessStep(rnd.side, rnd.label, rnd.target.key,
+                                     answer, delta_key(rnd.target.delta)))
+            d += 1
+        return tuple(steps)
 
 
-def _verdict(res, witness, cfg, method, truncated):
-    bounds = {"method": method, "depth": cfg.depth,
+def _verdict(game: _Game, a: Composite, b: Composite, cfg: BisimConfig):
+    res = game.run(a, b, cfg.depth)
+    truncated = game.truncated  # as the search left it, before the walk
+    bounds = {"method": game.method, "depth": cfg.depth,
               "tau_budget": cfg.tau_budget, "state_budget": cfg.state_budget}
-    if res is True:
-        return Verdict(EQUIVALENT, (), bounds, truncated)
-    if res is False:
-        return Verdict(DISTINGUISHED, tuple(witness), bounds, truncated)
-    return Verdict(INCONCLUSIVE, (), bounds, True)
+    if res is None:
+        return Verdict(INCONCLUSIVE, (), bounds, True)
+    witness = () if res else game.witness(a, b)
+    return Verdict(EQUIVALENT if res else DISTINGUISHED, witness, bounds,
+                   truncated)
 
 
 # ---------------------------------------------------------------------------
@@ -625,27 +657,18 @@ def strong_bisim(p: Process, q: Process, delta=frozenset(), cfg=None):
             return Verdict(EQUIVALENT, (), bounds, False)
         a, b = _seed(game, ga, delta), _seed(game, gb, delta)
         cfg = replace(cfg, depth=len(ga.nodes) + len(gb.nodes) + 1)
-    res, w = game.run(a, b, cfg.depth)
-    return _verdict(res, w, cfg, "strong", game.truncated)
+    return _verdict(game, a, b, cfg)
 
 
 def weak_bisim(p: Process, q: Process, delta=frozenset(), cfg=None):
     cfg = cfg or BisimConfig()
-    game = _Game("weak", cfg)
-    res, w = game.run(state(p, delta), state(q, delta), cfg.depth)
-    return _verdict(res, w, cfg, "weak", game.truncated)
+    return _verdict(_Game("weak", cfg), state(p, delta), state(q, delta), cfg)
 
 
 def weak_sim(p: Process, q: Process, cfg=None, delta=frozenset()):
     """Does q weakly simulate p: every move of p has a weak answer in q."""
     cfg = cfg or BisimConfig()
-    game = _Game("sim", cfg)
-    res, w = game.run(state(p, delta), state(q, delta), cfg.depth)
-    return _verdict(res, w, cfg, "sim", game.truncated)
-
-
-def _closed(p: Process) -> bool:
-    return all(n.kind == SUCCESS for n in free_names(p))
+    return _verdict(_Game("sim", cfg), state(p, delta), state(q, delta), cfg)
 
 
 def barbed_bisim(p: Process, q: Process, cfg=None):
@@ -653,11 +676,10 @@ def barbed_bisim(p: Process, q: Process, cfg=None):
     the defender's reduction closure, and every success barb must show
     somewhere in the defender's closure."""
     cfg = cfg or BisimConfig()
-    if not _closed(p) or not _closed(q):
+    if any(n.kind != SUCCESS for n in free_names(p) | free_names(q)):
         raise NotClosed("barbed bisimilarity needs closed processes")
-    game = _Game("barbed", cfg)
-    res, w = game.run(state(p, frozenset()), state(q, frozenset()), cfg.depth)
-    return _verdict(res, w, cfg, "barbed", game.truncated)
+    return _verdict(_Game("barbed", cfg), state(p, frozenset()),
+                    state(q, frozenset()), cfg)
 
 
 def internal_bisim_n(delta, p: Process, q: Process, n: int,
@@ -685,9 +707,7 @@ def internal_bisim_n(delta, p: Process, q: Process, n: int,
             if not v.ok:
                 raise TypeMismatch(f"{side} process does not typecheck: "
                                    f"{v.errors[0]}")
-    game = _Game("internal", cfg, env)
-    res, w = game.run(a, b, n)
-    return _verdict(res, w, cfg, "internal", game.truncated)
+    return _verdict(_Game("internal", cfg, env), a, b, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -708,41 +728,18 @@ def replay_witness(p: Process, q: Process, verdict: Verdict,
         k: verdict.bounds[k] for k in ("depth", "tau_budget", "state_budget")
         if k in verdict.bounds})
     game = _Game(verdict.bounds.get("method", "weak"), cfg, env)
-    a = state(p, delta)
-    b = state(q, delta)
-    envc = dict(env or {})
-    spent = frozenset()
-    d = 1
+    pos, d = (state(p, delta), state(q, delta), game.env, frozenset()), 1
     for i, step in enumerate(verdict.witness):
-        att, dfn = (a, b) if step.side == "left" else (b, a)
-        move = None
-        for key, mu, kind, tgt, val, intro in game._attacks(
-                att, d, envc, spent):
-            if key == step.label and tgt.key == step.attacker_after:
-                move = (key, mu, kind, tgt, val, intro)
-                break
-        if move is None:
+        rnd = next(game._rounds(*pos, d, step), None)
+        if rnd is None:
             return False
-        key, mu, kind, tgt, val, intro = move
-        spent = game._spend(mu, kind, envc, spent)
-        envc = game._env_after(mu, kind, envc, val, intro)
-        responses, trunc = game._responses(dfn, key, mu, kind, d, envc, val)
-        if kind == "barb" and responses:
-            return False  # a shown barb ends the play, as in :meth:`run`
         if step.defender_after is None:
-            if responses or trunc:
-                return False
-            return i == len(verdict.witness) - 1
-        chosen = None
-        for resp, env2 in responses:
-            if resp.key == step.defender_after:
-                chosen = (resp, env2)
-                break
-        if chosen is None:
+            return (not rnd.nexts and not rnd.truncated
+                    and i == len(verdict.witness) - 1)
+        pos = next((nxt for k, nxt in rnd.nexts
+                    if k == step.defender_after), None)
+        if pos is None:
             return False
-        resp, envc = chosen
-        att2 = tgt.with_delta(resp.delta)
-        a, b = (att2, resp) if step.side == "left" else (resp, att2)
         d += 1
     # trace ended on a step that still had responses: not a valid witness
     return False

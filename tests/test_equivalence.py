@@ -1,6 +1,7 @@
 """Equivalence checkers: games, the algebraic law corpus, witnesses."""
 
 import dataclasses
+import inspect
 import os
 import subprocess
 import sys
@@ -298,7 +299,8 @@ def test_law_count_covers_the_suite():
     assert len(LAWS) >= 20
 
 
-def _law_game(name):
+def _law(name):
+    """Law ``name``'s connection set, wired sides and environment."""
     _, espec, dspec, lsrc, rsrc = next(l for l in LAWS if l[0] == name)
     env = tenv(espec)
     delta = frozenset()
@@ -307,7 +309,23 @@ def _law_game(name):
         delta |= {(nm(i), nm(o))}
     lhs = internalize(parse_process(lsrc), env)
     rhs = internalize(parse_process(rsrc), env)
+    return delta, lhs, rhs, env
+
+
+def _law_game(name):
+    delta, lhs, rhs, env = _law(name)
     return internal_bisim_n(delta, lhs, rhs, 6, env=env)
+
+
+@pytest.mark.parametrize("depth", [4, 6, 8, 10])
+def test_game_memo_is_keyed_by_position(depth):
+    # the messages observers feed pile up, so the positions grow with the
+    # depth; keyed by play, with each introduced name's round, the memo
+    # held 11,948 entries at depth 10
+    delta, lhs, rhs, env = _law("message-meets-companion-payload")
+    game = _Game("internal", BisimConfig(depth=depth), env)
+    assert game.run(state(lhs, delta), state(rhs, delta), depth) is True
+    assert len(game.memo) <= 5 * depth
 
 
 STEP_ONCE_LAWS = ["wire-subst-out-twice", "message-meets-companion-payload"]
@@ -593,22 +611,45 @@ def test_strong_bisim_agrees_with_partition_refinement(monkeypatch, p, q,
         assert replay_witness(p, q, v)
 
 
-def test_strong_bisim_is_exact_on_a_large_cyclic_pair():
-    # four counters of sizes 10, 6, 3 and 3 beside a message that a
-    # replicated input keeps re-sending, so every state has a tau
-    # self-loop and no play of the game ever ends: 540 states a side
+def _counters(p_sizes, q_sizes):
+    """``!a(x).o<i>!()`` counters fed by ``p_sizes[i]`` messages against
+    ``q_sizes[i]`` one-shot copies of ``a(x).o<i>!()``, each side beside a
+    message that a replicated input keeps re-sending, so every state has a
+    tau self-loop and no play of the game ever ends."""
     loop = "new(a: i[unit], b)( !a(x).b!() | b!() )"
-    sizes = (3, 2, 1, 1)
-    head = "".join(f"success o{i}; " for i in range(len(sizes)))
+    head = "".join(f"success o{i}; " for i in range(len(p_sizes)))
     p = proc(head + " | ".join(
         f"new(a: i[unit], b)( !a(x).o{i}!() | " + " | ".join(["b!()"] * n)
-        + " )" for i, n in enumerate(sizes)) + " | " + loop)
+        + " )" for i, n in enumerate(p_sizes)) + " | " + loop)
     q = proc(head + " | ".join(
         f"new(a: i[unit], b)( a(x).o{i}!() | b!() )"
-        for i, n in enumerate(sizes) for _ in range(n)) + " | " + loop)
+        for i, n in enumerate(q_sizes) for _ in range(n)) + " | " + loop)
+    return p, q
+
+
+def test_strong_bisim_is_exact_on_a_large_cyclic_pair():
+    # four counters of sizes 10, 6, 3 and 3: 540 states a side
+    p, q = _counters((3, 2, 1, 1), (3, 2, 1, 1))
     assert canonicalize(p).key != canonicalize(q).key
     v = strong_bisim(p, q)
     assert v.bounds == {"method": "strong", "exact": True, "states": 1080}
+
+
+def test_strong_witness_game_does_not_recurse_per_round():
+    # the witness game on the refined graphs is played to depth 161; a
+    # game that recursed once per round raised RecursionError here
+    p, q = _counters((3, 2), (3, 3))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        v = strong_bisim(p, q)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert v.distinguished
+    assert replay_witness(p, q, v)
+    # the witness walk starts at the least depth the memo refutes the pair
+    # at, not at 161: walked from 161 the witness had 157 steps
+    assert len(v.witness) <= 4
 
 
 # ---------------------------------------------------------------------------
@@ -637,6 +678,22 @@ def test_witness_replay_rejects_tampering():
         WitnessStep("left", "err!()", shows_err.key, None, "")),
         {"method": "barbed"})
     assert not replay_witness(p, p, forged)
+    # a witness names what a play introduces by the round it was introduced
+    # in: moving a name to another round's index in one step breaks it
+    env = tenv("a: o[unit]; k: o[unit]; c: o[o[unit]]")
+    lhs = internalize(
+        parse_process("new(bi: i[unit], b)( c!(b) | !bi(x).k!(x) )"), env)
+    rhs = internalize(parse_process("c!(a)"), env)
+    v = internal_bisim_n(frozenset(), lhs, rhs, 6, env=env)
+    i = next(i for i, s in enumerate(v.witness) if "%k#1" in s.label)
+    assert i > 0 and replay_witness(lhs, rhs, v, env=env)
+    moved = dataclasses.replace(v.witness[i], **{
+        f.name: getattr(v.witness[i], f.name).replace("%k#1", "%k#2")
+        for f in dataclasses.fields(WitnessStep)
+        if getattr(v.witness[i], f.name) is not None})
+    tampered = dataclasses.replace(
+        v, witness=v.witness[:i] + (moved,) + v.witness[i + 1:])
+    assert not replay_witness(lhs, rhs, tampered, env=env)
 
 
 def test_witness_replay_needs_a_distinguished_verdict():
