@@ -475,13 +475,14 @@ class _Game:
 
     def _position(self, a, b, env, spent):
         """A position's memo key: the state keys with introduced names
-        renamed in first-use order, those names' types and the spent
-        subjects.  Strata are closed under injective renaming of introduced
-        names, and the interface environment is fixed per game."""
+        renamed in first-use order to ``%@0``, ``%@1``, ..., which no key
+        prints, those names' types and the spent subjects.  Strata are
+        closed under injective renaming of introduced names, and the
+        interface environment is fixed per game."""
         live = {}
 
         def rename(m):
-            return live.setdefault(m.group(), f"%{len(live)}")
+            return live.setdefault(m.group(), f"%@{len(live)}")
 
         keys = (_INTRODUCED.sub(rename, a.key), _INTRODUCED.sub(rename, b.key))
         types = frozenset((live[str(x)], t) for x, t in env.items()

@@ -11,11 +11,12 @@ import pytest
 import awpi
 from awpi.syntax import (
     Name, VUNIT, canonical_process, canonicalize, parse_file, parse_process,
-    parse_vtype,
+    parse_vtype, rename_free,
 )
 from awpi.encodings import encode_alpi, parse_alpi
 from awpi.internal import internalize
 from awpi.semantics import Composite, delta_key, erase_to_api, state
+from awpi.typecheck import ANY
 from awpi import api
 from awpi.equivalence import (
     DISTINGUISHED, BisimConfig, NotClosed, NotInternal, TypeMismatch,
@@ -326,6 +327,28 @@ def test_game_memo_is_keyed_by_position(depth):
     game = _Game("internal", BisimConfig(depth=depth), env)
     assert game.run(state(lhs, delta), state(rhs, delta), depth) is True
     assert len(game.memo) <= 5 * depth
+
+
+def test_position_keeps_introduced_and_bound_names_apart():
+    # after the input on a, A1 sends the received channel and A2 what it
+    # then reads on it; B is A1 with a tau in front of its output.  A key
+    # that renamed %i#1 into the namespace of bound names could give
+    # (A1, B) and (A2, B) one entry, so the proof of the first would
+    # answer the second
+    b = proc("a(x).x(y).new(z: i[unit], s)( s!() | z(w).c!(x) )")
+    a1, a2 = proc("a(x).x(y).c!(x)"), proc("a(x).x(y).c!(y)")
+    game = _Game("weak", BisimConfig(depth=4))
+    assert game.run(state(a1, frozenset()), state(b, frozenset()), 4)
+    assert game.run(state(a2, frozenset()), state(b, frozenset()), 4) is False
+    i1 = Name("%i", 1)
+
+    def after_a(p):
+        return state(rename_free(p.body, {p.param: i1}), frozenset())
+
+    env = {i1: ANY}
+    keys = [game._position(after_a(p), after_a(b), env, frozenset())
+            for p in (a1, a2)]
+    assert keys[0] != keys[1] and all(k in game.memo for k in keys)
 
 
 STEP_ONCE_LAWS = ["wire-subst-out-twice", "message-meets-companion-payload"]
