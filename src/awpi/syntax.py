@@ -16,12 +16,23 @@ congruence axioms as a normal form: parallel compositions are flattened to a
 sorted multiset, nil components and dead restrictions are dropped,
 restrictions are extruded outward as far as parallel structure allows, and
 bound names are renamed positionally.
+
+A :class:`Name` is a tuple, because every layer's inner loop looks names
+up (substitution, fresh names, connection sets, typing environments,
+canonical keys), and a tuple hashes and compares in C.  It equals the
+plain tuple of its fields and hashes like it, which is also how the
+frozen dataclass it replaced hashed, so set and dict orders over names,
+and with them every key, are as they were.  No dict or set here or in the
+other modules holds both names and other 3-tuples.  Processes, values and
+types stay dataclasses: ``Input``/``RepInput`` and ``VInl``/``VInr`` have
+the same fields, and as tuples they would compare equal.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class ParseError(ValueError):
@@ -41,12 +52,17 @@ REGULAR = "regular"
 SUCCESS = "success"
 
 
-@dataclass(frozen=True, order=True)
-class Name:
+class Name(NamedTuple):
     """A channel name: printed ``base`` or ``base#index``.
 
     ``kind`` distinguishes success names (observable barbs) from regular
     names; it is assigned by the file header, never by the grammar.
+
+    A name is a tuple, so it hashes, compares and orders in C.  It equals
+    the plain tuple ``(base, index, kind)``, hashes like it and orders as
+    it does; no dict or set in the package holds both names and other
+    3-tuples, so that equality never merges two keys.  Fields cannot be
+    assigned.
     """
 
     base: str
@@ -284,25 +300,42 @@ def ast_size(p: Process) -> int:
     raise TypeError(f"not a process: {p!r}")
 
 
+def _shallow(walk, p):
+    """``walk(p)``, where nesting too deep for the recursion limit is a
+    ``ValueError("process nested too deeply")``, not a RecursionError,
+    as :meth:`TokenStream.whole` does for text."""
+    try:
+        return walk(p)
+    except RecursionError:
+        pass
+    raise ValueError("process nested too deeply")
+
+
 def free_names(p: Process) -> frozenset:
+    """The free names of ``p``.  Raises ValueError on a process nested too
+    deeply for the recursion limit (a ``|`` chain of any width is fine)."""
+    return _shallow(_free_names, p)
+
+
+def _free_names(p: Process) -> frozenset:
     if isinstance(p, Nil):
         return frozenset()
     if isinstance(p, Par):
         # the | spine is walked in a loop, so a wide composition cannot
         # exhaust the recursion limit
-        return frozenset().union(*map(free_names, _par_list(p)))
+        return frozenset().union(*map(_free_names, _par_list(p)))
     if isinstance(p, (Input, RepInput)):
-        return frozenset((p.subject,)) | (free_names(p.body) - {p.param})
+        return frozenset((p.subject,)) | (_free_names(p.body) - {p.param})
     if isinstance(p, Output):
         return frozenset((p.subject,)) | value_names(p.payload)
     if isinstance(p, Res):
-        return free_names(p.body) - {p.in_name, p.out_name}
+        return _free_names(p.body) - {p.in_name, p.out_name}
     if isinstance(p, LetTuple):
-        return value_names(p.scrutinee) | (free_names(p.body) - set(p.params))
+        return value_names(p.scrutinee) | (_free_names(p.body) - set(p.params))
     if isinstance(p, Case):
         return (value_names(p.scrutinee)
-                | (free_names(p.left_body) - {p.left_param})
-                | (free_names(p.right_body) - {p.right_param}))
+                | (_free_names(p.left_body) - {p.left_param})
+                | (_free_names(p.right_body) - {p.right_param}))
     raise TypeError(f"not a process: {p!r}")
 
 
@@ -357,7 +390,7 @@ def substitute(p: Process, mapping) -> Process:
     they would capture a name of the substituted values.
     """
     mapping = {k: v for k, v in mapping.items() if not (isinstance(v, VName) and v.name == k)}
-    if not mapping or not (set(mapping) & free_names(p)):
+    if not mapping or not (set(mapping) & _free_names(p)):
         return p
     return _subst(p, mapping)
 
@@ -372,12 +405,12 @@ def _value_name_union(mapping):
 def _subst_binders(binders, body_extra, mapping, p):
     """Refresh ``binders`` as needed; returns (new binders, inner mapping)."""
     inner = {k: v for k, v in mapping.items() if k not in binders}
-    relevant = {k: v for k, v in inner.items() if k in free_names(p)}
+    relevant = {k: v for k, v in inner.items() if k in _free_names(p)}
     clash = _value_name_union(relevant)
     if not relevant:
         # nothing to substitute below; keep binders untouched
         return list(binders), {}
-    avoid = set(clash) | set(relevant) | free_names(p) | bound_names(p) | set(binders)
+    avoid = set(clash) | set(relevant) | _free_names(p) | bound_names(p) | set(binders)
     renames = {}
     out = []
     for b in binders:
@@ -399,7 +432,7 @@ def _subst(p: Process, mapping) -> Process:
     if isinstance(p, Nil):
         return p
     if isinstance(p, Par):
-        # the left | spine is walked in a loop, as in free_names, shape kept
+        # the left | spine is walked in a loop, as in _free_names, shape kept
         rights = []
         while isinstance(p, Par):
             rights.append(p.right)
@@ -572,11 +605,19 @@ def _print_payload(v: Value) -> str:
 def _print_prefix(p: Process) -> str:
     # a process at prefix level: parallel compositions get parentheses
     if isinstance(p, Par):
-        return f"({print_process(p)})"
-    return print_process(p)
+        return f"({_print_process(p)})"
+    return _print_process(p)
 
 
 def print_process(p: Process) -> str:
+    """The concrete syntax of ``p``, which :func:`parse_process` reads back.
+    Raises ValueError on a process nested too deeply for the recursion
+    limit (a left-nested ``|`` chain, as the parser builds, of any width is
+    fine)."""
+    return _shallow(_print_process, p)
+
+
+def _print_process(p: Process) -> str:
     if isinstance(p, Nil):
         return "0"
     if isinstance(p, Par):
@@ -598,15 +639,15 @@ def print_process(p: Process) -> str:
     if isinstance(p, Res):
         head = f"new({p.in_name}: {p.in_type}, {p.out_name})"
         if isinstance(p.body, Par):
-            return f"{head} ({print_process(p.body)})"
+            return f"{head} ({_print_process(p.body)})"
         return f"{head} {_print_prefix(p.body)}"
     if isinstance(p, LetTuple):
         names = ", ".join(str(n) for n in p.params)
         return f"let ({names}) = {print_value(p.scrutinee)} in {_print_prefix(p.body)}"
     if isinstance(p, Case):
         return (f"case {print_value(p.scrutinee)} "
-                f"{{ inl {p.left_param} -> {print_process(p.left_body)} ; "
-                f"inr {p.right_param} -> {print_process(p.right_body)} }}")
+                f"{{ inl {p.left_param} -> {_print_process(p.left_body)} ; "
+                f"inr {p.right_param} -> {_print_process(p.right_body)} }}")
     raise TypeError(f"not a process: {p!r}")
 
 
@@ -877,7 +918,7 @@ class _Parser(TokenStream):
         if len(params) == 1:
             return cls(subject, params[0], body)
         # polyadic sugar: receive a tuple (or unit) and destructure it
-        avoid = free_names(body) | bound_names(body) | set(params) | {subject}
+        avoid = _free_names(body) | bound_names(body) | set(params) | {subject}
         tmp = fresh_name(Name("_v"), avoid)
         if len(params) == 0:
             return cls(subject, tmp, body)
@@ -1071,7 +1112,7 @@ class _Canon:
                    | (self.fv(p.left_body) - {p.left_param})
                    | (self.fv(p.right_body) - {p.right_param}))
         else:
-            out = free_names(p)
+            out = _free_names(p)
         self.fvs[id(p)] = (p, out)
         return out
 
@@ -1420,8 +1461,13 @@ def canonicalize(p: Process) -> CanonicalForm:
     follow in certificate order.  Bound names become ``_#k`` in print
     order, above the index of any free name with base ``_``.  Congruent
     processes get equal keys and, as the key prints the rebuilt process,
-    only they do.
+    only they do.  Raises ValueError on a process nested too deeply for the
+    recursion limit (a ``|`` chain of any width is fine).
     """
+    return _shallow(_canonicalize, p)
+
+
+def _canonicalize(p: Process) -> CanonicalForm:
     c = _Canon()
     norm = c.normalize(p)
     start = max((n.index + 1 for n in c.fv(norm)

@@ -118,6 +118,26 @@ def test_deep_prefix_round_trips_and_deeper_is_a_parse_error():
         parse_value("inl " * 2000 + "x")
 
 
+def _deep_prefix(depth):
+    """``a(x0).a(x1)...k!()``, built through the constructors."""
+    p = Output(Name("k"), VUNIT)
+    for i in reversed(range(depth)):
+        p = Input(Name("a"), Name(f"x{i}"), p)
+    return p
+
+
+def test_deep_prefix_built_through_the_api():
+    p = _deep_prefix(400)
+    assert canonicalize(p).key.startswith("a(_).a(_#1).")
+    assert print_process(p).startswith("a(x0).a(x1).")
+    assert free_names(p) == {Name("a"), Name("k")}
+    # 1,500 levels raised RecursionError in each
+    deep = _deep_prefix(1500)
+    for walk in (canonicalize, print_process, free_names):
+        with pytest.raises(ValueError, match="process nested too deeply"):
+            walk(deep)
+
+
 def test_every_entry_point_rejects_trailing_input():
     for parse, src in [(parse_process, "0 0"), (parse_value, "x y"),
                        (parse_vtype, "unit unit"), (parse_file, "0 )")]:
@@ -199,9 +219,51 @@ def test_substitute_composition():
         assert alpha_eq(lhs, rhs), print_process(p)
 
 
+# ---------------------------------------------------------------------------
+# Names
+# ---------------------------------------------------------------------------
+
 def test_fresh_name_smallest_index():
     avoid = {Name("x"), Name("x", 1), Name("x", 3)}
     assert fresh_name(Name("x"), avoid) == Name("x", 2)
+    # deterministic: the same set built in another order, and the kind kept
+    taken = [Name("x", i) for i in (0, 1, 2, 4)] + [Name("y", 1)]
+    firsts = {fresh_name(Name("x"), set(order))
+              for order in (taken, taken[::-1], taken[2:] + taken[:2])}
+    assert firsts == {Name("x", 3)}
+    ok = fresh_name(Name("ok", kind=SUCCESS), {Name("ok", 1, SUCCESS)})
+    assert ok == Name("ok", 2, SUCCESS)
+
+
+def test_name_prints_and_reprs():
+    assert str(Name("a")) == "a"
+    assert str(Name("a", 3)) == "a#3"
+    assert repr(Name("a", 3)) == "Name(base='a', index=3, kind='regular')"
+    ok = Name("ok", kind=SUCCESS)
+    assert (ok.base, ok.index, ok.kind) == ("ok", 0, SUCCESS)
+    assert str(ok) == "ok"
+    assert repr(ok) == "Name(base='ok', index=0, kind='success')"
+
+
+def test_name_orders_and_hashes_as_its_fields():
+    names = [Name("b"), Name("a", 2), Name("a", 2, SUCCESS), Name("_", 7),
+             Name("a"), Name("b", 1), Name("a", 10)]
+    assert sorted(names) == sorted(names, key=lambda n: (n.base, n.index, n.kind))
+    assert Name("a", 1) == Name("a", 1) and hash(Name("a", 1)) == hash(Name("a", 1))
+    assert Name("a", 1) != Name("a", 1, SUCCESS)
+    # set and dict orders over names, and so canonical keys, rest on this
+    for n in names:
+        assert hash(n) == hash((n.base, n.index, n.kind))
+
+
+def test_name_is_immutable():
+    n = Name("a")
+    for field, value in (("base", "b"), ("index", 1), ("kind", SUCCESS)):
+        with pytest.raises(AttributeError):
+            setattr(n, field, value)
+    with pytest.raises(AttributeError):
+        n.extra = 1
+    assert n == Name("a")
 
 
 # ---------------------------------------------------------------------------
