@@ -17,14 +17,20 @@ renamed to reserved ``%``-names indexed by the play depth, so the two
 sides agree on labels without a nominal state-space construction.  The
 game's memo is keyed by position, up to those names, and a
 ``distinguished`` witness is read off it by one walk from the root.
+
+The game builds a state only when its search reads it, as on-the-fly
+checkers build the product of two systems (Fernandez & Mounier, "'On the
+fly' verification of behavioural equivalences and preorders", CAV 1991):
+an attack's target when its round is played, and the defender's answers
+one at a time, in construction order, until one is proved.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from collections import namedtuple
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Optional
 
 from .syntax import (
@@ -143,7 +149,29 @@ def _ground_variants(t, d, k=0):
 
 # a name introduced during a play, as it prints in a state key
 _INTRODUCED = re.compile(r"%[a-z]+\d*(?:#\d+)?")
-_Round = namedtuple("_Round", "side label target truncated nexts")
+
+
+class _Round:
+    """One round: ``side`` attacks with ``label`` to ``target``.
+
+    Iterating it, once, yields the defender's answers as (defender state,
+    env) pairs, each built as it is read; :meth:`position` gives the
+    position an answer leads to.  ``truncated``, whether a budget cut the
+    answers short, is known only once they have run out.
+    """
+
+    def __init__(self, side, label, target, spent, answers):
+        self.side, self.label, self.target = side, label, target
+        self.spent, self.truncated = spent, False
+        self._answers = answers
+
+    def __iter__(self):
+        self.truncated = yield from self._answers
+
+    def position(self, answer: Composite, env):
+        att = self.target.with_delta(answer.delta)
+        pair = (att, answer) if self.side == "left" else (answer, att)
+        return pair + (env, self.spent)
 
 
 class _Game:
@@ -154,7 +182,11 @@ class _Game:
     ``method`` selects the move/response discipline.  :meth:`_round` is
     one round, shared by the search, the witness walk and
     :func:`replay_witness`; the search is the local, on-the-fly game of
-    Stirling ("Local model checking games", CONCUR 1995).
+    Stirling ("Local model checking games", CONCUR 1995).  Targets and
+    answers are built when played: :meth:`_rounds` builds an attack's
+    target when it reaches the attack, and a round's answers are built
+    as they are read, so a refuted position builds no target past its
+    first winning attack and a round none past its first proved answer.
     """
 
     def __init__(self, method: str, cfg: BisimConfig, env=None):
@@ -289,15 +321,25 @@ class _Game:
                 substitute(c2.process, {mu.param: value}), c2.delta)
         return out
 
-    def _weak_after(self, comp: Composite, key: str, d: int, value=None):
-        """Targets of tau* . key . tau* from ``comp``; key "tau" allows the
-        empty move.  A ``value`` instantiates the parameter of the matched
-        input with the attack value, so destructors in the body can fire.
-        Only the targets of matching moves are built."""
+    def _weak_after(self, comp: Composite, key: str, d: int, env,
+                    value=None):
+        """Yields each target of tau* . key . tau* from ``comp``, with
+        ``env``, as it is built, and returns whether the tau budget cut a
+        closure short; key "tau" allows the empty move.  A ``value``
+        instantiates the parameter of the matched input with the attack
+        value, so destructors in the body can fire.
+
+        Targets come in construction order: the closure states of
+        ``comp`` for "tau"; otherwise, for each closure state in order and
+        each of its moves labelled ``key``, the closure of that move's
+        target, without the states already yielded.  Only the targets of
+        matching moves are built, and only as far as the caller reads."""
         pre, trunc = self._closure(comp)
         if key == "tau":
-            return pre, trunc
-        found = {}
+            for c1 in pre:
+                yield c1, env
+            return trunc
+        seen = set()
         for c1 in pre:
             for k2, mu, kind, i in self._std_moves(c1, d):
                 if k2 != key:
@@ -307,31 +349,35 @@ class _Game:
                 post, t2 = self._closure(c2)
                 trunc = trunc or t2
                 for c3 in post:
-                    found[c3.key] = c3
-        return list(found.values()), trunc
+                    if c3.key not in seen:
+                        seen.add(c3.key)
+                        yield c3, env
+        return trunc
 
     # -- move disciplines --------------------------------------------------
 
     def _attacks(self, comp: Composite, d: int, env=None, spent=frozenset()):
-        """Attacker moves as (key, label, kind, target, value, intro).
+        """Attacker moves as (key, label, kind, build, value, intro).
 
-        ``value`` is the concrete input fed by the observer when the
-        subject's payload type determines its shape (None for the opaque
-        fallback and for non-input moves); ``intro`` lists the fresh
-        observer names inside it with their types.  Only the targets of
-        the moves kept are built.  A barbed attacker also shows each of its
-        success barbs, first and in name order, as a "barb" move that stays
-        at ``comp``.
+        ``build()`` builds the move's target: :meth:`_target` or
+        :meth:`_feed` with its arguments, called only when the game plays
+        the move (see :meth:`_rounds`).  ``value`` is the concrete input
+        fed by the observer when the subject's payload type determines its
+        shape (None for the opaque fallback and for non-input moves);
+        ``intro`` lists the fresh observer names inside it with their
+        types.  A barbed attacker also shows each of its success barbs,
+        first and in name order, as a "barb" move that stays at ``comp``.
         """
         moves = self._std_moves(comp, d)
         kept = []
         if self.method == "barbed":
             for s in sorted(canonical_barbs(comp.process), key=str):
                 mu = FreeOut(s, VUNIT)
-                kept.append((_label_key(mu), mu, "barb", comp, None, ()))
+                kept.append((_label_key(mu), mu, "barb", lambda: comp, None,
+                             ()))
         if self.method != "internal":
-            return kept + [(key, mu, kind, self._target(comp, i, d), None, ())
-                           for key, mu, kind, i in moves]
+            return kept + [(key, mu, kind, partial(self._target, comp, i, d),
+                            None, ()) for key, mu, kind, i in moves]
         dnames = {n for pair in comp.delta for n in pair}
         for key, mu, kind, i in moves:
             if kind == "bout":
@@ -351,34 +397,38 @@ class _Game:
             variants = _ground_variants(t.payload, d) \
                 if isinstance(t, ChanType) else None
             if variants is None:
-                kept.append((key, mu, kind, self._target(comp, i, d), None, ()))
+                kept.append((key, mu, kind, partial(self._target, comp, i, d),
+                             None, ()))
             for val, intro in variants or ():
                 kept.append((f"{mu.subject}({print_value(val)})", mu, kind,
-                             self._feed(comp, i, val), val, intro))
+                             partial(self._feed, comp, i, val), val, intro))
         return kept
 
     def _responses(self, dfn: Composite, key, mu, kind, d, env, value=None):
-        """Defender continuations: (defender state, env') pairs.  A barb
-        is answered by the states of the defender's closure that show it,
-        and nothing follows."""
+        """Yields the defender's answers as (defender state, env') pairs,
+        each built as it is read, and returns whether a budget cut them
+        short.
+
+        They come in construction order: the matching moves (the weak
+        ones in :meth:`_weak_after`'s order), then, for an internal input,
+        the absorptions of the message at each closure state in order.  A
+        barb has no answer here: :meth:`_round` plays no round for a barb
+        the defender shows."""
         if kind == "barb":
-            stay, trunc = self._closure(dfn)
-            return [(q, env) for q in stay
-                    if mu.subject in canonical_barbs(q.process)], trunc
+            return self._closure(dfn)[1]
         if self.method == "strong":
-            outs = [(self._target(dfn, i, d), env)
-                    for k, m, kd, i in self._std_moves(dfn, d) if k == key]
-            return outs, False
-        targets, trunc = self._weak_after(dfn, _label_key(mu), d, value)
-        outs = [(t, env) for t in targets]
+            for k, m, kd, i in self._std_moves(dfn, d):
+                if k == key:
+                    yield self._target(dfn, i, d), env
+            return False
+        trunc = yield from self._weak_after(dfn, _label_key(mu), d, env,
+                                            value)
         if self.method != "internal" or kind != "in":
-            return outs, trunc
+            return trunc
         # internal-bisimilarity input clause: match the input directly, or
         # absorb the message at the companion side of the connection
         subject = mu.subject
         payload = VName(mu.param) if value is None else value
-        stay, t2 = self._closure(dfn)
-        trunc = trunc or t2
         companion = None
         for x, y in dfn.delta:
             if x == subject:
@@ -393,11 +443,11 @@ class _Game:
             t = env.get(subject)
             env[at] = dual(t) if isinstance(t, ChanType) else ANY
         else:
-            return outs, trunc
+            return trunc
         particle = self._particle(at, payload, env)
-        for q in stay:
-            outs.append((self._absorb(q, particle, q.delta | pair), env))
-        return outs, trunc
+        for q in self._closure(dfn)[0]:
+            yield self._absorb(q, particle, q.delta | pair), env
+        return trunc
 
     def _absorb(self, q: Composite, particle, delta):
         """The defender state ``q`` with the absorbed message ``particle``
@@ -440,36 +490,44 @@ class _Game:
 
     # -- the game ----------------------------------------------------------
 
-    def _round(self, side, dfn: Composite, attack, d, env, spent):
-        """One round: ``attack`` from ``side``, and each answer of defender
-        ``dfn`` (one at the attacker's own target first) with the position
-        it leads to.  None if the attack is a barb the defender shows."""
-        key, mu, kind, tgt, val, intro = attack
-        env1 = self._env_after(mu, kind, env, val, intro)
-        responses, trunc = self._responses(dfn, key, mu, kind, d, env1, val)
-        if kind == "barb" and responses:
+    def _round(self, side, dfn: Composite, attack, tgt, d, env, spent):
+        """One round: ``attack`` from ``side`` to its built target ``tgt``,
+        answered by defender ``dfn``; None if the attack is a barb the
+        defender shows.  The answers are built as the round is read.
+
+        They are not reordered.  Putting an answer equal to ``tgt`` first
+        would need every answer built, and gains nothing but order: such
+        an answer leads to a position of two identical states, which
+        :meth:`_solve` proves at once, so the order changes which answers
+        are tried before it, never a position's value.  A refuted round
+        has no such answer, so the witness walk's first answer is the same
+        in either order."""
+        key, mu, kind, _, val, intro = attack
+        if kind == "barb" and any(mu.subject in canonical_barbs(q.process)
+                                  for q in self._closure(dfn)[0]):
             return None
-        responses.sort(key=lambda r: r[0].key != tgt.key)
+        env1 = self._env_after(mu, kind, env, val, intro)
         t = kind == "in" and self.method == "internal" and env.get(mu.subject)
         if isinstance(t, ChanType) and t.mode == "li":
             spent = spent | {mu.subject}
-        nexts = []
-        for resp, env2 in responses:
-            att2 = tgt.with_delta(resp.delta)
-            pair = (att2, resp) if side == "left" else (resp, att2)
-            nexts.append((resp.key, pair + (env2, spent)))
-        return _Round(side, key, tgt, trunc, nexts)
+        return _Round(side, key, tgt, spent, self._responses(
+            dfn, key, mu, kind, d, env1, val))
 
     def _rounds(self, a, b, env, spent, d, step=None):
         """The rounds of position (a, b, env, spent) at play depth ``d``,
-        or only those of a witness ``step``'s attack."""
+        or only those of a witness ``step``'s attack.  An attack's target
+        is built here, when its round is reached, so the targets of the
+        attacks after a winning one are never built; for a ``step``, only
+        attacks with its label are built."""
         sides = (("left", a, b), ("right", b, a))
         for side, att, dfn in sides[:1] if self.method == "sim" else sides:
             for attack in self._attacks(att, d, env, spent):
-                if step and (side, attack[0], attack[3].key) != (
-                        step.side, step.label, step.attacker_after):
+                if step and (side, attack[0]) != (step.side, step.label):
                     continue
-                rnd = self._round(side, dfn, attack, d, env, spent)
+                tgt = attack[3]()
+                if step and tgt.key != step.attacker_after:
+                    continue
+                rnd = self._round(side, dfn, attack, tgt, d, env, spent)
                 if rnd is not None:
                     yield rnd
 
@@ -524,17 +582,18 @@ class _Game:
 
     def _play(self, pos, d):
         """Yields the position of each answer, is sent its result, and
-        returns the result of ``pos``."""
+        returns the result of ``pos``.  A round stops at its first proved
+        answer, so the answers after it are never built."""
         verdict = True
         for rnd in self._rounds(*pos, d):
-            open_ = rnd.truncated
-            for _, nxt in rnd.nexts:
-                sub = yield nxt
+            open_ = False
+            for answer in rnd:
+                sub = yield rnd.position(*answer)
                 if sub is True:
                     break
                 open_ = open_ or sub is None
             else:
-                if not open_:
+                if not (open_ or rnd.truncated):
                     return False
                 verdict, self.truncated = None, True
         return verdict
@@ -552,10 +611,16 @@ class _Game:
         steps, pos, d = [], (a, b, self.env, frozenset()), 1
         while pos is not None:
             n = self.memo[self._position(*pos)][1]
-            rnd = next(r for r in self._rounds(*pos, d) if not r.truncated
-                       and all(self._solve(nxt, n - 1, d + 1) is False
-                               for _, nxt in r.nexts))
-            answer, pos = rnd.nexts[0] if rnd.nexts else (None, None)
+            for rnd in self._rounds(*pos, d):
+                answers = list(rnd)
+                if not rnd.truncated and all(
+                        self._solve(rnd.position(*r), n - 1, d + 1) is False
+                        for r in answers):
+                    break
+            else:
+                raise RuntimeError("no attack refutes a refuted position")
+            answer, pos = (answers[0][0].key, rnd.position(*answers[0])) \
+                if answers else (None, None)
             steps.append(WitnessStep(rnd.side, rnd.label, rnd.target.key,
                                      answer, delta_key(rnd.target.delta)))
             d += 1
@@ -734,13 +799,15 @@ def replay_witness(p: Process, q: Process, verdict: Verdict,
         rnd = next(game._rounds(*pos, d, step), None)
         if rnd is None:
             return False
+        answers = list(rnd)
         if step.defender_after is None:
-            return (not rnd.nexts and not rnd.truncated
+            return (not answers and not rnd.truncated
                     and i == len(verdict.witness) - 1)
-        pos = next((nxt for k, nxt in rnd.nexts
-                    if k == step.defender_after), None)
-        if pos is None:
+        answer = next((r for r in answers
+                       if r[0].key == step.defender_after), None)
+        if answer is None:
             return False
+        pos = rnd.position(*answer)
         d += 1
     # trace ended on a step that still had responses: not a valid witness
     return False

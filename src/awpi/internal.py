@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from .syntax import (
     Case, ChanType, Input, LetTuple, Name, Nil, OUTPUT_MODES, Output, Par,
     Process, RepInput, Res, TupleType, SumType, UNIT, VInl, VInr, VName,
-    VTuple, VUnit, Value, ValueType, _par_list, _split_chain, bound_names,
-    free_names,
+    VTuple, VUnit, Value, ValueType, _par_list, _shallow, _split_chain,
+    bound_names, free_names,
 )
 from .typecheck import ANY, dual
 
@@ -255,7 +255,7 @@ def _walk(p: Process, env, fresh) -> Process:
 def is_internal(p: Process, env) -> bool:
     """True iff every output either carries a channel-free value or is in
     the bound-output-plus-wire shape the translation produces."""
-    return _chk(p, dict(env))
+    return _shallow(_chk, p, dict(env))
 
 
 def _occ_in_value(v: Value, m: Name) -> int:

@@ -285,27 +285,33 @@ NIL = Nil()
 
 def ast_size(p: Process) -> int:
     """Number of process constructors (values and types do not count)."""
+    return _shallow(_ast_size, p)
+
+
+def _ast_size(p: Process) -> int:
     if isinstance(p, Nil) or isinstance(p, Output):
         return 1
     if isinstance(p, Par):
-        return 1 + ast_size(p.left) + ast_size(p.right)
+        return 1 + _ast_size(p.left) + _ast_size(p.right)
     if isinstance(p, (Input, RepInput)):
-        return 1 + ast_size(p.body)
+        return 1 + _ast_size(p.body)
     if isinstance(p, Res):
-        return 1 + ast_size(p.body)
+        return 1 + _ast_size(p.body)
     if isinstance(p, LetTuple):
-        return 1 + ast_size(p.body)
+        return 1 + _ast_size(p.body)
     if isinstance(p, Case):
-        return 1 + ast_size(p.left_body) + ast_size(p.right_body)
+        return 1 + _ast_size(p.left_body) + _ast_size(p.right_body)
     raise TypeError(f"not a process: {p!r}")
 
 
-def _shallow(walk, p):
-    """``walk(p)``, where nesting too deep for the recursion limit is a
+def _shallow(walk, *args):
+    """``walk(*args)``, where nesting too deep for the recursion limit is a
     ``ValueError("process nested too deeply")``, not a RecursionError,
-    as :meth:`TokenStream.whole` does for text."""
+    as :meth:`TokenStream.whole` does for text.  Public walks over a
+    process go through here; the parser and the walks themselves call the
+    recursive ones directly, so that too-deep text is still a ParseError."""
     try:
-        return walk(p)
+        return walk(*args)
     except RecursionError:
         pass
     raise ValueError("process nested too deeply")
@@ -340,19 +346,24 @@ def _free_names(p: Process) -> frozenset:
 
 
 def bound_names(p: Process) -> frozenset:
+    """The names bound anywhere in ``p``."""
+    return _shallow(_bound_names, p)
+
+
+def _bound_names(p: Process) -> frozenset:
     if isinstance(p, (Nil, Output)):
         return frozenset()
     if isinstance(p, Par):
-        return frozenset().union(*map(bound_names, _par_list(p)))
+        return frozenset().union(*map(_bound_names, _par_list(p)))
     if isinstance(p, (Input, RepInput)):
-        return frozenset((p.param,)) | bound_names(p.body)
+        return frozenset((p.param,)) | _bound_names(p.body)
     if isinstance(p, Res):
-        return frozenset((p.in_name, p.out_name)) | bound_names(p.body)
+        return frozenset((p.in_name, p.out_name)) | _bound_names(p.body)
     if isinstance(p, LetTuple):
-        return frozenset(p.params) | bound_names(p.body)
+        return frozenset(p.params) | _bound_names(p.body)
     if isinstance(p, Case):
         return (frozenset((p.left_param, p.right_param))
-                | bound_names(p.left_body) | bound_names(p.right_body))
+                | _bound_names(p.left_body) | _bound_names(p.right_body))
     raise TypeError(f"not a process: {p!r}")
 
 
@@ -390,9 +401,9 @@ def substitute(p: Process, mapping) -> Process:
     they would capture a name of the substituted values.
     """
     mapping = {k: v for k, v in mapping.items() if not (isinstance(v, VName) and v.name == k)}
-    if not mapping or not (set(mapping) & _free_names(p)):
+    if not mapping or not (set(mapping) & free_names(p)):
         return p
-    return _subst(p, mapping)
+    return _shallow(_subst, p, mapping)
 
 
 def _value_name_union(mapping):
@@ -410,7 +421,7 @@ def _subst_binders(binders, body_extra, mapping, p):
     if not relevant:
         # nothing to substitute below; keep binders untouched
         return list(binders), {}
-    avoid = set(clash) | set(relevant) | _free_names(p) | bound_names(p) | set(binders)
+    avoid = set(clash) | set(relevant) | _free_names(p) | _bound_names(p) | set(binders)
     renames = {}
     out = []
     for b in binders:
@@ -478,7 +489,7 @@ def rename_free(p: Process, renames) -> Process:
 # ---------------------------------------------------------------------------
 
 def alpha_eq(p: Process, q: Process) -> bool:
-    return _alpha(p, q, {}, {}, [0])
+    return _shallow(_alpha, p, q, {}, {}, [0])
 
 
 def _alpha_name(a: Name, b: Name, envl, envr) -> bool:
@@ -918,7 +929,7 @@ class _Parser(TokenStream):
         if len(params) == 1:
             return cls(subject, params[0], body)
         # polyadic sugar: receive a tuple (or unit) and destructure it
-        avoid = _free_names(body) | bound_names(body) | set(params) | {subject}
+        avoid = _free_names(body) | _bound_names(body) | set(params) | {subject}
         tmp = fresh_name(Name("_v"), avoid)
         if len(params) == 0:
             return cls(subject, tmp, body)

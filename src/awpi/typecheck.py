@@ -22,7 +22,7 @@ from .syntax import (
     Case, ChanType, INPUT_MODES, Input, LetTuple, LINEAR_MODES, Name, Nil,
     Output, Par, Process, RepInput, Res, SUCCESS, SumType, TupleType, UNIT,
     UnitType, VInl, VInr, VName, VTuple, VUnit, Value, ValueType, _par_list,
-    free_names, value_names,
+    _shallow, free_names, value_names,
 )
 
 
@@ -354,7 +354,7 @@ def _check(env: dict, p: Process, path: tuple):
 def typecheck(env: dict, p: Process) -> TypeVerdict:
     """Check ``p`` under ``env`` (success names are implicitly o[unit])."""
     try:
-        _check(dict(env), p, ())
+        _shallow(_check, dict(env), p, ())
     except TypingError as e:
         return TypeVerdict(False, [e])
     return TypeVerdict(True, [])

@@ -422,7 +422,7 @@ def test_game_feeds_an_input_once_across_play_depths(monkeypatch):
     comp = state(proc("a(x).k!()"), frozenset())
     game = _Game("internal", BisimConfig(), env)
     built = _record_states(monkeypatch)
-    targets = [game._attacks(comp, d, env)[0][3] for d in (1, 2)]
+    targets = [game._attacks(comp, d, env)[0][3]() for d in (1, 2)]
     assert targets[0] is targets[1]
     # renaming the parameter to %i#1 and %i#2 before feeding made four
     # states, a renamed and a fed target at each depth
@@ -435,8 +435,8 @@ def test_game_absorbs_a_message_once(monkeypatch):
     game = _Game("internal", BisimConfig(), env)
     mu = game._std_moves(state(proc("a(x).k!()"), frozenset()), 1)[0][1]
     built = _record_states(monkeypatch)
-    first, _ = game._responses(dfn, "a(())", mu, "in", 1, env, VUNIT)
-    second, _ = game._responses(dfn, "a(())", mu, "in", 1, env, VUNIT)
+    first = list(game._responses(dfn, "a(())", mu, "in", 1, env, VUNIT))
+    second = list(game._responses(dfn, "a(())", mu, "in", 1, env, VUNIT))
     assert [s.key for s, e in first] == [s.key for s, e in second]
     assert len(first) == 2 and all("%a#1!()" in s.key for s, e in first)
     # rebuilding them on the second call made four absorption states
@@ -454,6 +454,29 @@ def test_game_builds_one_target_for_two_copies_of_a_message(monkeypatch):
     assert first is second
     # keying by transition index built it twice
     assert built == [("a(_).0 | 0 | k!()", "")]
+
+
+def test_game_stops_at_the_first_winning_attack(monkeypatch):
+    env = tenv("a: o[unit]; c: o[unit]")
+    built = _record_states(monkeypatch)
+    v = internal_bisim_n(frozenset(), proc("a!() | c!()"), proc("0"), 3,
+                         env=env)
+    assert v.distinguished and v.witness[0].label == "a!()"
+    assert ("0 | c!()", "") in built
+    # building every attack's target first built a!()'s sibling too
+    assert ("a!() | 0", "") not in built
+
+
+def test_game_stops_at_the_first_proved_answer(monkeypatch):
+    # at depth 1 every first answer is proved; the defender's tau leads to
+    # k!() | k!() | m!(), whose k!() and m!() moves answer weakly as well
+    p = proc("k!() | m!()")
+    q = proc("k!() | m!() | new(s: i[unit], t)( t!() | s(y).k!() )")
+    built = _record_states(monkeypatch)
+    assert weak_bisim(p, q, cfg=BisimConfig(depth=1)).equivalent
+    # building every answer first built both later weak answers' targets
+    assert ("0 | k!() | m!()", "") not in built
+    assert ("k!() | k!() | 0", "") not in built
 
 
 def test_mutated_wire_distinguished_and_witnessed():

@@ -10,8 +10,10 @@ from awpi.syntax import (
     RepInput, Res, SUCCESS, UNIT, VName, VUNIT, alpha_eq, ast_size,
     bound_names, canonicalize, congruent, free_names, fresh_name, parse_file,
     parse_process, parse_value, parse_vtype, print_process, print_value,
-    print_vtype, substitute, substitute_value,
+    print_vtype, rename_free, substitute, substitute_value,
 )
+from awpi.internal import is_internal
+from awpi.typecheck import typecheck
 
 from oracles import (
     alpha_key, congruence_closure, enumerate_core, oracle_congruent,
@@ -131,9 +133,19 @@ def test_deep_prefix_built_through_the_api():
     assert canonicalize(p).key.startswith("a(_).a(_#1).")
     assert print_process(p).startswith("a(x0).a(x1).")
     assert free_names(p) == {Name("a"), Name("k")}
+    assert alpha_eq(p, _deep_prefix(400)) and ast_size(p) == 401
+    assert len(bound_names(p)) == 400
+    assert free_names(rename_free(p, {Name("k"): Name("m")})) == free_names(
+        substitute(p, {Name("k"): VName(Name("m"))})) == {Name("a"), Name("m")}
+    env = {Name("a"): parse_vtype("i[unit]"), Name("k"): parse_vtype("o[unit]")}
+    assert typecheck(env, p).ok and is_internal(p, env)
     # 1,500 levels raised RecursionError in each
     deep = _deep_prefix(1500)
-    for walk in (canonicalize, print_process, free_names):
+    for walk in (canonicalize, print_process, free_names, ast_size,
+                 bound_names, lambda q: alpha_eq(q, q),
+                 lambda q: rename_free(q, {Name("k"): Name("m")}),
+                 lambda q: substitute(q, {Name("k"): VName(Name("m"))}),
+                 lambda q: typecheck(env, q), lambda q: is_internal(q, env)):
         with pytest.raises(ValueError, match="process nested too deeply"):
             walk(deep)
 
