@@ -415,13 +415,13 @@ def _value_name_union(mapping):
 
 def _subst_binders(binders, body_extra, mapping, p):
     """Refresh ``binders`` as needed; returns (new binders, inner mapping)."""
-    inner = {k: v for k, v in mapping.items() if k not in binders}
-    relevant = {k: v for k, v in inner.items() if k in _free_names(p)}
-    clash = _value_name_union(relevant)
+    free = _free_names(p)
+    relevant = {k: v for k, v in mapping.items() if k not in binders and k in free}
     if not relevant:
         # nothing to substitute below; keep binders untouched
         return list(binders), {}
-    avoid = set(clash) | set(relevant) | _free_names(p) | _bound_names(p) | set(binders)
+    clash = _value_name_union(relevant)
+    avoid = clash | set(relevant) | free | _bound_names(p) | set(binders)
     renames = {}
     out = []
     for b in binders:
@@ -614,10 +614,12 @@ def _print_payload(v: Value) -> str:
 
 
 def _print_prefix(p: Process) -> str:
+    return _prefix_text(p, _print_process(p))
+
+
+def _prefix_text(p: Process, text: str) -> str:
     # a process at prefix level: parallel compositions get parentheses
-    if isinstance(p, Par):
-        return f"({_print_process(p)})"
-    return _print_process(p)
+    return f"({text})" if isinstance(p, Par) else text
 
 
 def print_process(p: Process) -> str:
@@ -1094,38 +1096,25 @@ def _hide(names, binders):
 
 
 class _Canon:
-    """The memo tables of one :func:`canonicalize` call.
+    """The tables of one :func:`canonicalize` call, all keyed by ``id``.
 
-    ``fvs`` maps ``id(node)`` to ``(node, free names)``; holding the node
-    keeps its id from being reused while the call runs.  ``memo`` maps
-    ``(id(node), depth, shape, labels of the node's free names)`` to the
-    node's rendering and, for a level, the decisions that produced it.
+    ``fvs`` maps ``id(node)`` to ``(node, free names)`` for every node of
+    the normalized process: :meth:`normalize` records a node's free names
+    as it makes it, from its children's.  Holding the node keeps its id
+    from being reused while the call runs.  ``parts`` maps ``id(level)`` to
+    the level's ``(pairs, atoms)``, recorded by :meth:`_merge`, so that no
+    level is split again.  ``memo`` maps ``(id(node), depth, shape, labels
+    of the node's free names)`` to the node's rendering and, for a level,
+    the decisions that produced it.
     """
 
     def __init__(self):
-        self.fvs = {}
+        self.fvs = {id(NIL): (NIL, frozenset())}
+        self.parts = {}
         self.memo = {}
 
     def fv(self, p):
-        got = self.fvs.get(id(p))
-        if got is not None:
-            return got[1]
-        if isinstance(p, Par):
-            out = frozenset().union(*[self.fv(c) for c in _par_list(p)])
-        elif isinstance(p, (Input, RepInput)):
-            out = (self.fv(p.body) - {p.param}) | {p.subject}
-        elif isinstance(p, Res):
-            out = self.fv(p.body) - {p.in_name, p.out_name}
-        elif isinstance(p, LetTuple):
-            out = (self.fv(p.body) - set(p.params)) | value_names(p.scrutinee)
-        elif isinstance(p, Case):
-            out = (value_names(p.scrutinee)
-                   | (self.fv(p.left_body) - {p.left_param})
-                   | (self.fv(p.right_body) - {p.right_param}))
-        else:
-            out = _free_names(p)
-        self.fvs[id(p)] = (p, out)
-        return out
+        return self.fvs[id(p)][1]
 
     # -- normalization ----------------------------------------------------
 
@@ -1133,33 +1122,53 @@ class _Canon:
         """Flatten ``|``, hoist restrictions, drop nil and dead pairs.
 
         Every level of the result is a restriction chain over a flat ``|``
-        of atoms (inputs, outputs, lets and cases), in source order.
+        of atoms (inputs, outputs, lets and cases), in source order.  A
+        whole chain is merged at once; one whose pairs repeat a name is
+        merged one scope at a time, so that no level binds a name twice.
+        Every node of the result has its entry in ``fvs``.
         """
+        if isinstance(p, (Par, Res)):
+            pairs, core = _split_chain(p)
+            if len({n for a, b, _ in pairs for n in (a, b)}) < 2 * len(pairs):
+                return self._merge(pairs[:1], [self.normalize(p.body)])
+            return self._merge(pairs, [self.normalize(c) for c in _par_list(core)])
         if isinstance(p, (Input, RepInput)):
-            return type(p)(p.subject, p.param, self.normalize(p.body))
-        if isinstance(p, LetTuple):
-            return LetTuple(p.params, p.scrutinee, self.normalize(p.body))
-        if isinstance(p, Case):
-            return Case(p.scrutinee, p.left_param, self.normalize(p.left_body),
-                        p.right_param, self.normalize(p.right_body))
-        if isinstance(p, Par):
-            return self._merge([], [self.normalize(c) for c in _par_list(p)])
-        if isinstance(p, Res):
-            return self._merge([(p.in_name, p.out_name, p.in_type)],
-                               [self.normalize(p.body)])
+            body = self.normalize(p.body)
+            names = (self.fv(body) - {p.param}) | {p.subject}
+            p = type(p)(p.subject, p.param, body)
+        elif isinstance(p, LetTuple):
+            body = self.normalize(p.body)
+            names = (self.fv(body) - set(p.params)) | value_names(p.scrutinee)
+            p = LetTuple(p.params, p.scrutinee, body)
+        elif isinstance(p, Case):
+            left, right = self.normalize(p.left_body), self.normalize(p.right_body)
+            names = (value_names(p.scrutinee) | (self.fv(left) - {p.left_param})
+                     | (self.fv(right) - {p.right_param}))
+            p = Case(p.scrutinee, p.left_param, left, p.right_param, right)
+        elif isinstance(p, Output):
+            names = value_names(p.payload) | {p.subject}
+        elif isinstance(p, Nil):
+            names = frozenset()
+        else:
+            raise TypeError(f"not a process: {p!r}")
+        self.fvs[id(p)] = (p, names)
         return p
 
     def _merge(self, pairs, comps):
         """Combine components under one restriction chain with capture
         avoidance; a pair no atom uses is dropped (scope extrusion and the
-        nil axioms derive this)."""
-        taken = set().union(*[self.fv(c) for c in comps])
+        nil axioms derive this).  A component's parts and free names are
+        read from the tables, and the new level's are recorded there.  An
+        atom is renamed, and normalized again, only when it uses a renamed
+        pair."""
+        fvs, parts = self.fvs, self.parts
+        taken = set().union(*[fvs[id(c)][1] for c in comps])
         for a, b, _ in pairs:
             taken |= {a, b}
         pairs = list(pairs)
         atoms = []
         for c in comps:
-            cpairs, core = _split_chain(c)
+            cpairs, catoms = parts.get(id(c)) or ([], [] if isinstance(c, Nil) else [c])
             renames = {}
             for a, b, t in cpairs:
                 for n in (a, b):
@@ -1167,12 +1176,20 @@ class _Canon:
                         renames[n] = fresh_name(n, taken)
                     taken.add(renames.get(n, n))
                 pairs.append((renames.get(a, a), renames.get(b, b), t))
-            for atom in _par_list(core):
-                if not isinstance(atom, Nil):
-                    atoms.append(rename_free(atom, renames) if renames else atom)
-        used = set().union(*[self.fv(x) for x in atoms])
+            for atom in catoms:
+                if renames and not renames.keys().isdisjoint(fvs[id(atom)][1]):
+                    atom = self.normalize(rename_free(atom, renames))
+                atoms.append(atom)
+        if not atoms:
+            return NIL
+        used = set().union(*[fvs[id(x)][1] for x in atoms])
         pairs = [(a, b, t) for a, b, t in pairs if a in used or b in used]
-        return _chain(pairs, _par(atoms)) if atoms else NIL
+        node = _chain(pairs, _par(atoms))
+        if node is not atoms[0]:
+            fvs[id(node)] = (node, frozenset(used).difference(
+                *[(a, b) for a, b, _ in pairs]))
+            parts[id(node)] = (pairs, atoms)
+        return node
 
     # -- certificates -----------------------------------------------------
 
@@ -1222,8 +1239,7 @@ class _Canon:
         """A restriction chain over ``|``: its connected components (atoms
         linked by the pairs they use) in certificate order, components
         with pairs first."""
-        pairs, core = _split_chain(p)
-        atoms = _par_list(core)
+        pairs, atoms = self.parts[id(p)]
         if shape:
             slots = dict(env)
             for a, b, t in pairs:
@@ -1307,11 +1323,11 @@ class _Canon:
                 use(q.subject, ("r" if isinstance(q, RepInput) else "i",
                                 depth, -1), names)
                 walk(q.body, depth + 1, _hide(names, (q.param,)))
-            elif isinstance(q, Res):
-                walk(q.body, depth, _hide(names, (q.in_name, q.out_name)))
-            elif isinstance(q, Par):
-                for c in _par_list(q):
-                    walk(c, depth, names)
+            elif isinstance(q, (Res, Par)):
+                pairs, atoms = self.parts[id(q)]
+                inner = _hide(names, [n for a, b, _ in pairs for n in (a, b)])
+                for c in atoms:
+                    walk(c, depth, inner)
             elif isinstance(q, LetTuple):
                 for pos, v in enumerate(_value_leaves(q.scrutinee)):
                     if isinstance(v, VName):
@@ -1418,34 +1434,44 @@ class _Canon:
 
     def build(self, p, d, labels, names, alloc):
         """``p`` rebuilt in the order its certificate under ``labels``
-        chose, with binders renamed ``_#k`` in print order."""
+        chose, with binders renamed ``_#k`` in print order, and its text,
+        byte for byte what :func:`print_process` prints for it."""
         if isinstance(p, Nil):
-            return p
+            return p, "0"
         if isinstance(p, Output):
-            return Output(names.get(p.subject, VName(p.subject)).name,
-                          substitute_value(p.payload, names))
+            q = Output(names.get(p.subject, VName(p.subject)).name,
+                       substitute_value(p.payload, names))
+            return q, f"{q.subject}!({_print_payload(q.payload)})"
         if isinstance(p, (Input, RepInput)):
             x = alloc.take()
-            body = self.build(p.body, d + 1, {**labels, p.param: f"%{d}"},
-                              {**names, p.param: VName(x)}, alloc)
-            return type(p)(names.get(p.subject, VName(p.subject)).name, x, body)
+            body, text = self.build(p.body, d + 1, {**labels, p.param: f"%{d}"},
+                                    {**names, p.param: VName(x)}, alloc)
+            q = type(p)(names.get(p.subject, VName(p.subject)).name, x, body)
+            bang = "!" if isinstance(p, RepInput) else ""
+            return q, f"{bang}{q.subject}({x}).{_prefix_text(body, text)}"
         if isinstance(p, LetTuple):
             xs = [alloc.take() for _ in p.params]
             lab, nam = dict(labels), dict(names)
             for i, (prm, x) in enumerate(zip(p.params, xs)):
                 lab[prm], nam[prm] = f"%{d + i}", VName(x)
-            return LetTuple(tuple(xs), substitute_value(p.scrutinee, names),
-                            self.build(p.body, d + len(xs), lab, nam, alloc))
+            scrut = substitute_value(p.scrutinee, names)
+            body, text = self.build(p.body, d + len(xs), lab, nam, alloc)
+            return (LetTuple(tuple(xs), scrut, body),
+                    f"let ({', '.join(map(str, xs))}) = {print_value(scrut)}"
+                    f" in {_prefix_text(body, text)}")
         if isinstance(p, Case):
             scrut = substitute_value(p.scrutinee, names)
             x = alloc.take()
-            left = self.build(p.left_body, d + 1, {**labels, p.left_param: f"%{d}"},
-                              {**names, p.left_param: VName(x)}, alloc)
+            left, ltext = self.build(p.left_body, d + 1,
+                                     {**labels, p.left_param: f"%{d}"},
+                                     {**names, p.left_param: VName(x)}, alloc)
             y = alloc.take()
-            right = self.build(p.right_body, d + 1,
-                               {**labels, p.right_param: f"%{d}"},
-                               {**names, p.right_param: VName(y)}, alloc)
-            return Case(scrut, x, left, y, right)
+            right, rtext = self.build(p.right_body, d + 1,
+                                      {**labels, p.right_param: f"%{d}"},
+                                      {**names, p.right_param: VName(y)}, alloc)
+            return (Case(scrut, x, left, y, right),
+                    f"case {print_value(scrut)} {{ inl {x} -> {ltext} ; "
+                    f"inr {y} -> {rtext} }}")
         key = (id(p), d, False, tuple([labels.get(n) for n in self.fv(p)]))
         pairs, scopes = [], []
         for order, atoms, ad in self.memo[key][1]:
@@ -1457,7 +1483,11 @@ class _Canon:
             scopes.append((atoms, ad, _pair_labels(order, d, labels), nam))
         built = [self.build(x, ad, lab, nam, alloc)
                  for atoms, ad, lab, nam in scopes for x in atoms]
-        return _chain(pairs, _par(built))
+        core = " | ".join(text for _, text in built)
+        if pairs and len(built) > 1:
+            core = f"({core})"
+        return (_chain(pairs, _par([q for q, _ in built])),
+                "".join(f"new({x}: {t}, {y}) " for x, y, t in pairs) + core)
 
 
 def canonicalize(p: Process) -> CanonicalForm:
@@ -1471,9 +1501,10 @@ def canonicalize(p: Process) -> CanonicalForm:
     and individualization, keeping the least certificate, and the atoms
     follow in certificate order.  Bound names become ``_#k`` in print
     order, above the index of any free name with base ``_``.  Congruent
-    processes get equal keys and, as the key prints the rebuilt process,
-    only they do.  Raises ValueError on a process nested too deeply for the
-    recursion limit (a ``|`` chain of any width is fine).
+    processes get equal keys and, as the key is the rebuilt process's text
+    (printed while building, byte for byte as :func:`print_process` prints
+    it), only they do.  Raises ValueError on a process nested too deeply
+    for the recursion limit (a ``|`` chain of any width is fine).
     """
     return _shallow(_canonicalize, p)
 
@@ -1484,8 +1515,7 @@ def _canonicalize(p: Process) -> CanonicalForm:
     start = max((n.index + 1 for n in c.fv(norm)
                  if n.base == "_" and n.kind == REGULAR), default=0)
     c.render(norm, 0, {}, False)
-    built = c.build(norm, 0, {}, {}, _GlobalAlloc(start))
-    return CanonicalForm(built, print_process(built))
+    return CanonicalForm(*c.build(norm, 0, {}, {}, _GlobalAlloc(start)))
 
 
 def canonical_process(p: Process) -> Process:

@@ -15,6 +15,7 @@ from awpi.syntax import (
 from awpi.internal import is_internal
 from awpi.typecheck import typecheck
 
+from gen_typed import random_typed
 from oracles import (
     alpha_key, congruence_closure, enumerate_core, oracle_congruent,
     random_process, subst_oracle,
@@ -359,26 +360,27 @@ def _collect_binders(p, out):
         _collect_binders(p.right_body, out)
 
 
+# (lhs, rhs, congruent?) for each rewrite the normal form must make
+FROZEN_REWRITES = [
+    ("0 | a!()", "a!()", True),  # nil unit
+    ("new(a: i[unit], b) 0", "0", True),  # restriction of nil
+    ("c!() | new(a: i[unit], b) (a(x).0 | b!())",  # scope extrusion
+     "new(a: i[unit], b) (c!() | a(x).0 | b!())", True),
+    ("new(a: i[unit], b) new(c: i[unit], d) (a(x).0 | d!())",  # swap
+     "new(c: i[unit], d) new(a: i[unit], b) (a(x).0 | d!())", True),
+    ("(a!() | b!()) | c!()", "c!() | (b!() | a!())", True),  # comm + assoc
+    ("!a(x).0", "a(x).0 | !a(x).0", False),  # replication is never unfolded
+    # an inner pair shadows an end of an outer one
+    ("new(a: i[unit], b) new(a: li[unit], c) (a(x).0 | c!())",
+     "new(a: li[unit], c) (a(x).0 | c!())", True),
+    ("new(a: i[unit], b) new(a: li[unit], c) (a(x).0 | b!() | c!())",
+     "new(a: i[unit], b) new(e: li[unit], c) (a(x).0 | b!() | c!())", False),
+]
+
+
 def test_canonicalize_frozen_rewrites():
-    # nil unit
-    assert congruent(parse_process("0 | a!()"), parse_process("a!()"))
-    # restriction of nil
-    assert canonicalize(parse_process("new(a: i[unit], b) 0")).key == \
-        canonicalize(parse_process("0")).key
-    # scope extrusion
-    assert congruent(
-        parse_process("c!() | new(a: i[unit], b) (a(x).0 | b!())"),
-        parse_process("new(a: i[unit], b) (c!() | a(x).0 | b!())"))
-    # restriction swap
-    assert congruent(
-        parse_process("new(a: i[unit], b) new(c: i[unit], d) (a(x).0 | d!())"),
-        parse_process("new(c: i[unit], d) new(a: i[unit], b) (a(x).0 | d!())"))
-    # commutativity + associativity
-    assert congruent(parse_process("(a!() | b!()) | c!()"),
-                     parse_process("c!() | (b!() | a!())"))
-    # replication is never unfolded
-    assert not congruent(parse_process("!a(x).0"),
-                         parse_process("a(x).0 | !a(x).0"))
+    for lhs, rhs, same in FROZEN_REWRITES:
+        assert congruent(parse_process(lhs), parse_process(rhs)) == same, lhs
 
 
 def test_canonicalize_respects_axioms_one_step():
@@ -598,3 +600,42 @@ def test_wide_par_round_trips_and_canonicalizes():
     for a in atoms[-2::-1]:
         right = Par(a, right)
     assert canonicalize(right).key == canonicalize(p).key
+
+
+def _fused_printer_inputs():
+    """Inputs on which the key printed while building is checked against
+    the printer."""
+    yield from (random_typed(seed, size=4 + seed % 16)[1] for seed in range(200))
+    yield _ring(7)
+    yield _ring(10)
+    yield _client_server(8)
+    yield parse_process(" | ".join(["k!()"] * 12))
+    yield _nested(20)
+    for lhs, rhs, _ in FROZEN_REWRITES:
+        yield parse_process(lhs)
+        yield parse_process(rhs)
+    atoms = [parse_process("k!()")] * 1500
+    right = atoms[-1]
+    for a in atoms[-2::-1]:
+        right = Par(a, right)
+    yield parse_process(" | ".join(["k!()"] * 1500))
+    yield right
+
+
+def test_key_is_the_printed_canonical_process():
+    for p in _fused_printer_inputs():
+        c = canonicalize(p)
+        assert c.key == print_process(c.process)
+
+
+@pytest.mark.parametrize("src", [
+    "new(a: i[unit], b)( a(y).k!(y) | b!() )",
+    "new(a: i[unit], b)( a(y).new(c: i[unit], d)( c(z).k!(y) | d!() ) | b!() )",
+])
+def test_canonicalize_aliased_subtrees(src):
+    """A node object reused in several places canonicalizes as its text."""
+    x = parse_process(src)
+    for p in (Par(x, x), Par(x, Par(x, x)), Input(Name("k"), Name("q"), Par(x, x))):
+        c = canonicalize(p)
+        assert c.key == canonicalize(parse_process(print_process(p))).key
+        assert c.key == print_process(c.process)
