@@ -29,14 +29,16 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Optional
 
 from .syntax import (
-    CanonicalForm, ChanType, Name, Output, Par, Process, SUCCESS, SumType,
-    TupleType, UnitType, VInl, VInr, VName, VTuple, VUNIT, free_names,
-    print_process, print_value, rename_free, substitute, value_names,
+    CanonicalForm, ChanType, Name, Nil, Output, Par, Process, SUCCESS,
+    SumType, TupleType, UnitType, VInl, VInr, VName, VTuple, VUNIT,
+    _par_list, _split_chain, free_names, print_process, print_value,
+    rename_free, substitute, value_names,
 )
 from .typecheck import ANY, dual, typecheck
 from .internal import internalize, is_internal
@@ -187,6 +189,16 @@ class _Game:
     target when it reaches the attack, and a round's answers are built
     as they are read, so a refuted position builds no target past its
     first winning attack and a round none past its first proved answer.
+
+    Every table lives and dies with one game.  ``_steps``, ``_moves``
+    and ``_closures`` are keyed by state key; ``_targets`` and ``_fed``
+    by how a target is reached from its source, so that a hit builds no
+    raw target; ``_states``, which every state built in a play goes
+    through (:meth:`_state`), by the process up to the commutative-monoid
+    laws of ``|``: its restriction chain and the multiset of its
+    top-level atoms other than ``0``.  Processes with one such key are
+    structurally congruent, so they have one canonical process and key,
+    and only the first is canonicalized.
     """
 
     def __init__(self, method: str, cfg: BisimConfig, env=None):
@@ -200,9 +212,31 @@ class _Game:
         self._targets = {}   # (state key, index, depth | label) -> state
         self._closures = {}  # state key -> tau closure
         self._fed = {}       # (state key, index, value) -> _feed result
-        self._absorbed = {}  # (state key, particle, delta) -> _absorb result
+        self._states = {}    # (chain, atom multiset, delta) -> state
 
     # -- moves and closures of states --------------------------------------
+
+    def _state(self, p: Process, delta) -> Composite:
+        """:func:`state` of ``p`` under ``delta``, built once per game for
+        each restriction chain and multiset of top-level atoms.
+
+        Two processes ``new c (A1 | ... | An)`` with the same chain ``c``
+        and the same multiset of atoms ``Ai``, up to ``0``s, are
+        structurally congruent: ``|`` is associative and commutative with
+        unit ``0``, and the chain is the same.  Since :func:`state` is a
+        normal form for congruence, they have the same canonical process
+        and key, so returning the stored state changes no key, verdict,
+        witness or bound.  The table is incomplete: atoms or chains equal
+        only up to alpha-renaming, a chain in another order, or a
+        restriction no atom uses, miss it and are canonicalized as before.
+        """
+        pairs, core = _split_chain(p)
+        atoms = Counter(a for a in _par_list(core) if not isinstance(a, Nil))
+        sk = (tuple(pairs), frozenset(atoms.items()), frozenset(delta))
+        out = self._states.get(sk)
+        if out is None:
+            out = self._states[sk] = state(p, delta)
+        return out
 
     def _step(self, comp: Composite):
         """The transitions of ``comp``, computed once per game.
@@ -223,7 +257,7 @@ class _Game:
                 out = [(TAU, Composite(r.process, comp.delta, r.key))
                        for r in reducts(canon)]
             else:
-                out = [(mu, state(c2.process, c2.delta)
+                out = [(mu, self._state(c2.process, c2.delta)
                         if isinstance(mu, Tau) else c2)
                        for mu, c2 in composite_step(comp)]
             self._steps[comp.key] = out
@@ -280,7 +314,7 @@ class _Game:
         tk = (comp.key, i, d) if ren else (comp.key, mu)
         out = self._targets.get(tk)
         if out is None:
-            out = self._targets[tk] = state(
+            out = self._targets[tk] = self._state(
                 rename_free(c2.process, ren),
                 frozenset((ren.get(x, x), ren.get(y, y)) for x, y in c2.delta))
         return out
@@ -317,7 +351,7 @@ class _Game:
         out = self._fed.get(fk)
         if out is None:
             mu, c2 = self._step(comp)[i]
-            out = self._fed[fk] = state(
+            out = self._fed[fk] = self._state(
                 substitute(c2.process, {mu.param: value}), c2.delta)
         return out
 
@@ -446,23 +480,8 @@ class _Game:
             return trunc
         particle = self._particle(at, payload, env)
         for q in self._closure(dfn)[0]:
-            yield self._absorb(q, particle, q.delta | pair), env
+            yield self._state(Par(q.process, particle), q.delta | pair), env
         return trunc
-
-    def _absorb(self, q: Composite, particle, delta):
-        """The defender state ``q`` with the absorbed message ``particle``
-        beside it, under connection set ``delta``.
-
-        The table is per game and keyed by (state key, printed particle,
-        connection-set key).  The particle depends on the environment only
-        through :func:`internalize`, and its printed form records that
-        dependence, so one key means one process under one connection set.
-        """
-        ak = (q.key, print_process(particle), delta_key(delta))
-        out = self._absorbed.get(ak)
-        if out is None:
-            out = self._absorbed[ak] = state(Par(q.process, particle), delta)
-        return out
 
     def _particle(self, at: Name, payload, env):
         """The absorbed message, wrapped into the internal fragment when

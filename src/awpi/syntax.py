@@ -367,6 +367,44 @@ def _bound_names(p: Process) -> frozenset:
     raise TypeError(f"not a process: {p!r}")
 
 
+def _names(p: Process, table) -> tuple:
+    """(free names, bound names) of ``p``.  ``table`` maps ``id(node)`` to
+    (node, free, bound) for every node above a leaf that this walk has
+    reached, filled in post order, so that a caller that asks again about
+    a subterm, as :func:`substitute` does at each binder, walks it once in
+    all; it holds each node, so no id in it is reused while it lives."""
+    if isinstance(p, (Nil, Output)):
+        return _free_names(p), frozenset()
+    hit = table.get(id(p))
+    if hit is not None:
+        return hit[1], hit[2]
+    if isinstance(p, Par):
+        parts = [_names(q, table) for q in _par_list(p)]
+        free = frozenset().union(*(f for f, _ in parts))
+        bound = frozenset().union(*(b for _, b in parts))
+    elif isinstance(p, (Input, RepInput)):
+        f, bound = _names(p.body, table)
+        free, bound = (f - {p.param}) | {p.subject}, bound | {p.param}
+    elif isinstance(p, Res):
+        f, bound = _names(p.body, table)
+        free = f - {p.in_name, p.out_name}
+        bound = bound | {p.in_name, p.out_name}
+    elif isinstance(p, LetTuple):
+        f, bound = _names(p.body, table)
+        free = value_names(p.scrutinee) | (f - set(p.params))
+        bound = bound | set(p.params)
+    elif isinstance(p, Case):
+        lf, lb = _names(p.left_body, table)
+        rf, rb = _names(p.right_body, table)
+        free = (value_names(p.scrutinee) | (lf - {p.left_param})
+                | (rf - {p.right_param}))
+        bound = lb | rb | {p.left_param, p.right_param}
+    else:
+        raise TypeError(f"not a process: {p!r}")
+    table[id(p)] = (p, free, bound)
+    return free, bound
+
+
 # ---------------------------------------------------------------------------
 # Substitution
 # ---------------------------------------------------------------------------
@@ -398,12 +436,15 @@ def substitute(p: Process, mapping) -> Process:
     """Capture-avoiding simultaneous substitution of values for free names.
 
     Bound names are refreshed deterministically (smallest unused index) when
-    they would capture a name of the substituted values.
+    they would capture a name of the substituted values.  A subterm's free
+    and bound names are computed at most once per call (:func:`_names`),
+    when a binder above it is passed, so the work is linear in the size of
+    ``p``, however deeply it nests.
     """
     mapping = {k: v for k, v in mapping.items() if not (isinstance(v, VName) and v.name == k)}
     if not mapping or not (set(mapping) & free_names(p)):
         return p
-    return _shallow(_subst, p, mapping)
+    return _shallow(_subst, p, mapping, {})
 
 
 def _value_name_union(mapping):
@@ -413,15 +454,15 @@ def _value_name_union(mapping):
     return out
 
 
-def _subst_binders(binders, body_extra, mapping, p):
+def _subst_binders(binders, mapping, p, table):
     """Refresh ``binders`` as needed; returns (new binders, inner mapping)."""
-    free = _free_names(p)
+    free, bound = _names(p, table)
     relevant = {k: v for k, v in mapping.items() if k not in binders and k in free}
     if not relevant:
         # nothing to substitute below; keep binders untouched
         return list(binders), {}
     clash = _value_name_union(relevant)
-    avoid = clash | set(relevant) | free | _bound_names(p) | set(binders)
+    avoid = clash | set(relevant) | free | bound | set(binders)
     renames = {}
     out = []
     for b in binders:
@@ -439,7 +480,7 @@ def _subst_binders(binders, body_extra, mapping, p):
     return out, relevant
 
 
-def _subst(p: Process, mapping) -> Process:
+def _subst(p: Process, mapping, table) -> Process:
     if isinstance(p, Nil):
         return p
     if isinstance(p, Par):
@@ -448,33 +489,33 @@ def _subst(p: Process, mapping) -> Process:
         while isinstance(p, Par):
             rights.append(p.right)
             p = p.left
-        out = _subst(p, mapping)
+        out = _subst(p, mapping, table)
         for r in reversed(rights):
-            out = Par(out, _subst(r, mapping))
+            out = Par(out, _subst(r, mapping, table))
         return out
     if isinstance(p, Output):
         return Output(_subst_subject(p.subject, mapping),
                       substitute_value(p.payload, mapping))
     if isinstance(p, (Input, RepInput)):
         subject = _subst_subject(p.subject, mapping)
-        (param,), inner = _subst_binders((p.param,), None, mapping, p.body)
-        body = _subst(p.body, inner) if inner else p.body
+        (param,), inner = _subst_binders((p.param,), mapping, p.body, table)
+        body = _subst(p.body, inner, table) if inner else p.body
         return type(p)(subject, param, body)
     if isinstance(p, Res):
-        (a, b), inner = _subst_binders((p.in_name, p.out_name), None, mapping, p.body)
-        body = _subst(p.body, inner) if inner else p.body
+        (a, b), inner = _subst_binders((p.in_name, p.out_name), mapping, p.body, table)
+        body = _subst(p.body, inner, table) if inner else p.body
         return Res(a, b, p.in_type, body)
     if isinstance(p, LetTuple):
         scrut = substitute_value(p.scrutinee, mapping)
-        params, inner = _subst_binders(tuple(p.params), None, mapping, p.body)
-        body = _subst(p.body, inner) if inner else p.body
+        params, inner = _subst_binders(tuple(p.params), mapping, p.body, table)
+        body = _subst(p.body, inner, table) if inner else p.body
         return LetTuple(tuple(params), scrut, body)
     if isinstance(p, Case):
         scrut = substitute_value(p.scrutinee, mapping)
-        (lp,), linner = _subst_binders((p.left_param,), None, mapping, p.left_body)
-        (rp,), rinner = _subst_binders((p.right_param,), None, mapping, p.right_body)
-        lbody = _subst(p.left_body, linner) if linner else p.left_body
-        rbody = _subst(p.right_body, rinner) if rinner else p.right_body
+        (lp,), linner = _subst_binders((p.left_param,), mapping, p.left_body, table)
+        (rp,), rinner = _subst_binders((p.right_param,), mapping, p.right_body, table)
+        lbody = _subst(p.left_body, linner, table) if linner else p.left_body
+        rbody = _subst(p.right_body, rinner, table) if rinner else p.right_body
         return Case(scrut, lp, lbody, rp, rbody)
     raise TypeError(f"not a process: {p!r}")
 

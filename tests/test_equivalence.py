@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 import os
+import random
 import subprocess
 import sys
 
@@ -10,12 +11,12 @@ import pytest
 
 import awpi
 from awpi.syntax import (
-    Name, VUNIT, canonical_process, canonicalize, parse_file, parse_process,
-    parse_vtype, rename_free,
+    NIL, Name, Par, Res, VUNIT, _par_list, _split_chain, canonical_process,
+    canonicalize, parse_file, parse_process, parse_vtype, rename_free,
 )
 from awpi.encodings import encode_alpi, parse_alpi
 from awpi.internal import internalize
-from awpi.semantics import Composite, delta_key, erase_to_api, state
+from awpi.semantics import Composite, Tau, delta_key, erase_to_api, state
 from awpi.typecheck import ANY
 from awpi import api
 from awpi.equivalence import (
@@ -454,6 +455,50 @@ def test_game_builds_one_target_for_two_copies_of_a_message(monkeypatch):
     assert first is second
     # keying by transition index built it twice
     assert built == [("a(_).0 | 0 | k!()", "")]
+
+
+def test_game_builds_congruent_tau_siblings_once(monkeypatch):
+    # each e!() meets the replicated input: two tau targets that differ
+    # only in which copy of the message is left
+    comp = state(proc("new(d: i[unit], e)( e!() | e!() | !d(y).k!() )"),
+                 frozenset())
+    game = _Game("weak", BisimConfig())
+    built = _record_states(monkeypatch)
+    taus = [c2 for mu, c2 in game._step(comp) if isinstance(mu, Tau)]
+    assert len(taus) == 2 and taus[0] is taus[1]
+    # canonicalizing each target built both
+    assert built == [("new(_: i[unit], _#1) (k!() | !_(_#2).k!() | 0 | _#1!())",
+                      "")]
+
+
+def _shuffled_par(atoms, rng):
+    """``atoms`` joined by ``|`` in a random order and bracketing."""
+    atoms = list(atoms)
+    rng.shuffle(atoms)
+    while len(atoms) > 1:
+        i = rng.randrange(len(atoms) - 1)
+        atoms[i:i + 2] = [Par(atoms[i], atoms[i + 1])]
+    return atoms[0]
+
+
+def test_game_state_table_keys_up_to_the_monoid_laws():
+    from gen_typed import random_typed
+    rng = random.Random(20261019)
+    shuffled = 0
+    for seed in range(200):
+        _, p = random_typed(seed, size=4 + seed % 16)
+        pairs, core = _split_chain(p)
+        atoms = _par_list(core)
+        more = atoms + [NIL] * rng.randrange(3)
+        q = _shuffled_par(more, rng)
+        for a, b, t in reversed(pairs):
+            q = Res(a, b, t, q)
+        game = _Game("weak", BisimConfig())
+        first = game._state(p, frozenset())
+        assert game._state(q, frozenset()) is first
+        assert first.pkey == canonicalize(q).key
+        shuffled += len(atoms) > 1
+    assert shuffled >= 50
 
 
 def test_game_stops_at_the_first_winning_attack(monkeypatch):

@@ -151,6 +151,28 @@ def test_deep_prefix_built_through_the_api():
             walk(deep)
 
 
+def test_substitute_walks_a_deep_prefix_once():
+    reads = [0]
+
+    class Counted(Input):
+        """An input whose body reads are counted: one per node visit."""
+
+        def __getattribute__(self, attr):
+            if attr == "body":
+                reads[0] += 1
+            return object.__getattribute__(self, attr)
+
+    p = Output(Name("k"), VUNIT)
+    for i in reversed(range(400)):
+        p = Counted(Name("a"), Name(f"x{i}"), p)
+    got = rename_free(p, {Name("k"): Name("m")})
+    # the free and bound names of the body under every binder were walked
+    # again at that binder: 160,800 body reads
+    assert reads[0] <= 10 * 400
+    assert print_process(got) == print_process(
+        rename_free(_deep_prefix(400), {Name("k"): Name("m")}))
+
+
 def test_every_entry_point_rejects_trailing_input():
     for parse, src in [(parse_process, "0 0"), (parse_value, "x y"),
                        (parse_vtype, "unit unit"), (parse_file, "0 )")]:
