@@ -111,11 +111,59 @@ def free_names(p: Process) -> frozenset:
     raise TypeError(f"not a process: {p!r}")
 
 
+def _frees(p: Process, table) -> frozenset:
+    """:func:`free_names` of ``p``, where ``table`` maps ``id(node)`` to
+    (node, free names) for every node above a leaf that a walk with it has
+    reached, filled in post order, so that a caller that asks about a
+    subterm and again about its parts, as :func:`substitute` does, walks
+    each node once in all.  It holds each node, so no id in it is
+    reused."""
+    if isinstance(p, (Nil, Output)):
+        return free_names(p)
+    hit = table.get(id(p))
+    if hit is not None:
+        return hit[1]
+    if isinstance(p, Par):
+        # the | spine in a loop, as in free_names
+        names, todo = set(), [p]
+        while todo:
+            q = todo.pop()
+            if isinstance(q, Par):
+                todo += (q.left, q.right)
+            else:
+                names |= _frees(q, table)
+        out = frozenset(names)
+    elif isinstance(p, (Input, RepInput)):
+        out = frozenset((p.subject,)) | (_frees(p.body, table) - {p.param})
+    elif isinstance(p, Res):
+        out = _frees(p.body, table) - {p.name}
+    elif isinstance(p, LetTuple):
+        out = value_names(p.scrutinee) | (_frees(p.body, table) - set(p.params))
+    elif isinstance(p, Case):
+        out = (value_names(p.scrutinee)
+               | (_frees(p.left_body, table) - {p.left_param})
+               | (_frees(p.right_body, table) - {p.right_param}))
+    else:
+        raise TypeError(f"not a process: {p!r}")
+    table[id(p)] = (p, out)
+    return out
+
+
 def substitute(p: Process, mapping) -> Process:
+    """Capture-avoiding substitution of values for free names.  One call
+    keeps one table of free names (see :func:`_frees`), which guards
+    every subterm and serves every refresh, so a subterm's names are
+    found once, not once per binder above it."""
     mapping = {k: v for k, v in mapping.items() if v != VName(k)}
-    if not mapping or not (set(mapping) & free_names(p)):
+    return _guarded(p, mapping, {})
+
+
+def _guarded(p: Process, mapping, table) -> Process:
+    """``p`` itself when ``mapping`` touches none of its free names, else
+    ``p`` with ``mapping`` applied."""
+    if not mapping or mapping.keys().isdisjoint(_frees(p, table)):
         return p
-    return _subst(p, mapping)
+    return _subst(p, mapping, table)
 
 
 def _subst_subject(n: Name, mapping) -> Name:
@@ -127,7 +175,7 @@ def _subst_subject(n: Name, mapping) -> Name:
     raise ValueError(f"cannot use non-name value as subject for {n}")
 
 
-def _refresh(binders, mapping, bodies):
+def _refresh(binders, mapping, bodies, table):
     """Drop shadowed entries, rename binders clashing with incoming names."""
     live = {k: v for k, v in mapping.items() if k not in binders}
     incoming = set()
@@ -137,7 +185,7 @@ def _refresh(binders, mapping, bodies):
     if incoming & set(binders):
         taken = incoming | set(binders)
         for b in bodies:
-            taken |= free_names(b)
+            taken |= _frees(b, table)
         for b in binders:
             if b in incoming:
                 nb = fresh_name(b, taken)
@@ -146,7 +194,7 @@ def _refresh(binders, mapping, bodies):
     return live, renames
 
 
-def _subst(p: Process, mapping) -> Process:
+def _subst(p: Process, mapping, table) -> Process:
     if isinstance(p, Nil):
         return p
     if isinstance(p, Par):
@@ -155,49 +203,51 @@ def _subst(p: Process, mapping) -> Process:
         while isinstance(p, Par):
             rights.append(p.right)
             p = p.left
-        out = substitute(p, mapping)
+        out = _guarded(p, mapping, table)
         for r in reversed(rights):
-            out = Par(out, substitute(r, mapping))
+            out = Par(out, _guarded(r, mapping, table))
         return out
     if isinstance(p, Output):
         return Output(_subst_subject(p.subject, mapping),
                       substitute_value(p.payload, mapping))
     if isinstance(p, (Input, RepInput)):
         subj = _subst_subject(p.subject, mapping)
-        live, ren = _refresh((p.param,), mapping, (p.body,))
+        live, ren = _refresh((p.param,), mapping, (p.body,), table)
         body = p.body
         if ren:
-            body = substitute(body, {k: VName(v) for k, v in ren.items()})
-        body = substitute(body, live)
-        param = ren.get(p.param, p.param)
-        return type(p)(subj, param, body)
+            body = _guarded(body, {k: VName(v) for k, v in ren.items()}, table)
+        return type(p)(subj, ren.get(p.param, p.param),
+                       _guarded(body, live, table))
     if isinstance(p, Res):
-        live, ren = _refresh((p.name,), mapping, (p.body,))
+        live, ren = _refresh((p.name,), mapping, (p.body,), table)
         body = p.body
         if ren:
-            body = substitute(body, {k: VName(v) for k, v in ren.items()})
-        return Res(ren.get(p.name, p.name), substitute(body, live))
+            body = _guarded(body, {k: VName(v) for k, v in ren.items()}, table)
+        return Res(ren.get(p.name, p.name), _guarded(body, live, table))
     if isinstance(p, LetTuple):
         scrut = substitute_value(p.scrutinee, mapping)
-        live, ren = _refresh(p.params, mapping, (p.body,))
+        live, ren = _refresh(p.params, mapping, (p.body,), table)
         body = p.body
         if ren:
-            body = substitute(body, {k: VName(v) for k, v in ren.items()})
+            body = _guarded(body, {k: VName(v) for k, v in ren.items()}, table)
         params = tuple(ren.get(x, x) for x in p.params)
-        return LetTuple(params, scrut, substitute(body, live))
+        return LetTuple(params, scrut, _guarded(body, live, table))
     if isinstance(p, Case):
         scrut = substitute_value(p.scrutinee, mapping)
-        livel, renl = _refresh((p.left_param,), mapping, (p.left_body,))
+        livel, renl = _refresh((p.left_param,), mapping, (p.left_body,), table)
         lb = p.left_body
         if renl:
-            lb = substitute(lb, {k: VName(v) for k, v in renl.items()})
-        liver, renr = _refresh((p.right_param,), mapping, (p.right_body,))
+            lb = _guarded(lb, {k: VName(v) for k, v in renl.items()}, table)
+        liver, renr = _refresh((p.right_param,), mapping, (p.right_body,),
+                               table)
         rb = p.right_body
         if renr:
-            rb = substitute(rb, {k: VName(v) for k, v in renr.items()})
+            rb = _guarded(rb, {k: VName(v) for k, v in renr.items()}, table)
         return Case(scrut,
-                    renl.get(p.left_param, p.left_param), substitute(lb, livel),
-                    renr.get(p.right_param, p.right_param), substitute(rb, liver))
+                    renl.get(p.left_param, p.left_param),
+                    _guarded(lb, livel, table),
+                    renr.get(p.right_param, p.right_param),
+                    _guarded(rb, liver, table))
     raise TypeError(f"not a process: {p!r}")
 
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from .syntax import (
     Case, ChanType, Input, LetTuple, Name, Nil, OUTPUT_MODES, Output, Par,
     Process, RepInput, Res, TupleType, SumType, UNIT, VInl, VInr, VName,
-    VTuple, VUnit, Value, ValueType, _par_list, _shallow, _split_chain,
-    bound_names, free_names,
+    VTuple, VUnit, Value, ValueType, _frees, _par_list, _shallow,
+    _split_chain, bound_names, free_names,
 )
 from .typecheck import ANY, dual
 
@@ -195,21 +195,28 @@ def _rewire(v: Value, env, fresh):
 
 
 def _walk(p: Process, env, fresh) -> Process:
+    """``p`` with its outputs of channel names rewired; a node none of
+    whose children changed is returned itself."""
     if isinstance(p, Nil):
         return p
     if isinstance(p, Par):
-        return Par(_walk(p.left, env, fresh), _walk(p.right, env, fresh))
+        left, right = _walk(p.left, env, fresh), _walk(p.right, env, fresh)
+        if left is p.left and right is p.right:
+            return p
+        return Par(left, right)
     if isinstance(p, (Input, RepInput)):
         t = env.get(p.subject)
         env2 = dict(env)
         env2[p.param] = t.payload if _is_chan(t) else ANY
-        return type(p)(p.subject, p.param, _walk(p.body, env2, fresh))
+        body = _walk(p.body, env2, fresh)
+        return p if body is p.body else type(p)(p.subject, p.param, body)
     if isinstance(p, Res):
         env2 = dict(env)
         env2[p.in_name] = p.in_type
         env2[p.out_name] = dual(p.in_type)
-        return Res(p.in_name, p.out_name, p.in_type,
-                   _walk(p.body, env2, fresh))
+        body = _walk(p.body, env2, fresh)
+        return p if body is p.body else Res(p.in_name, p.out_name,
+                                            p.in_type, body)
     if isinstance(p, LetTuple):
         t = _value_type(p.scrutinee, env)
         env2 = dict(env)
@@ -219,12 +226,15 @@ def _walk(p: Process, env, fresh) -> Process:
         else:
             for x in p.params:
                 env2[x] = ANY
-        return LetTuple(p.params, p.scrutinee, _walk(p.body, env2, fresh))
+        body = _walk(p.body, env2, fresh)
+        return p if body is p.body else LetTuple(p.params, p.scrutinee, body)
     if isinstance(p, Case):
         envl, envr = _branch_envs(p.scrutinee, env, p.left_param, p.right_param)
-        return Case(p.scrutinee,
-                    p.left_param, _walk(p.left_body, envl, fresh),
-                    p.right_param, _walk(p.right_body, envr, fresh))
+        left = _walk(p.left_body, envl, fresh)
+        right = _walk(p.right_body, envr, fresh)
+        if left is p.left_body and right is p.right_body:
+            return p
+        return Case(p.scrutinee, p.left_param, left, p.right_param, right)
     if isinstance(p, Output):
         v2, binds = _rewire(p.payload, env, fresh)
         if not binds:
@@ -254,56 +264,47 @@ def _walk(p: Process, env, fresh) -> Process:
 
 def is_internal(p: Process, env) -> bool:
     """True iff every output either carries a channel-free value or is in
-    the bound-output-plus-wire shape the translation produces."""
-    return _shallow(_chk, p, dict(env))
+    the bound-output-plus-wire shape the translation produces.
 
-
-def _occ_in_value(v: Value, m: Name) -> int:
-    if isinstance(v, VName):
-        return 1 if v.name == m else 0
-    if isinstance(v, VTuple):
-        return sum(_occ_in_value(x, m) for x in v.items)
-    if isinstance(v, (VInl, VInr)):
-        return _occ_in_value(v.value, m)
-    return 0
-
-
-def _payload_occurrences(p: Process, m: Name) -> int:
-    """Free occurrences of ``m`` inside output payloads, at any depth.
-
-    Subject, forward-target and scrutinee positions do not count: only a
-    payload position emits the name to a peer.
+    One walk checks every restriction level (:func:`_chk`) and returns,
+    from each subterm, its free payload occurrences, so a level reads its
+    pair ends' occurrences off its atoms instead of walking them once per
+    end.  The free names of a wire's body come from one table per call
+    (``syntax._frees``, keyed by node id).
     """
-    if isinstance(p, (Nil, type(None))):
-        return 0
-    if isinstance(p, Par):
-        return (_payload_occurrences(p.left, m)
-                + _payload_occurrences(p.right, m))
-    if isinstance(p, Output):
-        return _occ_in_value(p.payload, m)
-    if isinstance(p, (Input, RepInput)):
-        return 0 if p.param == m else _payload_occurrences(p.body, m)
-    if isinstance(p, Res):
-        if m in (p.in_name, p.out_name):
-            return 0
-        return _payload_occurrences(p.body, m)
-    if isinstance(p, LetTuple):
-        if m in p.params:
-            return 0
-        return _payload_occurrences(p.body, m)
-    if isinstance(p, Case):
-        left = (0 if p.left_param == m
-                else _payload_occurrences(p.left_body, m))
-        right = (0 if p.right_param == m
-                 else _payload_occurrences(p.right_body, m))
-        return left + right
-    raise TypeError(f"not a process: {p!r}")
+    try:
+        _shallow(_chk, p, dict(env), {})
+    except _External:
+        return False
+    return True
 
 
-def _chk(p: Process, env) -> bool:
+class _External(Exception):
+    """An output of the process checked is not in the internal shape."""
+
+
+def _value_counts(v: Value, counts):
+    """Add the occurrences of each name in ``v`` to ``counts``."""
+    if isinstance(v, VName):
+        counts[v.name] = counts.get(v.name, 0) + 1
+    elif isinstance(v, VTuple):
+        for x in v.items:
+            _value_counts(x, counts)
+    elif isinstance(v, (VInl, VInr)):
+        _value_counts(v.value, counts)
+
+
+def _chk(p: Process, env, table) -> dict:
+    """The free occurrences of each name inside output payloads of ``p``,
+    at any depth, as name -> count, where ``p`` is checked as one level: a
+    restriction chain over a ``|`` of atoms.  Subject, forward-target and
+    scrutinee positions do not count: only a payload position emits the
+    name to a peer.  Raises ``_External`` when an output is not in the
+    internal shape."""
     pairs, core = _split_chain(p)
     atoms = _par_list(core)
-    env = dict(env)
+    if pairs:
+        env = dict(env)
     in_of = {}
     out_of = {}
     for a, b, t in pairs:
@@ -311,44 +312,22 @@ def _chk(p: Process, env) -> bool:
         env[b] = dual(t)
         in_of[b] = a
         out_of[a] = b
-    for m in list(in_of) + list(out_of):
-        total = sum(_payload_occurrences(a, m) for a in atoms)
-        if total == 0:
-            continue
-        exporters = [a for a in atoms
-                     if isinstance(a, Output) and _occ_in_value(a.payload, m)]
-        at_top = sum(_occ_in_value(a.payload, m) for a in exporters)
-        # a pair end may be emitted once, by a top-level sibling of its wire
-        if total != at_top or total > 1:
-            return False
-        rest = [a for a in atoms if a is not exporters[0]]
-        if m in in_of:
-            # exported output end: the companion input end is served by a
-            # wire, an input that forwards its parameter onward
-            c = in_of[m]
-            served = any(isinstance(w, (Input, RepInput)) and w.subject == c
-                         and w.param in free_names(w.body) for w in rest)
-        else:
-            # exported input end: some wire forwards into the companion
-            c = out_of[m]
-            served = any(isinstance(w, (Input, RepInput))
-                         and c in free_names(w.body) for w in rest)
-        if not served:
-            return False
+    total, occs = {}, []
     for atom in atoms:
         if isinstance(atom, Output):
             for n in _chan_names_in(atom.payload, env):
                 if n not in in_of and n not in out_of:
-                    return False
+                    raise _External
+            occ = {}
+            _value_counts(atom.payload, occ)
         elif isinstance(atom, (Input, RepInput)):
             t = env.get(atom.subject)
             env2 = dict(env)
             env2[atom.param] = t.payload if _is_chan(t) else ANY
-            if not _chk(atom.body, env2):
-                return False
+            occ = _chk(atom.body, env2, table)
+            occ.pop(atom.param, None)
         elif isinstance(atom, Res):
-            if not _chk(atom, env):
-                return False
+            occ = _chk(atom, env, table)
         elif isinstance(atom, LetTuple):
             t = _value_type(atom.scrutinee, env)
             env2 = dict(env)
@@ -358,15 +337,48 @@ def _chk(p: Process, env) -> bool:
             else:
                 for x in atom.params:
                     env2[x] = ANY
-            if not _chk(atom.body, env2):
-                return False
+            occ = _chk(atom.body, env2, table)
+            for x in atom.params:
+                occ.pop(x, None)
         elif isinstance(atom, Case):
             envl, envr = _branch_envs(atom.scrutinee, env,
                                       atom.left_param, atom.right_param)
-            if not (_chk(atom.left_body, envl) and _chk(atom.right_body, envr)):
-                return False
+            occ = _chk(atom.left_body, envl, table)
+            occ.pop(atom.left_param, None)
+            right = _chk(atom.right_body, envr, table)
+            right.pop(atom.right_param, None)
+            for m, k in right.items():
+                occ[m] = occ.get(m, 0) + k
         elif isinstance(atom, Nil):
-            continue
+            occ = {}
         else:
             raise TypeError(f"not a process: {atom!r}")
-    return True
+        occs.append(occ)
+        for m, k in occ.items():
+            total[m] = total.get(m, 0) + k
+    for m in list(in_of) + list(out_of):
+        if m not in total:
+            continue
+        # a pair end may be emitted once, by a top-level sibling of its wire
+        exporter = next((a for a, occ in zip(atoms, occs)
+                         if isinstance(a, Output) and m in occ), None)
+        if total[m] > 1 or exporter is None:
+            raise _External
+        rest = [a for a in atoms if a is not exporter]
+        if m in in_of:
+            # exported output end: the companion input end is served by a
+            # wire, an input that forwards its parameter onward
+            c = in_of[m]
+            served = any(isinstance(w, (Input, RepInput)) and w.subject == c
+                         and w.param in _frees(w.body, table) for w in rest)
+        else:
+            # exported input end: some wire forwards into the companion
+            c = out_of[m]
+            served = any(isinstance(w, (Input, RepInput))
+                         and c in _frees(w.body, table) for w in rest)
+        if not served:
+            raise _External
+    for a, b, _ in pairs:
+        total.pop(a, None)
+        total.pop(b, None)
+    return total

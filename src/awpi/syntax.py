@@ -24,8 +24,14 @@ plain tuple of its fields and hashes like it, which is also how the
 frozen dataclass it replaced hashed, so set and dict orders over names,
 and with them every key, are as they were.  No dict or set here or in the
 other modules holds both names and other 3-tuples.  Processes, values and
-types stay dataclasses: ``Input``/``RepInput`` and ``VInl``/``VInr`` have
-the same fields, and as tuples they would compare equal.
+types stay dataclasses, not tuples: ``Input``/``RepInput`` and
+``VInl``/``VInr`` have the same fields, and as tuples they would compare
+equal; AST nodes as tagged tuples also measured no faster on the front end,
+as their fields are read through descriptors all the same.  Process and
+value nodes are slotted (``__slots__`` on :class:`Process` and
+:class:`Value` and ``slots=True`` on each node), so a node is built faster
+and has no per-instance ``__dict__``; equality, hash and repr are still
+the dataclass's own, so keys and set orders do not depend on it.
 """
 
 from __future__ import annotations
@@ -160,30 +166,30 @@ def tuple_type(items) -> ValueType:
 # ---------------------------------------------------------------------------
 
 class Value:
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VName(Value):
     name: Name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VUnit(Value):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VTuple(Value):
     items: tuple  # of Value, arity >= 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VInl(Value):
     value: Value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VInr(Value):
     value: Value
 
@@ -220,41 +226,41 @@ def value_names(v: Value) -> frozenset:
 # ---------------------------------------------------------------------------
 
 class Process:
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Nil(Process):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Par(Process):
     left: Process
     right: Process
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Input(Process):
     subject: Name
     param: Name
     body: Process
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RepInput(Process):
     subject: Name
     param: Name
     body: Process
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Output(Process):
     subject: Name
     payload: Value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Res(Process):
     """``new(in_name : in_type, out_name) body`` binding a dual pair."""
 
@@ -264,14 +270,14 @@ class Res(Process):
     body: Process
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LetTuple(Process):
     params: tuple  # of Name, arity >= 2
     scrutinee: Value
     body: Process
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Case(Process):
     scrutinee: Value
     left_param: Name
@@ -365,6 +371,38 @@ def _bound_names(p: Process) -> frozenset:
         return (frozenset((p.left_param, p.right_param))
                 | _bound_names(p.left_body) | _bound_names(p.right_body))
     raise TypeError(f"not a process: {p!r}")
+
+
+def _frees(p: Process, table) -> frozenset:
+    """The free names of ``p``.  ``table`` maps ``id(node)`` to (node, free
+    names) for every node above a leaf that this walk has reached, filled
+    in post order, so that a caller that asks about a subterm and again
+    about the subterms within it, as ``typecheck`` and ``is_internal`` do,
+    walks each node once in all; it holds each node, so no id in it is
+    reused while it lives."""
+    if isinstance(p, Output):
+        return frozenset((p.subject,)) | value_names(p.payload)
+    if isinstance(p, Nil):
+        return frozenset()
+    hit = table.get(id(p))
+    if hit is not None:
+        return hit[1]
+    if isinstance(p, Par):
+        free = frozenset().union(*[_frees(q, table) for q in _par_list(p)])
+    elif isinstance(p, (Input, RepInput)):
+        free = (_frees(p.body, table) - {p.param}) | {p.subject}
+    elif isinstance(p, Res):
+        free = _frees(p.body, table) - {p.in_name, p.out_name}
+    elif isinstance(p, LetTuple):
+        free = value_names(p.scrutinee) | (_frees(p.body, table) - set(p.params))
+    elif isinstance(p, Case):
+        free = (value_names(p.scrutinee)
+                | (_frees(p.left_body, table) - {p.left_param})
+                | (_frees(p.right_body, table) - {p.right_param}))
+    else:
+        raise TypeError(f"not a process: {p!r}")
+    table[id(p)] = (p, free)
+    return free
 
 
 def _names(p: Process, table) -> tuple:
@@ -803,6 +841,10 @@ class _Parser(TokenStream):
         success = [Name(s, kind=SUCCESS) if isinstance(s, str) else s
                    for s in success]
         self.success = {(s.base, s.index): s for s in success}
+        # one frame per polyadic input body being read, innermost last:
+        # [indices k of the regular names _v#k read or bound in it, the
+        # least k not known to be among them]
+        self.v_frames = [[set(), 1]]
 
     # -- names ------------------------------------------------------------
     def parse_name(self) -> Name:
@@ -814,7 +856,10 @@ class _Parser(TokenStream):
             nm = Name(base, int(idx))
         else:
             nm = Name(t.text)
-        return self.success.get((nm.base, nm.index), nm)
+        nm = self.success.get((nm.base, nm.index), nm)
+        if nm.base == "_v" and nm.kind == REGULAR:
+            self.v_frames[-1][0].add(nm.index)
+        return nm
 
     def _list(self, item):
         """``item``s separated by commas, up to a closing parenthesis."""
@@ -967,16 +1012,38 @@ class _Parser(TokenStream):
         params = self._list(self.parse_name)
         self.expect(")")
         self.expect(".")
-        body = self.parse_prefix()
         cls = RepInput if replicated else Input
         if len(params) == 1:
-            return cls(subject, params[0], body)
+            return cls(subject, params[0], self.parse_prefix())
         # polyadic sugar: receive a tuple (or unit) and destructure it
-        avoid = _free_names(body) | _bound_names(body) | set(params) | {subject}
-        tmp = fresh_name(Name("_v"), avoid)
+        self.v_frames.append([set(), 1])
+        body = self.parse_prefix()
+        tmp = Name("_v", self._close_v_frame(params + [subject]))
         if len(params) == 0:
             return cls(subject, tmp, body)
         return cls(subject, tmp, LetTuple(tuple(params), VName(tmp), body))
+
+    def _close_v_frame(self, outside) -> int:
+        """Pop the frame of the input body just read and return the least
+        k >= 1 such that ``_v#k`` is neither a name of the body nor one of
+        ``outside``, which is what ``fresh_name`` picks against the body's
+        free and bound names, without walking the body.  The body's
+        indices and k pass to the enclosing frame, the smaller set merged
+        into the larger."""
+        seen, low = self.v_frames.pop()
+        while low in seen:
+            low += 1
+        taken = {n.index for n in outside if n.base == "_v" and n.kind == REGULAR}
+        k = low
+        while k in seen or k in taken:
+            k += 1
+        seen.add(k)
+        outer = self.v_frames[-1]
+        if len(outer[0]) < len(seen):
+            outer[0], seen = seen, outer[0]
+        outer[0] |= seen
+        outer[1] = max(outer[1], low)
+        return k
 
     def source_file(self) -> "SourceFile":
         env = {}
@@ -1130,6 +1197,12 @@ def _pair_labels(order, d, env):
     return out
 
 
+def _renamed(n, names):
+    """``n`` under ``names``, a map from names to ``VName`` values."""
+    got = names.get(n)
+    return n if got is None else got.name
+
+
 def _hide(names, binders):
     if any(b in names for b in binders):
         return {n: v for n, v in names.items() if n not in binders}
@@ -1166,7 +1239,8 @@ class _Canon:
         of atoms (inputs, outputs, lets and cases), in source order.  A
         whole chain is merged at once; one whose pairs repeat a name is
         merged one scope at a time, so that no level binds a name twice.
-        Every node of the result has its entry in ``fvs``.
+        Every node of the result has its entry in ``fvs``.  An input, let
+        or case none of whose bodies changed is kept, not rebuilt.
         """
         if isinstance(p, (Par, Res)):
             pairs, core = _split_chain(p)
@@ -1176,16 +1250,19 @@ class _Canon:
         if isinstance(p, (Input, RepInput)):
             body = self.normalize(p.body)
             names = (self.fv(body) - {p.param}) | {p.subject}
-            p = type(p)(p.subject, p.param, body)
+            if body is not p.body:
+                p = type(p)(p.subject, p.param, body)
         elif isinstance(p, LetTuple):
             body = self.normalize(p.body)
             names = (self.fv(body) - set(p.params)) | value_names(p.scrutinee)
-            p = LetTuple(p.params, p.scrutinee, body)
+            if body is not p.body:
+                p = LetTuple(p.params, p.scrutinee, body)
         elif isinstance(p, Case):
             left, right = self.normalize(p.left_body), self.normalize(p.right_body)
             names = (value_names(p.scrutinee) | (self.fv(left) - {p.left_param})
                      | (self.fv(right) - {p.right_param}))
-            p = Case(p.scrutinee, p.left_param, left, p.right_param, right)
+            if left is not p.left_body or right is not p.right_body:
+                p = Case(p.scrutinee, p.left_param, left, p.right_param, right)
         elif isinstance(p, Output):
             names = value_names(p.payload) | {p.subject}
         elif isinstance(p, Nil):
@@ -1480,14 +1557,14 @@ class _Canon:
         if isinstance(p, Nil):
             return p, "0"
         if isinstance(p, Output):
-            q = Output(names.get(p.subject, VName(p.subject)).name,
+            q = Output(_renamed(p.subject, names),
                        substitute_value(p.payload, names))
             return q, f"{q.subject}!({_print_payload(q.payload)})"
         if isinstance(p, (Input, RepInput)):
             x = alloc.take()
             body, text = self.build(p.body, d + 1, {**labels, p.param: f"%{d}"},
                                     {**names, p.param: VName(x)}, alloc)
-            q = type(p)(names.get(p.subject, VName(p.subject)).name, x, body)
+            q = type(p)(_renamed(p.subject, names), x, body)
             bang = "!" if isinstance(p, RepInput) else ""
             return q, f"{bang}{q.subject}({x}).{_prefix_text(body, text)}"
         if isinstance(p, LetTuple):

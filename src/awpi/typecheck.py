@@ -11,7 +11,9 @@ the 1-input property.
 The checker is algorithmic: it walks the term top-down with a lexically
 scoped environment and validates each multiplicative split (parallel
 composition, output payloads, destructor scrutinees) by requiring the shared
-free names to be copyable.
+free names to be copyable.  The free names of the subterms it compares come
+from one table per :func:`typecheck` call (``syntax._frees``, keyed by node
+id), so each subterm is walked once, not once per ancestor.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .syntax import (
     Case, ChanType, INPUT_MODES, Input, LetTuple, LINEAR_MODES, Name, Nil,
     Output, Par, Process, RepInput, Res, SUCCESS, SumType, TupleType, UNIT,
     UnitType, VInl, VInr, VName, VTuple, VUnit, Value, ValueType, _par_list,
-    _shallow, free_names, value_names,
+    _frees, _shallow, value_names,
 )
 
 
@@ -222,7 +224,7 @@ def _subject_type(env, subject, path, rule, want_mode):
     return t
 
 
-def _check(env: dict, p: Process, path: tuple):
+def _check(env: dict, p: Process, path: tuple, table):
     if isinstance(p, Nil):
         return
     if isinstance(p, Par):
@@ -230,12 +232,12 @@ def _check(env: dict, p: Process, path: tuple):
         comps = _par_list(p)
         seen, shared = set(), set()
         for c in comps:
-            names = free_names(c)
+            names = _frees(c, table)
             shared |= seen & names
             seen |= names
         _shared_ok(env, shared, path, "Par")
         for i, c in enumerate(comps):
-            _check(env, c, path + (f"par{i}",))
+            _check(env, c, path + (f"par{i}",), table)
         return
     if isinstance(p, Output):
         t = _subject_type(env, p.subject, path, "Out", "o")
@@ -263,12 +265,12 @@ def _check(env: dict, p: Process, path: tuple):
         env2 = dict(env)
         if t.mode == "li":
             del env2[p.subject]
-            if p.subject in free_names(p.body) and p.param != p.subject:
+            if p.subject in _frees(p.body, table) and p.param != p.subject:
                 raise TypingError(
                     "LinearReuse", path,
                     f"affine input name {p.subject} reused in its own body")
         env2[p.param] = t.payload
-        _check(env2, p.body, path + ("body",))
+        _check(env2, p.body, path + ("body",), table)
         return
     if isinstance(p, RepInput):
         t = _subject_type(env, p.subject, path, "RIn", "i")
@@ -282,7 +284,7 @@ def _check(env: dict, p: Process, path: tuple):
             raise TypingError("RIn", path,
                               f"input at {p.subject} : {t}; subject must be an I-name")
         _check_success_binder((p.param,), path, "RIn")
-        residual = free_names(p.body) - {p.param}
+        residual = _frees(p.body, table) - {p.param}
         for n in sorted(residual):
             rt = env.get(n)
             if rt is None:
@@ -298,7 +300,7 @@ def _check(env: dict, p: Process, path: tuple):
                 f"{n} : {rt} is affine and cannot occur under replication")
         env2 = dict(env)
         env2[p.param] = t.payload
-        _check(env2, p.body, path + ("body",))
+        _check(env2, p.body, path + ("body",), table)
         return
     if isinstance(p, Res):
         _check_success_binder((p.in_name, p.out_name), path, "Res")
@@ -308,11 +310,11 @@ def _check(env: dict, p: Process, path: tuple):
         env2 = dict(env)
         env2[p.in_name] = p.in_type
         env2[p.out_name] = dual(p.in_type)
-        _check(env2, p.body, path + ("body",))
+        _check(env2, p.body, path + ("body",), table)
         return
     if isinstance(p, LetTuple):
         _check_success_binder(p.params, path, "With")
-        body_frees = free_names(p.body) - set(p.params)
+        body_frees = _frees(p.body, table) - set(p.params)
         _shared_ok(env, value_names(p.scrutinee) & body_frees, path, "With")
         st = typecheck_value(env, p.scrutinee, path, "With")
         if isinstance(st, AnyType):
@@ -326,12 +328,12 @@ def _check(env: dict, p: Process, path: tuple):
         env2 = dict(env)
         for n, t in zip(p.params, comp):
             env2[n] = t
-        _check(env2, p.body, path + ("body",))
+        _check(env2, p.body, path + ("body",), table)
         return
     if isinstance(p, Case):
         _check_success_binder((p.left_param, p.right_param), path, "Case")
-        branch_frees = ((free_names(p.left_body) - {p.left_param})
-                        | (free_names(p.right_body) - {p.right_param}))
+        branch_frees = ((_frees(p.left_body, table) - {p.left_param})
+                        | (_frees(p.right_body, table) - {p.right_param}))
         _shared_ok(env, value_names(p.scrutinee) & branch_frees, path, "Case")
         st = typecheck_value(env, p.scrutinee, path, "Case")
         if isinstance(st, AnyType):
@@ -343,18 +345,23 @@ def _check(env: dict, p: Process, path: tuple):
                               f"case on a non-sum value of type {st}")
         envl = dict(env)
         envl[p.left_param] = lt
-        _check(envl, p.left_body, path + ("left_body",))
+        _check(envl, p.left_body, path + ("left_body",), table)
         envr = dict(env)
         envr[p.right_param] = rt
-        _check(envr, p.right_body, path + ("right_body",))
+        _check(envr, p.right_body, path + ("right_body",), table)
         return
     raise TypeError(f"not a process: {p!r}")
 
 
 def typecheck(env: dict, p: Process) -> TypeVerdict:
-    """Check ``p`` under ``env`` (success names are implicitly o[unit])."""
+    """Check ``p`` under ``env`` (success names are implicitly o[unit]).
+
+    The checks run top down, in the order that fixes the first error
+    reported; the free names they read come from one table for the call,
+    filled in post order the first time a subterm is asked about.
+    """
     try:
-        _shallow(_check, dict(env), p, ())
+        _shallow(_check, dict(env), p, (), {})
     except TypingError as e:
         return TypeVerdict(False, [e])
     return TypeVerdict(True, [])

@@ -298,3 +298,44 @@ def test_exported_names_never_retained_by_targets():
     scan = _scan()
     assert scan["bound_outputs"] >= 1000
     assert scan["duality"] == []
+
+
+# ---------------------------------------------------------------------------
+# one walk per level, and unchanged nodes kept
+# ---------------------------------------------------------------------------
+
+def test_is_internal_walks_nested_levels_once():
+    from awpi.syntax import Input, Output, Par, Res, VUNIT
+    reads = [0]
+
+    def counted(cls):
+        class Counted(cls):
+            """A node whose body reads are counted: one per node visit."""
+
+            def __getattribute__(self, attr):
+                if attr == "body":
+                    reads[0] += 1
+                return object.__getattribute__(self, attr)
+        return Counted
+
+    CRes, CInput = counted(Res), counted(Input)
+    depth = 100
+    # new(a_i: i[unit], b_i)( a_i(x).(...) | b_i!() ), nested
+    p = Output(nm("k"), VUNIT)
+    for i in reversed(range(depth)):
+        a, b = Name("a", i + 1), Name("b", i + 1)
+        p = CRes(a, b, parse_vtype("i[unit]"),
+                 Par(CInput(a, nm("x"), p), Output(b, VUNIT)))
+    assert is_internal(p, tenv("k: o[unit]"))
+    # each pair end's payload occurrences were counted over the whole
+    # level below it: about 20,000 body reads
+    assert reads[0] <= 10 * 2 * depth
+
+
+def test_internalize_keeps_a_program_without_channel_outputs():
+    env = tenv("a: i[unit]; k: o[unit]; e: o[unit + unit]")
+    p = parse_process(
+        "new(r: i[unit * unit], s)( r(x).let (y, z) = x in k!() "
+        "| s!((), ()) | a(w).case inl () { inl u -> e!(inl ()) ; "
+        "inr v -> 0 } | !a(w).k!() )")
+    assert internalize(p, env) is p

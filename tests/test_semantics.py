@@ -791,3 +791,21 @@ def test_parse_delta():
 def test_delta_names():
     d = frozenset({(Name("a"), Name("b"))})
     assert S.delta_names(d) == frozenset({Name("a"), Name("b")})
+
+
+def test_api_substitute_walks_a_deep_prefix_once(monkeypatch):
+    calls = [0]
+    for walk in ("free_names", "_frees"):
+        def counted(*args, _walk=getattr(api, walk)):
+            calls[0] += 1
+            return _walk(*args)
+        monkeypatch.setattr(api, walk, counted)
+    depth = 400
+    p = api.Output(Name("k"), VName(Name("m")))
+    for i in reversed(range(depth)):
+        p = api.Input(Name("a"), Name("x", i + 1), p)
+    q = api.substitute(p, {Name("m"): VName(Name("z"))})
+    # each level guarded its body with a walk of its free names: about
+    # 80,000 free_names calls
+    assert calls[0] <= 4 * depth
+    assert api.print_process(q).endswith(".k!(z)")

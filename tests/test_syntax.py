@@ -661,3 +661,32 @@ def test_canonicalize_aliased_subtrees(src):
         c = canonicalize(p)
         assert c.key == canonicalize(parse_process(print_process(p))).key
         assert c.key == print_process(c.process)
+
+
+def test_polyadic_parse_walks_no_body_per_level(monkeypatch):
+    import awpi.syntax as syntax
+    visits = [0]
+    for walk in ("_free_names", "_bound_names", "_frees", "_names"):
+        def counted(*args, _walk=getattr(syntax, walk)):
+            visits[0] += 1
+            return _walk(*args)
+        monkeypatch.setattr(syntax, walk, counted)
+    depth = 400
+    p = parse_process(".".join(f"a(x{i}, y{i})" for i in range(depth))
+                      + ".k!()")
+    # the free and bound names of the body were walked at every level:
+    # about 320,000 visits
+    assert visits[0] <= 4 * depth
+    assert p.param == Name("_v", depth) and ast_size(p) == 2 * depth + 1
+
+
+def test_polyadic_sugar_prints_as_before():
+    assert print_process(parse_process(
+        "a(x0, y0).a(x1, y1).a(x2, y2).k!()")) == (
+        "a(_v#3).let (x0, y0) = _v#3 in a(_v#2).let (x1, y1) = _v#2 in "
+        "a(_v#1).let (x2, y2) = _v#1 in k!()")
+    # a _v#k of the body, of the binder or of the subject is avoided
+    assert print_process(parse_process("a(x0, y0).a(_v#1).a().k!(_v#2)")) == (
+        "a(_v#3).let (x0, y0) = _v#3 in a(_v#1).a(_v#1).k!(_v#2)")
+    assert print_process(parse_process("a(_v#1, y).k!()")) == (
+        "a(_v#2).let (_v#1, y) = _v#2 in k!()")

@@ -426,3 +426,77 @@ def test_mutated_terms_often_fail():
     from awpi.syntax import Par
     v = typecheck(env, Par(p, bad))
     assert not v
+
+
+# ---------------------------------------------------------------------------
+# one walk per call, and the first error reported
+# ---------------------------------------------------------------------------
+
+def test_typecheck_walks_a_deep_let_chain_once():
+    from awpi.syntax import LetTuple, VTuple, VUNIT
+    reads = [0]
+
+    class Counted(LetTuple):
+        """A let whose body reads are counted: one per node visit."""
+
+        def __getattribute__(self, attr):
+            if attr == "body":
+                reads[0] += 1
+            return object.__getattribute__(self, attr)
+
+    depth = 400
+    p = Output(Name("k"), VUNIT)
+    for i in reversed(range(depth)):
+        p = Counted((Name("x", i + 1), Name("y", i + 1)),
+                    VTuple((VUNIT, VUNIT)), p)
+    assert typecheck({Name("k"): parse_vtype("o[unit]")}, p).ok
+    # the free names of every let body were walked again at each ancestor:
+    # about 80,000 body reads
+    assert reads[0] <= 10 * depth
+
+
+_TWO_ERRORS_ENV = ("free a: i[unit]; free b: o[unit]; free c: li[unit]; "
+                   "free d: lo[unit]; free k: o[unit];\n")
+
+# programs with at least two typing errors each, and the first one reported
+# (rule, path, message), which does not depend on how free names are found
+TWO_ERRORS = [
+    ("a(x).k!() | a(y).k!() | zz!()",
+     ("OneInputViolation", (), "input name a is used by both sides of Par")),
+    ("k!() | (a(x).zz!() | b(y).k!())",
+     ("Out", ("par1", "body"), "unbound name zz")),
+    ("new(r: li[unit], s)( r(x).r(y).k!() | s!() | s!() )",
+     ("LinearReuse", ("body",),
+      "s : lo[unit] is affine but used by both sides of Par")),
+    ("c(x).c(y).k!()",
+     ("LinearReuse", (), "affine input name c reused in its own body")),
+    ("!a(x).(c(y).k!() | zz!())",
+     ("LinearUnderReplication", (),
+      "c : li[unit] is affine and cannot occur under replication")),
+    ("!a(x).(d!() | k(y).k!())",
+     ("LinearUnderReplication", (),
+      "d : lo[unit] is affine and cannot occur under replication")),
+    ("let (x, y) = (a, k) in (a(z).k!() | x(w).zz!())",
+     ("OneInputViolation", (), "input name a is used by both sides of With")),
+    ("case inl c { inl x -> c(z).k!() ; inr y -> zz!() }",
+     ("LinearReuse", (),
+      "c : li[unit] is affine but used by both sides of Case")),
+    ("case inl () { inl x -> b(z).k!() ; inr y -> a!() }",
+     ("In", ("left_body",), "input at b : o[unit]; subject must be an I-name")),
+    ("new(r: i[unit], s)( r(x).k!() | (s!() | r(y).b(z).k!()) )",
+     ("OneInputViolation", ("body",),
+      "input name r is used by both sides of Par")),
+    ("let (x, y) = (d, d) in x!() | d!()",
+     ("LinearReuse", (), "d : lo[unit] is affine but used by both sides of Par")),
+    ("a(x, y).(k!(x) | zz!())",
+     ("With", ("body",),
+      "let destructures 2 components but the scrutinee has type unit")),
+]
+
+
+@pytest.mark.parametrize("src,first", TWO_ERRORS)
+def test_first_of_two_errors_is_reported(src, first):
+    v = check_src(_TWO_ERRORS_ENV + src)
+    assert not v.ok and len(v.errors) == 1
+    e = v.errors[0]
+    assert (e.rule, e.path, e.msg) == first
