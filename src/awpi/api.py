@@ -83,48 +83,26 @@ NIL = Nil()
 
 
 def free_names(p: Process) -> frozenset:
-    if isinstance(p, Nil):
-        return frozenset()
-    if isinstance(p, Par):
-        # walk the | spine in a loop, so that a wide composition cannot
-        # exhaust the recursion limit
-        names, todo = set(), [p]
-        while todo:
-            q = todo.pop()
-            if isinstance(q, Par):
-                todo += (q.left, q.right)
-            else:
-                names |= free_names(q)
-        return frozenset(names)
-    if isinstance(p, Input) or isinstance(p, RepInput):
-        return frozenset((p.subject,)) | (free_names(p.body) - {p.param})
-    if isinstance(p, Output):
-        return frozenset((p.subject,)) | value_names(p.payload)
-    if isinstance(p, Res):
-        return free_names(p.body) - {p.name}
-    if isinstance(p, LetTuple):
-        return value_names(p.scrutinee) | (free_names(p.body) - set(p.params))
-    if isinstance(p, Case):
-        return (value_names(p.scrutinee)
-                | (free_names(p.left_body) - {p.left_param})
-                | (free_names(p.right_body) - {p.right_param}))
-    raise TypeError(f"not a process: {p!r}")
+    return _frees(p, {})
 
 
 def _frees(p: Process, table) -> frozenset:
-    """:func:`free_names` of ``p``, where ``table`` maps ``id(node)`` to
-    (node, free names) for every node above a leaf that a walk with it has
+    """The free names of ``p``.  ``table`` maps ``id(node)`` to (node,
+    free names) for every node above a leaf that a walk with it has
     reached, filled in post order, so that a caller that asks about a
     subterm and again about its parts, as :func:`substitute` does, walks
     each node once in all.  It holds each node, so no id in it is
     reused."""
-    if isinstance(p, (Nil, Output)):
-        return free_names(p)
+    if isinstance(p, Nil):
+        return frozenset()
+    if isinstance(p, Output):
+        return frozenset((p.subject,)) | value_names(p.payload)
     hit = table.get(id(p))
     if hit is not None:
         return hit[1]
     if isinstance(p, Par):
-        # the | spine in a loop, as in free_names
+        # walk the | spine in a loop, so that a wide composition cannot
+        # exhaust the recursion limit
         names, todo = set(), [p]
         while todo:
             q = todo.pop()

@@ -326,60 +326,21 @@ def _shallow(walk, *args):
 def free_names(p: Process) -> frozenset:
     """The free names of ``p``.  Raises ValueError on a process nested too
     deeply for the recursion limit (a ``|`` chain of any width is fine)."""
-    return _shallow(_free_names, p)
-
-
-def _free_names(p: Process) -> frozenset:
-    if isinstance(p, Nil):
-        return frozenset()
-    if isinstance(p, Par):
-        # the | spine is walked in a loop, so a wide composition cannot
-        # exhaust the recursion limit
-        return frozenset().union(*map(_free_names, _par_list(p)))
-    if isinstance(p, (Input, RepInput)):
-        return frozenset((p.subject,)) | (_free_names(p.body) - {p.param})
-    if isinstance(p, Output):
-        return frozenset((p.subject,)) | value_names(p.payload)
-    if isinstance(p, Res):
-        return _free_names(p.body) - {p.in_name, p.out_name}
-    if isinstance(p, LetTuple):
-        return value_names(p.scrutinee) | (_free_names(p.body) - set(p.params))
-    if isinstance(p, Case):
-        return (value_names(p.scrutinee)
-                | (_free_names(p.left_body) - {p.left_param})
-                | (_free_names(p.right_body) - {p.right_param}))
-    raise TypeError(f"not a process: {p!r}")
+    return _shallow(_frees, p, {})
 
 
 def bound_names(p: Process) -> frozenset:
     """The names bound anywhere in ``p``."""
-    return _shallow(_bound_names, p)
-
-
-def _bound_names(p: Process) -> frozenset:
-    if isinstance(p, (Nil, Output)):
-        return frozenset()
-    if isinstance(p, Par):
-        return frozenset().union(*map(_bound_names, _par_list(p)))
-    if isinstance(p, (Input, RepInput)):
-        return frozenset((p.param,)) | _bound_names(p.body)
-    if isinstance(p, Res):
-        return frozenset((p.in_name, p.out_name)) | _bound_names(p.body)
-    if isinstance(p, LetTuple):
-        return frozenset(p.params) | _bound_names(p.body)
-    if isinstance(p, Case):
-        return (frozenset((p.left_param, p.right_param))
-                | _bound_names(p.left_body) | _bound_names(p.right_body))
-    raise TypeError(f"not a process: {p!r}")
+    return _shallow(_bounds, p, {})
 
 
 def _frees(p: Process, table) -> frozenset:
     """The free names of ``p``.  ``table`` maps ``id(node)`` to (node, free
-    names) for every node above a leaf that this walk has reached, filled
-    in post order, so that a caller that asks about a subterm and again
-    about the subterms within it, as ``typecheck`` and ``is_internal`` do,
-    walks each node once in all; it holds each node, so no id in it is
-    reused while it lives."""
+    names) for every node above a leaf that a walk with it has reached,
+    filled in post order, so that a caller that asks about a subterm and
+    again about the subterms within it, as ``typecheck``, ``is_internal``
+    and :func:`substitute` do, walks each node once in all; it holds each
+    node, so no id in it is reused while it lives."""
     if isinstance(p, Output):
         return frozenset((p.subject,)) | value_names(p.payload)
     if isinstance(p, Nil):
@@ -388,9 +349,11 @@ def _frees(p: Process, table) -> frozenset:
     if hit is not None:
         return hit[1]
     if isinstance(p, Par):
+        # the | spine is walked in a loop, so a wide composition cannot
+        # exhaust the recursion limit
         free = frozenset().union(*[_frees(q, table) for q in _par_list(p)])
     elif isinstance(p, (Input, RepInput)):
-        free = (_frees(p.body, table) - {p.param}) | {p.subject}
+        free = frozenset((p.subject,)) | (_frees(p.body, table) - {p.param})
     elif isinstance(p, Res):
         free = _frees(p.body, table) - {p.in_name, p.out_name}
     elif isinstance(p, LetTuple):
@@ -405,42 +368,29 @@ def _frees(p: Process, table) -> frozenset:
     return free
 
 
-def _names(p: Process, table) -> tuple:
-    """(free names, bound names) of ``p``.  ``table`` maps ``id(node)`` to
-    (node, free, bound) for every node above a leaf that this walk has
-    reached, filled in post order, so that a caller that asks again about
-    a subterm, as :func:`substitute` does at each binder, walks it once in
-    all; it holds each node, so no id in it is reused while it lives."""
+def _bounds(p: Process, table) -> frozenset:
+    """The names bound anywhere in ``p``, with a table of its own, kept as
+    :func:`_frees` keeps its table."""
     if isinstance(p, (Nil, Output)):
-        return _free_names(p), frozenset()
+        return frozenset()
     hit = table.get(id(p))
     if hit is not None:
-        return hit[1], hit[2]
+        return hit[1]
     if isinstance(p, Par):
-        parts = [_names(q, table) for q in _par_list(p)]
-        free = frozenset().union(*(f for f, _ in parts))
-        bound = frozenset().union(*(b for _, b in parts))
+        bound = frozenset().union(*[_bounds(q, table) for q in _par_list(p)])
     elif isinstance(p, (Input, RepInput)):
-        f, bound = _names(p.body, table)
-        free, bound = (f - {p.param}) | {p.subject}, bound | {p.param}
+        bound = frozenset((p.param,)) | _bounds(p.body, table)
     elif isinstance(p, Res):
-        f, bound = _names(p.body, table)
-        free = f - {p.in_name, p.out_name}
-        bound = bound | {p.in_name, p.out_name}
+        bound = frozenset((p.in_name, p.out_name)) | _bounds(p.body, table)
     elif isinstance(p, LetTuple):
-        f, bound = _names(p.body, table)
-        free = value_names(p.scrutinee) | (f - set(p.params))
-        bound = bound | set(p.params)
+        bound = frozenset(p.params) | _bounds(p.body, table)
     elif isinstance(p, Case):
-        lf, lb = _names(p.left_body, table)
-        rf, rb = _names(p.right_body, table)
-        free = (value_names(p.scrutinee) | (lf - {p.left_param})
-                | (rf - {p.right_param}))
-        bound = lb | rb | {p.left_param, p.right_param}
+        bound = (frozenset((p.left_param, p.right_param))
+                 | _bounds(p.left_body, table) | _bounds(p.right_body, table))
     else:
         raise TypeError(f"not a process: {p!r}")
-    table[id(p)] = (p, free, bound)
-    return free, bound
+    table[id(p)] = (p, bound)
+    return bound
 
 
 # ---------------------------------------------------------------------------
@@ -474,15 +424,17 @@ def substitute(p: Process, mapping) -> Process:
     """Capture-avoiding simultaneous substitution of values for free names.
 
     Bound names are refreshed deterministically (smallest unused index) when
-    they would capture a name of the substituted values.  A subterm's free
-    and bound names are computed at most once per call (:func:`_names`),
-    when a binder above it is passed, so the work is linear in the size of
-    ``p``, however deeply it nests.
+    they would capture a name of the substituted values.  One call keeps
+    one table of free names (:func:`_frees`) and one of bound names
+    (:func:`_bounds`), so a subterm's names are computed at most once per
+    call, when a binder above it is passed, and the work is linear in the
+    size of ``p``, however deeply it nests.
     """
     mapping = {k: v for k, v in mapping.items() if not (isinstance(v, VName) and v.name == k)}
-    if not mapping or not (set(mapping) & free_names(p)):
+    tables = ({}, {})
+    if not mapping or mapping.keys().isdisjoint(_shallow(_frees, p, tables[0])):
         return p
-    return _shallow(_subst, p, mapping, {})
+    return _shallow(_subst, p, mapping, tables)
 
 
 def _value_name_union(mapping):
@@ -492,15 +444,18 @@ def _value_name_union(mapping):
     return out
 
 
-def _subst_binders(binders, mapping, p, table):
-    """Refresh ``binders`` as needed; returns (new binders, inner mapping)."""
-    free, bound = _names(p, table)
+def _subst_binders(binders, mapping, p, tables):
+    """Refresh ``binders`` as needed; returns (new binders, inner mapping).
+    ``tables`` are the call's (free names, bound names) tables."""
+    free = _frees(p, tables[0])
     relevant = {k: v for k, v in mapping.items() if k not in binders and k in free}
     if not relevant:
         # nothing to substitute below; keep binders untouched
         return list(binders), {}
     clash = _value_name_union(relevant)
-    avoid = clash | set(relevant) | free | bound | set(binders)
+    if clash.isdisjoint(binders):
+        return list(binders), relevant
+    avoid = clash | set(relevant) | free | _bounds(p, tables[1]) | set(binders)
     renames = {}
     out = []
     for b in binders:
@@ -518,42 +473,42 @@ def _subst_binders(binders, mapping, p, table):
     return out, relevant
 
 
-def _subst(p: Process, mapping, table) -> Process:
+def _subst(p: Process, mapping, tables) -> Process:
     if isinstance(p, Nil):
         return p
     if isinstance(p, Par):
-        # the left | spine is walked in a loop, as in _free_names, shape kept
+        # the left | spine is walked in a loop, as in _frees, shape kept
         rights = []
         while isinstance(p, Par):
             rights.append(p.right)
             p = p.left
-        out = _subst(p, mapping, table)
+        out = _subst(p, mapping, tables)
         for r in reversed(rights):
-            out = Par(out, _subst(r, mapping, table))
+            out = Par(out, _subst(r, mapping, tables))
         return out
     if isinstance(p, Output):
         return Output(_subst_subject(p.subject, mapping),
                       substitute_value(p.payload, mapping))
     if isinstance(p, (Input, RepInput)):
         subject = _subst_subject(p.subject, mapping)
-        (param,), inner = _subst_binders((p.param,), mapping, p.body, table)
-        body = _subst(p.body, inner, table) if inner else p.body
+        (param,), inner = _subst_binders((p.param,), mapping, p.body, tables)
+        body = _subst(p.body, inner, tables) if inner else p.body
         return type(p)(subject, param, body)
     if isinstance(p, Res):
-        (a, b), inner = _subst_binders((p.in_name, p.out_name), mapping, p.body, table)
-        body = _subst(p.body, inner, table) if inner else p.body
+        (a, b), inner = _subst_binders((p.in_name, p.out_name), mapping, p.body, tables)
+        body = _subst(p.body, inner, tables) if inner else p.body
         return Res(a, b, p.in_type, body)
     if isinstance(p, LetTuple):
         scrut = substitute_value(p.scrutinee, mapping)
-        params, inner = _subst_binders(tuple(p.params), mapping, p.body, table)
-        body = _subst(p.body, inner, table) if inner else p.body
+        params, inner = _subst_binders(tuple(p.params), mapping, p.body, tables)
+        body = _subst(p.body, inner, tables) if inner else p.body
         return LetTuple(tuple(params), scrut, body)
     if isinstance(p, Case):
         scrut = substitute_value(p.scrutinee, mapping)
-        (lp,), linner = _subst_binders((p.left_param,), mapping, p.left_body, table)
-        (rp,), rinner = _subst_binders((p.right_param,), mapping, p.right_body, table)
-        lbody = _subst(p.left_body, linner, table) if linner else p.left_body
-        rbody = _subst(p.right_body, rinner, table) if rinner else p.right_body
+        (lp,), linner = _subst_binders((p.left_param,), mapping, p.left_body, tables)
+        (rp,), rinner = _subst_binders((p.right_param,), mapping, p.right_body, tables)
+        lbody = _subst(p.left_body, linner, tables) if linner else p.left_body
+        rbody = _subst(p.right_body, rinner, tables) if rinner else p.right_body
         return Case(scrut, lp, lbody, rp, rbody)
     raise TypeError(f"not a process: {p!r}")
 
@@ -843,7 +798,9 @@ class _Parser(TokenStream):
         self.success = {(s.base, s.index): s for s in success}
         # one frame per polyadic input body being read, innermost last:
         # [indices k of the regular names _v#k read or bound in it, the
-        # least k not known to be among them]
+        # least k not known to be among them].  Tables of the bodies' free
+        # and bound names, as substitute keeps, would visit each node once
+        # but still copy the names and try _v#1, _v#2, ... at every level.
         self.v_frames = [[set(), 1]]
 
     # -- names ------------------------------------------------------------

@@ -666,7 +666,7 @@ def test_canonicalize_aliased_subtrees(src):
 def test_polyadic_parse_walks_no_body_per_level(monkeypatch):
     import awpi.syntax as syntax
     visits = [0]
-    for walk in ("_free_names", "_bound_names", "_frees", "_names"):
+    for walk in ("_frees", "_bounds"):
         def counted(*args, _walk=getattr(syntax, walk)):
             visits[0] += 1
             return _walk(*args)
@@ -690,3 +690,79 @@ def test_polyadic_sugar_prints_as_before():
         "a(_v#3).let (x0, y0) = _v#3 in a(_v#1).a(_v#1).k!(_v#2)")
     assert print_process(parse_process("a(_v#1, y).k!()")) == (
         "a(_v#2).let (_v#1, y) = _v#2 in k!()")
+
+
+_SUGAR_NAMES = ["a", "k", "x", "_v", "_v#1", "_v#2", "_v#3", "_v#5"]
+
+
+def _sugar_text(rng, size):
+    """A random process text with polyadic inputs and ``_v#k`` names in
+    bodies, binders and subjects; monadic inputs bind only ``x`` or ``y``."""
+    def name():
+        return rng.choice(_SUGAR_NAMES)
+
+    def prefix(k):
+        s = _sugar_text(rng, k)
+        return f"({s})" if " | " in s else s
+
+    if size <= 1:
+        return f"{name()}!({', '.join(name() for _ in range(rng.randint(0, 2)))})"
+    r = rng.random()
+    bang = "!" if rng.random() < 0.2 else ""
+    if r < 0.4:
+        params = ", ".join(name() for _ in range(rng.choice([0, 2, 3])))
+        return f"{bang}{name()}({params}).{prefix(size - 1)}"
+    if r < 0.5:
+        return f"{bang}{name()}({rng.choice('xy')}).{prefix(size - 1)}"
+    if r < 0.7:
+        k = rng.randint(1, size - 1)
+        return f"{prefix(k)} | {prefix(size - k)}"
+    if r < 0.8:
+        a, b = rng.sample(_SUGAR_NAMES, 2)
+        return f"new({a}: i[unit], {b}) {prefix(size - 1)}"
+    if r < 0.9:
+        return (f"let ({name()}, {name()}) = ({name()}, {name()})"
+                f" in {prefix(size - 1)}")
+    k = max(1, (size - 1) // 2)
+    return (f"case {name()} {{ inl {name()} -> {prefix(k)} ; "
+            f"inr {name()} -> {prefix(k)} }}")
+
+
+def _sugar_picks(p, out):
+    """(picked name, the name fresh_name picks) for every polyadic input
+    in ``p``: an input binding a ``_v`` name, whose body destructures it
+    when the input had two or more parameters."""
+    from awpi.syntax import Case, LetTuple
+    if isinstance(p, (Input, RepInput)):
+        if p.param.base == "_v":
+            body, params = p.body, set()
+            if isinstance(body, LetTuple) and body.scrutinee == VName(p.param):
+                body, params = body.body, set(body.params)
+            avoid = free_names(body) | bound_names(body) | params | {p.subject}
+            out.append((p.param, fresh_name(Name("_v"), avoid)))
+        _sugar_picks(p.body, out)
+    elif isinstance(p, Par):
+        _sugar_picks(p.left, out)
+        _sugar_picks(p.right, out)
+    elif isinstance(p, (Res, LetTuple)):
+        _sugar_picks(p.body, out)
+    elif isinstance(p, Case):
+        _sugar_picks(p.left_body, out)
+        _sugar_picks(p.right_body, out)
+    return out
+
+
+def test_polyadic_sugar_picks_what_fresh_name_picks():
+    """The parser's frames pick, for each polyadic input, the ``_v#k``
+    that fresh_name picks against the body's free and bound names, the
+    parameters and the subject, also when a header makes a ``_v#k`` a
+    success name."""
+    rng = random.Random(20261019)
+    picks = 0
+    for i in range(400):
+        text = _sugar_text(rng, rng.randint(2, 10))
+        p = parse_process(text, success=("_v#2",) if i % 4 == 0 else ())
+        for got, want in _sugar_picks(p, []):
+            assert got == want, text
+            picks += 1
+    assert picks > 300
