@@ -6,6 +6,10 @@ bound output: the process exports one end of a fresh pair and installs a
 wire connecting the other end to the original name, so that emitted
 names are always fresh.  Payloads whose type carries no channel are left
 untouched; tuple and sum literals are wired componentwise.
+
+The translation keeps one typing environment per call and binds each
+binder in it in place while its scope is walked, so a deep chain of
+binders costs linear time, not a copy of the environment per level.
 """
 
 from __future__ import annotations
@@ -15,8 +19,8 @@ from dataclasses import dataclass
 from .syntax import (
     Case, ChanType, Input, LetTuple, Name, Nil, OUTPUT_MODES, Output, Par,
     Process, RepInput, Res, TupleType, SumType, UNIT, VInl, VInr, VName,
-    VTuple, VUnit, Value, ValueType, _frees, _par_list, _shallow,
-    _split_chain, bound_names, free_names,
+    VTuple, VUnit, Value, ValueType, _bind, _bind_all, _frees, _par_list,
+    _shallow, _split_chain, _unbind, _unbind_all, bound_names, free_names,
 )
 from .typecheck import ANY, dual
 
@@ -76,26 +80,28 @@ def _value_type(v: Value, env):
     return None
 
 
-def _branch_envs(scrutinee: Value, env, left_param: Name, right_param: Name):
-    """Environments for the two case branches.
+def _branch_types(scrutinee: Value, env):
+    """Types of the two case branches' parameters.
 
     A name scrutinee of sum type fixes both params; a literal tag fixes
     the live branch and leaves the dead one unconstrained.
     """
-    envl = dict(env)
-    envr = dict(env)
-    envl[left_param] = ANY
-    envr[right_param] = ANY
     if isinstance(scrutinee, VInl):
-        envl[left_param] = _value_type(scrutinee.value, env) or ANY
-    elif isinstance(scrutinee, VInr):
-        envr[right_param] = _value_type(scrutinee.value, env) or ANY
-    else:
-        t = _value_type(scrutinee, env)
-        if isinstance(t, SumType):
-            envl[left_param] = t.left
-            envr[right_param] = t.right
-    return envl, envr
+        return _value_type(scrutinee.value, env) or ANY, ANY
+    if isinstance(scrutinee, VInr):
+        return ANY, _value_type(scrutinee.value, env) or ANY
+    t = _value_type(scrutinee, env)
+    if isinstance(t, SumType):
+        return t.left, t.right
+    return ANY, ANY
+
+
+def _let_types(p, env):
+    """Types of the names that let ``p`` binds."""
+    t = _value_type(p.scrutinee, env)
+    if isinstance(t, TupleType) and len(t.items) == len(p.params):
+        return t.items
+    return [ANY] * len(p.params)
 
 
 def _chan_names_in(v: Value, env):
@@ -142,10 +148,13 @@ def internalize(p: Process, env) -> Process:
 
     ``env`` assigns types to the free names; binder types are propagated
     from it.  The result types under the same environment and is related
-    to ``p`` by the wire laws.
+    to ``p`` by the wire laws.  A process none of whose outputs carries
+    a channel is returned itself.  Raises ValueError on a process nested
+    too deeply for the recursion limit (a ``|`` chain of any width is
+    fine).
     """
     fresh = _Fresh(free_names(p) | bound_names(p) | set(env))
-    return _walk(p, dict(env), fresh)
+    return _shallow(_walk, p, dict(env), fresh)
 
 
 def _rewire(v: Value, env, fresh):
@@ -196,42 +205,49 @@ def _rewire(v: Value, env, fresh):
 
 def _walk(p: Process, env, fresh) -> Process:
     """``p`` with its outputs of channel names rewired; a node none of
-    whose children changed is returned itself."""
+    whose children changed is returned itself.  A binder is bound in
+    ``env`` in place while its scope is walked, so no level copies it."""
     if isinstance(p, Nil):
         return p
     if isinstance(p, Par):
-        left, right = _walk(p.left, env, fresh), _walk(p.right, env, fresh)
-        if left is p.left and right is p.right:
-            return p
-        return Par(left, right)
+        # the left | spine is walked in a loop, as in syntax._frees, so a
+        # wide composition cannot exhaust the recursion limit
+        spine = []
+        while isinstance(p, Par):
+            spine.append(p)
+            p = p.left
+        out = _walk(p, env, fresh)
+        for node in reversed(spine):
+            right = _walk(node.right, env, fresh)
+            out = (node if out is node.left and right is node.right
+                   else Par(out, right))
+        return out
     if isinstance(p, (Input, RepInput)):
         t = env.get(p.subject)
-        env2 = dict(env)
-        env2[p.param] = t.payload if _is_chan(t) else ANY
-        body = _walk(p.body, env2, fresh)
+        old = _bind(env, p.param, t.payload if _is_chan(t) else ANY)
+        body = _walk(p.body, env, fresh)
+        _unbind(env, p.param, old)
         return p if body is p.body else type(p)(p.subject, p.param, body)
     if isinstance(p, Res):
-        env2 = dict(env)
-        env2[p.in_name] = p.in_type
-        env2[p.out_name] = dual(p.in_type)
-        body = _walk(p.body, env2, fresh)
+        ends = (p.in_name, p.out_name)
+        olds = _bind_all(env, ends, (p.in_type, dual(p.in_type)))
+        body = _walk(p.body, env, fresh)
+        _unbind_all(env, ends, olds)
         return p if body is p.body else Res(p.in_name, p.out_name,
                                             p.in_type, body)
     if isinstance(p, LetTuple):
-        t = _value_type(p.scrutinee, env)
-        env2 = dict(env)
-        if isinstance(t, TupleType) and len(t.items) == len(p.params):
-            for x, ti in zip(p.params, t.items):
-                env2[x] = ti
-        else:
-            for x in p.params:
-                env2[x] = ANY
-        body = _walk(p.body, env2, fresh)
+        olds = _bind_all(env, p.params, _let_types(p, env))
+        body = _walk(p.body, env, fresh)
+        _unbind_all(env, p.params, olds)
         return p if body is p.body else LetTuple(p.params, p.scrutinee, body)
     if isinstance(p, Case):
-        envl, envr = _branch_envs(p.scrutinee, env, p.left_param, p.right_param)
-        left = _walk(p.left_body, envl, fresh)
-        right = _walk(p.right_body, envr, fresh)
+        lt, rt = _branch_types(p.scrutinee, env)
+        old = _bind(env, p.left_param, lt)
+        left = _walk(p.left_body, env, fresh)
+        _unbind(env, p.left_param, old)
+        old = _bind(env, p.right_param, rt)
+        right = _walk(p.right_body, env, fresh)
+        _unbind(env, p.right_param, old)
         if left is p.left_body and right is p.right_body:
             return p
         return Case(p.scrutinee, p.left_param, left, p.right_param, right)
@@ -242,13 +258,12 @@ def _walk(p: Process, env, fresh) -> Process:
         core = Output(p.subject, v2)
         for (in_name, out_name, in_type), wsubj, fwd, vtype, linear in binds:
             x = fresh.param()
-            env2 = dict(env)
-            env2[x] = vtype
-            env2[in_name] = in_type
-            env2[out_name] = dual(in_type)
+            ends = (x, in_name, out_name)
+            olds = _bind_all(env, ends, (vtype, in_type, dual(in_type)))
             # the forwarded output is itself internalized, so wiring
             # recurses through the payload type
-            fwd_out = _walk(Output(fwd, VName(x)), env2, fresh)
+            fwd_out = _walk(Output(fwd, VName(x)), env, fresh)
+            _unbind_all(env, ends, olds)
             w = Input(wsubj, x, fwd_out) if linear \
                 else RepInput(wsubj, x, fwd_out)
             core = Par(core, w)
@@ -329,23 +344,16 @@ def _chk(p: Process, env, table) -> dict:
         elif isinstance(atom, Res):
             occ = _chk(atom, env, table)
         elif isinstance(atom, LetTuple):
-            t = _value_type(atom.scrutinee, env)
             env2 = dict(env)
-            if isinstance(t, TupleType) and len(t.items) == len(atom.params):
-                for x, ti in zip(atom.params, t.items):
-                    env2[x] = ti
-            else:
-                for x in atom.params:
-                    env2[x] = ANY
+            env2.update(zip(atom.params, _let_types(atom, env)))
             occ = _chk(atom.body, env2, table)
             for x in atom.params:
                 occ.pop(x, None)
         elif isinstance(atom, Case):
-            envl, envr = _branch_envs(atom.scrutinee, env,
-                                      atom.left_param, atom.right_param)
-            occ = _chk(atom.left_body, envl, table)
+            lt, rt = _branch_types(atom.scrutinee, env)
+            occ = _chk(atom.left_body, {**env, atom.left_param: lt}, table)
             occ.pop(atom.left_param, None)
-            right = _chk(atom.right_body, envr, table)
+            right = _chk(atom.right_body, {**env, atom.right_param: rt}, table)
             right.pop(atom.right_param, None)
             for m, k in right.items():
                 occ[m] = occ.get(m, 0) + k

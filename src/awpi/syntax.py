@@ -29,16 +29,49 @@ types stay dataclasses, not tuples: ``Input``/``RepInput`` and
 equal; AST nodes as tagged tuples also measured no faster on the front end,
 as their fields are read through descriptors all the same.  Process and
 value nodes are slotted (``__slots__`` on :class:`Process` and
-:class:`Value` and ``slots=True`` on each node), so a node is built faster
-and has no per-instance ``__dict__``; equality, hash and repr are still
-the dataclass's own, so keys and set orders do not depend on it.
+:class:`Value` and ``slots=True`` on each node), so a node has no
+per-instance ``__dict__``.
+
+Node construction is the largest self-time item on every workload, as
+normalization, substitution and the canonical build make nodes by the
+thousand.  The ``__init__`` that dataclasses generates for a frozen class
+looks ``object.__setattr__`` up again for every field it stores, so each
+node class with fields (and :class:`CanonicalForm`) gets one from
+:func:`_stored` instead, which stores each field through a setter bound
+once; on a slotted class that is the slot's own descriptor.  Equality,
+hash, repr, ``dataclasses.replace`` and frozenness are still the
+dataclass's own, so keys and set orders do not depend on it.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from itertools import count, repeat
+from types import MemberDescriptorType
 from typing import NamedTuple
+
+
+def _stored(cls):
+    """Replace the ``__init__`` of the frozen dataclass ``cls`` by one that
+    stores each field through one setter bound when the class is made: the
+    slot's own descriptor on a slotted class, else ``object.__setattr__``.
+    Every field must be passed, as no node field has a default."""
+    env, args, body = {"_set": object.__setattr__}, [], []
+    for k, f in enumerate(fields(cls)):
+        args.append(f.name)
+        slot = vars(cls).get(f.name)
+        if isinstance(slot, MemberDescriptorType):
+            env[f"_set{k}"] = slot.__set__
+            body.append(f"_set{k}(self, {f.name})")
+        else:
+            body.append(f"_set(self, {f.name!r}, {f.name})")
+    exec(f"def __init__(self, {', '.join(args)}):\n    "
+         + "\n    ".join(body), env)
+    init = env["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__init__ = init
+    return cls
 
 
 class ParseError(ValueError):
@@ -101,6 +134,7 @@ class UnitType(ValueType):
         return "unit"
 
 
+@_stored
 @dataclass(frozen=True)
 class ChanType(ValueType):
     mode: str  # "i" | "o" | "li" | "lo"
@@ -110,6 +144,7 @@ class ChanType(ValueType):
         return f"{self.mode}[{self.payload}]"
 
 
+@_stored
 @dataclass(frozen=True)
 class TupleType(ValueType):
     items: tuple  # of ValueType, arity >= 2
@@ -118,6 +153,7 @@ class TupleType(ValueType):
         return " * ".join(_vtype_atom_str(t) for t in self.items)
 
 
+@_stored
 @dataclass(frozen=True)
 class SumType(ValueType):
     left: ValueType
@@ -169,6 +205,7 @@ class Value:
     __slots__ = ()
 
 
+@_stored
 @dataclass(frozen=True, slots=True)
 class VName(Value):
     name: Name
@@ -179,16 +216,19 @@ class VUnit(Value):
     pass
 
 
+@_stored
 @dataclass(frozen=True, slots=True)
 class VTuple(Value):
     items: tuple  # of Value, arity >= 2
 
 
+@_stored
 @dataclass(frozen=True, slots=True)
 class VInl(Value):
     value: Value
 
 
+@_stored
 @dataclass(frozen=True, slots=True)
 class VInr(Value):
     value: Value
@@ -234,12 +274,14 @@ class Nil(Process):
     pass
 
 
+@_stored
 @dataclass(frozen=True, slots=True)
 class Par(Process):
     left: Process
     right: Process
 
 
+@_stored
 @dataclass(frozen=True, slots=True)
 class Input(Process):
     subject: Name
@@ -247,6 +289,7 @@ class Input(Process):
     body: Process
 
 
+@_stored
 @dataclass(frozen=True, slots=True)
 class RepInput(Process):
     subject: Name
@@ -254,12 +297,14 @@ class RepInput(Process):
     body: Process
 
 
+@_stored
 @dataclass(frozen=True, slots=True)
 class Output(Process):
     subject: Name
     payload: Value
 
 
+@_stored
 @dataclass(frozen=True, slots=True)
 class Res(Process):
     """``new(in_name : in_type, out_name) body`` binding a dual pair."""
@@ -270,6 +315,7 @@ class Res(Process):
     body: Process
 
 
+@_stored
 @dataclass(frozen=True, slots=True)
 class LetTuple(Process):
     params: tuple  # of Name, arity >= 2
@@ -277,6 +323,7 @@ class LetTuple(Process):
     body: Process
 
 
+@_stored
 @dataclass(frozen=True, slots=True)
 class Case(Process):
     scrutinee: Value
@@ -321,6 +368,39 @@ def _shallow(walk, *args):
     except RecursionError:
         pass
     raise ValueError("process nested too deeply")
+
+
+def _bind(env, name, value):
+    """Bind ``name`` to ``value`` in ``env`` in place, so that a binder
+    does not copy ``env``; return what it shadowed (None if nothing),
+    which :func:`_unbind` puts back."""
+    old = env.get(name)
+    env[name] = value
+    return old
+
+
+def _unbind(env, name, old):
+    if old is None:
+        del env[name]
+    else:
+        env[name] = old
+
+
+def _bind_all(env, names, values):
+    """:func:`_bind` for each of ``names``; a later name that repeats an
+    earlier one shadows it.  Returns what each shadowed, read before any
+    is bound, so :func:`_unbind_all` may put them back in any order."""
+    olds = list(map(env.get, names))
+    env.update(zip(names, values))
+    return olds
+
+
+def _unbind_all(env, names, olds):
+    for n, old in zip(names, olds):
+        if old is None:
+            env.pop(n, None)
+        else:
+            env[n] = old
 
 
 def free_names(p: Process) -> frozenset:
@@ -715,45 +795,56 @@ _AWPI_TOKENS = re.compile(r"""
 KEYWORDS = {"new", "let", "in", "case", "inl", "inr", "unit", "free", "success"}
 
 
-@dataclass
-class _Tok:
+def _line_col(text, pos):
+    """1-based line and column of offset ``pos`` in ``text``."""
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
+
+
+class _Tok(NamedTuple):
     kind: str  # group name, punctuation text, or "eof"
     text: str
-    line: int
-    col: int
+    pos: int  # offset of the token's first character in the text
+
+
+# a token is made by tuple.__new__ itself, without the Python frame of the
+# named tuple's own __new__, as the lexer makes one per token
+_new_tok = tuple.__new__
 
 
 class TokenStream:
     """The one lexer and cursor of every front end.
 
     A subclass is one language: it sets ``tokens`` to that language's
-    token regex and adds only its grammar methods.  Errors carry the
-    line and column of the token reached.
+    token regex and adds only its grammar methods.  A token is a tuple of
+    its kind, text and offset; an error's line and column are worked out
+    from the offset only when it is raised, as most texts raise none.  The
+    token list ends in two ``eof`` tokens and :meth:`next` never passes
+    the first, so :meth:`peek` with ``ahead`` 0 or 1 (no grammar looks
+    further) is a plain index.
     """
 
     tokens: re.Pattern
 
     def __init__(self, text: str):
-        toks, match = [], self.tokens.match
-        pos, line, linestart = 0, 1, 0
-        while pos < len(text):
-            m = match(text, pos)
-            if m is None:
-                raise ParseError(f"unexpected character {text[pos]!r}",
-                                 line, pos - linestart + 1)
-            got, group = m.group(0), m.lastgroup
+        toks = []
+        append, scan = toks.append, self.tokens.scanner(text).match
+        m = None
+        for m in iter(scan, None):
+            group = m.lastgroup
             if group != "ws":
-                toks.append(_Tok(got if group == "punct" else group, got, line,
-                                 pos - linestart + 1))
-            elif "\n" in got:
-                line += got.count("\n")
-                linestart = pos + got.rindex("\n") + 1
-            pos = m.end()
-        toks.append(_Tok("eof", "", line, len(text) - linestart + 1))
-        self.toks, self.pos = toks, 0
+                got = m.group()
+                append(_new_tok(_Tok, (got if group == "punct" else group,
+                                       got, m.start())))
+        end = 0 if m is None else m.end()
+        if end < len(text):
+            raise ParseError(f"unexpected character {text[end]!r}",
+                             *_line_col(text, end))
+        eof = _Tok("eof", "", len(text))
+        toks += (eof, eof)
+        self.text, self.toks, self.pos = text, toks, 0
 
     def peek(self, ahead=0) -> _Tok:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+        return self.toks[self.pos + ahead]
 
     def next(self) -> _Tok:
         t = self.toks[self.pos]
@@ -762,15 +853,17 @@ class TokenStream:
         return t
 
     def expect(self, kind) -> _Tok:
-        t = self.next()
+        t = self.toks[self.pos]
         if t.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {t.text or 'end of input'!r}",
-                             t.line, t.col)
+            self.fail(f"expected {kind!r}, found {t.text or 'end of input'!r}",
+                      t)
+        self.pos += 1  # not past eof, as no grammar expects it
         return t
 
     def fail(self, msg, t=None):
-        t = t or self.peek()
-        raise ParseError(msg, t.line, t.col)
+        if t is None:
+            t = self.peek()
+        raise ParseError(msg, *_line_col(self.text, t.pos))
 
     def whole(self, parse):
         """``parse(self)``, which must read the whole input.  Nesting too
@@ -806,14 +899,16 @@ class _Parser(TokenStream):
     # -- names ------------------------------------------------------------
     def parse_name(self) -> Name:
         t = self.expect("ident")
-        if t.text in KEYWORDS:
-            self.fail(f"{t.text!r} is a keyword, not a name", t)
-        if "#" in t.text:
-            base, idx = t.text.split("#")
+        text = t.text
+        if text in KEYWORDS:
+            self.fail(f"{text!r} is a keyword, not a name", t)
+        if "#" in text:
+            base, idx = text.split("#")
             nm = Name(base, int(idx))
         else:
-            nm = Name(t.text)
-        nm = self.success.get((nm.base, nm.index), nm)
+            nm = Name(text)
+        if self.success:
+            nm = self.success.get((nm.base, nm.index), nm)
         if nm.base == "_v" and nm.kind == REGULAR:
             self.v_frames[-1][0].add(nm.index)
         return nm
@@ -1055,6 +1150,7 @@ def parse_file(text: str) -> SourceFile:
 # Canonical form
 # ---------------------------------------------------------------------------
 
+@_stored
 @dataclass(frozen=True)
 class CanonicalForm:
     """A structurally normalized process with a stable identity key."""
@@ -1104,16 +1200,6 @@ def _par(atoms):
     for a in atoms[1:]:
         out = Par(out, a)
     return out
-
-
-class _GlobalAlloc:
-    def __init__(self, start):
-        self.k = start
-
-    def take(self):
-        n = Name("_", self.k)
-        self.k += 1
-        return n
 
 
 def _ranks(sigs):
@@ -1166,6 +1252,9 @@ def _hide(names, binders):
     return names
 
 
+_NIL_ENTRY = ("0", None)
+
+
 class _Canon:
     """The tables of one :func:`canonicalize` call, all keyed by ``id``.
 
@@ -1175,8 +1264,15 @@ class _Canon:
     from being reused while the call runs.  ``parts`` maps ``id(level)`` to
     the level's ``(pairs, atoms)``, recorded by :meth:`_merge`, so that no
     level is split again.  ``memo`` maps ``(id(node), depth, shape, labels
-    of the node's free names)`` to the node's rendering and, for a level,
-    the decisions that produced it.
+    of the node's free names)`` to the node's entry ``(certificate,
+    plan)``.
+
+    A plan is the certificate's decisions, kept beside it so that
+    :meth:`build` only follows them: an input's or a let's plan is its
+    body's entry, a case's is both branches' entries, and a level's is one
+    ``(pair order, atoms, their entries)`` per component, components and
+    atoms in certificate order.  So the build walks each node of the
+    result once, and looks up no memo key and numbers no pair again.
     """
 
     def __init__(self):
@@ -1269,73 +1365,85 @@ class _Canon:
     # -- certificates -----------------------------------------------------
 
     def render(self, p, d, env, shape):
-        """Certificate of ``p`` with binder depth ``d``.
+        """Entry ``(certificate, plan)`` of ``p`` with binder depth ``d``.
 
         Names in ``env`` print as their labels and other free names as
         themselves; binders inside ``p`` print as their de Bruijn level
-        ``%k``.  A level's restriction pairs are numbered by
-        :meth:`_search`, or, when ``shape`` is set, print as typed slots,
-        which gives an invariant of ``p`` without any search.
+        ``%k``, bound in ``env`` in place while their scope is rendered.
+        A level's restriction pairs are numbered by :meth:`_search`, or,
+        when ``shape`` is set, print as typed slots, which gives an
+        invariant of ``p`` without any search.  The plan is what
+        :meth:`build` follows: for an input or a let the body's entry, for
+        a case both branches' entries, and for a level one ``(pair order,
+        atoms, their entries)`` per component, atoms and components in
+        certificate order.
         """
         if isinstance(p, Output):
             return (f"{env.get(p.subject) or str(p.subject)}"
-                    f"!({_render_value(p.payload, env)})")
+                    f"!({_render_value(p.payload, env)})", None)
         if isinstance(p, Nil):
-            return "0"
-        key = (id(p), d, shape, tuple([env.get(n) for n in self.fv(p)]))
+            return _NIL_ENTRY
+        key = (id(p), d, shape, tuple(map(env.get, self.fvs[id(p)][1])))
         got = self.memo.get(key)
         if got is not None:
-            return got[0]
-        decision = None
+            return got
         if isinstance(p, (Input, RepInput)):
             x = f"%{d}"
-            body = self.render(p.body, d + 1, {**env, p.param: x}, shape)
-            bang = "!" if isinstance(p, RepInput) else ""
-            s = f"{bang}{env.get(p.subject) or str(p.subject)}({x}).({body})"
+            head = (f"{'!' if isinstance(p, RepInput) else ''}"
+                    f"{env.get(p.subject) or str(p.subject)}({x})")
+            old = _bind(env, p.param, x)
+            plan = self.render(p.body, d + 1, env, shape)
+            _unbind(env, p.param, old)
+            s = f"{head}.({plan[0]})"
         elif isinstance(p, LetTuple):
             xs = [f"%{d + i}" for i in range(len(p.params))]
-            inner = {**env, **dict(zip(p.params, xs))}
-            body = self.render(p.body, d + len(xs), inner, shape)
-            s = (f"let({','.join(xs)})={_render_value(p.scrutinee, env)}"
-                 f" in ({body})")
+            head = f"let({','.join(xs)})={_render_value(p.scrutinee, env)}"
+            olds = _bind_all(env, p.params, xs)
+            plan = self.render(p.body, d + len(xs), env, shape)
+            _unbind_all(env, p.params, olds)
+            s = f"{head} in ({plan[0]})"
         elif isinstance(p, Case):
             x = f"%{d}"
-            left = self.render(p.left_body, d + 1, {**env, p.left_param: x}, shape)
-            right = self.render(p.right_body, d + 1, {**env, p.right_param: x},
-                                shape)
+            old = _bind(env, p.left_param, x)
+            left = self.render(p.left_body, d + 1, env, shape)
+            _unbind(env, p.left_param, old)
+            old = _bind(env, p.right_param, x)
+            right = self.render(p.right_body, d + 1, env, shape)
+            _unbind(env, p.right_param, old)
+            plan = (left, right)
             s = (f"case {_render_value(p.scrutinee, env)}"
-                 f"{{inl {x}->({left});inr {x}->({right})}}")
+                 f"{{inl {x}->({left[0]});inr {x}->({right[0]})}}")
         else:
-            s, decision = self._level(p, d, env, shape)
-        self.memo[key] = (s, decision)
-        return s
+            s, plan = self._level(p, d, env, shape)
+        got = self.memo[key] = (s, plan)
+        return got
 
     def _level(self, p, d, env, shape):
-        """A restriction chain over ``|``: its connected components (atoms
-        linked by the pairs they use) in certificate order, components
-        with pairs first."""
+        """Entry of a restriction chain over ``|``: its connected components
+        (atoms linked by the pairs they use) in certificate order,
+        components with pairs first."""
         pairs, atoms = self.parts[id(p)]
         if shape:
             slots = dict(env)
             for a, b, t in pairs:
                 slots[a], slots[b] = f"?i:{t}", f"?o:{t}"
-            return "|".join(sorted(self.render(x, d, slots, True)
-                                   for x in atoms)), None
+            return "|".join(sorted([self.render(x, d, slots, True)[0]
+                                    for x in atoms])), None
         comps = []
         for cpairs, catoms in self._components(pairs, atoms):
             if cpairs:
-                order = self._search(cpairs, catoms, d, env)
-                cert, catoms = self._leaf(order, catoms, d, env)
+                cert, plan = self._search(cpairs, catoms, d, env)
             else:
-                order, cert = [], self.render(catoms[0], d, env, False)
-            comps.append((not order, cert, order, catoms))
+                entry = self.render(catoms[0], d, env, False)
+                cert, plan = entry[0], ((), catoms, (entry,))
+            comps.append((not cpairs, cert, plan))
         comps.sort(key=lambda c: c[:2])
-        return ("|".join(c[1] for c in comps),
-                [(order, catoms, d + 2 * len(order))
-                 for _, _, order, catoms in comps])
+        return "|".join([c[1] for c in comps]), [c[2] for c in comps]
 
     def _components(self, pairs, atoms):
         """Connected components of a level: ``(pairs, atoms)`` groups."""
+        if not pairs:
+            return [([], [x]) for x in atoms]
         owner = {}
         for k, (a, b, _) in enumerate(pairs):
             owner[a] = owner[b] = k
@@ -1348,7 +1456,7 @@ class _Canon:
 
         uses = []
         for x in atoms:
-            ks = [owner[n] for n in self.fv(x) & owner.keys()]
+            ks = list(map(owner.__getitem__, self.fv(x) & owner.keys()))
             uses.append(ks)
             for k in ks[1:]:
                 root[find(k)] = find(ks[0])
@@ -1364,15 +1472,18 @@ class _Canon:
         return out + list(comps.values())
 
     def _leaf(self, order, atoms, d, env):
-        """Certificate of a component whose pairs are numbered in
-        ``order``, and its atoms in certificate order."""
+        """Entry of a component whose pairs are numbered in ``order``: its
+        certificate and the plan ``(order, atoms, their entries)``, atoms
+        in certificate order."""
         labels = _pair_labels(order, d, env)
         ad = d + 2 * len(order)
-        certs = [self.render(x, ad, labels, False) for x in atoms]
+        entries = [self.render(x, ad, labels, False) for x in atoms]
+        certs = [e[0] for e in entries]
         idx = sorted(range(len(atoms)), key=certs.__getitem__)
-        head = "".join(f"new({labels[a]}:{t},{labels[b]})" for a, b, t in order)
-        return (f"{head}({'|'.join(certs[i] for i in idx)})",
-                [atoms[i] for i in idx])
+        head = "".join([f"new({labels[a]}:{t},{labels[b]})"
+                        for a, b, t in order])
+        return (f"{head}({'|'.join([certs[i] for i in idx])})",
+                (order, [atoms[i] for i in idx], [entries[i] for i in idx]))
 
     def _occurrences(self, p, owner):
         """``(role, pair)`` for each use of a pair name in atom ``p``.  The
@@ -1419,7 +1530,8 @@ class _Canon:
         return out
 
     def _search(self, pairs, atoms, d, env):
-        """Canonical order of a component's pairs.
+        """Entry of a component (see :meth:`_leaf`) under the canonical
+        order of its pairs.
 
         Pairs start coloured by type and atoms by their shape; colour
         refinement splits them by the colours of what they use and are
@@ -1427,12 +1539,14 @@ class _Canon:
         individualized and refined; a member is skipped when aligning its
         refined colouring with an explored sibling's gives an automorphism
         (checked on atom certificates) that fixes the earlier choices and
-        maps the sibling to it.  The least leaf certificate wins.
+        maps the sibling to it.  The leaf with the least certificate wins.
         """
         m = len(pairs)
         types = _ranks([str(t) for _, _, t in pairs])
         if len(set(types)) == m:
-            return [pairs[k] for k in sorted(range(m), key=types.__getitem__)]
+            return self._leaf([pairs[k] for k in sorted(range(m),
+                                                        key=types.__getitem__)],
+                              atoms, d, env)
         ad = d + 2 * m
         slots = dict(env)
         owner = {}
@@ -1478,8 +1592,9 @@ class _Canon:
                 image[gamma[k]] = pairs[k]
             moved = _pair_labels(image, d, env)
             touched = {a for k in range(m) if gamma[k] != k for _, a in inc[k]}
-            return (sorted(self.render(atoms[a], ad, base, False) for a in touched)
-                    == sorted(self.render(atoms[a], ad, moved, False)
+            return (sorted(self.render(atoms[a], ad, base, False)[0]
+                           for a in touched)
+                    == sorted(self.render(atoms[a], ad, moved, False)[0]
                               for a in touched))
 
         best = []
@@ -1488,9 +1603,9 @@ class _Canon:
             split = cells(pc)
             if len(split) == m:
                 order = [pairs[k] for k in sorted(range(m), key=pc.__getitem__)]
-                cert = self._leaf(order, atoms, d, env)[0]
-                if not best or cert < best[0]:
-                    best[:] = [cert, order]
+                leaf = self._leaf(order, atoms, d, env)
+                if not best or leaf[0] < best[0][0]:
+                    best[:] = [leaf]
                 return
             _, c = min((len(v), c) for c, v in split.items() if len(v) > 1)
             explored = []
@@ -1501,68 +1616,75 @@ class _Canon:
                 explored.append((j, pj))
                 visit(pj, aj, fixed + [j])
 
-        shapes = _ranks([self.render(x, ad, slots, True) for x in atoms])
+        shapes = _ranks([self.render(x, ad, slots, True)[0] for x in atoms])
         visit(*refine(types, shapes), [])
-        return best[1]
+        return best[0]
 
     # -- the canonical process --------------------------------------------
 
-    def build(self, p, d, labels, names, alloc):
-        """``p`` rebuilt in the order its certificate under ``labels``
-        chose, with binders renamed ``_#k`` in print order, and its text,
-        byte for byte what :func:`print_process` prints for it."""
+    def build(self, p, entry, names, alloc):
+        """``p`` rebuilt as its render ``entry`` plans it, with binders
+        renamed ``_#k`` in print order, and its text, byte for byte what
+        :func:`print_process` prints for it.  ``names`` maps the names
+        bound above ``p`` to their new names as ``VName`` values; a binder
+        is bound in it in place while its scope is built.  ``alloc``
+        yields the new names, ``_#k`` with k counting up."""
         if isinstance(p, Nil):
             return p, "0"
         if isinstance(p, Output):
             q = Output(_renamed(p.subject, names),
                        substitute_value(p.payload, names))
             return q, f"{q.subject}!({_print_payload(q.payload)})"
+        plan = entry[1]
         if isinstance(p, (Input, RepInput)):
-            x = alloc.take()
-            body, text = self.build(p.body, d + 1, {**labels, p.param: f"%{d}"},
-                                    {**names, p.param: VName(x)}, alloc)
-            q = type(p)(_renamed(p.subject, names), x, body)
+            x = next(alloc)
+            subject = _renamed(p.subject, names)
+            old = _bind(names, p.param, VName(x))
+            body, text = self.build(p.body, plan, names, alloc)
+            _unbind(names, p.param, old)
             bang = "!" if isinstance(p, RepInput) else ""
-            return q, f"{bang}{q.subject}({x}).{_prefix_text(body, text)}"
+            return (type(p)(subject, x, body),
+                    f"{bang}{subject}({x}).{_prefix_text(body, text)}")
         if isinstance(p, LetTuple):
-            xs = [alloc.take() for _ in p.params]
-            lab, nam = dict(labels), dict(names)
-            for i, (prm, x) in enumerate(zip(p.params, xs)):
-                lab[prm], nam[prm] = f"%{d + i}", VName(x)
+            xs = [next(alloc) for _ in p.params]
             scrut = substitute_value(p.scrutinee, names)
-            body, text = self.build(p.body, d + len(xs), lab, nam, alloc)
+            olds = _bind_all(names, p.params, [VName(x) for x in xs])
+            body, text = self.build(p.body, plan, names, alloc)
+            _unbind_all(names, p.params, olds)
             return (LetTuple(tuple(xs), scrut, body),
                     f"let ({', '.join(map(str, xs))}) = {print_value(scrut)}"
                     f" in {_prefix_text(body, text)}")
         if isinstance(p, Case):
             scrut = substitute_value(p.scrutinee, names)
-            x = alloc.take()
-            left, ltext = self.build(p.left_body, d + 1,
-                                     {**labels, p.left_param: f"%{d}"},
-                                     {**names, p.left_param: VName(x)}, alloc)
-            y = alloc.take()
-            right, rtext = self.build(p.right_body, d + 1,
-                                      {**labels, p.right_param: f"%{d}"},
-                                      {**names, p.right_param: VName(y)}, alloc)
+            x = next(alloc)
+            old = _bind(names, p.left_param, VName(x))
+            left, ltext = self.build(p.left_body, plan[0], names, alloc)
+            _unbind(names, p.left_param, old)
+            y = next(alloc)
+            old = _bind(names, p.right_param, VName(y))
+            right, rtext = self.build(p.right_body, plan[1], names, alloc)
+            _unbind(names, p.right_param, old)
             return (Case(scrut, x, left, y, right),
                     f"case {print_value(scrut)} {{ inl {x} -> {ltext} ; "
                     f"inr {y} -> {rtext} }}")
-        key = (id(p), d, False, tuple([labels.get(n) for n in self.fv(p)]))
-        pairs, scopes = [], []
-        for order, atoms, ad in self.memo[key][1]:
-            nam = dict(names)
+        # a level: every pair is named before any atom, as they print; no
+        # atom uses a pair of another component, so all are bound at once
+        pairs, ends, news = [], [], []
+        for order, _, _ in plan:
             for a, b, t in order:
-                x, y = alloc.take(), alloc.take()
-                nam[a], nam[b] = VName(x), VName(y)
+                x, y = next(alloc), next(alloc)
+                ends += (a, b)
+                news += (VName(x), VName(y))
                 pairs.append((x, y, t))
-            scopes.append((atoms, ad, _pair_labels(order, d, labels), nam))
-        built = [self.build(x, ad, lab, nam, alloc)
-                 for atoms, ad, lab, nam in scopes for x in atoms]
-        core = " | ".join(text for _, text in built)
+        olds = _bind_all(names, ends, news)
+        built = [self.build(x, e, names, alloc)
+                 for _, atoms, entries in plan for x, e in zip(atoms, entries)]
+        _unbind_all(names, ends, olds)
+        core = " | ".join([text for _, text in built])
         if pairs and len(built) > 1:
             core = f"({core})"
         return (_chain(pairs, _par([q for q, _ in built])),
-                "".join(f"new({x}: {t}, {y}) " for x, y, t in pairs) + core)
+                "".join([f"new({x}: {t}, {y}) " for x, y, t in pairs]) + core)
 
 
 def canonicalize(p: Process) -> CanonicalForm:
@@ -1589,8 +1711,9 @@ def _canonicalize(p: Process) -> CanonicalForm:
     norm = c.normalize(p)
     start = max((n.index + 1 for n in c.fv(norm)
                  if n.base == "_" and n.kind == REGULAR), default=0)
-    c.render(norm, 0, {}, False)
-    return CanonicalForm(*c.build(norm, 0, {}, {}, _GlobalAlloc(start)))
+    entry = c.render(norm, 0, {}, False)
+    alloc = map(Name, repeat("_"), count(start))
+    return CanonicalForm(*c.build(norm, entry, {}, alloc))
 
 
 def canonical_process(p: Process) -> Process:

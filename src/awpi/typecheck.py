@@ -13,7 +13,11 @@ scoped environment and validates each multiplicative split (parallel
 composition, output payloads, destructor scrutinees) by requiring the shared
 free names to be copyable.  The free names of the subterms it compares come
 from one table per :func:`typecheck` call (``syntax._frees``, keyed by node
-id), so each subterm is walked once, not once per ancestor.
+id), so each subterm is walked once, not once per ancestor.  The
+environment is one dict per call, where a binder is bound in place while
+its scope is checked, and the path to the node checked is one stack, read
+only when an error is reported; so no level copies either, and a deep
+chain of binders is checked in linear time.
 """
 
 from __future__ import annotations
@@ -23,8 +27,9 @@ from dataclasses import dataclass, field
 from .syntax import (
     Case, ChanType, INPUT_MODES, Input, LetTuple, LINEAR_MODES, Name, Nil,
     Output, Par, Process, RepInput, Res, SUCCESS, SumType, TupleType, UNIT,
-    UnitType, VInl, VInr, VName, VTuple, VUnit, Value, ValueType, _par_list,
-    _frees, _shallow, value_names,
+    UnitType, VInl, VInr, VName, VTuple, VUnit, Value, ValueType, _bind,
+    _bind_all, _frees, _par_list, _shallow, _unbind, _unbind_all,
+    value_names,
 )
 
 
@@ -92,7 +97,9 @@ def types_match(t1: ValueType, t2: ValueType) -> bool:
 
 
 class TypingError(Exception):
-    def __init__(self, rule: str, path: tuple, msg: str):
+    def __init__(self, rule: str, path, msg: str):
+        # the checker passes its path stack, copied here, once, on error
+        path = tuple(path)
         super().__init__(f"[{rule}] at {'/'.join(path) or '<root>'}: {msg}")
         self.rule = rule
         self.path = path
@@ -224,7 +231,11 @@ def _subject_type(env, subject, path, rule, want_mode):
     return t
 
 
-def _check(env: dict, p: Process, path: tuple, table):
+def _check(env: dict, p: Process, path: list, table):
+    """Check ``p`` under ``env``.  A binder is bound in ``env`` in place
+    while its body is checked, and ``path`` is the stack of steps from the
+    root, pushed and popped in place, so that neither is copied per level;
+    on an error neither is restored, as the call is over."""
     if isinstance(p, Nil):
         return
     if isinstance(p, Par):
@@ -237,7 +248,9 @@ def _check(env: dict, p: Process, path: tuple, table):
             seen |= names
         _shared_ok(env, shared, path, "Par")
         for i, c in enumerate(comps):
-            _check(env, c, path + (f"par{i}",), table)
+            path.append(f"par{i}")
+            _check(env, c, path, table)
+            path.pop()
         return
     if isinstance(p, Output):
         t = _subject_type(env, p.subject, path, "Out", "o")
@@ -262,15 +275,20 @@ def _check(env: dict, p: Process, path: tuple, table):
             raise TypingError("In", path,
                               f"input at {p.subject} : {t}; subject must be an I-name")
         _check_success_binder((p.param,), path, "In")
-        env2 = dict(env)
+        owned = None  # an affine subject, which the body does not own
         if t.mode == "li":
-            del env2[p.subject]
+            owned = env.pop(p.subject)
             if p.subject in _frees(p.body, table) and p.param != p.subject:
                 raise TypingError(
                     "LinearReuse", path,
                     f"affine input name {p.subject} reused in its own body")
-        env2[p.param] = t.payload
-        _check(env2, p.body, path + ("body",), table)
+        old = _bind(env, p.param, t.payload)
+        path.append("body")
+        _check(env, p.body, path, table)
+        path.pop()
+        _unbind(env, p.param, old)
+        if owned is not None:
+            env[p.subject] = owned
         return
     if isinstance(p, RepInput):
         t = _subject_type(env, p.subject, path, "RIn", "i")
@@ -298,19 +316,23 @@ def _check(env: dict, p: Process, path: tuple, table):
             raise TypingError(
                 "LinearUnderReplication", path,
                 f"{n} : {rt} is affine and cannot occur under replication")
-        env2 = dict(env)
-        env2[p.param] = t.payload
-        _check(env2, p.body, path + ("body",), table)
+        old = _bind(env, p.param, t.payload)
+        path.append("body")
+        _check(env, p.body, path, table)
+        path.pop()
+        _unbind(env, p.param, old)
         return
     if isinstance(p, Res):
         _check_success_binder((p.in_name, p.out_name), path, "Res")
         if p.in_type.mode not in INPUT_MODES:
             raise TypingError("Res", path,
                               "restriction annotates the input end (i or li)")
-        env2 = dict(env)
-        env2[p.in_name] = p.in_type
-        env2[p.out_name] = dual(p.in_type)
-        _check(env2, p.body, path + ("body",), table)
+        ends = (p.in_name, p.out_name)
+        olds = _bind_all(env, ends, (p.in_type, dual(p.in_type)))
+        path.append("body")
+        _check(env, p.body, path, table)
+        path.pop()
+        _unbind_all(env, ends, olds)
         return
     if isinstance(p, LetTuple):
         _check_success_binder(p.params, path, "With")
@@ -325,10 +347,11 @@ def _check(env: dict, p: Process, path: tuple, table):
             raise TypingError("With", path,
                               f"let destructures {len(p.params)} components "
                               f"but the scrutinee has type {st}")
-        env2 = dict(env)
-        for n, t in zip(p.params, comp):
-            env2[n] = t
-        _check(env2, p.body, path + ("body",), table)
+        olds = _bind_all(env, p.params, comp)
+        path.append("body")
+        _check(env, p.body, path, table)
+        path.pop()
+        _unbind_all(env, p.params, olds)
         return
     if isinstance(p, Case):
         _check_success_binder((p.left_param, p.right_param), path, "Case")
@@ -343,12 +366,14 @@ def _check(env: dict, p: Process, path: tuple, table):
         else:
             raise TypingError("Case", path,
                               f"case on a non-sum value of type {st}")
-        envl = dict(env)
-        envl[p.left_param] = lt
-        _check(envl, p.left_body, path + ("left_body",), table)
-        envr = dict(env)
-        envr[p.right_param] = rt
-        _check(envr, p.right_body, path + ("right_body",), table)
+        for step, x, tx, body in (("left_body", p.left_param, lt, p.left_body),
+                                  ("right_body", p.right_param, rt,
+                                   p.right_body)):
+            old = _bind(env, x, tx)
+            path.append(step)
+            _check(env, body, path, table)
+            path.pop()
+            _unbind(env, x, old)
         return
     raise TypeError(f"not a process: {p!r}")
 
@@ -361,7 +386,7 @@ def typecheck(env: dict, p: Process) -> TypeVerdict:
     filled in post order the first time a subterm is asked about.
     """
     try:
-        _shallow(_check, dict(env), p, (), {})
+        _shallow(_check, dict(env), p, [], {})
     except TypingError as e:
         return TypeVerdict(False, [e])
     return TypeVerdict(True, [])

@@ -1,8 +1,8 @@
 import pytest
 
 from awpi.syntax import (
-    ChanType, Name, RepInput, canonical_process, congruent, free_names,
-    parse_file, parse_process, parse_vtype,
+    ChanType, Input, Name, Output, RepInput, VUNIT, canonical_process,
+    congruent, free_names, parse_file, parse_process, parse_vtype,
 )
 from awpi.typecheck import ANY, dual, typecheck
 from awpi.internal import WireSpec, internalize, is_internal, wire
@@ -330,6 +330,39 @@ def test_is_internal_walks_nested_levels_once():
     # each pair end's payload occurrences were counted over the whole
     # level below it: about 20,000 body reads
     assert reads[0] <= 10 * 2 * depth
+
+
+def test_internalize_keeps_a_wide_par_and_rejects_deep_nesting():
+    env = tenv("a: i[unit]; k: o[unit]")
+    # a 1,500-way | raised RecursionError: the walk recursed down both sides
+    wide = parse_process(" | ".join(["k!()"] * 1500))
+    assert internalize(wide, env) is wide
+    assert is_internal(wide, env)
+    deep = Output(nm("k"), VUNIT)
+    for i in range(3000):
+        deep = Input(nm("a"), Name("x", i), deep)
+    with pytest.raises(ValueError, match="process nested too deeply"):
+        internalize(deep, env)
+
+
+def test_internalize_copies_no_environment_per_level(monkeypatch):
+    """``internalize`` binds binders in one environment in place; a copy
+    per binder is quadratic on deep nesting."""
+    import awpi.internal as internal
+    depth, env = 150, tenv("k: o[unit]")
+    p = parse_process("".join(f"let (x{i}, y{i}) = ((), ()) in "
+                              for i in range(depth)) + "k!()")
+    seen, walk = [], internal._walk
+
+    def spy(q, env, fresh):
+        seen.append(id(env))
+        return walk(q, env, fresh)
+
+    monkeypatch.setattr(internal, "_walk", spy)
+    assert internalize(p, env) is p
+    # one environment for all 151 levels (151 when every binder copied it)
+    assert len(seen) == depth + 1 and len(set(seen)) == 1
+    assert env == tenv("k: o[unit]")
 
 
 def test_internalize_keeps_a_program_without_channel_outputs():

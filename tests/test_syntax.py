@@ -1,6 +1,8 @@
 """Parser, printer, substitution, alpha equality and canonical forms."""
 
+import dataclasses
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +14,8 @@ from awpi.syntax import (
     parse_process, parse_value, parse_vtype, print_process, print_value,
     print_vtype, rename_free, substitute, substitute_value,
 )
+from awpi import syntax
+from awpi.encodings import parse_alpi, parse_stlc, parse_stlc_type
 from awpi.internal import is_internal
 from awpi.typecheck import typecheck
 
@@ -766,3 +770,179 @@ def test_polyadic_sugar_picks_what_fresh_name_picks():
             assert got == want, text
             picks += 1
     assert picks > 300
+
+
+# ---------------------------------------------------------------------------
+# Node constructors and error positions
+# ---------------------------------------------------------------------------
+
+def _stored_classes():
+    """The frozen dataclasses of ``syntax`` that have fields: the ones whose
+    ``__init__`` ``syntax._stored`` replaces."""
+    return [c for c in vars(syntax).values()
+            if isinstance(c, type) and dataclasses.is_dataclass(c)
+            and c.__module__ == syntax.__name__
+            and c.__dataclass_params__.frozen and dataclasses.fields(c)]
+
+
+def _twin(cls):
+    """A plain ``@dataclass(frozen=True)`` with the name, fields and slots
+    of ``cls`` and the methods its body defines, and the ``__init__``,
+    ``__eq__``, ``__hash__`` and ``__repr__`` that dataclasses generates
+    where the body defines none.  A body's own ``__eq__`` may ask for an
+    instance of ``cls``, so such a twin derives from ``cls``."""
+    own = {k: v for k, v in vars(cls).items()
+           if getattr(getattr(v, "__code__", None), "co_filename", None)
+           == syntax.__file__ and k != "__init__"}
+    return dataclasses.make_dataclass(
+        cls.__name__, [(f.name, f.type) for f in dataclasses.fields(cls)],
+        bases=(cls,) if "__eq__" in own else cls.__bases__, namespace=own,
+        frozen=True, slots="__slots__" in vars(cls))
+
+
+def test_stored_constructors_keep_frozen_dataclass_behaviour():
+    classes = _stored_classes()
+    assert {c.__name__ for c in classes} == {
+        "ChanType", "TupleType", "SumType", "VName", "VTuple", "VInl", "VInr",
+        "Par", "Input", "RepInput", "Output", "Res", "LetTuple", "Case",
+        "CanonicalForm"}
+    for cls in classes:
+        twin = _twin(cls)
+        names = [f.name for f in dataclasses.fields(cls)]
+        vals = [f"{n}-0" for n in names]
+        other = [f"{n}-1" for n in names]
+        x, t = cls(*vals), twin(*vals)
+        assert x.__init__.__code__ is not t.__init__.__code__, cls
+        assert cls(**dict(zip(names, vals))) == x
+        assert [getattr(x, n) for n in names] == vals
+        assert repr(x) == repr(t) and hash(x) == hash(t), cls
+        for y, u in ((cls(*vals), twin(*vals)), (cls(*other), twin(*other)),
+                     (cls(*vals[:-1], other[-1]), twin(*vals[:-1], other[-1]))):
+            assert (x == y) == (t == u) and (x != y) == (t != u), cls
+        assert ([(f.name, f.type) for f in dataclasses.fields(x)]
+                == [(f.name, f.type) for f in dataclasses.fields(t)])
+        y = dataclasses.replace(x, **{names[0]: "new"})
+        assert type(y) is cls and getattr(y, names[0]) == "new"
+        assert [getattr(y, n) for n in names[1:]] == vals[1:]
+        for n in names:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(x, n, "changed")
+        with pytest.raises(TypeError):
+            cls(*vals[:-1])
+        with pytest.raises(TypeError):
+            cls(*vals, "extra")
+        assert hasattr(x, "__dict__") == hasattr(t, "__dict__"), cls
+
+
+# Texts for the three grammars as token lists, joined by random blanks and
+# comment lines, so that each token's offset is known.  A corruption puts
+# the error at a known offset, and the error's (line, col) must be that
+# offset's, worked out here from the text before it.
+
+def _awpi_tokens(rng):
+    _, p = random_typed(rng.randrange(10**6), size=rng.randint(4, 16))
+    return re.findall(r"[A-Za-z_][A-Za-z0-9_']*(?:#[0-9]+)?|->|\S",
+                      print_process(p))
+
+
+def _alpi_tokens(rng, depth=0):
+    a, b, x = (rng.choice("abcxyz") for _ in range(3))
+    k = rng.randrange(6 if depth < 4 else 2)
+    if k == 0:
+        return [a, "!", "(", b, ")"]
+    if k == 1:
+        return [a, "!", "(", ")"]
+    if k == 2:
+        return _alpi_tokens(rng, depth + 1) + ["|"] + _alpi_tokens(rng, depth + 1)
+    if k == 3:
+        return ["(", *_alpi_tokens(rng, depth + 1), ")"]
+    if k == 4:
+        ty = ["unit"]
+        for _ in range(rng.randrange(3)):
+            ty = ["o", "[", *ty, "]"]
+        return ["new", "(", x, ":", "^", *ty, ")", *_alpi_tokens(rng, depth + 1)]
+    return (["!"] if rng.random() < 0.3 else []) + [
+        a, "(", x, ")", ".", *_alpi_tokens(rng, depth + 1)]
+
+
+def _stlc_type_tokens(rng, depth=0):
+    if depth > 2 or rng.random() < 0.4:
+        return ["o"]
+    left = _stlc_type_tokens(rng, depth + 1)
+    if len(left) > 1:
+        left = ["(", *left, ")"]
+    return left + ["->"] + _stlc_type_tokens(rng, depth + 1)
+
+
+def _stlc_tokens(rng, depth=0):
+    k = rng.randrange(3 if depth < 4 else 1)
+    if k == 0:
+        return [rng.choice(["x", "y", "f"])]
+    if k == 1:
+        return ["\\", rng.choice(["x", "y"]), ":", *_stlc_type_tokens(rng),
+                ".", *_stlc_tokens(rng, depth + 1)]
+    return ["(", *_stlc_tokens(rng, depth + 1), ")", "(",
+            *_stlc_tokens(rng, depth + 1), ")"]
+
+
+# grammar -> (parse, tokens, comment, the token an expected-token error
+# replaces and what replaces it, the token an end-of-input cut follows)
+_GRAMMARS = {
+    "awpi": (parse_process, _awpi_tokens, "##", ("(", "[", "!"), "."),
+    "awpi-file": (parse_file, _awpi_tokens, "##", ("(", "[", "!"), "."),
+    "alpi": (parse_alpi, _alpi_tokens, "#", ("(", "[", "!"), "."),
+    "stlc": (parse_stlc, _stlc_tokens, "#", (".", ":", None), "."),
+    "stlc-type": (parse_stlc_type, _stlc_type_tokens, "#", (")", ".", None),
+                  "->"),
+}
+
+
+def _line_col_of(text, offset):
+    lines = text[:offset].split("\n")
+    return len(lines), len(lines[-1]) + 1
+
+
+@pytest.mark.parametrize("grammar", sorted(_GRAMMARS))
+def test_error_positions_are_the_offsets_line_and_column(grammar):
+    parse, tokens, comment, (want, wrong, after), cut = _GRAMMARS[grammar]
+    rng = random.Random(f"{grammar}-17")
+    seps = [" ", "  ", "\n", "\n\n  ", f"\n{comment} a note\n", f"  {comment}\n\t"]
+    seen = set()
+    for _ in range(150):
+        toks = tokens(rng)
+        head = ("free k : o[unit];\n## header\nsuccess ok;\n"
+                if grammar == "awpi-file" else "")
+        text, starts = head + rng.choice(["", "\n", f"{comment} top\n"]), []
+        for i, tok in enumerate(toks):
+            text += rng.choice(seps) if i else ""
+            starts.append(len(text))
+            text += tok
+        parse(text)
+        kind = rng.choice(["unexpected", "expected", "trailing", "end"])
+        if kind == "unexpected":
+            at = rng.choice(starts)
+            bad, msg = text[:at] + "@" + text[at:], "unexpected character '@'"
+        elif kind == "expected":
+            spots = [s for i, s in enumerate(starts) if toks[i] == want
+                     and (after is None or (i and toks[i - 1] == after))]
+            if not spots:
+                continue
+            at = rng.choice(spots)
+            bad = text[:at] + wrong + text[at + 1:]
+            msg = f"expected {want!r}, found {wrong!r}"
+        elif kind == "trailing":
+            bad = text + rng.choice(seps) + ")"
+            at, msg = len(bad) - 1, "trailing input ')'"
+        else:
+            spots = [s + len(cut) for i, s in enumerate(starts)
+                     if toks[i] == cut]
+            if not spots:
+                continue
+            bad = text[:rng.choice(spots)] + rng.choice(seps)
+            at, msg = len(bad), "end of input"
+        with pytest.raises(ParseError) as e:
+            parse(bad)
+        assert msg in e.value.msg, (bad, e.value.msg)
+        assert (e.value.line, e.value.col) == _line_col_of(bad, at), bad
+        seen.add(kind)
+    assert seen == {"unexpected", "expected", "trailing", "end"}

@@ -455,6 +455,36 @@ def test_typecheck_walks_a_deep_let_chain_once():
     assert reads[0] <= 10 * depth
 
 
+def _let_chain(depth, bottom):
+    return parse_process("".join(f"let (x{i}, y{i}) = ((), ()) in "
+                                 for i in range(depth)) + bottom)
+
+
+def test_typecheck_copies_no_environment_or_path_per_level(monkeypatch):
+    """Every level of one call reads the one environment and the one path
+    stack, bound and pushed in place: copying them per binder made the
+    deep let chain quadratic in time, though linear in node visits."""
+    import awpi.typecheck as tc
+    seen, check = [], tc._check
+
+    def spy(env, p, path, table):
+        seen.append((id(env), id(path)))
+        return check(env, p, path, table)
+
+    monkeypatch.setattr(tc, "_check", spy)
+    depth, env = 200, {Name("k"): parse_vtype("o[unit]")}
+    assert typecheck(env, _let_chain(depth, "k!()")).ok
+    assert len(seen) == depth + 1
+    # one environment and one path for all 201 levels (201 of each when
+    # every binder copied them)
+    assert len({e for e, _ in seen}) == 1 and len({p for _, p in seen}) == 1
+    assert env == {Name("k"): parse_vtype("o[unit]")}
+    # the path is still built for the error at the bottom
+    v = typecheck(env, _let_chain(depth, "x0!()"))
+    assert v.errors[0].path == ("body",) * depth
+    assert v.errors[0].rule == "Out"
+
+
 _TWO_ERRORS_ENV = ("free a: i[unit]; free b: o[unit]; free c: li[unit]; "
                    "free d: lo[unit]; free k: o[unit];\n")
 
