@@ -4,7 +4,9 @@ Two sources are supported.  The localised asynchronous pi-calculus,
 where a restricted name may be used in both input and output position
 but received names may only be used for output, is compiled by splitting
 every name into a value channel, a request channel and a server that
-matches one pending value with one pending request at a time.  The
+matches one pending value with one pending request at a time; the
+image is checked against the source by weak simulation both ways, on
+the reference LTS of ``api`` and the game engine of ``equivalence``.  The
 simply-typed lambda-calculus is compiled continuation-style: a term
 becomes a process listening on one linear input name for the channels
 standing for its arguments, and context variables become free output
@@ -14,7 +16,6 @@ names.
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass
 
 from . import api
@@ -23,9 +24,11 @@ from .syntax import (
     SUCCESS, TokenStream, TupleType, UNIT, VName, VUNIT, bound_names,
     canonical_process, free_names, fresh_name, vtuple,
 )
-from .typecheck import ANY
-from .semantics import Composite, erase_to_api, lts_step, In
-from .equivalence import BisimConfig, NotClosed, Verdict
+from .typecheck import ANY, typecheck
+from .semantics import TAU, Composite, closure, erase_to_api, lts_step, In
+from .equivalence import (
+    BisimConfig, NotClosed, TypeMismatch, Verdict, _Game, _Space,
+)
 
 
 class LocalityViolation(ValueError):
@@ -419,119 +422,28 @@ def alpi_to_api(p: AlpiProcess) -> api.Process:
     raise TypeError(f"not a localised process: {p!r}")
 
 
-def _api_step(table: dict, key: str, p: api.Process):
-    """The transitions of ``p``, whose alpha key is ``key``, as
-    ``(label, target, target key)`` triples, through ``table``: each
-    alpha key is stepped, and each of its targets keyed, once per table.
-    ``_api_weak_sim`` says why one table may serve alpha-equivalent
-    states."""
-    moves = table.get(key)
-    if moves is None:
-        moves = table[key] = [(mu, q, api.alpha_key(q))
-                              for mu, q in api.lts_step(p)]
-    return moves
+def _api_state(p: api.Process) -> Composite:
+    """A state of the reference route: ``p`` keyed by its alpha key."""
+    return Composite(p, frozenset(), api.alpha_key(p))
 
 
-def _api_closure_iter(p: api.Process, key: str, budget: int, trunc: list,
-                      table: dict):
-    """Weak tau descendants of ``p`` (alpha key ``key``) in breadth-first
-    order, lazily, each yielded as ``(state, key, transitions)`` so that no
-    caller steps or keys a state again.
+def _api_steps(space: _Space, comp: Composite):
+    """The reference LTS as a game space's successors: each transition
+    of ``api.lts_step`` as (label, target state), tau as ``TAU``.
 
-    The image of a replicated input can regenerate requests without bound,
-    so closures must not be materialised eagerly; callers stop at the
-    first useful state.  ``trunc[0]`` is set when the budget cuts the walk.
+    States are keyed by alpha key, so each alpha class is stepped once
+    per space.  That is sound because the processes compared are closed
+    and their images typecheck (:func:`check_alpi_correspondence`
+    rejects the rest), so their labels are tau or ``s!()`` on a success
+    name ``s``: alpha-equivalent states then have the same labels and
+    alpha-equivalent targets, whichever process or direction first
+    stepped the key.
     """
-    seen = {key}
-    queue = deque(((key, p),))
-    count = 0
-    while queue:
-        if count >= budget:
-            trunc[0] = True
-            return
-        key, cur = queue.popleft()
-        count += 1
-        moves = _api_step(table, key, cur)
-        yield cur, key, moves
-        for mu, q, k in moves:
-            if isinstance(mu, api.TauLabel) and k not in seen:
-                seen.add(k)
-                queue.append((k, q))
+    return [(TAU if isinstance(mu, api.TauLabel) else mu, _api_state(q))
+            for mu, q in api.lts_step(comp.process)]
 
 
-def _api_weak_after_iter(p: api.Process, key: str, mu, budget: int,
-                         trunc: list, table: dict):
-    """The distinct weak ``mu``-descendants of ``p`` as ``(state, key)``."""
-    if isinstance(mu, api.TauLabel):
-        for p1, k1, _moves in _api_closure_iter(p, key, budget, trunc, table):
-            yield p1, k1
-        return
-    want = repr(mu)
-    keys = set()
-    for _p1, _k1, moves in _api_closure_iter(p, key, budget, trunc, table):
-        for mv, p2, k2 in moves:
-            if isinstance(mv, api.TauLabel) or repr(mv) != want:
-                continue
-            for p3, k3, _moves in _api_closure_iter(p2, k2, budget, trunc,
-                                                    table):
-                if k3 not in keys:
-                    keys.add(k3)
-                    yield p3, k3
-
-
-def _api_weak_sim(p: api.Process, q: api.Process, cfg: BisimConfig,
-                  table: dict = None):
-    """Does ``q`` weakly simulate ``p``?  Three-valued and bounded.
-
-    The game and its closures step states through one table from alpha
-    key to transitions, each stored with its target's alpha key, so each
-    state is stepped and keyed at most once per table.  That is sound
-    because the processes compared are closed (the entry point raises
-    ``NotClosed`` otherwise), so their labels are tau or outputs on
-    success names: alpha-equivalent states then have the same labels, in
-    the same order, and alpha-equivalent targets.  The argument does not
-    depend on which process or which direction first stepped a key, so
-    ``check_alpi_correspondence`` passes one ``table`` to both directions
-    and both barb walks.
-    """
-    table = {} if table is None else table
-    memo = {}
-    calls = [0]
-
-    def play(a, ka, b, kb, n):
-        if n == 0:
-            return True
-        calls[0] += 1
-        if calls[0] > cfg.state_budget:
-            return None
-        key = (ka, kb, n)
-        if key in memo:
-            return memo[key]
-        memo[key] = True
-        result = True
-        for mu, a2, ka2 in _api_step(table, ka, a):
-            trunc = [False]
-            matched = False
-            saw_open = False
-            for b2, kb2 in _api_weak_after_iter(b, kb, mu, cfg.tau_budget,
-                                                trunc, table):
-                sub = play(a2, ka2, b2, kb2, n - 1)
-                if sub is True:
-                    matched = True
-                    break
-                if sub is None:
-                    saw_open = True
-            if matched:
-                continue
-            result = None if (saw_open or trunc[0]) else False
-            break
-        memo[key] = result
-        return result
-
-    return play(p, api.alpha_key(p), q, api.alpha_key(q), cfg.depth)
-
-
-def _api_weak_barbs(p: api.Process, budget: int, table: dict = None):
+def _api_weak_barbs(p: api.Process, budget: int, space: _Space = None):
     """The success barbs of the closed ``p`` after any number of tau steps,
     and whether the tau budget cut the walk short.
 
@@ -539,21 +451,20 @@ def _api_weak_barbs(p: api.Process, budget: int, table: dict = None):
     ``p``, and then reports ``truncated = False``.  That answer is exact: a
     tau step never adds a free name, so no state of the walk can show a
     barb on a name outside that set.  When ``p`` has no free success name,
-    the walk stops after its first state.  ``table`` is as in
-    ``_api_weak_sim``.
+    the walk stops after its first state.  ``space`` is a reference-route
+    space (:func:`_api_steps`) that may already hold stepped states.
     """
     possible = {str(n) for n in api.free_names(p) if n.kind == SUCCESS}
-    table = {} if table is None else table
-    trunc = [False]
+    space = space or _Space(_api_steps)
     barbs = set()
-    for _s, _k, moves in _api_closure_iter(p, api.alpha_key(p), budget, trunc,
-                                           table):
-        for mu, _t, _kt in moves:
-            if isinstance(mu, api.OutLabel) and mu.subject.kind == SUCCESS:
-                barbs.add(str(mu.subject))
+    walk = closure(_api_state(p), space.tau_targets, budget)
+    for s in walk:
+        barbs.update(str(mu.subject) for mu, _t in space.step(s)
+                     if isinstance(mu, api.OutLabel)
+                     and mu.subject.kind == SUCCESS)
         if barbs == possible:
             return frozenset(barbs), False
-    return frozenset(barbs), trunc[0]
+    return frozenset(barbs), walk.truncated
 
 
 def check_alpi_correspondence(p: AlpiProcess, cfg: BisimConfig = None) -> Verdict:
@@ -563,32 +474,49 @@ def check_alpi_correspondence(p: AlpiProcess, cfg: BisimConfig = None) -> Verdic
     asynchronous calculus; the image runs on the workbench semantics and
     is erased to the same calculus.  The verdict combines a weak
     simulation game in each direction with a comparison of the weak
-    success barbs.  The four walks share one state table, so each alpha
-    class of states is stepped and keyed once per call.
+    success barbs.  A ``distinguished`` verdict carries the witness of
+    the first direction that fails, which :meth:`_Game.replay` replays on
+    a fresh reference-route game.  An image that does not typecheck under
+    :func:`alpi_env` raises ``TypeMismatch`` before any game is played.
 
-    A barb walk that has seen every free success name stops there, and
-    its answer is exact, not truncated.  So ``barbs_open`` can only become
-    more precise: an ``inconclusive`` verdict may become exact, but
-    ``equivalent`` and ``distinguished`` never swap.
+    Both directions are ``_Game``'s ``sim`` method over one space of
+    reference-route states (:func:`_api_steps`), which the barb walks
+    share, so each alpha class is stepped once per call.  Only the game
+    loop is shared with the workbench: the transitions come from
+    ``api.py``, which shares no code with the workbench's LTS, so the
+    check tests the encoding, and the loop is tested against an
+    independent weak game in the tests.
+
+    A decided direction is the exact stratified answer.  The game plays
+    a position on past an attack it cannot decide, so a later refuted
+    attack still decides it, and no play budget applies: ``state_budget``
+    bounds only :func:`strong_bisim`.  A barb walk that has seen every
+    free success name stops there with an exact answer, not a truncated
+    one.
     """
     cfg = cfg or BisimConfig()
     for n in alpi_free_names(p):
         if n.kind != SUCCESS:
             raise NotClosed(f"free name {n} is not a success name")
-    direct = alpi_to_api(p)
     image = encode_alpi(p, {})
-    erased = erase_to_api(Composite(canonical_process(image), frozenset()))
+    typed = typecheck(alpi_env(p), image)
+    if not typed.ok:
+        raise TypeMismatch(f"image does not typecheck: {typed.errors[0]}")
+    direct = _api_state(alpi_to_api(p))
+    erased = _api_state(erase_to_api(
+        Composite(canonical_process(image), frozenset())))
 
-    table = {}
-    fwd = _api_weak_sim(direct, erased, cfg, table)
-    bwd = _api_weak_sim(erased, direct, cfg, table)
-    barbs_d, tr_d = _api_weak_barbs(direct, cfg.tau_budget, table)
-    barbs_e, tr_e = _api_weak_barbs(erased, cfg.tau_budget, table)
+    game = _Game("sim", cfg, space=_Space(_api_steps))
+    fwd = game.run(direct, erased, cfg.depth)
+    bwd = game.run(erased, direct, cfg.depth)
+    barbs_d, tr_d = _api_weak_barbs(direct.process, cfg.tau_budget,
+                                    game.space)
+    barbs_e, tr_e = _api_weak_barbs(erased.process, cfg.tau_budget,
+                                    game.space)
 
-    def word(v):
-        return "equivalent" if v is True else (
-            "distinguished" if v is False else "inconclusive")
-
+    word = {True: "equivalent", False: "distinguished", None: "inconclusive"}
+    witness = (game.witness(direct, erased) if fwd is False else
+               game.witness(erased, direct) if bwd is False else ())
     # A truncated barb walk can only miss barbs, so disagreement under
     # truncation stays open while agreement stands with the sim verdicts.
     barbs_open = (barbs_d != barbs_e) and (tr_d or tr_e)
@@ -600,14 +528,14 @@ def check_alpi_correspondence(p: AlpiProcess, cfg: BisimConfig = None) -> Verdic
         result = "equivalent"
     bounds = {
         "method": "alpi-correspondence",
-        "forward": word(fwd),
-        "backward": word(bwd),
+        "forward": word[fwd],
+        "backward": word[bwd],
         "barbs_direct": sorted(barbs_d),
         "barbs_encoded": sorted(barbs_e),
         "depth": cfg.depth,
         "tau_budget": cfg.tau_budget,
     }
-    return Verdict(result, (), bounds)
+    return Verdict(result, witness, bounds)
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,13 @@
 Strong and weak bisimilarity, weak similarity, barbed bisimilarity on
 closed processes, and the connection-set-indexed internal bisimilarity,
 all played as one stratified game, :class:`_Game`, whose method picks the
-moves and the responses.  Barbed moves come from the reduction route
-(:func:`semantics.reducts`), never from the LTS, and each success barb is
-a move of its own.  Strong bisimilarity on two finite explored graphs is
-decided exactly by partition refinement; the game, seeded with those
-graphs, then only supplies a distinguished pair's witness.
+moves and the responses, over a :class:`_Space` of states.  Barbed
+moves come from the reduction route (:func:`semantics.reducts`), never
+from the LTS, and each success barb is a move of its own; the localised-pi
+correspondence in ``encodings`` plays over the reference LTS of ``api``.
+Strong bisimilarity on two finite explored graphs is decided exactly by
+partition refinement; the game, seeded with those graphs, then only
+supplies a distinguished pair's witness.
 Verdicts are three-valued: budget edges surface as ``inconclusive``
 rather than as a silent guess, and every ``distinguished`` verdict
 carries a trace that :func:`replay_witness` can re-validate.
@@ -67,10 +69,10 @@ INCONCLUSIVE = "inconclusive"
 
 @dataclass(frozen=True)
 class BisimConfig:
-    """Bounds of a check.  ``depth``: rounds of the game and of the
-    correspondence check's simulation.  ``tau_budget``: states of each weak
-    closure.  ``state_budget``: only :func:`strong_bisim`'s :func:`explore`
-    and the play count of ``encodings._api_weak_sim``; the game ignores it.
+    """Bounds of a check.  ``depth``: rounds of the game, the
+    correspondence check's included.  ``tau_budget``: states of each weak
+    closure.  ``state_budget``: only :func:`strong_bisim`'s :func:`explore`;
+    the game ignores it.
     """
 
     depth: int = 6
@@ -176,48 +178,30 @@ class _Round:
         return pair + (env, self.spent)
 
 
-class _Game:
-    """Shared stratified game engine.
+class _Space:
+    """The states a game reads and their transitions, built as read.
 
-    A pair is equivalent at depth 0; at depth n every attacker move must
-    have a defender response whose continuation is equivalent at n-1.
-    ``method`` selects the move/response discipline.  :meth:`_round` is
-    one round, shared by the search, the witness walk and
-    :func:`replay_witness`; the search is the local, on-the-fly game of
-    Stirling ("Local model checking games", CONCUR 1995).  Targets and
-    answers are built when played: :meth:`_rounds` builds an attack's
-    target when it reaches the attack, and a round's answers are built
-    as they are read, so a refuted position builds no target past its
-    first winning attack and a round none past its first proved answer.
+    ``_steps`` maps a state key to its transitions, (label, target) pairs
+    from ``successors(space, state)``: :func:`_lts` for most methods,
+    :func:`_reductions` for the barbed one, ``encodings._api_steps`` for
+    the localised-pi correspondence.  Tau targets must be states, as
+    closures need their keys.  ``_states`` is :meth:`state`'s table.
 
-    Every table lives and dies with one game.  ``_steps``, ``_moves``
-    and ``_closures`` are keyed by state key; ``_targets`` and ``_fed``
-    by how a target is reached from its source, so that a hit builds no
-    raw target; ``_states``, which every state built in a play goes
-    through (:meth:`_state`), by the process up to the commutative-monoid
-    laws of ``|``: its restriction chain and the multiset of its
-    top-level atoms other than ``0``.  Processes with one such key are
-    structurally congruent, so they have one canonical process and key,
-    and only the first is canonicalized.
+    A space holds no closure and nothing that leads back to a game, and
+    its successor functions are module-level functions, not bound
+    methods.  So a game and the walks it caches form no reference cycle,
+    and each game is freed by reference counting when its check returns.
     """
 
-    def __init__(self, method: str, cfg: BisimConfig, env=None):
-        self.method = method
-        self.cfg = cfg
-        self.env = dict(env or {})
-        self.memo = {}
-        self.truncated = False
-        self._steps = {}     # state key -> _step result
-        self._moves = {}     # (state key, play depth) -> _std_moves result
-        self._targets = {}   # (state key, index, depth | label) -> state
-        self._closures = {}  # state key -> tau closure
-        self._fed = {}       # (state key, index, value) -> _feed result
-        self._states = {}    # (chain, atom multiset, delta) -> state
+    __slots__ = ("_successors", "_steps", "_states")
 
-    # -- moves and closures of states --------------------------------------
+    def __init__(self, successors):
+        self._successors = successors
+        self._steps = {}   # state key -> [(label, target)]
+        self._states = {}  # (chain, atom multiset, delta) -> state
 
-    def _state(self, p: Process, delta) -> Composite:
-        """:func:`state` of ``p`` under ``delta``, built once per game for
+    def state(self, p: Process, delta) -> Composite:
+        """:func:`state` of ``p`` under ``delta``, built once per space for
         each restriction chain and multiset of top-level atoms.
 
         Two processes ``new c (A1 | ... | An)`` with the same chain ``c``
@@ -238,46 +222,92 @@ class _Game:
             out = self._states[sk] = state(p, delta)
         return out
 
-    def _step(self, comp: Composite):
-        """The transitions of ``comp``, computed once per game.
+    def step(self, comp: Composite):
+        """The transitions of ``comp``, computed once per space.
 
-        The table is per game and keyed by the state key: every state the
-        game steps was built by :func:`state` (or re-pointed at another
-        connection set by ``with_delta``), so one key means one canonical
-        process under one connection set, hence one list of transitions.
-        Tau targets are built as states here, once, because closures need
-        their keys; every other target stays raw until :meth:`_target` or
-        :meth:`_feed` reads it.  The barbed method's transitions are the
-        reducts of the normal-form route, as tau moves.
-        """
+        Keyed by the state key: one key means one state up to the space's
+        identity (structural congruence and connection set, or alpha
+        equivalence on the reference route), hence one list of
+        transitions."""
         out = self._steps.get(comp.key)
         if out is None:
-            if self.method == "barbed":
-                canon = CanonicalForm(comp.process, comp.pkey)
-                out = [(TAU, Composite(r.process, comp.delta, r.key))
-                       for r in reducts(canon)]
-            else:
-                out = [(mu, self._state(c2.process, c2.delta)
-                        if isinstance(mu, Tau) else c2)
-                       for mu, c2 in composite_step(comp)]
-            self._steps[comp.key] = out
+            out = self._steps[comp.key] = self._successors(self, comp)
         return out
+
+    def tau_targets(self, comp: Composite):
+        return [c2 for mu, c2 in self.step(comp) if isinstance(mu, Tau)]
+
+
+def _lts(space: _Space, comp: Composite):
+    """The connection-set LTS.  Tau targets are built as states, once per
+    space; every other target stays raw until the game reads it."""
+    return [(mu, space.state(c2.process, c2.delta) if isinstance(mu, Tau)
+             else c2) for mu, c2 in composite_step(comp)]
+
+
+def _reductions(space: _Space, comp: Composite):
+    """The reducts of the normal-form route, as tau moves."""
+    canon = CanonicalForm(comp.process, comp.pkey)
+    return [(TAU, Composite(r.process, comp.delta, r.key))
+            for r in reducts(canon)]
+
+
+class _Game:
+    """Shared stratified game engine.
+
+    A pair is equivalent at depth 0; at depth n every attacker move must
+    have a defender response whose continuation is equivalent at n-1.
+    ``method`` selects the move/response discipline, and ``space`` the
+    states and transitions (by default the LTS, or the reducts for the
+    barbed method).  :meth:`_round` is one round, shared by the search,
+    the witness walk and :meth:`replay`; the search is the local,
+    on-the-fly game of Stirling ("Local model checking games", CONCUR
+    1995).  Targets and answers are built when played: :meth:`_rounds`
+    builds an attack's target when it reaches the attack, and a round's
+    answers are built as they are read, so a refuted position builds no
+    target past its first winning attack and a round none past its first
+    proved answer.
+
+    Every table lives and dies with one game.  The space holds the
+    transitions and the states (see :class:`_Space`); the game holds the
+    memo and what depends on the method: ``_moves``, keyed by state key
+    and, where a label needs it, play depth; ``_closures``, keyed by state
+    key; ``_targets`` and ``_fed``, keyed by how a target is reached from
+    its source, so that a hit builds no raw target.  A cached closure reads the space, never the game, so no
+    table of the game leads back to it.
+    """
+
+    def __init__(self, method: str, cfg: BisimConfig, env=None, space=None):
+        self.method = method
+        self.cfg = cfg
+        self.env = dict(env or {})
+        self.space = space or _Space(_reductions if method == "barbed" else _lts)
+        self.memo = {}
+        self.truncated = False
+        self._moves = {}     # state key [, play depth] -> _std_moves result
+        self._targets = {}   # (state key, index, depth | label) -> state
+        self._closures = {}  # state key -> closure
+        self._fed = {}       # (state key, index, value) -> _feed result
+
+    # -- moves and closures of states --------------------------------------
 
     def _std_moves(self, comp: Composite, d: int):
         """Moves of ``comp`` as (key, label, kind, index) tuples sorted by
-        key; ``index`` points into :meth:`_step`, and no target is built.
+        key; ``index`` points into ``space.step``; no target is built.
 
         Input parameters become %i#d, exported pair ends %e#d with companion
         %k#d, so moves taken at the same play depth by the two sides carry
         identical labels.  The table is per game and keyed by (state key,
-        play depth), the two things a label depends on.
+        play depth), the two things a label depends on, or by the state key
+        alone when no label introduces a name.
         """
-        mk = (comp.key, d)
-        out = self._moves.get(mk)
+        out = self._moves.get(comp.key)
+        if out is None:
+            out = self._moves.get((comp.key, d))
         if out is not None:
             return out
-        out = []
-        for i, (mu, _) in enumerate(self._step(comp)):
+        out, mk = [], comp.key
+        for i, (mu, _) in enumerate(self.space.step(comp)):
             if isinstance(mu, In):
                 mu, kind = In(mu.subject, Name("%i", d)), "in"
             elif isinstance(mu, BoundOut):
@@ -285,6 +315,8 @@ class _Game:
                                     mu.in_type, mu.exported_is_input), "bout"
             else:
                 kind = "tau" if isinstance(mu, Tau) else "out"
+            if kind in ("in", "bout"):
+                mk = (comp.key, d)
             out.append((_label_key(mu), mu, kind, i))
         out.sort(key=lambda t: t[0])
         self._moves[mk] = out
@@ -293,7 +325,7 @@ class _Game:
     def _target(self, comp: Composite, i: int, d: int):
         """The target of transition ``i`` of ``comp`` as a state.
 
-        The table is per game.  ``i`` indexes :meth:`_step`'s list, fixed
+        The table is per game.  ``i`` indexes ``space.step``'s list, fixed
         per state key, so (state key, i) names one raw target; an input or
         bound-output target also renames its introduced names to play depth
         ``d``'s %-names, as :meth:`_std_moves` does, and is keyed by (state
@@ -303,7 +335,7 @@ class _Game:
         that is already a state with nothing to rename, as a tau target or
         a node of a seeded graph, is returned as it is.
         """
-        mu, c2 = self._step(comp)[i]
+        mu, c2 = self.space.step(comp)[i]
         ren = {}
         if isinstance(mu, In):
             ren = {mu.param: Name("%i", d)}
@@ -314,28 +346,20 @@ class _Game:
         tk = (comp.key, i, d) if ren else (comp.key, mu)
         out = self._targets.get(tk)
         if out is None:
-            out = self._targets[tk] = self._state(
+            out = self._targets[tk] = self.space.state(
                 rename_free(c2.process, ren),
                 frozenset((ren.get(x, x), ren.get(y, y)) for x, y in c2.delta))
         return out
 
     def _closure(self, comp: Composite):
-        """States tau-reachable from ``comp`` within the tau budget, and
-        whether the budget cut the closure short.
-
-        The table is per game and keyed by the state key, like
-        :meth:`_step`, whose tau targets it follows in transition order:
-        reducts, for the barbed method.
-        """
-        hit = self._closures.get(comp.key)
-        if hit is None:
-            reach, trunc = closure(comp, self._tau_targets,
-                                   self.cfg.tau_budget)
-            hit = self._closures[comp.key] = (list(reach.values()), trunc)
-        return hit
-
-    def _tau_targets(self, comp: Composite):
-        return [c2 for mu, c2 in self._step(comp) if isinstance(mu, Tau)]
+        """The tau closure of ``comp`` within the tau budget, a lazy
+        :func:`closure` kept per game and keyed by the state key.  It
+        follows the space's tau targets in transition order."""
+        walk = self._closures.get(comp.key)
+        if walk is None:
+            walk = self._closures[comp.key] = closure(
+                comp, self.space.tau_targets, self.cfg.tau_budget)
+        return walk
 
     def _feed(self, comp: Composite, i: int, value):
         """The target of input transition ``i`` of ``comp`` with its
@@ -343,15 +367,15 @@ class _Game:
 
         The table is per game and keyed by (state key, i, printed value),
         with no play depth: the value is substituted into the raw
-        :meth:`_step` target at its own parameter, which gives the state
+        ``space.step`` target at its own parameter, which gives the state
         that renaming the parameter to %i#d first gives, as substitution
         avoids capture.  One key means one raw target and one value.
         """
         fk = (comp.key, i, print_value(value))
         out = self._fed.get(fk)
         if out is None:
-            mu, c2 = self._step(comp)[i]
-            out = self._fed[fk] = self._state(
+            mu, c2 = self.space.step(comp)[i]
+            out = self._fed[fk] = self.space.state(
                 substitute(c2.process, {mu.param: value}), c2.delta)
         return out
 
@@ -368,25 +392,25 @@ class _Game:
         each of its moves labelled ``key``, the closure of that move's
         target, without the states already yielded.  Only the targets of
         matching moves are built, and only as far as the caller reads."""
-        pre, trunc = self._closure(comp)
+        pre = self._closure(comp)
         if key == "tau":
             for c1 in pre:
                 yield c1, env
-            return trunc
-        seen = set()
+            return pre.truncated
+        seen, trunc = set(), False
         for c1 in pre:
             for k2, mu, kind, i in self._std_moves(c1, d):
                 if k2 != key:
                     continue
                 c2 = self._target(c1, i, d) if value is None \
                     else self._feed(c1, i, value)
-                post, t2 = self._closure(c2)
-                trunc = trunc or t2
+                post = self._closure(c2)
                 for c3 in post:
                     if c3.key not in seen:
                         seen.add(c3.key)
                         yield c3, env
-        return trunc
+                trunc = trunc or post.truncated
+        return trunc or pre.truncated
 
     # -- move disciplines --------------------------------------------------
 
@@ -417,7 +441,7 @@ class _Game:
             if kind == "bout":
                 # checked on the raw target, under the name lts_step chose,
                 # so that unobserved outputs need not be built
-                raw_mu, raw = self._step(comp)[i]
+                raw_mu, raw = self.space.step(comp)[i]
                 if raw_mu.exported in free_names(raw.process):
                     raise RuntimeError(
                         f"exported name {raw_mu.exported} retained after "
@@ -449,7 +473,7 @@ class _Game:
         barb has no answer here: :meth:`_round` plays no round for a barb
         the defender shows."""
         if kind == "barb":
-            return self._closure(dfn)[1]
+            return self._closure(dfn).truncated
         if self.method == "strong":
             for k, m, kd, i in self._std_moves(dfn, d):
                 if k == key:
@@ -479,8 +503,9 @@ class _Game:
         else:
             return trunc
         particle = self._particle(at, payload, env)
-        for q in self._closure(dfn)[0]:
-            yield self._state(Par(q.process, particle), q.delta | pair), env
+        for q in self._closure(dfn):
+            yield self.space.state(Par(q.process, particle),
+                                   q.delta | pair), env
         return trunc
 
     def _particle(self, at: Name, payload, env):
@@ -523,7 +548,7 @@ class _Game:
         in either order."""
         key, mu, kind, _, val, intro = attack
         if kind == "barb" and any(mu.subject in canonical_barbs(q.process)
-                                  for q in self._closure(dfn)[0]):
+                                  for q in self._closure(dfn)):
             return None
         env1 = self._env_after(mu, kind, env, val, intro)
         t = kind == "in" and self.method == "internal" and env.get(mu.subject)
@@ -645,6 +670,28 @@ class _Game:
             d += 1
         return tuple(steps)
 
+    def replay(self, a: Composite, b: Composite, witness) -> bool:
+        """Does ``witness`` replay from (a, b)?  Each step's attack must
+        exist with its label and target, and its answer among the answers;
+        the last attack must have none, with no budget cutting them."""
+        pos, d = (a, b, self.env, frozenset()), 1
+        for i, step in enumerate(witness):
+            rnd = next(self._rounds(*pos, d, step), None)
+            if rnd is None:
+                return False
+            answers = list(rnd)
+            if step.defender_after is None:
+                return (not answers and not rnd.truncated
+                        and i == len(witness) - 1)
+            answer = next((r for r in answers
+                           if r[0].key == step.defender_after), None)
+            if answer is None:
+                return False
+            pos = rnd.position(*answer)
+            d += 1
+        # the trace ended on a step that still had answers
+        return False
+
 
 def _verdict(game: _Game, a: Composite, b: Composite, cfg: BisimConfig):
     res = game.run(a, b, cfg.depth)
@@ -716,7 +763,7 @@ def _seed(game: _Game, g, delta):
     steps = {c.key: [] for c in nodes}
     for src, mu, dst in g.edges:
         steps[nodes[src].key].append((mu, nodes[dst]))
-    game._steps.update(steps)
+    game.space._steps.update(steps)
     return nodes[g.root]
 
 
@@ -801,33 +848,13 @@ def internal_bisim_n(delta, p: Process, q: Process, n: int,
 
 def replay_witness(p: Process, q: Process, verdict: Verdict,
                    delta=frozenset(), env=None) -> bool:
-    """Re-validate a distinguishing trace against the original processes.
-
-    Each step's attack must exist with the recorded label and target; the
-    recorded defender response must be reproducible; the final attack must
-    find the defender without any response.
-    """
+    """Re-validate a distinguishing trace against the original processes,
+    on a fresh game with the verdict's method and bounds
+    (:meth:`_Game.replay`)."""
     if not verdict.distinguished or not verdict.witness:
         return False
     cfg = replace(BisimConfig(), **{
         k: verdict.bounds[k] for k in ("depth", "tau_budget", "state_budget")
         if k in verdict.bounds})
     game = _Game(verdict.bounds.get("method", "weak"), cfg, env)
-    pos, d = (state(p, delta), state(q, delta), game.env, frozenset()), 1
-    for i, step in enumerate(verdict.witness):
-        rnd = next(game._rounds(*pos, d, step), None)
-        if rnd is None:
-            return False
-        answers = list(rnd)
-        if step.defender_after is None:
-            return (not answers and not rnd.truncated
-                    and i == len(verdict.witness) - 1)
-        answer = next((r for r in answers
-                       if r[0].key == step.defender_after), None)
-        if answer is None:
-            return False
-        pos = rnd.position(*answer)
-        d += 1
-    # trace ended on a step that still had responses: not a valid witness
-    return False
-
+    return game.replay(state(p, delta), state(q, delta), verdict.witness)

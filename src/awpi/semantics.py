@@ -2,9 +2,10 @@
 composite processes, one bounded closure walk, state-space exploration,
 and the erasure into the ordinary asynchronous pi-calculus.
 
-:func:`closure` is the one bounded tau/reduction walk: :func:`weak_barbs`
-runs it over reducts, and the games in ``equivalence`` run it over the
-tau transitions of their states to build weak moves.
+:func:`closure` is the one bounded tau/reduction walk, breadth first and
+lazy: :func:`weak_barbs` runs it over reducts, and the games in
+``equivalence``, the localised-pi correspondence's among them, run it over
+the tau transitions of their states to build weak moves.
 
 Two independent routes to dynamics are kept deliberately separate:
 
@@ -319,15 +320,16 @@ class Composite:
         return f"{pkey}@{delta_key(self.delta)}"
 
     def with_delta(self, delta) -> "Composite":
-        return Composite(self.process, frozenset(delta), self.pkey)
+        delta = frozenset(delta)
+        if delta == self.delta:
+            return self
+        return Composite(self.process, delta, self.pkey)
 
     def gc(self) -> "Composite":
         """Drop connection pairs no longer touching the process."""
         fn = free_names(self.process)
-        kept = frozenset((a, b) for a, b in self.delta if a in fn or b in fn)
-        if kept == self.delta:
-            return self
-        return self.with_delta(kept)
+        return self.with_delta((a, b) for a, b in self.delta
+                               if a in fn or b in fn)
 
 
 def state(process: Process, delta) -> Composite:
@@ -357,29 +359,65 @@ def composite_step(comp: Composite):
 # Bounded closure
 # ---------------------------------------------------------------------------
 
-def closure(start, successors, budget: int):
-    """Everything reachable from ``start`` through ``successors``.
+class closure:
+    """Everything reachable from ``start`` through ``successors``, found
+    as it is read.
 
     States are identified by their ``key`` (composites, canonical forms).
-    The search is breadth first and expands a state only while fewer than
-    ``budget`` states are known.  Returns ``key -> state`` in insertion
-    order (``start`` first) and whether the budget cut the search short.
+    Iterating yields them in breadth-first order, ``start`` first.  The
+    walk expands a state only when a reader asks for more states than it
+    has found, and only while it has found fewer than ``budget``.  What
+    it has found stays, so a later reader, or one nested in the first,
+    starts from there and no state is expanded twice.  ``truncated`` runs
+    the walk to its end and says whether the budget cut it short.
+
+    Lazy, because readers stop early: a game's defender at its first
+    proved answer, a barb walk once it has seen every barb it could see.
+    The image of a replicated server has an unbounded closure, so an
+    eager walk from each of its states would run to the budget.
 
     Breadth first, because a process that keeps regenerating work, as a
     replicated server fed by its own requests, has an unbounded path of
     ever larger states: a depth-first walk follows that path until the
     budget fires and never reaches the states a few steps off it.
     """
-    seen = {start.key: start}
-    queue = deque((start,))
-    while queue:
-        if len(seen) >= budget:
-            return seen, True
-        for nxt in successors(queue.popleft()):
-            if nxt.key not in seen:
-                seen[nxt.key] = nxt
-                queue.append(nxt)
-    return seen, False
+
+    __slots__ = ("_successors", "_budget", "_keys", "_found", "_next",
+                 "_cut")
+
+    def __init__(self, start, successors, budget: int):
+        self._successors, self._budget = successors, budget
+        self._keys, self._found = {start.key}, [start]
+        self._next = 0  # index in _found of the next state to expand
+        self._cut = False
+
+    def __iter__(self):
+        found, i = self._found, 0
+        while i < len(found) or self._expand():
+            if i < len(found):
+                yield found[i]
+                i += 1
+
+    def _expand(self) -> bool:
+        """Expand the next state; False once the walk has ended."""
+        found = self._found
+        if self._next == len(found):
+            return False
+        if len(found) >= self._budget:
+            self._cut = True
+            return False
+        for nxt in self._successors(found[self._next]):
+            if nxt.key not in self._keys:
+                self._keys.add(nxt.key)
+                found.append(nxt)
+        self._next += 1
+        return True
+
+    @property
+    def truncated(self) -> bool:
+        while self._expand():
+            pass
+        return self._cut
 
 
 # ---------------------------------------------------------------------------
@@ -476,27 +514,21 @@ def weak_barbs(p: Process, budget: int = 2000) -> NameSet:
     (``truncated`` when the budget cut the search short).
 
     The walk is :func:`closure`, so breadth first, and it stops once it
-    has seen every success name free in ``p``: from then on its successor
-    function returns nothing, and the answer is not truncated.  That is
-    exact, because a reduction never adds a free name, so no reduct can
-    show a barb outside that set.
+    has seen every success name free in ``p``, with an answer that is not
+    truncated.  That is exact, because a reduction never adds a free
+    name, so no reduct can show a barb outside that set.
     """
     start = canonicalize(p)
     possible = frozenset(n for n in free_names(start.process)
                          if n.kind == SUCCESS)
-    seen = set(canonical_barbs(start.process))
-
-    def successors(c):
+    seen = set()
+    walk = closure(start, reducts, budget)
+    for c in walk:
+        seen |= canonical_barbs(c.process)
         if seen == possible:
-            return ()
-        out = reducts(c)
-        for r in out:
-            seen.update(canonical_barbs(r.process))
-        return out
-
-    _, truncated = closure(start, successors, budget)
+            break
     barbs = NameSet(seen)
-    barbs.truncated = truncated and seen != possible
+    barbs.truncated = seen != possible and walk.truncated
     return barbs
 
 

@@ -11,13 +11,15 @@ from awpi.syntax import (
 from awpi.semantics import Composite, erase_to_api
 from awpi.typecheck import ANY, typecheck
 from awpi.internal import internalize
-from awpi.equivalence import BisimConfig, NotClosed, internal_bisim_n, \
-    replay_witness
+from awpi import encodings
+from awpi.equivalence import BisimConfig, NotClosed, TypeMismatch, _Game, \
+    _Space, internal_bisim_n, replay_witness
 from awpi.encodings import (
     ALPI_NIL, AlpiChan, AlpiInput, AlpiOutput, AlpiPar, AlpiRepInput,
     AlpiRes, ALPI_UNIT, Arrow, BASE, IllTyped, LocalityViolation, SApp,
-    SLam, SVar, UnmappedName, _api_weak_barbs, _api_weak_sim, alpi_env,
-    alpi_free_names, alpi_to_api, check_alpi_correspondence, check_locality,
+    SLam, SVar, UnmappedName, _api_state, _api_steps, _api_weak_barbs,
+    alpi_env, alpi_free_names, alpi_to_api, check_alpi_correspondence,
+    check_locality,
     encode_alpi, encode_stlc, encode_stlc_type, is_local, is_negative_for,
     parse_alpi, parse_stlc, parse_stlc_type, stlc_env, stlc_type, term_size,
     trans_alpi_type, type_order,
@@ -203,12 +205,51 @@ def test_correspondence_needs_closed_process():
         check_alpi_correspondence(parse_alpi("a!()"))
 
 
+def test_correspondence_rejects_a_success_name_with_a_payload():
+    # success names carry unit, and an image that sends them anything else
+    # is rejected before a game is played, not judged distinguished
+    for src in ("success ok; new(a: ^unit)(ok!(a))",
+                "success ok; success e; new(a: ^unit)(ok!(a)) | e!()"):
+        with pytest.raises(TypeMismatch, match="payload of ok has type "
+                                               "o\\[unit\\], expected unit"):
+            check_alpi_correspondence(parse_alpi(src))
+
+
+def _api_game(cfg):
+    """The game ``check_alpi_correspondence`` plays: weak simulation over
+    reference-route states."""
+    return _Game("sim", cfg, space=_Space(_api_steps))
+
+
 def test_api_weak_sim_distinguishes():
     cfg = BisimConfig()
-    ok = alpi_to_api(parse_alpi("success ok; ok!()"))
-    err = alpi_to_api(parse_alpi("success err; err!()"))
-    assert _api_weak_sim(ok, err, cfg) is False
-    assert _api_weak_sim(ok, ok, cfg) is True
+    ok, err, message = (_api_state(alpi_to_api(parse_alpi(src))) for src in (
+        "success ok; ok!()", "success err; err!()",
+        "success ok; new(a: ^unit)( a!() | a(y).ok!() )"))
+    assert _api_game(cfg).run(ok, err, cfg.depth) is False
+    assert _api_game(cfg).run(ok, ok, cfg.depth) is True
+    # a weak answer: the message's tau, then its ok!()
+    assert _api_game(cfg).run(ok, message, cfg.depth) is True
+
+
+def test_distinguished_correspondence_has_a_witness_that_replays(monkeypatch):
+    # an encoder that drops the ok!() of "message" leaves the source's
+    # ok!() unanswered: the forward direction fails, with a witness
+    cfg = BisimConfig(depth=6, tau_budget=400)
+    (src,) = [s for name, s, _b in FIXTURES if name == "message"]
+    dropped = parse_alpi("new(a: ^unit)( a!() | a(y).0 )")
+    real = encodings.encode_alpi
+    monkeypatch.setattr(encodings, "encode_alpi", lambda p, f: real(dropped, f))
+    p = parse_alpi(src)
+    v = check_alpi_correspondence(p, cfg)
+    assert v.distinguished and v.witness
+    assert v.bounds["forward"] == "distinguished"
+    assert v.bounds["backward"] == "equivalent"
+    direct, erased = alpi_to_api(p), _api_pair(dropped)[1]
+    assert _api_game(cfg).replay(_api_state(direct), _api_state(erased),
+                                 v.witness)
+    assert not _api_game(cfg).replay(_api_state(erased), _api_state(direct),
+                                     v.witness)
 
 
 def _api_pair(p):
@@ -248,11 +289,11 @@ def _record_steps(monkeypatch):
 
 def test_api_weak_sim_steps_each_state_once(monkeypatch):
     cfg = BisimConfig(depth=6, tau_budget=400)
-    direct, erased = _replication_pair()
+    direct, erased = map(_api_state, _replication_pair())
     keys = _record_steps(monkeypatch)
     for p, q in ((direct, erased), (erased, direct)):
         keys.clear()
-        assert _api_weak_sim(p, q, cfg) is True
+        assert _api_game(cfg).run(p, q, cfg.depth) is True
         assert keys and len(keys) == len(set(keys))
 
 

@@ -1,11 +1,13 @@
 """Equivalence checkers: games, the algebraic law corpus, witnesses."""
 
 import dataclasses
+import gc
 import inspect
 import os
 import random
 import subprocess
 import sys
+import weakref
 
 import pytest
 
@@ -14,7 +16,7 @@ from awpi.syntax import (
     NIL, Name, Par, Res, VUNIT, _par_list, _split_chain, canonical_process,
     canonicalize, parse_file, parse_process, parse_vtype, rename_free,
 )
-from awpi.encodings import encode_alpi, parse_alpi
+from awpi.encodings import check_alpi_correspondence, encode_alpi, parse_alpi
 from awpi.internal import internalize
 from awpi.semantics import Composite, Tau, delta_key, erase_to_api, state
 from awpi.typecheck import ANY
@@ -183,10 +185,44 @@ def test_game_closure_states_carry_fresh_keys():
     p = proc("a(x).(c!() | new(d: i[unit], e)( d(y).k!() | e!() )) "
              "| b!() | b!()")
     delta = frozenset({(nm("a"), nm("b"))})
-    reach, truncated = _Game("weak", BisimConfig())._closure(state(p, delta))
-    assert len(reach) == 3 and not truncated
+    walk = _Game("weak", BisimConfig())._closure(state(p, delta))
+    reach = list(walk)
+    assert len(reach) == 3 and not walk.truncated
     for s in reach:
         assert s.key == canonicalize(s.process).key + "@" + delta_key(s.delta)
+
+
+def test_every_game_is_freed_when_its_check_returns(monkeypatch):
+    # with the cyclic collector off, a game lives on only if something it
+    # holds leads back to it, as a cached closure over a bound method of
+    # the game would
+    games = []
+    init = _Game.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        games.append(weakref.ref(self))
+
+    monkeypatch.setattr(_Game, "__init__", recording)
+    p = proc("success ok; new(a: i[unit], b)( a(x).ok!() | b!() )")
+    q = proc("success ok; success err; ok!() | new(a: i[unit], b)"
+             "( a(x).err!() | b!() )")
+    delta, lhs, rhs, env = _law("message-meets-companion-payload")
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert weak_bisim(p, q).distinguished
+        assert strong_bisim(p, q).distinguished
+        assert barbed_bisim(p, q).distinguished
+        assert internal_bisim_n(delta, lhs, rhs, 4, env=env).equivalent
+        assert check_alpi_correspondence(parse_alpi(
+            "success ok; new(a: ^unit)( a!() | a!() | !a(y).ok!() )"),
+            BisimConfig(depth=6, tau_budget=400)).equivalent
+        assert len(games) == 5
+        assert [g() for g in games] == [None] * 5
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_truncated_search_reports_inconclusive_not_distinguished():
@@ -464,7 +500,7 @@ def test_game_builds_congruent_tau_siblings_once(monkeypatch):
                  frozenset())
     game = _Game("weak", BisimConfig())
     built = _record_states(monkeypatch)
-    taus = [c2 for mu, c2 in game._step(comp) if isinstance(mu, Tau)]
+    taus = [c2 for mu, c2 in game.space.step(comp) if isinstance(mu, Tau)]
     assert len(taus) == 2 and taus[0] is taus[1]
     # canonicalizing each target built both
     assert built == [("new(_: i[unit], _#1) (k!() | !_(_#2).k!() | 0 | _#1!())",
@@ -494,8 +530,8 @@ def test_game_state_table_keys_up_to_the_monoid_laws():
         for a, b, t in reversed(pairs):
             q = Res(a, b, t, q)
         game = _Game("weak", BisimConfig())
-        first = game._state(p, frozenset())
-        assert game._state(q, frozenset()) is first
+        first = game.space.state(p, frozenset())
+        assert game.space.state(q, frozenset()) is first
         assert first.pkey == canonicalize(q).key
         shuffled += len(atoms) > 1
     assert shuffled >= 50
@@ -761,7 +797,7 @@ def test_witness_replay_rejects_tampering():
              "ok!() | new(a: i[unit], b)( a(x).err!() | a(x).0 | b!() )")
     start = state(p, frozenset())
     shows_err, silent = sorted(
-        (c for _, c in _Game("barbed", BisimConfig())._step(start)),
+        (c for _, c in _Game("barbed", BisimConfig()).space.step(start)),
         key=lambda c: "err" not in c.key)
     forged = Verdict(DISTINGUISHED, (
         WitnessStep("left", "ok!()", start.key, silent.key, ""),

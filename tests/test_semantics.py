@@ -640,20 +640,45 @@ class _Node:
         self.key = key
 
 
+def _regenerating(n):
+    """A path that regenerates work forever next to a state one step
+    away: s -> near -> done, and s -> deep1 -> deep2 -> ..."""
+    k = n.key
+    if k.startswith("deep"):
+        return [_Node("deep" + str(int(k[4:]) + 1))]
+    return [_Node(x) for x in {"s": ["near", "deep1"],
+                               "near": ["done"]}.get(k, [])]
+
+
 def test_closure_is_breadth_first():
-    # a path that regenerates work forever next to a state one step away
-    succ = {"s": ["near", "deep1"], "near": ["done"]}
+    walk = closure(_Node("s"), _regenerating, 5)
+    # depth first, the walk would follow deep1, deep2, ... and miss done
+    assert [n.key for n in walk] == ["s", "near", "deep1", "done", "deep2"]
+    assert walk.truncated
+
+
+def test_closure_expands_only_as_far_as_it_is_read():
+    expanded = []
 
     def successors(n):
-        k = n.key
-        if k.startswith("deep"):
-            return [_Node("deep" + str(int(k[4:]) + 1))]
-        return [_Node(x) for x in succ.get(k, [])]
+        expanded.append(n.key)
+        return _regenerating(n)
 
-    reach, truncated = closure(_Node("s"), successors, 5)
-    # depth first, the walk would follow deep1, deep2, ... and miss done
-    assert list(reach) == ["s", "near", "deep1", "done", "deep2"]
-    assert truncated
+    walk = closure(_Node("s"), successors, 5)
+    first = iter(walk)
+    assert next(first).key == "s" and expanded == []
+    assert [next(first).key for _ in range(2)] == ["near", "deep1"]
+    assert expanded == ["s"]
+    # a second reader starts from the states found
+    assert [n.key for _, n in zip(range(3), walk)] == ["s", "near", "deep1"]
+    assert expanded == ["s"]
+    assert next(first).key == "done" and expanded == ["s", "near"]
+    # the eager walk's answer, and nothing expanded twice
+    assert walk.truncated and expanded == ["s", "near", "deep1"]
+    assert [n.key for n in walk] == ["s", "near", "deep1", "done", "deep2"]
+    assert expanded == ["s", "near", "deep1"]
+    finite = closure(_Node("near"), successors, 5)
+    assert not finite.truncated and [n.key for n in finite] == ["near", "done"]
 
 
 # ---------------------------------------------------------------------------
