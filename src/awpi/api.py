@@ -10,10 +10,8 @@ defined via the connection-set machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .syntax import (
-    Name, Value, VName, VTuple, VInl, VInr, VUNIT,
+    Name, Value, VName, VTuple, VInl, VInr, VUNIT, _node,
     fresh_name, print_value, substitute_value, value_names,
 )
 
@@ -26,51 +24,51 @@ class Process:
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Nil(Process):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Par(Process):
     left: Process
     right: Process
 
 
-@dataclass(frozen=True)
+@_node
 class Input(Process):
     subject: Name
     param: Name
     body: Process
 
 
-@dataclass(frozen=True)
+@_node
 class RepInput(Process):
     subject: Name
     param: Name
     body: Process
 
 
-@dataclass(frozen=True)
+@_node
 class Output(Process):
     subject: Name
     payload: Value
 
 
-@dataclass(frozen=True)
+@_node
 class Res(Process):
     name: Name
     body: Process
 
 
-@dataclass(frozen=True)
+@_node
 class LetTuple(Process):
     params: tuple
     scrutinee: Value
     body: Process
 
 
-@dataclass(frozen=True)
+@_node
 class Case(Process):
     scrutinee: Value
     left_param: Name
@@ -82,8 +80,19 @@ class Case(Process):
 NIL = Nil()
 
 
+def _shallow(walk, *args):
+    """``walk(*args)``, where nesting too deep for the recursion limit is a
+    ``ValueError("process nested too deeply")``, not a RecursionError.
+    Each public walk goes through here."""
+    try:
+        return walk(*args)
+    except RecursionError:
+        pass
+    raise ValueError("process nested too deeply")
+
+
 def free_names(p: Process) -> frozenset:
-    return _frees(p, {})
+    return _shallow(_frees, p, {})
 
 
 def _frees(p: Process, table) -> frozenset:
@@ -133,7 +142,7 @@ def substitute(p: Process, mapping) -> Process:
     every subterm and serves every refresh, so a subterm's names are
     found once, not once per binder above it."""
     mapping = {k: v for k, v in mapping.items() if v != VName(k)}
-    return _guarded(p, mapping, {})
+    return _shallow(_guarded, p, mapping, {})
 
 
 def _guarded(p: Process, mapping, table) -> Process:
@@ -234,6 +243,10 @@ def rename_free(p: Process, renames) -> Process:
 
 
 def print_process(p: Process) -> str:
+    return _shallow(_print, p)
+
+
+def _print(p: Process) -> str:
     # walk the left | spine in a loop, so that a wide composition cannot
     # exhaust the recursion limit; a right operand that is a | prints in
     # parentheses
@@ -248,7 +261,7 @@ def _atom(p: Process) -> str:
     if isinstance(p, Nil):
         return "0"
     if isinstance(p, Par):
-        return f"({print_process(p)})"
+        return f"({_print(p)})"
     if isinstance(p, Input):
         return f"{p.subject}({p.param}).{_atom(p.body)}"
     if isinstance(p, RepInput):
@@ -263,8 +276,8 @@ def _atom(p: Process) -> str:
         return f"let ({ps}) = {print_value(p.scrutinee)} in {_atom(p.body)}"
     if isinstance(p, Case):
         return (f"case {print_value(p.scrutinee)} {{ "
-                f"inl {p.left_param} -> {print_process(p.left_body)}; "
-                f"inr {p.right_param} -> {print_process(p.right_body)} }}")
+                f"inl {p.left_param} -> {_print(p.left_body)}; "
+                f"inr {p.right_param} -> {_print(p.right_body)} }}")
     raise TypeError(f"not a process: {p!r}")
 
 
@@ -273,7 +286,7 @@ def _atom(p: Process) -> str:
 # ---------------------------------------------------------------------------
 
 def alpha_key(p: Process) -> str:
-    return _akey(p, {}, [0])
+    return _shallow(_akey, p, {}, [0])
 
 
 def _akey_name(n, env):
@@ -376,13 +389,13 @@ class Label:
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class TauLabel(Label):
     def __str__(self):
         return "tau"
 
 
-@dataclass(frozen=True)
+@_node
 class InLabel(Label):
     subject: Name
     param: Name
@@ -391,7 +404,7 @@ class InLabel(Label):
         return f"{self.subject}({self.param})"
 
 
-@dataclass(frozen=True)
+@_node
 class OutLabel(Label):
     subject: Name
     payload: Value
@@ -401,7 +414,7 @@ class OutLabel(Label):
         return f"{self.subject}!({inner})"
 
 
-@dataclass(frozen=True)
+@_node
 class BoundOutLabel(Label):
     subject: Name
     exported: Name
@@ -473,7 +486,7 @@ def lts_step(p: Process):
     names, so a ``|`` node freshens bound labels against its children's
     names instead of re-walking a sibling once per step.
     """
-    return _steps(p)[0]
+    return _shallow(_steps, p)[0]
 
 
 def _steps(p: Process):

@@ -16,13 +16,12 @@ names.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from . import api
 from .syntax import (
     ChanType, LetTuple, Name, NIL, Input, Output, Par, Process, RepInput, Res,
-    SUCCESS, TokenStream, TupleType, UNIT, VName, VUNIT, bound_names,
-    canonical_process, free_names, fresh_name, vtuple,
+    SUCCESS, TokenStream, TupleType, UNIT, VName, VUNIT, _node, _shallow,
+    bound_names, canonical_process, free_names, vtuple,
 )
 from .typecheck import ANY, typecheck
 from .semantics import TAU, Composite, closure, erase_to_api, lts_step, In
@@ -51,13 +50,13 @@ class AlpiType:
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class AlpiUnit(AlpiType):
     def __str__(self):
         return "unit"
 
 
-@dataclass(frozen=True)
+@_node
 class AlpiChan(AlpiType):
     """Payload type of names passed around: receivers may only send on them."""
 
@@ -74,38 +73,38 @@ class AlpiProcess:
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class AlpiNil(AlpiProcess):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class AlpiPar(AlpiProcess):
     left: AlpiProcess
     right: AlpiProcess
 
 
-@dataclass(frozen=True)
+@_node
 class AlpiInput(AlpiProcess):
     subject: Name
     param: Name
     body: AlpiProcess
 
 
-@dataclass(frozen=True)
+@_node
 class AlpiRepInput(AlpiProcess):
     subject: Name
     param: Name
     body: AlpiProcess
 
 
-@dataclass(frozen=True)
+@_node
 class AlpiOutput(AlpiProcess):
     subject: Name
     payload: Name | None  # None sends the unit value
 
 
-@dataclass(frozen=True)
+@_node
 class AlpiRes(AlpiProcess):
     """Single-name restriction; the bound name may be read and written."""
 
@@ -117,39 +116,50 @@ class AlpiRes(AlpiProcess):
 ALPI_NIL = AlpiNil()
 
 
+# The public walks over a localised process raise ValueError on one nested
+# too deeply for the recursion limit (see ``syntax._shallow``).
+
 def alpi_free_names(p: AlpiProcess) -> frozenset:
+    return _shallow(_alpi_frees, p)
+
+
+def _alpi_frees(p: AlpiProcess) -> frozenset:
     if isinstance(p, AlpiNil):
         return frozenset()
     if isinstance(p, AlpiPar):
-        return alpi_free_names(p.left) | alpi_free_names(p.right)
+        return _alpi_frees(p.left) | _alpi_frees(p.right)
     if isinstance(p, (AlpiInput, AlpiRepInput)):
-        return frozenset((p.subject,)) | (alpi_free_names(p.body) - {p.param})
+        return frozenset((p.subject,)) | (_alpi_frees(p.body) - {p.param})
     if isinstance(p, AlpiOutput):
         out = frozenset((p.subject,))
         return out if p.payload is None else out | {p.payload}
     if isinstance(p, AlpiRes):
-        return alpi_free_names(p.body) - {p.name}
+        return _alpi_frees(p.body) - {p.name}
     raise TypeError(f"not a localised process: {p!r}")
 
 
 def check_locality(p: AlpiProcess, received=frozenset()) -> None:
     """Received names may appear under their binder only in output position."""
+    _shallow(_locality, p, received)
+
+
+def _locality(p: AlpiProcess, received) -> None:
     if isinstance(p, AlpiNil):
         return
     if isinstance(p, AlpiPar):
-        check_locality(p.left, received)
-        check_locality(p.right, received)
+        _locality(p.left, received)
+        _locality(p.right, received)
         return
     if isinstance(p, (AlpiInput, AlpiRepInput)):
         if p.subject in received:
             raise LocalityViolation(
                 f"received name {p.subject} used as an input subject")
-        check_locality(p.body, received | {p.param})
+        _locality(p.body, received | {p.param})
         return
     if isinstance(p, AlpiOutput):
         return
     if isinstance(p, AlpiRes):
-        check_locality(p.body, received - {p.name})
+        _locality(p.body, received - {p.name})
         return
     raise TypeError(f"not a localised process: {p!r}")
 
@@ -164,17 +174,21 @@ def is_local(p: AlpiProcess) -> bool:
 
 def alpi_names(p: AlpiProcess) -> frozenset:
     """Every name occurring in ``p``, bound or free."""
+    return _shallow(_alpi_names, p)
+
+
+def _alpi_names(p: AlpiProcess) -> frozenset:
     if isinstance(p, AlpiNil):
         return frozenset()
     if isinstance(p, AlpiPar):
-        return alpi_names(p.left) | alpi_names(p.right)
+        return _alpi_names(p.left) | _alpi_names(p.right)
     if isinstance(p, (AlpiInput, AlpiRepInput)):
-        return frozenset((p.subject, p.param)) | alpi_names(p.body)
+        return frozenset((p.subject, p.param)) | _alpi_names(p.body)
     if isinstance(p, AlpiOutput):
         out = frozenset((p.subject,))
         return out if p.payload is None else out | {p.payload}
     if isinstance(p, AlpiRes):
-        return frozenset((p.name,)) | alpi_names(p.body)
+        return frozenset((p.name,)) | _alpi_names(p.body)
     raise TypeError(f"not a localised process: {p!r}")
 
 
@@ -200,71 +214,86 @@ def encode_alpi(p: AlpiProcess, f: dict) -> Process:
     spawns the server that pairs values with requests.
     """
     check_locality(p)
-    avoid = set(alpi_names(p)) | set(f.keys()) | set(f.values())
-    return _enc_alpi(p, dict(f), {}, avoid)
+    fresh = _Fresh(alpi_names(p) | set(f.keys()) | set(f.values()))
+    return _shallow(_enc_alpi, p, dict(f), {}, fresh)
 
 
-def _fresh(base: str, avoid: set) -> Name:
-    n = Name(base)
-    if n in avoid:
-        n = fresh_name(n, avoid)
-    avoid.add(n)
-    return n
+class _Fresh:
+    """The fresh names of one encoding call.  A call ``fresh(base)`` makes
+    the smallest-index name of ``base`` not in ``taken`` and adds it.
+    ``taken`` only grows, so every index below the one a base last made
+    stays taken, and the next call for that base starts its search just
+    past it, not at 0 again."""
+
+    __slots__ = ("taken", "_next")
+
+    def __init__(self, taken):
+        self.taken = set(taken)
+        self._next = {}
+
+    def __call__(self, base: str) -> Name:
+        i = self._next.get(base, 0)
+        while Name(base, i) in self.taken:
+            i += 1
+        self._next[base] = i + 1
+        n = Name(base, i)
+        self.taken.add(n)
+        return n
 
 
-def _enc_alpi(p: AlpiProcess, f: dict, tenv: dict, avoid: set) -> Process:
+def _enc_alpi(p: AlpiProcess, f: dict, tenv: dict, fresh: _Fresh) -> Process:
     if isinstance(p, AlpiNil):
         return NIL
     if isinstance(p, AlpiPar):
-        return Par(_enc_alpi(p.left, f, tenv, avoid),
-                   _enc_alpi(p.right, f, tenv, avoid))
+        return Par(_enc_alpi(p.left, f, tenv, fresh),
+                   _enc_alpi(p.right, f, tenv, fresh))
     if isinstance(p, AlpiOutput):
         payload = VUNIT if p.payload is None else VName(p.payload)
         return Output(p.subject, payload)
     if isinstance(p, AlpiInput):
-        return _enc_alpi_input(p, f, tenv, avoid)
+        return _enc_alpi_input(p, f, tenv, fresh)
     if isinstance(p, AlpiRepInput):
         once = AlpiInput(p.subject, p.param, p.body)
-        d = _fresh("d", avoid)
-        do = _fresh("do", avoid)
-        t = _fresh("t", avoid)
-        again = Par(Output(do, VUNIT), _enc_alpi_input(once, f, tenv, avoid))
+        d = fresh("d")
+        do = fresh("do")
+        t = fresh("t")
+        again = Par(Output(do, VUNIT), _enc_alpi_input(once, f, tenv, fresh))
         return Res(d, do, ChanType("i", UNIT),
                    Par(Output(do, VUNIT), RepInput(d, t, again)))
     if isinstance(p, AlpiRes):
-        return _enc_alpi_res(p, f, tenv, avoid)
+        return _enc_alpi_res(p, f, tenv, fresh)
     raise TypeError(f"not a localised process: {p!r}")
 
 
-def _enc_alpi_input(p: AlpiInput, f: dict, tenv: dict, avoid: set) -> Process:
+def _enc_alpi_input(p: AlpiInput, f: dict, tenv: dict,
+                    fresh: _Fresh) -> Process:
     if p.subject not in f:
         raise UnmappedName(f"no request channel for input subject {p.subject}")
     pay = trans_alpi_type(tenv[p.subject]) if p.subject in tenv else ANY
-    zi = _fresh("zi", avoid)
-    z = _fresh("z", avoid)
-    body = _enc_alpi(p.body, f, tenv, avoid)
+    zi = fresh("zi")
+    z = fresh("z")
+    body = _enc_alpi(p.body, f, tenv, fresh)
     # ask for the next value at the request channel, listen on the
     # fresh return channel
     return Res(zi, z, ChanType("i", pay),
                Par(Output(f[p.subject], VName(z)), Input(zi, p.param, body)))
 
 
-def _enc_alpi_res(p: AlpiRes, f: dict, tenv: dict, avoid: set) -> Process:
+def _enc_alpi_res(p: AlpiRes, f: dict, tenv: dict, fresh: _Fresh) -> Process:
     a = p.name
     pay = trans_alpi_type(p.payload_type)
-    avoid.add(a)
-    ai = _fresh(a.base + "i", avoid)
-    bi = _fresh("bi", avoid)
-    b = _fresh("b", avoid)
-    ci = _fresh("ci", avoid)
-    c = _fresh("c", avoid)
-    body = _enc_alpi(p.body, {**f, a: b}, {**tenv, a: p.payload_type}, avoid)
+    ai = fresh(a.base + "i")
+    bi = fresh("bi")
+    b = fresh("b")
+    ci = fresh("ci")
+    c = fresh("c")
+    body = _enc_alpi(p.body, {**f, a: b}, {**tenv, a: p.payload_type}, fresh)
 
-    a2 = _fresh("vc", avoid)
-    b2 = _fresh("rc", avoid)
-    x = _fresh("x", avoid)
-    y = _fresh("y", avoid)
-    tok = _fresh("tk", avoid)
+    a2 = fresh("vc")
+    b2 = fresh("rc")
+    x = fresh("x")
+    y = fresh("y")
+    tok = fresh("tk")
     serve = Input(a2, x, Input(b2, y, Par(
         Output(c, vtuple((VName(a2), VName(b2)))),
         Output(y, VName(x)))))
@@ -406,19 +435,23 @@ def parse_alpi(text: str):
 def alpi_to_api(p: AlpiProcess) -> api.Process:
     """The source is a fragment of the plain asynchronous calculus, so it
     embeds directly; this gives the reference behaviour."""
+    return _shallow(_to_api, p)
+
+
+def _to_api(p: AlpiProcess) -> api.Process:
     if isinstance(p, AlpiNil):
         return api.NIL
     if isinstance(p, AlpiPar):
-        return api.Par(alpi_to_api(p.left), alpi_to_api(p.right))
+        return api.Par(_to_api(p.left), _to_api(p.right))
     if isinstance(p, AlpiInput):
-        return api.Input(p.subject, p.param, alpi_to_api(p.body))
+        return api.Input(p.subject, p.param, _to_api(p.body))
     if isinstance(p, AlpiRepInput):
-        return api.RepInput(p.subject, p.param, alpi_to_api(p.body))
+        return api.RepInput(p.subject, p.param, _to_api(p.body))
     if isinstance(p, AlpiOutput):
         payload = VUNIT if p.payload is None else VName(p.payload)
         return api.Output(p.subject, payload)
     if isinstance(p, AlpiRes):
-        return api.Res(p.name, alpi_to_api(p.body))
+        return api.Res(p.name, _to_api(p.body))
     raise TypeError(f"not a localised process: {p!r}")
 
 
@@ -546,13 +579,13 @@ class StlcType:
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Base(StlcType):
     def __str__(self):
         return "o"
 
 
-@dataclass(frozen=True)
+@_node
 class Arrow(StlcType):
     arg: StlcType
     res: StlcType
@@ -569,7 +602,7 @@ class StlcTerm:
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class SVar(StlcTerm):
     name: str
 
@@ -577,7 +610,7 @@ class SVar(StlcTerm):
         return self.name
 
 
-@dataclass(frozen=True)
+@_node
 class SLam(StlcTerm):
     var: str
     var_type: StlcType
@@ -587,7 +620,7 @@ class SLam(StlcTerm):
         return f"\\{self.var}:{self.var_type}. {self.body}"
 
 
-@dataclass(frozen=True)
+@_node
 class SApp(StlcTerm):
     fn: StlcTerm
     arg: StlcTerm
@@ -750,56 +783,54 @@ def encode_stlc(term: StlcTerm, env: dict, p: Name) -> Process:
     the widened tuple to the function's continuation.
     """
     stlc_type(term, env)  # raises IllTyped before any construction
-    avoid = {Name(x) for x in env} | {p}
+    fresh = _Fresh({Name(x) for x in env} | {p})
     chan = {x: Name(x) for x in env}
-    return _enc_stlc(term, env, chan, p, avoid)
+    return _enc_stlc(term, env, chan, p, fresh)
 
 
-def _receive(subject: Name, params: tuple, body: Process, avoid: set) -> Process:
+def _receive(subject: Name, params: tuple, body: Process,
+             fresh: _Fresh) -> Process:
     if len(params) == 1:
         return Input(subject, params[0], body)
-    tmp = _fresh("pk", avoid)
+    tmp = fresh("pk")
     return Input(subject, tmp, LetTuple(params, VName(tmp), body))
 
 
-def _enc_stlc(term, env, chan, p, avoid):
+def _enc_stlc(term, env, chan, p, fresh):
     ty = stlc_type(term, env)
     args = arrow_parts(ty)
 
     if isinstance(term, SVar):
-        ys = [_fresh("y", avoid) for _ in args]
-        u = _fresh("u", avoid)
+        ys = [fresh("y") for _ in args]
+        u = fresh("u")
         payload = vtuple([VName(n) for n in ys] + [VName(u)])
         return _receive(p, tuple(ys) + (u,), Output(chan[term.name], payload),
-                        avoid)
+                        fresh)
 
     if isinstance(term, SLam):
-        x1 = Name(term.var)
-        if x1 in avoid:
-            x1 = fresh_name(x1, avoid)
-        avoid.add(x1)
-        rest = [_fresh("x", avoid) for _ in args[1:]]
-        q = _fresh("q", avoid)
-        r = _fresh("r", avoid)
-        ro = _fresh("ro", avoid)
+        x1 = fresh(term.var)
+        rest = [fresh("x") for _ in args[1:]]
+        q = fresh("q")
+        r = fresh("r")
+        ro = fresh("ro")
         body_env = {**env, term.var: term.var_type}
         body_chan = {**chan, term.var: x1}
-        body = _enc_stlc(term.body, body_env, body_chan, r, avoid)
+        body = _enc_stlc(term.body, body_env, body_chan, r, fresh)
         resend = Output(ro, vtuple([VName(n) for n in rest] + [VName(q)]))
         inner_ty = encode_stlc_type(ty.res)
         return _receive(p, (x1,) + tuple(rest) + (q,),
-                        Res(r, ro, inner_ty, Par(resend, body)), avoid)
+                        Res(r, ro, inner_ty, Par(resend, body)), fresh)
 
     if isinstance(term, SApp):
         fn_ty = stlc_type(term.fn, env)
-        rest = [_fresh("x", avoid) for _ in args]
-        q = _fresh("q", avoid)
-        r = _fresh("r", avoid)
-        ro = _fresh("ro", avoid)
-        y = _fresh("a", avoid)
-        x1 = _fresh("ao", avoid)
-        fn = _enc_stlc(term.fn, env, chan, r, avoid)
-        arg = _enc_stlc(term.arg, env, chan, y, avoid)
+        rest = [fresh("x") for _ in args]
+        q = fresh("q")
+        r = fresh("r")
+        ro = fresh("ro")
+        y = fresh("a")
+        x1 = fresh("ao")
+        fn = _enc_stlc(term.fn, env, chan, r, fresh)
+        arg = _enc_stlc(term.arg, env, chan, y, fresh)
         if not isinstance(arg, Input):
             raise IllTyped("argument encoding must start at its continuation")
         served = RepInput(arg.subject, arg.param, arg.body)
@@ -809,7 +840,7 @@ def _enc_stlc(term, env, chan, p, avoid):
         inner = Res(r, ro, encode_stlc_type(fn_ty),
                     Res(y, x1, ChanType("i", arg_pay),
                         Par(Par(resend, fn), served)))
-        return _receive(p, tuple(rest) + (q,), inner, avoid)
+        return _receive(p, tuple(rest) + (q,), inner, fresh)
 
     raise TypeError(f"not a lambda term: {term!r}")
 

@@ -39,7 +39,7 @@ from typing import Optional
 from .syntax import (
     CanonicalForm, ChanType, Name, Nil, Output, Par, Process, SUCCESS,
     SumType, TupleType, UnitType, VInl, VInr, VName, VTuple, VUNIT,
-    _par_list, _split_chain, free_names, print_process, print_value,
+    _node, _par_list, _split_chain, free_names, print_process, print_value,
     rename_free, substitute, value_names,
 )
 from .typecheck import ANY, dual, typecheck
@@ -84,7 +84,7 @@ class BisimConfig:
             raise ValueError("depth must be >= 0")
 
 
-@dataclass(frozen=True)
+@_node
 class WitnessStep:
     side: str            # "left" | "right"
     label: str

@@ -30,8 +30,9 @@ from . import api
 from .syntax import (
     Case, CanonicalForm, ChanType, Input, LetTuple, Name, Nil, NIL, Output,
     Par, Process, RepInput, Res, SUCCESS, VInl, VInr, VName, VTuple, VUNIT,
-    Value, _chain, _par, _par_list, _split_chain, canonicalize,
-    canonical_process, free_names, fresh_name, parse_name, print_value,
+    Value, _chain, _node, _par, _par_list, _shallow, _split_chain,
+    canonicalize, canonical_process, free_names, fresh_name, parse_name,
+    print_value,
     rename_free, substitute, substitute_value, value_names,
 )
 
@@ -44,13 +45,13 @@ class Label:
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Tau(Label):
     def __str__(self):
         return "tau"
 
 
-@dataclass(frozen=True)
+@_node
 class In(Label):
     subject: Name
     param: Name  # bound in the label: ground transitions never instantiate it
@@ -59,7 +60,7 @@ class In(Label):
         return f"{self.subject}({self.param})"
 
 
-@dataclass(frozen=True)
+@_node
 class FreeOut(Label):
     subject: Name
     payload: Value
@@ -69,7 +70,7 @@ class FreeOut(Label):
         return f"{self.subject}!({inner})"
 
 
-@dataclass(frozen=True)
+@_node
 class BoundOut(Label):
     """Bound output: the exported name and its companion are both extruded.
 
@@ -600,7 +601,9 @@ def _erase_value(v: Value, m):
 
 
 def erase_to_api(comp: Composite) -> api.Process:
-    """Collapse every connected pair and restricted pair to its O-name."""
+    """Collapse every connected pair and restricted pair to its O-name.
+    Raises ValueError on a process nested too deeply for the recursion
+    limit."""
     m = {a: b for a, b in comp.delta}
 
     def go(p, m):
@@ -635,7 +638,7 @@ def erase_to_api(comp: Composite) -> api.Process:
                             p.right_param, go(p.right_body, m))
         raise TypeError(f"not a process: {p!r}")
 
-    return go(comp.process, m)
+    return _shallow(go, comp.process, m)
 
 
 def erase_label(mu: Label, delta) -> "api.Label":

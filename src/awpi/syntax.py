@@ -29,49 +29,100 @@ types stay dataclasses, not tuples: ``Input``/``RepInput`` and
 equal; AST nodes as tagged tuples also measured no faster on the front end,
 as their fields are read through descriptors all the same.  Process and
 value nodes are slotted (``__slots__`` on :class:`Process` and
-:class:`Value` and ``slots=True`` on each node), so a node has no
+:class:`Value` and ``_node(slots=True)`` on each node), so a node has no
 per-instance ``__dict__``.
 
-Node construction is the largest self-time item on every workload, as
+Every node class of the package (processes, values, types and labels
+here and in ``api``, ``semantics``, ``encodings`` and ``typecheck``, and
+:class:`CanonicalForm`) is made by :func:`_node`, which gives it the
+behaviour of a frozen dataclass at a fraction of the cost: a frozen
+dataclass makes about six functions with ``exec`` per class at import,
+which was most of the package's import time.  Node
+construction is also the largest self-time item on every workload, as
 normalization, substitution and the canonical build make nodes by the
-thousand.  The ``__init__`` that dataclasses generates for a frozen class
-looks ``object.__setattr__`` up again for every field it stores, so each
-node class with fields (and :class:`CanonicalForm`) gets one from
-:func:`_stored` instead, which stores each field through a setter bound
-once; on a slotted class that is the slot's own descriptor.  Equality,
-hash, repr, ``dataclasses.replace`` and frozenness are still the
-dataclass's own, so keys and set orders do not depend on it.
+thousand; ``_node``'s ``__init__`` stores each field through a setter
+bound once (on a slotted class the slot's own descriptor), where a
+dataclass's looks ``object.__setattr__`` up again for every field.
+Equality and hash have the bodies dataclasses generates, so hash values,
+and with them keys and set orders, are as they were.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
+from dataclasses import FrozenInstanceError, dataclass, fields
 from itertools import count, repeat
 from types import MemberDescriptorType
 from typing import NamedTuple
 
 
-def _stored(cls):
-    """Replace the ``__init__`` of the frozen dataclass ``cls`` by one that
-    stores each field through one setter bound when the class is made: the
-    slot's own descriptor on a slotted class, else ``object.__setattr__``.
-    Every field must be passed, as no node field has a default."""
-    env, args, body = {"_set": object.__setattr__}, [], []
-    for k, f in enumerate(fields(cls)):
-        args.append(f.name)
-        slot = vars(cls).get(f.name)
+def _node(cls=None, /, *, slots=False):
+    """Make ``cls`` a node class: a dataclass that behaves as one made by
+    ``@dataclass(frozen=True, slots=slots)``, at a fraction of the cost.
+
+    ``dataclass`` only records the fields, so ``fields``, ``replace`` and
+    ``is_dataclass`` work; its ``__dataclass_params__`` say ``init=False``
+    and ``frozen=False``.  One ``exec`` per class makes ``__init__``,
+    ``__eq__`` and ``__hash__`` with the bodies dataclasses generates, but
+    ``__init__`` stores each field through a setter bound here: the slot's
+    own descriptor on a slotted class, else ``object.__setattr__``.
+    ``__repr__``, ``__setattr__`` and ``__delattr__`` are shared.  A method
+    the class body defines is kept.  Every field must be passed, as no node
+    field has a default.
+    """
+    if cls is None:
+        return lambda c: _node(c, slots=slots)
+    if cls.__doc__ is None:
+        # else dataclasses builds one from inspect.signature, which is slow
+        cls.__doc__ = (f"{cls.__name__}("
+                       f"{', '.join(vars(cls).get('__annotations__', ()))})")
+    cls = dataclass(cls, init=False, repr=False, eq=False, slots=slots)
+    own = vars(cls)
+    names = [f.name for f in fields(cls)]
+    env, body = {"_set": object.__setattr__}, []
+    for k, name in enumerate(names):
+        slot = own.get(name)
         if isinstance(slot, MemberDescriptorType):
             env[f"_set{k}"] = slot.__set__
-            body.append(f"_set{k}(self, {f.name})")
+            body.append(f"_set{k}(self, {name})")
         else:
-            body.append(f"_set(self, {f.name!r}, {f.name})")
-    exec(f"def __init__(self, {', '.join(args)}):\n    "
-         + "\n    ".join(body), env)
-    init = env["__init__"]
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    cls.__init__ = init
+            body.append(f"_set(self, {name!r}, {name})")
+    mine = "".join(f"self.{n}," for n in names)
+    theirs = "".join(f"other.{n}," for n in names)
+    made = {
+        "__init__": f"def __init__(self{''.join(', ' + n for n in names)}):\n"
+                    f"    {'; '.join(body) or 'pass'}\n",
+        "__eq__": "def __eq__(self, other):\n"
+                  "    if other.__class__ is self.__class__:\n"
+                  f"        return ({mine}) == ({theirs})\n"
+                  "    return NotImplemented\n",
+        "__hash__": f"def __hash__(self):\n    return hash(({mine}))\n",
+    }
+    made = {k: text for k, text in made.items() if k not in own}
+    exec("".join(made.values()), env)
+    for k in made:
+        env[k].__qualname__ = f"{cls.__qualname__}.{k}"
+        setattr(cls, k, env[k])
+    for k, method in (("__repr__", _node_repr),
+                      ("__setattr__", _node_setattr),
+                      ("__delattr__", _node_delattr)):
+        if k not in own:
+            setattr(cls, k, method)
     return cls
+
+
+def _node_repr(self):
+    return (f"{self.__class__.__qualname__}("
+            + ", ".join(f"{f.name}={getattr(self, f.name)!r}"
+                        for f in fields(self)) + ")")
+
+
+def _node_setattr(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _node_delattr(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 class ParseError(ValueError):
@@ -128,14 +179,13 @@ class ValueType:
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class UnitType(ValueType):
     def __str__(self):
         return "unit"
 
 
-@_stored
-@dataclass(frozen=True)
+@_node
 class ChanType(ValueType):
     mode: str  # "i" | "o" | "li" | "lo"
     payload: ValueType
@@ -144,8 +194,7 @@ class ChanType(ValueType):
         return f"{self.mode}[{self.payload}]"
 
 
-@_stored
-@dataclass(frozen=True)
+@_node
 class TupleType(ValueType):
     items: tuple  # of ValueType, arity >= 2
 
@@ -153,8 +202,7 @@ class TupleType(ValueType):
         return " * ".join(_vtype_atom_str(t) for t in self.items)
 
 
-@_stored
-@dataclass(frozen=True)
+@_node
 class SumType(ValueType):
     left: ValueType
     right: ValueType
@@ -205,31 +253,27 @@ class Value:
     __slots__ = ()
 
 
-@_stored
-@dataclass(frozen=True, slots=True)
+@_node(slots=True)
 class VName(Value):
     name: Name
 
 
-@dataclass(frozen=True, slots=True)
+@_node(slots=True)
 class VUnit(Value):
     pass
 
 
-@_stored
-@dataclass(frozen=True, slots=True)
+@_node(slots=True)
 class VTuple(Value):
     items: tuple  # of Value, arity >= 2
 
 
-@_stored
-@dataclass(frozen=True, slots=True)
+@_node(slots=True)
 class VInl(Value):
     value: Value
 
 
-@_stored
-@dataclass(frozen=True, slots=True)
+@_node(slots=True)
 class VInr(Value):
     value: Value
 
@@ -269,43 +313,38 @@ class Process:
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+@_node(slots=True)
 class Nil(Process):
     pass
 
 
-@_stored
-@dataclass(frozen=True, slots=True)
+@_node(slots=True)
 class Par(Process):
     left: Process
     right: Process
 
 
-@_stored
-@dataclass(frozen=True, slots=True)
+@_node(slots=True)
 class Input(Process):
     subject: Name
     param: Name
     body: Process
 
 
-@_stored
-@dataclass(frozen=True, slots=True)
+@_node(slots=True)
 class RepInput(Process):
     subject: Name
     param: Name
     body: Process
 
 
-@_stored
-@dataclass(frozen=True, slots=True)
+@_node(slots=True)
 class Output(Process):
     subject: Name
     payload: Value
 
 
-@_stored
-@dataclass(frozen=True, slots=True)
+@_node(slots=True)
 class Res(Process):
     """``new(in_name : in_type, out_name) body`` binding a dual pair."""
 
@@ -315,16 +354,14 @@ class Res(Process):
     body: Process
 
 
-@_stored
-@dataclass(frozen=True, slots=True)
+@_node(slots=True)
 class LetTuple(Process):
     params: tuple  # of Name, arity >= 2
     scrutinee: Value
     body: Process
 
 
-@_stored
-@dataclass(frozen=True, slots=True)
+@_node(slots=True)
 class Case(Process):
     scrutinee: Value
     left_param: Name
@@ -1150,8 +1187,7 @@ def parse_file(text: str) -> SourceFile:
 # Canonical form
 # ---------------------------------------------------------------------------
 
-@_stored
-@dataclass(frozen=True)
+@_node
 class CanonicalForm:
     """A structurally normalized process with a stable identity key."""
 

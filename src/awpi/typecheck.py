@@ -28,12 +28,12 @@ from .syntax import (
     Case, ChanType, INPUT_MODES, Input, LetTuple, LINEAR_MODES, Name, Nil,
     Output, Par, Process, RepInput, Res, SUCCESS, SumType, TupleType, UNIT,
     UnitType, VInl, VInr, VName, VTuple, VUnit, Value, ValueType, _bind,
-    _bind_all, _frees, _par_list, _shallow, _unbind, _unbind_all,
+    _bind_all, _frees, _node, _par_list, _shallow, _unbind, _unbind_all,
     value_names,
 )
 
 
-@dataclass(frozen=True)
+@_node
 class AnyType(ValueType):
     """Wildcard for the component of an injection no annotation determines.
 

@@ -1,6 +1,9 @@
 """Translator tests: localised-pi compilation with its correspondence
 check, and the lambda-calculus encoding with its equational sanity."""
 
+import hashlib
+import time
+
 import pytest
 
 from awpi import api
@@ -393,6 +396,45 @@ def test_deep_nesting_is_a_parse_error(parse, src):
     assert e.value.line == 1 and e.value.col > 1
 
 
+def _deep_alpi():
+    """A 3,000-deep prefix chain and a 3,000-deep restriction chain, closed
+    but for the success name, built through the constructors."""
+    a, ok = nm("a"), Name("ok", kind="success")
+    prefixes = restrictions = AlpiOutput(ok, None)
+    for _ in range(3000):
+        prefixes = AlpiInput(a, nm("y"), prefixes)
+        restrictions = AlpiRes(a, ALPI_UNIT, restrictions)
+    return prefixes, restrictions
+
+
+@pytest.mark.parametrize("walk", [
+    lambda p, r: alpi_free_names(p),
+    lambda p, r: check_locality(p),
+    lambda p, r: encodings.alpi_names(r),
+    lambda p, r: alpi_env(p),
+    lambda p, r: alpi_to_api(r),
+    lambda p, r: check_alpi_correspondence(r),
+], ids=["alpi_free_names", "check_locality", "alpi_names", "alpi_env",
+        "alpi_to_api", "check_alpi_correspondence"])
+def test_alpi_walks_reject_deep_nesting(walk):
+    # each raised RecursionError
+    with pytest.raises(ValueError, match="process nested too deeply"):
+        walk(*_deep_alpi())
+
+
+@pytest.mark.parametrize("check", [
+    lambda p: encode_alpi(p, {}), check_alpi_correspondence,
+], ids=["encode_alpi", "check_alpi_correspondence"])
+def test_encoding_rejects_a_source_it_cannot_compile(check):
+    # 300 restricted inputs pass the source's own walks, but the encoder
+    # recursed twice per level of the source and raised RecursionError
+    p = AlpiOutput(Name("ok", kind="success"), None)
+    for _ in range(300):
+        p = AlpiRes(nm("a"), ALPI_UNIT, AlpiInput(nm("a"), nm("y"), p))
+    with pytest.raises(ValueError, match="process nested too deeply"):
+        check(p)
+
+
 def test_stlc_typing_errors():
     with pytest.raises(IllTyped):
         stlc_type(parse_stlc("x"), {})
@@ -531,6 +573,45 @@ def test_beta_eta_pairs_bisimilar():
         il, ir = internalize(le, tenv), internalize(re_, tenv)
         v = internal_bisim_n(frozenset(), il, ir, 6, env=tenv)
         assert v.equivalent, (name, v.result)
+
+
+def _chain(n):
+    """``\\x:o. \\x:o. ... x``: ``n`` curried binders of one name."""
+    return "\\x:o. " * n + "x"
+
+
+# sha256 of the printed images below, as the encoders made them before
+# their fresh names came from a per-call next index: the images must not
+# change
+IMAGES_SHA256 = (
+    "e661d9bbca5408b38c66da00675cfb1d5874bddbbaf5db3e9da9c8a100bb1a44")
+
+
+def test_images_are_unchanged():
+    texts = []
+    for name, envs, lsrc, rsrc, tsrc in BETA_ETA:
+        le, re_, _tenv, _p, _ = _encode_pair(envs, lsrc, rsrc, tsrc)
+        texts += [print_process(le), print_process(re_)]
+    for n in range(1, 31):
+        texts.append(print_process(encode_stlc(parse_stlc(_chain(n)), {},
+                                               nm("p"))))
+    for name, src, _barbs in FIXTURES:
+        texts.append(print_process(encode_alpi(parse_alpi(src), {})))
+    nested = ("success ok; " + "new(a: ^unit) " * 12
+              + "(" + " | ".join(["a!() | !a(y).a(z).ok!()"] * 4) + ")")
+    texts.append(print_process(encode_alpi(parse_alpi(nested), {})))
+    digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
+    assert digest == IMAGES_SHA256
+
+
+def test_curried_chain_encodes_in_quadratic_time():
+    # each fresh name searched its base's indices from 1 again, about n**4
+    # probes on a chain: n = 160 took about a minute
+    term = parse_stlc(_chain(160))
+    start = time.perf_counter()
+    image = encode_stlc(term, {}, nm("p"))
+    assert time.perf_counter() - start < 5.0
+    assert typecheck(stlc_env({}, stlc_type(term, {}), nm("p")), image).ok
 
 
 def test_unequal_terms_distinguished():

@@ -5,6 +5,7 @@ from awpi.syntax import (
     free_names, parse_file, parse_process, print_process, print_value,
     rename_free,
 )
+from awpi.syntax import NIL, Res
 from awpi.syntax import Input as SInput, Output as SOutput, Par as SPar
 from awpi.typecheck import typecheck
 from awpi import api
@@ -441,6 +442,39 @@ def test_api_print_and_alpha_key_of_a_wide_par():
     assert api.print_process(ap) == " | ".join(["k!()"] * width)
     assert api.alpha_key(ap) == ("(" * (width - 1) + "f:k!*"
                                  + "|f:k!*)" * (width - 1))
+
+
+def _deep_api():
+    """A 3,000-deep prefix chain and a 3,000-deep restriction chain of the
+    reference calculus, built through its constructors."""
+    a = Name("a")
+    prefixes, restrictions = api.NIL, api.Output(a, VUNIT)
+    for _ in range(3000):
+        prefixes = api.Input(a, a, prefixes)
+        restrictions = api.Res(a, restrictions)
+    return prefixes, restrictions
+
+
+@pytest.mark.parametrize("walk", [
+    lambda p, r: api.alpha_key(p),
+    lambda p, r: api.lts_step(api.Par(api.Output(Name("a"), VUNIT), r)),
+    lambda p, r: api.free_names(p),
+    lambda p, r: api.print_process(r),
+    lambda p, r: api.substitute(p, {Name("a"): VName(Name("c"))}),
+], ids=["alpha_key", "lts_step", "free_names", "print_process", "substitute"])
+def test_api_walks_reject_deep_nesting(walk):
+    # each raised RecursionError
+    with pytest.raises(ValueError, match="process nested too deeply"):
+        walk(*_deep_api())
+
+
+def test_erase_to_api_rejects_deep_nesting():
+    # raised RecursionError
+    p = NIL
+    for _ in range(3000):
+        p = Res(Name("a"), Name("b"), ChanType("i", UNIT), p)
+    with pytest.raises(ValueError, match="process nested too deeply"):
+        erase_to_api(Composite(p, frozenset()))
 
 
 def test_lts_step_and_api_substitute_of_a_wide_par():

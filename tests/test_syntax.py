@@ -1,8 +1,11 @@
 """Parser, printer, substitution, alpha equality and canonical forms."""
 
 import dataclasses
+import os
 import random
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +17,8 @@ from awpi.syntax import (
     parse_process, parse_value, parse_vtype, print_process, print_value,
     print_vtype, rename_free, substitute, substitute_value,
 )
-from awpi import syntax
+from awpi import api, encodings, equivalence, internal, semantics, syntax
+from awpi import typecheck as typecheck_module
 from awpi.encodings import parse_alpi, parse_stlc, parse_stlc_type
 from awpi.internal import is_internal
 from awpi.typecheck import typecheck
@@ -776,38 +780,65 @@ def test_polyadic_sugar_picks_what_fresh_name_picks():
 # Node constructors and error positions
 # ---------------------------------------------------------------------------
 
-def _stored_classes():
-    """The frozen dataclasses of ``syntax`` that have fields: the ones whose
-    ``__init__`` ``syntax._stored`` replaces."""
-    return [c for c in vars(syntax).values()
+NODE_MODULES = (syntax, api, semantics, encodings, typecheck_module,
+                internal, equivalence)
+
+
+def _dataclasses():
+    return [c for m in NODE_MODULES for c in vars(m).values()
             if isinstance(c, type) and dataclasses.is_dataclass(c)
-            and c.__module__ == syntax.__name__
-            and c.__dataclass_params__.frozen and dataclasses.fields(c)]
+            and c.__module__ == m.__name__]
+
+
+def _node_classes():
+    """The classes made by ``syntax._node``: the dataclasses whose
+    parameters say ``init=False``, as ``_node`` makes the ``__init__``."""
+    return [c for c in _dataclasses() if not c.__dataclass_params__.init]
+
+
+def _own(cls):
+    """The functions the body of ``cls`` defines."""
+    file = sys.modules[cls.__module__].__file__
+    return {k: v for k, v in vars(cls).items()
+            if getattr(getattr(v, "__code__", None), "co_filename", None)
+            == file and v.__qualname__ == f"{cls.__qualname__}.{k}"}
 
 
 def _twin(cls):
     """A plain ``@dataclass(frozen=True)`` with the name, fields and slots
     of ``cls`` and the methods its body defines, and the ``__init__``,
-    ``__eq__``, ``__hash__`` and ``__repr__`` that dataclasses generates
-    where the body defines none.  A body's own ``__eq__`` may ask for an
-    instance of ``cls``, so such a twin derives from ``cls``."""
-    own = {k: v for k, v in vars(cls).items()
-           if getattr(getattr(v, "__code__", None), "co_filename", None)
-           == syntax.__file__ and k != "__init__"}
+    ``__eq__``, ``__hash__``, ``__repr__``, ``__setattr__`` and
+    ``__delattr__`` that dataclasses generates where the body defines
+    none."""
     return dataclasses.make_dataclass(
         cls.__name__, [(f.name, f.type) for f in dataclasses.fields(cls)],
-        bases=(cls,) if "__eq__" in own else cls.__bases__, namespace=own,
-        frozen=True, slots="__slots__" in vars(cls))
+        bases=cls.__bases__, namespace=_own(cls), frozen=True,
+        slots="__slots__" in vars(cls))
 
 
-def test_stored_constructors_keep_frozen_dataclass_behaviour():
-    classes = _stored_classes()
-    assert {c.__name__ for c in classes} == {
-        "ChanType", "TupleType", "SumType", "VName", "VTuple", "VInl", "VInr",
-        "Par", "Input", "RepInput", "Output", "Res", "LetTuple", "Case",
-        "CanonicalForm"}
+def test_node_classes_keep_frozen_dataclass_behaviour():
+    classes = _node_classes()
+    assert {f"{c.__module__}.{c.__name__}" for c in classes} == {
+        f"awpi.{m}.{n}" for m, names in (
+            ("syntax", "UnitType ChanType TupleType SumType VName VUnit "
+                       "VTuple VInl VInr Nil Par Input RepInput Output Res "
+                       "LetTuple Case CanonicalForm"),
+            ("api", "Nil Par Input RepInput Output Res LetTuple Case "
+                    "TauLabel InLabel OutLabel BoundOutLabel"),
+            ("semantics", "Tau In FreeOut BoundOut"),
+            ("encodings", "AlpiUnit AlpiChan AlpiNil AlpiPar AlpiInput "
+                          "AlpiRepInput AlpiOutput AlpiRes Base Arrow SVar "
+                          "SLam SApp"),
+            ("typecheck", "AnyType"),
+            ("equivalence", "WitnessStep"))
+        for n in names.split()}
+    # the records with defaults, field options or mutable fields
+    assert {c.__name__ for c in _dataclasses()} - {
+        c.__name__ for c in classes} == {
+        "SourceFile", "Composite", "LtsGraph", "TypeVerdict", "WireSpec",
+        "BisimConfig", "Verdict"}
     for cls in classes:
-        twin = _twin(cls)
+        twin, own = _twin(cls), _own(cls)
         names = [f.name for f in dataclasses.fields(cls)]
         vals = [f"{n}-0" for n in names]
         other = [f"{n}-1" for n in names]
@@ -815,23 +846,77 @@ def test_stored_constructors_keep_frozen_dataclass_behaviour():
         assert x.__init__.__code__ is not t.__init__.__code__, cls
         assert cls(**dict(zip(names, vals))) == x
         assert [getattr(x, n) for n in names] == vals
-        assert repr(x) == repr(t) and hash(x) == hash(t), cls
-        for y, u in ((cls(*vals), twin(*vals)), (cls(*other), twin(*other)),
-                     (cls(*vals[:-1], other[-1]), twin(*vals[:-1], other[-1]))):
-            assert (x == y) == (t == u) and (x != y) == (t != u), cls
+        assert repr(x) == repr(t), cls
+        assert cls.__match_args__ == twin.__match_args__
+        # (compared with x, compared with t); an instance of a subclass is
+        # not equal to one of its class
+        pairs = [(cls(*vals), twin(*vals)), ("text", "text"), (t, x),
+                 (type("Sub", (cls,), {})(*vals),
+                  type("Sub", (twin,), {})(*vals))]
+        if names:
+            last = vals[:-1] + other[-1:]
+            pairs += [(cls(*other), twin(*other)), (cls(*last), twin(*last))]
+        if "__eq__" in own:
+            # the body's equality and hash are kept, not generated
+            assert cls.__eq__ is own["__eq__"]
+            assert cls.__hash__ is own["__hash__"]
+        else:
+            assert hash(x) == hash(t), cls
+            for y, u in pairs:
+                assert (x == y) == (t == u) and (x != y) == (t != u), cls
         assert ([(f.name, f.type) for f in dataclasses.fields(x)]
                 == [(f.name, f.type) for f in dataclasses.fields(t)])
-        y = dataclasses.replace(x, **{names[0]: "new"})
-        assert type(y) is cls and getattr(y, names[0]) == "new"
-        assert [getattr(y, n) for n in names[1:]] == vals[1:]
-        for n in names:
+        if names:
+            y = dataclasses.replace(x, **{names[0]: "new"})
+            assert type(y) is cls and getattr(y, names[0]) == "new"
+            assert [getattr(y, n) for n in names[1:]] == vals[1:]
+        else:
+            assert dataclasses.replace(x) == x
+        for n, obj in [(n, obj) for n in names for obj in (x, t)] + [
+                ("not_a_field", x)]:
+            # a slotted frozen dataclass of 3.10 and 3.11 raises TypeError
+            # on a name that is not a field, so only x is tried with one
             with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(x, n, "changed")
-        with pytest.raises(TypeError):
-            cls(*vals[:-1])
+                setattr(obj, n, "changed")
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(obj, n)
+        if names:
+            with pytest.raises(TypeError):
+                cls(*vals[:-1])
         with pytest.raises(TypeError):
             cls(*vals, "extra")
         assert hasattr(x, "__dict__") == hasattr(t, "__dict__"), cls
+
+
+# exec calls made from dataclasses.py and from the package while the four
+# top modules import.  Through Python 3.12 dataclasses execs once per
+# method it makes: one call per node class (49) and 30 for the seven
+# records, where every frozen dataclass made six and the package made 338
+# in all.  From 3.13 on it execs once per dataclass, node classes too.
+IMPORT_EXEC_BOUND = 80 if sys.version_info < (3, 13) else 106
+
+_COUNT_IMPORT_EXECS = """
+import builtins, dataclasses, os, sys
+real, callers = builtins.exec, []
+def counting(*args, **kwargs):
+    callers.append(sys._getframe(1).f_code.co_filename)
+    return real(*args, **kwargs)
+builtins.exec = counting
+import awpi.encodings, awpi.equivalence, awpi.internal, awpi.typecheck
+builtins.exec = real
+package = os.path.dirname(awpi.__file__)
+print(sum(f == dataclasses.__file__ or os.path.dirname(f) == package
+          for f in callers))
+"""
+
+
+def test_importing_the_package_generates_little_code():
+    src = os.path.dirname(os.path.dirname(syntax.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", _COUNT_IMPORT_EXECS],
+                         env=env, capture_output=True, text=True, check=True)
+    assert int(out.stdout) <= IMPORT_EXEC_BOUND
 
 
 # Texts for the three grammars as token lists, joined by random blanks and
