@@ -20,8 +20,8 @@ import re
 from . import api
 from .syntax import (
     ChanType, LetTuple, Name, NIL, Input, Output, Par, Process, RepInput, Res,
-    SUCCESS, TokenStream, TupleType, UNIT, VName, VUNIT, _node, _shallow,
-    bound_names, canonical_process, free_names, vtuple,
+    SUCCESS, TokenStream, TupleType, UNIT, VName, VUNIT, _Fresh, _bind,
+    _node, _shallow, _unbind, canonical_process, vtuple,
 )
 from .typecheck import ANY, typecheck
 from .semantics import TAU, Composite, closure, erase_to_api, lts_step, In
@@ -216,29 +216,6 @@ def encode_alpi(p: AlpiProcess, f: dict) -> Process:
     check_locality(p)
     fresh = _Fresh(alpi_names(p) | set(f.keys()) | set(f.values()))
     return _shallow(_enc_alpi, p, dict(f), {}, fresh)
-
-
-class _Fresh:
-    """The fresh names of one encoding call.  A call ``fresh(base)`` makes
-    the smallest-index name of ``base`` not in ``taken`` and adds it.
-    ``taken`` only grows, so every index below the one a base last made
-    stays taken, and the next call for that base starts its search just
-    past it, not at 0 again."""
-
-    __slots__ = ("taken", "_next")
-
-    def __init__(self, taken):
-        self.taken = set(taken)
-        self._next = {}
-
-    def __call__(self, base: str) -> Name:
-        i = self._next.get(base, 0)
-        while Name(base, i) in self.taken:
-            i += 1
-        self._next[base] = i + 1
-        n = Name(base, i)
-        self.taken.add(n)
-        return n
 
 
 def _enc_alpi(p: AlpiProcess, f: dict, tenv: dict, fresh: _Fresh) -> Process:
@@ -576,13 +553,13 @@ def check_alpi_correspondence(p: AlpiProcess, cfg: BisimConfig = None) -> Verdic
 # ---------------------------------------------------------------------------
 
 class StlcType:
-    pass
+    def __str__(self):
+        return _shallow(_show, self)
 
 
 @_node
 class Base(StlcType):
-    def __str__(self):
-        return "o"
+    pass
 
 
 @_node
@@ -590,24 +567,18 @@ class Arrow(StlcType):
     arg: StlcType
     res: StlcType
 
-    def __str__(self):
-        left = f"({self.arg})" if isinstance(self.arg, Arrow) else str(self.arg)
-        return f"{left} -> {self.res}"
-
 
 BASE = Base()
 
 
 class StlcTerm:
-    pass
+    def __str__(self):
+        return _shallow(_show, self)
 
 
 @_node
 class SVar(StlcTerm):
     name: str
-
-    def __str__(self):
-        return self.name
 
 
 @_node
@@ -616,19 +587,33 @@ class SLam(StlcTerm):
     var_type: StlcType
     body: StlcTerm
 
-    def __str__(self):
-        return f"\\{self.var}:{self.var_type}. {self.body}"
-
 
 @_node
 class SApp(StlcTerm):
     fn: StlcTerm
     arg: StlcTerm
 
-    def __str__(self):
-        fn = f"({self.fn})" if isinstance(self.fn, SLam) else str(self.fn)
-        arg = str(self.arg) if isinstance(self.arg, SVar) else f"({self.arg})"
+
+# The public walks over lambda-terms and their types go through
+# ``syntax._shallow``, so a term or type nested too deeply for the
+# recursion limit is a ValueError, not a RecursionError.
+
+def _show(x) -> str:
+    """The text of a term or type, as the parser reads it."""
+    if isinstance(x, Base):
+        return "o"
+    if isinstance(x, Arrow):
+        left = f"({_show(x.arg)})" if isinstance(x.arg, Arrow) else _show(x.arg)
+        return f"{left} -> {_show(x.res)}"
+    if isinstance(x, SVar):
+        return x.name
+    if isinstance(x, SLam):
+        return f"\\{x.var}:{_show(x.var_type)}. {_show(x.body)}"
+    if isinstance(x, SApp):
+        fn = f"({_show(x.fn)})" if isinstance(x.fn, SLam) else _show(x.fn)
+        arg = _show(x.arg) if isinstance(x.arg, SVar) else f"({_show(x.arg)})"
         return f"{fn} {arg}"
+    raise TypeError(f"not a lambda term or type: {x!r}")
 
 
 def arrow_parts(t: StlcType):
@@ -641,39 +626,58 @@ def arrow_parts(t: StlcType):
 
 
 def stlc_type(term: StlcTerm, env: dict) -> StlcType:
+    return _shallow(_typed, term, dict(env))[0]
+
+
+def _typed(term: StlcTerm, env: dict) -> tuple:
+    """``term``'s typing: its type, then the typing of each of its
+    subterms (``(type,)`` for a variable, ``(type, body)`` for an
+    abstraction, ``(type, fn, arg)`` for an application), so that the
+    encoder reads every subterm's type without typing it again.  A binder
+    is bound in ``env`` in place while its body is walked."""
     if isinstance(term, SVar):
         if term.name not in env:
             raise IllTyped(f"unbound variable {term.name}")
-        return env[term.name]
+        return (env[term.name],)
     if isinstance(term, SLam):
-        body = stlc_type(term.body, {**env, term.var: term.var_type})
-        return Arrow(term.var_type, body)
+        old = _bind(env, term.var, term.var_type)
+        body = _typed(term.body, env)
+        _unbind(env, term.var, old)
+        return Arrow(term.var_type, body[0]), body
     if isinstance(term, SApp):
-        fn = stlc_type(term.fn, env)
-        arg = stlc_type(term.arg, env)
-        if not isinstance(fn, Arrow):
+        fn = _typed(term.fn, env)
+        arg = _typed(term.arg, env)
+        if not isinstance(fn[0], Arrow):
             raise IllTyped(f"applied term has base type: {term.fn}")
-        if fn.arg != arg:
+        if fn[0].arg != arg[0]:
             raise IllTyped(
-                f"argument type {arg} does not match expected {fn.arg}")
-        return fn.res
+                f"argument type {arg[0]} does not match expected {fn[0].arg}")
+        return fn[0].res, fn, arg
     raise TypeError(f"not a lambda term: {term!r}")
 
 
 def term_size(term: StlcTerm) -> int:
+    return _shallow(_size, term)
+
+
+def _size(term: StlcTerm) -> int:
     if isinstance(term, SVar):
         return 1
     if isinstance(term, SLam):
-        return 1 + term_size(term.body)
+        return 1 + _size(term.body)
     if isinstance(term, SApp):
-        return 1 + term_size(term.fn) + term_size(term.arg)
+        return 1 + _size(term.fn) + _size(term.arg)
     raise TypeError(f"not a lambda term: {term!r}")
 
 
 def type_order(t: StlcType) -> int:
+    return _shallow(_order, t)
+
+
+def _order(t: StlcType) -> int:
     if isinstance(t, Base):
         return 0
-    return max(type_order(t.arg) + 1, type_order(t.res))
+    return max(_order(t.arg) + 1, _order(t.res))
 
 
 # ---------------------------------------------------------------------------
@@ -754,21 +758,21 @@ def parse_stlc_type(text: str) -> StlcType:
 def encode_stlc_type(t: StlcType) -> ChanType:
     """A term listens once on a channel carrying one output channel per
     argument, plus a final unit component."""
-    args = arrow_parts(t)
-    comps = [ChanType("o", encode_stlc_type(a).payload) for a in args]
+    return _shallow(_enc_type, t)
+
+
+def _enc_type(t: StlcType) -> ChanType:
+    comps = [ChanType("o", _enc_type(a).payload) for a in arrow_parts(t)]
     items = tuple(comps) + (UNIT,)
     payload = UNIT if len(items) == 1 else TupleType(items)
     return ChanType("li", payload)
 
 
-def _arg_chan_type(t: StlcType) -> ChanType:
-    return ChanType("o", encode_stlc_type(t).payload)
-
-
 def stlc_env(env: dict, result: StlcType, p: Name) -> dict:
     """Typing environment for an encoded judgement: context variables are
     output channels, the continuation is the one linear input."""
-    out = {Name(x): _arg_chan_type(t) for x, t in env.items()}
+    out = {Name(x): ChanType("o", encode_stlc_type(t).payload)
+           for x, t in env.items()}
     out[p] = encode_stlc_type(result)
     return out
 
@@ -780,12 +784,14 @@ def encode_stlc(term: StlcTerm, env: dict, p: Name) -> Process:
     its context channel; an abstraction receives all arguments, peels off
     the first and resends the rest to the body's continuation; an
     application allocates a replicated server for the argument and resends
-    the widened tuple to the function's continuation.
+    the widened tuple to the function's continuation.  The term is typed
+    once, before any construction (raising IllTyped), and each clause reads
+    its subterm's type from that typing.
     """
-    stlc_type(term, env)  # raises IllTyped before any construction
+    typed = _shallow(_typed, term, dict(env))
     fresh = _Fresh({Name(x) for x in env} | {p})
     chan = {x: Name(x) for x in env}
-    return _enc_stlc(term, env, chan, p, fresh)
+    return _shallow(_enc_stlc, term, typed, chan, p, fresh)
 
 
 def _receive(subject: Name, params: tuple, body: Process,
@@ -796,8 +802,11 @@ def _receive(subject: Name, params: tuple, body: Process,
     return Input(subject, tmp, LetTuple(params, VName(tmp), body))
 
 
-def _enc_stlc(term, env, chan, p, fresh):
-    ty = stlc_type(term, env)
+def _enc_stlc(term, typed, chan, p, fresh):
+    """``term``, whose typing (:func:`_typed`) is ``typed``, against
+    continuation ``p``; ``chan`` maps each variable in scope to its
+    channel, bound in place while a body is encoded."""
+    ty = typed[0]
     args = arrow_parts(ty)
 
     if isinstance(term, SVar):
@@ -813,31 +822,31 @@ def _enc_stlc(term, env, chan, p, fresh):
         q = fresh("q")
         r = fresh("r")
         ro = fresh("ro")
-        body_env = {**env, term.var: term.var_type}
-        body_chan = {**chan, term.var: x1}
-        body = _enc_stlc(term.body, body_env, body_chan, r, fresh)
+        old = _bind(chan, term.var, x1)
+        body = _enc_stlc(term.body, typed[1], chan, r, fresh)
+        _unbind(chan, term.var, old)
         resend = Output(ro, vtuple([VName(n) for n in rest] + [VName(q)]))
-        inner_ty = encode_stlc_type(ty.res)
+        inner_ty = _enc_type(ty.res)
         return _receive(p, (x1,) + tuple(rest) + (q,),
                         Res(r, ro, inner_ty, Par(resend, body)), fresh)
 
     if isinstance(term, SApp):
-        fn_ty = stlc_type(term.fn, env)
+        fn_ty = typed[1][0]
         rest = [fresh("x") for _ in args]
         q = fresh("q")
         r = fresh("r")
         ro = fresh("ro")
         y = fresh("a")
         x1 = fresh("ao")
-        fn = _enc_stlc(term.fn, env, chan, r, fresh)
-        arg = _enc_stlc(term.arg, env, chan, y, fresh)
+        fn = _enc_stlc(term.fn, typed[1], chan, r, fresh)
+        arg = _enc_stlc(term.arg, typed[2], chan, y, fresh)
         if not isinstance(arg, Input):
             raise IllTyped("argument encoding must start at its continuation")
         served = RepInput(arg.subject, arg.param, arg.body)
         resend = Output(ro, vtuple(
             [VName(x1)] + [VName(n) for n in rest] + [VName(q)]))
-        arg_pay = encode_stlc_type(fn_ty.arg).payload
-        inner = Res(r, ro, encode_stlc_type(fn_ty),
+        arg_pay = _enc_type(fn_ty.arg).payload
+        inner = Res(r, ro, _enc_type(fn_ty),
                     Res(y, x1, ChanType("i", arg_pay),
                         Par(Par(resend, fn), served)))
         return _receive(p, tuple(rest) + (q,), inner, fresh)

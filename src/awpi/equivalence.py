@@ -46,7 +46,7 @@ from .typecheck import ANY, dual, typecheck
 from .internal import internalize, is_internal
 from .semantics import (
     TAU, BoundOut, Composite, FreeOut, In, Tau, canonical_barbs, closure,
-    composite_step, delta_key, explore, reducts, state,
+    composite_step, delta_key, delta_names, explore, reducts, state,
 )
 
 
@@ -436,7 +436,7 @@ class _Game:
         if self.method != "internal":
             return kept + [(key, mu, kind, partial(self._target, comp, i, d),
                             None, ()) for key, mu, kind, i in moves]
-        dnames = {n for pair in comp.delta for n in pair}
+        dnames = delta_names(comp.delta)
         for key, mu, kind, i in moves:
             if kind == "bout":
                 # checked on the raw target, under the name lts_step chose,
@@ -491,7 +491,7 @@ class _Game:
         for x, y in dfn.delta:
             if x == subject:
                 companion = y
-        dnames = {n for pair in dfn.delta for n in pair}
+        dnames = delta_names(dfn.delta)
         if companion is not None:
             at, pair = companion, frozenset()
         elif subject not in dnames:

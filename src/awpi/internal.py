@@ -9,7 +9,11 @@ untouched; tuple and sum literals are wired componentwise.
 
 The translation keeps one typing environment per call and binds each
 binder in it in place while its scope is walked, so a deep chain of
-binders costs linear time, not a copy of the environment per level.
+binders costs linear time, not a copy of the environment per level.  Its
+fresh names come from one ``syntax._Fresh`` per call, which avoids the
+input's free names, every name it has made and the names of that
+environment, which are exactly the names in scope where a new pair is
+bound; a name bound elsewhere in the input cannot be captured there.
 """
 
 from __future__ import annotations
@@ -19,8 +23,9 @@ from dataclasses import dataclass
 from .syntax import (
     Case, ChanType, Input, LetTuple, Name, Nil, OUTPUT_MODES, Output, Par,
     Process, RepInput, Res, TupleType, SumType, UNIT, VInl, VInr, VName,
-    VTuple, VUnit, Value, ValueType, _bind, _bind_all, _frees, _par_list,
-    _shallow, _split_chain, _unbind, _unbind_all, bound_names, free_names,
+    VTuple, VUnit, Value, ValueType, _Fresh, _bind, _bind_all, _frees,
+    _par_list, _shallow, _split_chain, _unbind, _unbind_all, _value_counts,
+    _value_leaves, fresh_name, free_names,
 )
 from .typecheck import ANY, dual
 
@@ -49,20 +54,11 @@ def wire(w: WireSpec, env=None) -> Process:
             raise ValueError(
                 f"wire ends must be typed {want_in} / {dual(want_in)}, "
                 f"got {ft} / {tt}")
-    x = Name("x", _next_free_index(
-        "x", {w.from_name, w.to_name}))
+    x = fresh_name(Name("x"), {w.from_name, w.to_name})
     body = Output(w.to_name, VName(x))
     if w.linear:
         return Input(w.from_name, x, body)
     return RepInput(w.from_name, x, body)
-
-
-def _next_free_index(base, taken):
-    idxs = {n.index for n in taken if n.base == base}
-    k = 1
-    while k in idxs:
-        k += 1
-    return k
 
 
 def _is_chan(t) -> bool:
@@ -106,41 +102,8 @@ def _let_types(p, env):
 
 def _chan_names_in(v: Value, env):
     """Names of channel type occurring in ``v`` (with multiplicity)."""
-    out = []
-    if isinstance(v, VName):
-        if _is_chan(env.get(v.name)):
-            out.append(v.name)
-    elif isinstance(v, VTuple):
-        for item in v.items:
-            out.extend(_chan_names_in(item, env))
-    elif isinstance(v, (VInl, VInr)):
-        out.extend(_chan_names_in(v.value, env))
-    return out
-
-
-class _Fresh:
-    def __init__(self, taken):
-        self.taken = set(taken)
-        self.k = 0
-
-    def pair(self):
-        k = self.k + 1
-        while Name("w", k) in self.taken or Name("w'", k) in self.taken:
-            k += 1
-        self.k = k
-        a, b = Name("w", k), Name("w'", k)
-        self.taken.add(a)
-        self.taken.add(b)
-        return a, b
-
-    def param(self):
-        k = self.k + 1
-        while Name("x", k) in self.taken:
-            k += 1
-        self.k = k
-        x = Name("x", k)
-        self.taken.add(x)
-        return x
+    return [n.name for n in _value_leaves(v)
+            if isinstance(n, VName) and _is_chan(env.get(n.name))]
 
 
 def internalize(p: Process, env) -> Process:
@@ -153,8 +116,7 @@ def internalize(p: Process, env) -> Process:
     too deeply for the recursion limit (a ``|`` chain of any width is
     fine).
     """
-    fresh = _Fresh(free_names(p) | bound_names(p) | set(env))
-    return _shallow(_walk, p, dict(env), fresh)
+    return _shallow(_walk, p, dict(env), _Fresh(free_names(p)))
 
 
 def _rewire(v: Value, env, fresh):
@@ -167,7 +129,7 @@ def _rewire(v: Value, env, fresh):
         t = env.get(v.name)
         if not _is_chan(t):
             return v, []
-        exported, companion = fresh.pair()
+        exported, companion = fresh("w", env), fresh("w'", env)
         if t.mode in OUTPUT_MODES:
             # export a fresh output end; its input companion feeds the
             # original target
@@ -257,7 +219,7 @@ def _walk(p: Process, env, fresh) -> Process:
             return p
         core = Output(p.subject, v2)
         for (in_name, out_name, in_type), wsubj, fwd, vtype, linear in binds:
-            x = fresh.param()
+            x = fresh("x", env)
             ends = (x, in_name, out_name)
             olds = _bind_all(env, ends, (vtype, in_type, dual(in_type)))
             # the forwarded output is itself internalized, so wiring
@@ -296,17 +258,6 @@ def is_internal(p: Process, env) -> bool:
 
 class _External(Exception):
     """An output of the process checked is not in the internal shape."""
-
-
-def _value_counts(v: Value, counts):
-    """Add the occurrences of each name in ``v`` to ``counts``."""
-    if isinstance(v, VName):
-        counts[v.name] = counts.get(v.name, 0) + 1
-    elif isinstance(v, VTuple):
-        for x in v.items:
-            _value_counts(x, counts)
-    elif isinstance(v, (VInl, VInr)):
-        _value_counts(v.value, counts)
 
 
 def _chk(p: Process, env, table) -> dict:

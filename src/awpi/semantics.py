@@ -138,11 +138,7 @@ def rename_label(mu: Label, renames) -> Label:
 # ---------------------------------------------------------------------------
 
 def delta_names(delta) -> frozenset:
-    out = set()
-    for a, b in delta:
-        out.add(a)
-        out.add(b)
-    return frozenset(out)
+    return frozenset(n for pair in delta for n in pair)
 
 
 def delta_key(delta) -> str:

@@ -7,15 +7,18 @@ injections; processes are nil, parallel composition, (replicated) input,
 asynchronous output, restriction, a tuple destructor and a case split.
 
 This module owns the concrete syntax (parser and printer), free names,
-capture-avoiding substitution, alpha equality and the canonical form used
-everywhere as state identity.  :class:`TokenStream` is the one lexer of
-every front end: the ``.awpi`` grammar here and the localised-pi and
-lambda-calculus grammars in ``encodings`` each subclass it with their own
-token regex.  Canonicalization implements the structural
-congruence axioms as a normal form: parallel compositions are flattened to a
-sorted multiset, nil components and dead restrictions are dropped,
-restrictions are extruded outward as far as parallel structure allows, and
-bound names are renamed positionally.
+fresh names, capture-avoiding substitution, alpha equality and the
+canonical form used everywhere as state identity.  Every fresh name of the
+package is picked here: by :func:`fresh_name`, or by one :class:`_Fresh`
+per translation (``internalize``, ``encode_alpi``, ``encode_stlc``).
+:class:`TokenStream` is the one lexer of every front end: the ``.awpi``
+grammar here and the localised-pi and lambda-calculus grammars in
+``encodings`` each subclass it with their own token regex.
+Canonicalization implements the structural congruence axioms as a normal
+form: parallel compositions are flattened to a sorted multiset, nil
+components and dead restrictions are dropped, restrictions are extruded
+outward as far as parallel structure allows, and bound names are renamed
+positionally.
 
 A :class:`Name` is a tuple, because every layer's inner loop looks names
 up (substitution, fresh names, connection sets, typing environments,
@@ -171,6 +174,29 @@ def fresh_name(like: Name, avoid) -> Name:
     return Name(like.base, i, like.kind)
 
 
+class _Fresh:
+    """The fresh names of one translation call.  ``fresh(base, scope)``
+    makes the smallest-index name of ``base``, from 0, in neither ``taken``
+    (the input's free names and every name made so far) nor ``scope`` (the
+    names in scope where it is bound, the only others it could capture),
+    and takes it.  A base's search starts past the index it last made, so
+    it is linear over a call, however deeply the input nests."""
+
+    __slots__ = ("taken", "_next")
+
+    def __init__(self, taken):
+        self.taken = set(taken)
+        self._next = {}
+
+    def __call__(self, base: str, scope=()) -> Name:
+        n = Name(base, self._next.get(base, 0))
+        while n in self.taken or n in scope:
+            n = Name(base, n.index + 1)
+        self._next[base] = n.index + 1
+        self.taken.add(n)
+        return n
+
+
 # ---------------------------------------------------------------------------
 # Value types
 # ---------------------------------------------------------------------------
@@ -303,6 +329,24 @@ def value_names(v: Value) -> frozenset:
     if isinstance(v, (VInl, VInr)):
         return value_names(v.value)
     raise TypeError(f"not a value: {v!r}")
+
+
+def _value_leaves(v):
+    """The names and units of ``v``, left to right."""
+    if isinstance(v, VTuple):
+        for item in v.items:
+            yield from _value_leaves(item)
+    elif isinstance(v, (VInl, VInr)):
+        yield from _value_leaves(v.value)
+    else:
+        yield v
+
+
+def _value_counts(v: Value, counts):
+    """Add the occurrences of each name in ``v`` to ``counts``."""
+    for leaf in _value_leaves(v):
+        if isinstance(leaf, VName):
+            counts[leaf.name] = counts.get(leaf.name, 0) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -446,11 +490,6 @@ def free_names(p: Process) -> frozenset:
     return _shallow(_frees, p, {})
 
 
-def bound_names(p: Process) -> frozenset:
-    """The names bound anywhere in ``p``."""
-    return _shallow(_bounds, p, {})
-
-
 def _frees(p: Process, table) -> frozenset:
     """The free names of ``p``.  ``table`` maps ``id(node)`` to (node, free
     names) for every node above a leaf that a walk with it has reached,
@@ -485,31 +524,6 @@ def _frees(p: Process, table) -> frozenset:
     return free
 
 
-def _bounds(p: Process, table) -> frozenset:
-    """The names bound anywhere in ``p``, with a table of its own, kept as
-    :func:`_frees` keeps its table."""
-    if isinstance(p, (Nil, Output)):
-        return frozenset()
-    hit = table.get(id(p))
-    if hit is not None:
-        return hit[1]
-    if isinstance(p, Par):
-        bound = frozenset().union(*[_bounds(q, table) for q in _par_list(p)])
-    elif isinstance(p, (Input, RepInput)):
-        bound = frozenset((p.param,)) | _bounds(p.body, table)
-    elif isinstance(p, Res):
-        bound = frozenset((p.in_name, p.out_name)) | _bounds(p.body, table)
-    elif isinstance(p, LetTuple):
-        bound = frozenset(p.params) | _bounds(p.body, table)
-    elif isinstance(p, Case):
-        bound = (frozenset((p.left_param, p.right_param))
-                 | _bounds(p.left_body, table) | _bounds(p.right_body, table))
-    else:
-        raise TypeError(f"not a process: {p!r}")
-    table[id(p)] = (p, bound)
-    return bound
-
-
 # ---------------------------------------------------------------------------
 # Substitution
 # ---------------------------------------------------------------------------
@@ -540,39 +554,35 @@ def _subst_subject(n: Name, mapping) -> Name:
 def substitute(p: Process, mapping) -> Process:
     """Capture-avoiding simultaneous substitution of values for free names.
 
-    Bound names are refreshed deterministically (smallest unused index) when
-    they would capture a name of the substituted values.  One call keeps
-    one table of free names (:func:`_frees`) and one of bound names
-    (:func:`_bounds`), so a subterm's names are computed at most once per
-    call, when a binder above it is passed, and the work is linear in the
-    size of ``p``, however deeply it nests.
+    A binder that would capture a name of the substituted values is
+    refreshed deterministically (smallest unused index) against that
+    name, the names substituted for, the binder's other names and the free
+    names of its scope.  A refreshed binder that meets an inner binder of
+    the same name is substituted into that binder's scope like any other
+    value, so the inner binder is refreshed in turn.  One call keeps one
+    table of free names (:func:`_frees`), so a subterm's free names are
+    computed at most once per call, when a binder above it is passed, and
+    the work is linear in the size of ``p``, however deeply it nests.
     """
     mapping = {k: v for k, v in mapping.items() if not (isinstance(v, VName) and v.name == k)}
-    tables = ({}, {})
-    if not mapping or mapping.keys().isdisjoint(_shallow(_frees, p, tables[0])):
+    table = {}
+    if not mapping or mapping.keys().isdisjoint(_shallow(_frees, p, table)):
         return p
-    return _shallow(_subst, p, mapping, tables)
+    return _shallow(_subst, p, mapping, table)
 
 
-def _value_name_union(mapping):
-    out = set()
-    for v in mapping.values():
-        out |= value_names(v)
-    return out
-
-
-def _subst_binders(binders, mapping, p, tables):
+def _subst_binders(binders, mapping, p, table):
     """Refresh ``binders`` as needed; returns (new binders, inner mapping).
-    ``tables`` are the call's (free names, bound names) tables."""
-    free = _frees(p, tables[0])
+    ``table`` is the call's table of free names."""
+    free = _frees(p, table)
     relevant = {k: v for k, v in mapping.items() if k not in binders and k in free}
     if not relevant:
         # nothing to substitute below; keep binders untouched
         return list(binders), {}
-    clash = _value_name_union(relevant)
+    clash = set().union(*map(value_names, relevant.values()))
     if clash.isdisjoint(binders):
         return list(binders), relevant
-    avoid = clash | set(relevant) | free | _bounds(p, tables[1]) | set(binders)
+    avoid = clash | free | set(binders)
     renames = {}
     out = []
     for b in binders:
@@ -590,7 +600,7 @@ def _subst_binders(binders, mapping, p, tables):
     return out, relevant
 
 
-def _subst(p: Process, mapping, tables) -> Process:
+def _subst(p: Process, mapping, table) -> Process:
     if isinstance(p, Nil):
         return p
     if isinstance(p, Par):
@@ -599,33 +609,33 @@ def _subst(p: Process, mapping, tables) -> Process:
         while isinstance(p, Par):
             rights.append(p.right)
             p = p.left
-        out = _subst(p, mapping, tables)
+        out = _subst(p, mapping, table)
         for r in reversed(rights):
-            out = Par(out, _subst(r, mapping, tables))
+            out = Par(out, _subst(r, mapping, table))
         return out
     if isinstance(p, Output):
         return Output(_subst_subject(p.subject, mapping),
                       substitute_value(p.payload, mapping))
     if isinstance(p, (Input, RepInput)):
         subject = _subst_subject(p.subject, mapping)
-        (param,), inner = _subst_binders((p.param,), mapping, p.body, tables)
-        body = _subst(p.body, inner, tables) if inner else p.body
+        (param,), inner = _subst_binders((p.param,), mapping, p.body, table)
+        body = _subst(p.body, inner, table) if inner else p.body
         return type(p)(subject, param, body)
     if isinstance(p, Res):
-        (a, b), inner = _subst_binders((p.in_name, p.out_name), mapping, p.body, tables)
-        body = _subst(p.body, inner, tables) if inner else p.body
+        (a, b), inner = _subst_binders((p.in_name, p.out_name), mapping, p.body, table)
+        body = _subst(p.body, inner, table) if inner else p.body
         return Res(a, b, p.in_type, body)
     if isinstance(p, LetTuple):
         scrut = substitute_value(p.scrutinee, mapping)
-        params, inner = _subst_binders(tuple(p.params), mapping, p.body, tables)
-        body = _subst(p.body, inner, tables) if inner else p.body
+        params, inner = _subst_binders(tuple(p.params), mapping, p.body, table)
+        body = _subst(p.body, inner, table) if inner else p.body
         return LetTuple(tuple(params), scrut, body)
     if isinstance(p, Case):
         scrut = substitute_value(p.scrutinee, mapping)
-        (lp,), linner = _subst_binders((p.left_param,), mapping, p.left_body, tables)
-        (rp,), rinner = _subst_binders((p.right_param,), mapping, p.right_body, tables)
-        lbody = _subst(p.left_body, linner, tables) if linner else p.left_body
-        rbody = _subst(p.right_body, rinner, tables) if rinner else p.right_body
+        (lp,), linner = _subst_binders((p.left_param,), mapping, p.left_body, table)
+        (rp,), rinner = _subst_binders((p.right_param,), mapping, p.right_body, table)
+        lbody = _subst(p.left_body, linner, table) if linner else p.left_body
+        rbody = _subst(p.right_body, rinner, table) if rinner else p.right_body
         return Case(scrut, lp, lbody, rp, rbody)
     raise TypeError(f"not a process: {p!r}")
 
@@ -1256,16 +1266,6 @@ def _render_value(v, env):
     if isinstance(v, VInr):
         return "inr " + _render_value(v.value, env)
     raise TypeError(f"not a value: {v!r}")
-
-
-def _value_leaves(v):
-    if isinstance(v, VTuple):
-        for item in v.items:
-            yield from _value_leaves(item)
-    elif isinstance(v, (VInl, VInr)):
-        yield from _value_leaves(v.value)
-    else:
-        yield v
 
 
 def _pair_labels(order, d, env):

@@ -25,10 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .syntax import (
-    Case, ChanType, INPUT_MODES, Input, LetTuple, LINEAR_MODES, Name, Nil,
-    Output, Par, Process, RepInput, Res, SUCCESS, SumType, TupleType, UNIT,
-    UnitType, VInl, VInr, VName, VTuple, VUnit, Value, ValueType, _bind,
-    _bind_all, _frees, _node, _par_list, _shallow, _unbind, _unbind_all,
+    Case, ChanType, INPUT_MODES, Input, LetTuple, Name, Nil, Output, Par,
+    Process, RepInput, Res, SUCCESS, SumType, TupleType, UNIT, UnitType,
+    VInl, VInr, VName, VTuple, VUnit, Value, ValueType, _bind, _bind_all,
+    _frees, _node, _par_list, _shallow, _unbind, _unbind_all, _value_counts,
     value_names,
 )
 
@@ -140,16 +140,6 @@ def combine_env(env1: dict, env2: dict) -> dict:
 # Value typing
 # ---------------------------------------------------------------------------
 
-def _count_value_uses(v: Value, counts):
-    if isinstance(v, VName):
-        counts[v.name] = counts.get(v.name, 0) + 1
-    elif isinstance(v, VTuple):
-        for item in v.items:
-            _count_value_uses(item, counts)
-    elif isinstance(v, (VInl, VInr)):
-        _count_value_uses(v.value, counts)
-
-
 def _synth_value(env: dict, v: Value, path: tuple, rule: str) -> ValueType:
     if isinstance(v, VUnit):
         return UNIT
@@ -173,7 +163,7 @@ def typecheck_value(env: dict, v: Value, path: tuple = (), rule: str = "Val") ->
     than once inside the value (the Tup rule's environment combination).
     """
     counts = {}
-    _count_value_uses(v, counts)
+    _value_counts(v, counts)
     for n, k in counts.items():
         if k > 1 and n in env and not is_copyable(env[n]):
             kind = ("OneInputViolation"

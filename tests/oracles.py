@@ -17,6 +17,24 @@ from awpi.syntax import (
 )
 
 
+def bound_names(p: Process):
+    """The names bound anywhere in ``p``, by plain recursion."""
+    if isinstance(p, (Nil, Output)):
+        return frozenset()
+    if isinstance(p, Par):
+        return bound_names(p.left) | bound_names(p.right)
+    if isinstance(p, (Input, RepInput)):
+        return {p.param} | bound_names(p.body)
+    if isinstance(p, Res):
+        return {p.in_name, p.out_name} | bound_names(p.body)
+    if isinstance(p, LetTuple):
+        return set(p.params) | bound_names(p.body)
+    if isinstance(p, Case):
+        return ({p.left_param, p.right_param} | bound_names(p.left_body)
+                | bound_names(p.right_body))
+    raise TypeError(f"not a process: {p!r}")
+
+
 # ---------------------------------------------------------------------------
 # Alpha-invariant key (de Bruijn style printing), independent of canonicalize
 # ---------------------------------------------------------------------------

@@ -435,6 +435,31 @@ def test_encoding_rejects_a_source_it_cannot_compile(check):
         check(p)
 
 
+def _deep_stlc():
+    """A 3,000-deep abstraction chain and a 3,000-deep argument-nested
+    arrow ``((o -> o) -> o) -> ... -> o``, built through the constructors."""
+    term, ty = SVar("x"), BASE
+    for _ in range(3000):
+        term = SLam("x", BASE, term)
+        ty = Arrow(ty, BASE)
+    return term, ty
+
+
+@pytest.mark.parametrize("walk", [
+    lambda t, ty: stlc_type(t, {}),
+    lambda t, ty: term_size(t),
+    lambda t, ty: str(t),
+    lambda t, ty: encode_stlc(t, {}, nm("p")),
+    lambda t, ty: type_order(ty),
+    lambda t, ty: encode_stlc_type(ty),
+], ids=["stlc_type", "term_size", "str", "encode_stlc", "type_order",
+        "encode_stlc_type"])
+def test_stlc_walks_reject_deep_nesting(walk):
+    # each raised RecursionError
+    with pytest.raises(ValueError, match="nested too deeply"):
+        walk(*_deep_stlc())
+
+
 def test_stlc_typing_errors():
     with pytest.raises(IllTyped):
         stlc_type(parse_stlc("x"), {})
@@ -612,6 +637,27 @@ def test_curried_chain_encodes_in_quadratic_time():
     image = encode_stlc(term, {}, nm("p"))
     assert time.perf_counter() - start < 5.0
     assert typecheck(stlc_env({}, stlc_type(term, {}), nm("p")), image).ok
+
+
+def test_encoding_types_each_subterm_once(monkeypatch):
+    # every node typed its own subterm again: 1,377 / 5,252 / 20,502
+    # stlc_type calls at n = 50 / 100 / 200
+    calls, typed = [0], encodings._typed
+
+    def counted(term, env):
+        calls[0] += 1
+        return typed(term, env)
+
+    monkeypatch.setattr(encodings, "_typed", counted)
+    for n in (50, 100, 200):
+        term = parse_stlc(_chain(n))
+        calls[0] = 0
+        encode_stlc(term, {}, nm("p"))
+        assert calls[0] == term_size(term) == n + 1
+    app = parse_stlc("\\f:o -> o -> o. \\y:o. f (f y y) ((\\z:o. z) y)")
+    calls[0] = 0
+    encode_stlc(app, {}, nm("p"))
+    assert calls[0] == term_size(app)
 
 
 def test_unequal_terms_distinguished():

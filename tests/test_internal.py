@@ -1,8 +1,9 @@
 import pytest
 
 from awpi.syntax import (
-    ChanType, Input, Name, Output, RepInput, VUNIT, canonical_process,
-    congruent, free_names, parse_file, parse_process, parse_vtype,
+    Case, ChanType, Input, LetTuple, Name, Nil, Output, Par, RepInput, Res,
+    VName, VUNIT, canonical_process, canonicalize, congruent, free_names,
+    parse_file, parse_process, parse_vtype, substitute_value,
 )
 from awpi.typecheck import ANY, dual, typecheck
 from awpi.internal import WireSpec, internalize, is_internal, wire
@@ -298,6 +299,74 @@ def test_exported_names_never_retained_by_targets():
     scan = _scan()
     assert scan["bound_outputs"] >= 1000
     assert scan["duality"] == []
+
+
+# ---------------------------------------------------------------------------
+# fresh names: only the names in scope are avoided
+
+# the names the translation tries first for its pairs and forwarders
+_FIRST_TRIED = [Name(base, i) for i in range(4) for base in ("w", "w'", "x")]
+
+
+def _low_binders(p, ren):
+    """``p`` alpha-renamed so that every binder is the first name of
+    ``_FIRST_TRIED`` that captures no free name of its scope; ``ren`` maps
+    each binder in scope to its new name."""
+    def pick(binders, scopes):
+        used = {ren.get(n, n) for body in scopes
+                for n in free_names(body) - set(binders)}
+        new = []
+        for _ in binders:
+            new.append(next(n for n in _FIRST_TRIED
+                            if n not in used and n not in new))
+        return new
+
+    def under(binders, new, body):
+        return _low_binders(body, {**ren, **dict(zip(binders, new))})
+
+    def value(v):
+        return substitute_value(v, {k: VName(n) for k, n in ren.items()})
+
+    if isinstance(p, Nil):
+        return p
+    if isinstance(p, Par):
+        return Par(_low_binders(p.left, ren), _low_binders(p.right, ren))
+    if isinstance(p, Output):
+        return Output(ren.get(p.subject, p.subject), value(p.payload))
+    if isinstance(p, (Input, RepInput)):
+        (x,) = pick([p.param], [p.body])
+        return type(p)(ren.get(p.subject, p.subject), x,
+                       under([p.param], [x], p.body))
+    if isinstance(p, Res):
+        ends = [p.in_name, p.out_name]
+        new = pick(ends, [p.body])
+        return Res(*new, p.in_type, under(ends, new, p.body))
+    if isinstance(p, LetTuple):
+        new = pick(p.params, [p.body])
+        return LetTuple(tuple(new), value(p.scrutinee),
+                        under(p.params, new, p.body))
+    (lp,) = pick([p.left_param], [p.left_body])
+    (rp,) = pick([p.right_param], [p.right_body])
+    return Case(value(p.scrutinee), lp, under([p.left_param], [lp], p.left_body),
+                rp, under([p.right_param], [rp], p.right_body))
+
+
+def test_internalize_avoids_the_binders_in_scope():
+    """Generated programs whose binders take the names the translation
+    tries first translate as the programs themselves do: a fresh pair or
+    forwarder that took a binder's name in its scope would capture it."""
+    from gen_typed import random_typed
+    wired = 0
+    for seed in range(300):
+        env, p = random_typed(seed, size=14)
+        low = _low_binders(p, {})
+        assert canonicalize(low).key == canonicalize(p).key
+        ip, ilow = internalize(p, env), internalize(low, env)
+        wired += ip is not p
+        assert canonicalize(ilow).key == canonicalize(ip).key, seed
+        assert typecheck(env, ilow).ok, seed
+        assert is_internal(ilow, env), seed
+    assert wired >= 100
 
 
 # ---------------------------------------------------------------------------

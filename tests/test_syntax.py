@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from awpi.syntax import (
     CanonicalForm, ChanType, Input, Name, Nil, Output, Par, ParseError,
     RepInput, Res, SUCCESS, UNIT, VName, VUNIT, alpha_eq, ast_size,
-    bound_names, canonicalize, congruent, free_names, fresh_name, parse_file,
+    canonicalize, congruent, free_names, fresh_name, parse_file,
     parse_process, parse_value, parse_vtype, print_process, print_value,
     print_vtype, rename_free, substitute, substitute_value,
 )
@@ -25,8 +25,8 @@ from awpi.typecheck import typecheck
 
 from gen_typed import random_typed
 from oracles import (
-    alpha_key, congruence_closure, enumerate_core, oracle_congruent,
-    random_process, subst_oracle,
+    alpha_key, bound_names, congruence_closure, enumerate_core,
+    oracle_congruent, random_process, subst_oracle,
 )
 
 
@@ -143,7 +143,6 @@ def test_deep_prefix_built_through_the_api():
     assert print_process(p).startswith("a(x0).a(x1).")
     assert free_names(p) == {Name("a"), Name("k")}
     assert alpha_eq(p, _deep_prefix(400)) and ast_size(p) == 401
-    assert len(bound_names(p)) == 400
     assert free_names(rename_free(p, {Name("k"): Name("m")})) == free_names(
         substitute(p, {Name("k"): VName(Name("m"))})) == {Name("a"), Name("m")}
     env = {Name("a"): parse_vtype("i[unit]"), Name("k"): parse_vtype("o[unit]")}
@@ -151,7 +150,7 @@ def test_deep_prefix_built_through_the_api():
     # 1,500 levels raised RecursionError in each
     deep = _deep_prefix(1500)
     for walk in (canonicalize, print_process, free_names, ast_size,
-                 bound_names, lambda q: alpha_eq(q, q),
+                 lambda q: alpha_eq(q, q),
                  lambda q: rename_free(q, {Name("k"): Name("m")}),
                  lambda q: substitute(q, {Name("k"): VName(Name("m"))}),
                  lambda q: typecheck(env, q), lambda q: is_internal(q, env)):
@@ -218,6 +217,15 @@ def test_substitute_frozen_example():
     p = parse_process("a(x).c!(y)")
     q = substitute(p, {Name("y"): VName(Name("x"))})
     assert print_process(q) == "a(x#1).c!(x)"
+
+
+def test_substitute_refreshes_an_inner_binder_a_refreshed_one_meets():
+    p = parse_process("a(x).a(x#1).k!((x, x#1, y))")
+    q = substitute(p, {Name("y"): VName(Name("x"))})
+    # x becomes x#1, the first index free in its scope, and then the
+    # inner x#1 would capture it, so that binder is refreshed too
+    assert print_process(q) == "a(x#1).a(x#2).k!(x#1, x#2, x)"
+    assert alpha_eq(q, subst_oracle(p, {Name("y"): VName(Name("x"))}))
 
 
 def test_substitute_avoids_capture_in_restriction():
@@ -673,12 +681,13 @@ def test_canonicalize_aliased_subtrees(src):
 
 def test_polyadic_parse_walks_no_body_per_level(monkeypatch):
     import awpi.syntax as syntax
-    visits = [0]
-    for walk in ("_frees", "_bounds"):
-        def counted(*args, _walk=getattr(syntax, walk)):
-            visits[0] += 1
-            return _walk(*args)
-        monkeypatch.setattr(syntax, walk, counted)
+    visits, frees = [0], syntax._frees
+
+    def counted(*args):
+        visits[0] += 1
+        return frees(*args)
+
+    monkeypatch.setattr(syntax, "_frees", counted)
     depth = 400
     p = parse_process(".".join(f"a(x{i}, y{i})" for i in range(depth))
                       + ".k!()")
