@@ -593,11 +593,8 @@ def _subst_binders(binders, mapping, p, table):
             out.append(nb)
         else:
             out.append(b)
-    if renames:
-        inner2 = dict(relevant)
-        inner2.update(renames)
-        return out, inner2
-    return out, relevant
+    # some binder clashed, so ``renames`` is not empty
+    return out, {**relevant, **renames}
 
 
 def _subst(p: Process, mapping, table) -> Process:

@@ -312,9 +312,8 @@ def _low_binders(p, ren):
     """``p`` alpha-renamed so that every binder is the first name of
     ``_FIRST_TRIED`` that captures no free name of its scope; ``ren`` maps
     each binder in scope to its new name."""
-    def pick(binders, scopes):
-        used = {ren.get(n, n) for body in scopes
-                for n in free_names(body) - set(binders)}
+    def pick(binders, body):
+        used = {ren.get(n, n) for n in free_names(body) - set(binders)}
         new = []
         for _ in binders:
             new.append(next(n for n in _FIRST_TRIED
@@ -334,19 +333,19 @@ def _low_binders(p, ren):
     if isinstance(p, Output):
         return Output(ren.get(p.subject, p.subject), value(p.payload))
     if isinstance(p, (Input, RepInput)):
-        (x,) = pick([p.param], [p.body])
+        (x,) = pick([p.param], p.body)
         return type(p)(ren.get(p.subject, p.subject), x,
                        under([p.param], [x], p.body))
     if isinstance(p, Res):
         ends = [p.in_name, p.out_name]
-        new = pick(ends, [p.body])
+        new = pick(ends, p.body)
         return Res(*new, p.in_type, under(ends, new, p.body))
     if isinstance(p, LetTuple):
-        new = pick(p.params, [p.body])
+        new = pick(p.params, p.body)
         return LetTuple(tuple(new), value(p.scrutinee),
                         under(p.params, new, p.body))
-    (lp,) = pick([p.left_param], [p.left_body])
-    (rp,) = pick([p.right_param], [p.right_body])
+    (lp,) = pick([p.left_param], p.left_body)
+    (rp,) = pick([p.right_param], p.right_body)
     return Case(value(p.scrutinee), lp, under([p.left_param], [lp], p.left_body),
                 rp, under([p.right_param], [rp], p.right_body))
 
