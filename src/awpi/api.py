@@ -6,12 +6,15 @@ is written directly from the standard early rules (com and close fire on
 a shared subject) so it can serve as an independent reference when
 checking that erasure preserves and reflects transitions.  It must not be
 defined via the connection-set machinery.
+
+From :mod:`syntax` it takes names, values, ``_node`` and the ``_shallow``
+depth guard, which has no semantics; it shares no walk over a process.
 """
 
 from __future__ import annotations
 
 from .syntax import (
-    Name, Value, VName, VTuple, VInl, VInr, VUNIT, _node,
+    Name, Value, VName, VTuple, VInl, VInr, VUNIT, _node, _shallow,
     fresh_name, print_value, substitute_value, value_names,
 )
 
@@ -78,17 +81,6 @@ class Case(Process):
 
 
 NIL = Nil()
-
-
-def _shallow(walk, *args):
-    """``walk(*args)``, where nesting too deep for the recursion limit is a
-    ``ValueError("process nested too deeply")``, not a RecursionError.
-    Each public walk goes through here."""
-    try:
-        return walk(*args)
-    except RecursionError:
-        pass
-    raise ValueError("process nested too deeply")
 
 
 def free_names(p: Process) -> frozenset:
@@ -162,23 +154,26 @@ def _subst_subject(n: Name, mapping) -> Name:
     raise ValueError(f"cannot use non-name value as subject for {n}")
 
 
-def _refresh(binders, mapping, bodies, table):
-    """Drop shadowed entries, rename binders clashing with incoming names."""
+def _scope(binders, mapping, body, table):
+    """One binder level: (binders, body, mapping) as they stand under it.
+    The entries the binders shadow are dropped from ``mapping``, and a
+    binder that clashes with a name ``mapping`` brings in is renamed apart
+    in ``body``.  The caller applies the inner mapping to the body, so a
+    level costs two stack frames, :func:`_subst` and :func:`_guarded`."""
     live = {k: v for k, v in mapping.items() if k not in binders}
     incoming = set()
     for v in live.values():
         incoming |= value_names(v)
+    if incoming.isdisjoint(binders):
+        return binders, body, live
+    taken = incoming | set(binders) | _frees(body, table)
     renames = {}
-    if incoming & set(binders):
-        taken = incoming | set(binders)
-        for b in bodies:
-            taken |= _frees(b, table)
-        for b in binders:
-            if b in incoming:
-                nb = fresh_name(b, taken)
-                taken.add(nb)
-                renames[b] = nb
-    return live, renames
+    for b in binders:
+        if b in incoming:
+            renames[b] = VName(fresh_name(b, taken))
+            taken.add(renames[b].name)
+    return (tuple(renames[b].name if b in renames else b for b in binders),
+            _guarded(body, renames, table), live)
 
 
 def _subst(p: Process, mapping, table) -> Process:
@@ -199,42 +194,22 @@ def _subst(p: Process, mapping, table) -> Process:
                       substitute_value(p.payload, mapping))
     if isinstance(p, (Input, RepInput)):
         subj = _subst_subject(p.subject, mapping)
-        live, ren = _refresh((p.param,), mapping, (p.body,), table)
-        body = p.body
-        if ren:
-            body = _guarded(body, {k: VName(v) for k, v in ren.items()}, table)
-        return type(p)(subj, ren.get(p.param, p.param),
-                       _guarded(body, live, table))
+        (x,), body, live = _scope((p.param,), mapping, p.body, table)
+        return type(p)(subj, x, _guarded(body, live, table))
     if isinstance(p, Res):
-        live, ren = _refresh((p.name,), mapping, (p.body,), table)
-        body = p.body
-        if ren:
-            body = _guarded(body, {k: VName(v) for k, v in ren.items()}, table)
-        return Res(ren.get(p.name, p.name), _guarded(body, live, table))
+        (x,), body, live = _scope((p.name,), mapping, p.body, table)
+        return Res(x, _guarded(body, live, table))
     if isinstance(p, LetTuple):
         scrut = substitute_value(p.scrutinee, mapping)
-        live, ren = _refresh(p.params, mapping, (p.body,), table)
-        body = p.body
-        if ren:
-            body = _guarded(body, {k: VName(v) for k, v in ren.items()}, table)
-        params = tuple(ren.get(x, x) for x in p.params)
-        return LetTuple(params, scrut, _guarded(body, live, table))
+        xs, body, live = _scope(p.params, mapping, p.body, table)
+        return LetTuple(xs, scrut, _guarded(body, live, table))
     if isinstance(p, Case):
         scrut = substitute_value(p.scrutinee, mapping)
-        livel, renl = _refresh((p.left_param,), mapping, (p.left_body,), table)
-        lb = p.left_body
-        if renl:
-            lb = _guarded(lb, {k: VName(v) for k, v in renl.items()}, table)
-        liver, renr = _refresh((p.right_param,), mapping, (p.right_body,),
-                               table)
-        rb = p.right_body
-        if renr:
-            rb = _guarded(rb, {k: VName(v) for k, v in renr.items()}, table)
-        return Case(scrut,
-                    renl.get(p.left_param, p.left_param),
-                    _guarded(lb, livel, table),
-                    renr.get(p.right_param, p.right_param),
-                    _guarded(rb, liver, table))
+        (x,), lb, livel = _scope((p.left_param,), mapping, p.left_body, table)
+        (y,), rb, liver = _scope((p.right_param,), mapping, p.right_body,
+                                 table)
+        return Case(scrut, x, _guarded(lb, livel, table),
+                    y, _guarded(rb, liver, table))
     raise TypeError(f"not a process: {p!r}")
 
 

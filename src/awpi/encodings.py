@@ -116,31 +116,18 @@ class AlpiRes(AlpiProcess):
 ALPI_NIL = AlpiNil()
 
 
-# The public walks over a localised process raise ValueError on one nested
-# too deeply for the recursion limit (see ``syntax._shallow``).
+# The public walks over a localised process raise ValueError("localised
+# process nested too deeply") on one nested too deeply for the recursion
+# limit (see ``syntax._shallow``).  Its free names are those of its
+# embedding in the plain calculus (:func:`alpi_to_api`).
 
 def alpi_free_names(p: AlpiProcess) -> frozenset:
-    return _shallow(_alpi_frees, p)
-
-
-def _alpi_frees(p: AlpiProcess) -> frozenset:
-    if isinstance(p, AlpiNil):
-        return frozenset()
-    if isinstance(p, AlpiPar):
-        return _alpi_frees(p.left) | _alpi_frees(p.right)
-    if isinstance(p, (AlpiInput, AlpiRepInput)):
-        return frozenset((p.subject,)) | (_alpi_frees(p.body) - {p.param})
-    if isinstance(p, AlpiOutput):
-        out = frozenset((p.subject,))
-        return out if p.payload is None else out | {p.payload}
-    if isinstance(p, AlpiRes):
-        return _alpi_frees(p.body) - {p.name}
-    raise TypeError(f"not a localised process: {p!r}")
+    return api.free_names(alpi_to_api(p))
 
 
 def check_locality(p: AlpiProcess, received=frozenset()) -> None:
     """Received names may appear under their binder only in output position."""
-    _shallow(_locality, p, received)
+    _shallow(_locality, p, received, what="localised process")
 
 
 def _locality(p: AlpiProcess, received) -> None:
@@ -174,7 +161,7 @@ def is_local(p: AlpiProcess) -> bool:
 
 def alpi_names(p: AlpiProcess) -> frozenset:
     """Every name occurring in ``p``, bound or free."""
-    return _shallow(_alpi_names, p)
+    return _shallow(_alpi_names, p, what="localised process")
 
 
 def _alpi_names(p: AlpiProcess) -> frozenset:
@@ -215,7 +202,7 @@ def encode_alpi(p: AlpiProcess, f: dict) -> Process:
     """
     check_locality(p)
     fresh = _Fresh(alpi_names(p) | set(f.keys()) | set(f.values()))
-    return _shallow(_enc_alpi, p, dict(f), {}, fresh)
+    return _shallow(_enc_alpi, p, dict(f), {}, fresh, what="localised process")
 
 
 def _enc_alpi(p: AlpiProcess, f: dict, tenv: dict, fresh: _Fresh) -> Process:
@@ -412,7 +399,7 @@ def parse_alpi(text: str):
 def alpi_to_api(p: AlpiProcess) -> api.Process:
     """The source is a fragment of the plain asynchronous calculus, so it
     embeds directly; this gives the reference behaviour."""
-    return _shallow(_to_api, p)
+    return _shallow(_to_api, p, what="localised process")
 
 
 def _to_api(p: AlpiProcess) -> api.Process:
@@ -554,7 +541,7 @@ def check_alpi_correspondence(p: AlpiProcess, cfg: BisimConfig = None) -> Verdic
 
 class StlcType:
     def __str__(self):
-        return _shallow(_show, self)
+        return _shallow(_show, self, what="lambda type")
 
 
 @_node
@@ -573,7 +560,7 @@ BASE = Base()
 
 class StlcTerm:
     def __str__(self):
-        return _shallow(_show, self)
+        return _shallow(_show, self, what="lambda term")
 
 
 @_node
@@ -596,7 +583,8 @@ class SApp(StlcTerm):
 
 # The public walks over lambda-terms and their types go through
 # ``syntax._shallow``, so a term or type nested too deeply for the
-# recursion limit is a ValueError, not a RecursionError.
+# recursion limit is a ValueError("lambda term nested too deeply") or
+# ValueError("lambda type nested too deeply"), not a RecursionError.
 
 def _show(x) -> str:
     """The text of a term or type, as the parser reads it."""
@@ -626,7 +614,7 @@ def arrow_parts(t: StlcType):
 
 
 def stlc_type(term: StlcTerm, env: dict) -> StlcType:
-    return _shallow(_typed, term, dict(env))[0]
+    return _shallow(_typed, term, dict(env), what="lambda term")[0]
 
 
 def _typed(term: StlcTerm, env: dict) -> tuple:
@@ -657,7 +645,7 @@ def _typed(term: StlcTerm, env: dict) -> tuple:
 
 
 def term_size(term: StlcTerm) -> int:
-    return _shallow(_size, term)
+    return _shallow(_size, term, what="lambda term")
 
 
 def _size(term: StlcTerm) -> int:
@@ -671,7 +659,7 @@ def _size(term: StlcTerm) -> int:
 
 
 def type_order(t: StlcType) -> int:
-    return _shallow(_order, t)
+    return _shallow(_order, t, what="lambda type")
 
 
 def _order(t: StlcType) -> int:
@@ -758,7 +746,7 @@ def parse_stlc_type(text: str) -> StlcType:
 def encode_stlc_type(t: StlcType) -> ChanType:
     """A term listens once on a channel carrying one output channel per
     argument, plus a final unit component."""
-    return _shallow(_enc_type, t)
+    return _shallow(_enc_type, t, what="lambda type")
 
 
 def _enc_type(t: StlcType) -> ChanType:
@@ -788,10 +776,10 @@ def encode_stlc(term: StlcTerm, env: dict, p: Name) -> Process:
     once, before any construction (raising IllTyped), and each clause reads
     its subterm's type from that typing.
     """
-    typed = _shallow(_typed, term, dict(env))
+    typed = _shallow(_typed, term, dict(env), what="lambda term")
     fresh = _Fresh({Name(x) for x in env} | {p})
     chan = {x: Name(x) for x in env}
-    return _shallow(_enc_stlc, term, typed, chan, p, fresh)
+    return _shallow(_enc_stlc, term, typed, chan, p, fresh, what="lambda term")
 
 
 def _receive(subject: Name, params: tuple, body: Process,

@@ -272,9 +272,10 @@ class _Game:
     transitions and the states (see :class:`_Space`); the game holds the
     memo and what depends on the method: ``_moves``, keyed by state key
     and, where a label needs it, play depth; ``_closures``, keyed by state
-    key; ``_targets`` and ``_fed``, keyed by how a target is reached from
-    its source, so that a hit builds no raw target.  A cached closure reads the space, never the game, so no
-    table of the game leads back to it.
+    key; and ``_targets``, the one table of built targets, renamed or fed,
+    keyed by how a target is reached from its source, so that a hit builds
+    no raw target (see :meth:`_target`).  A cached closure reads the space,
+    never the game, so no table of the game leads back to it.
     """
 
     def __init__(self, method: str, cfg: BisimConfig, env=None, space=None):
@@ -285,9 +286,8 @@ class _Game:
         self.memo = {}
         self.truncated = False
         self._moves = {}     # state key [, play depth] -> _std_moves result
-        self._targets = {}   # (state key, index, depth | label) -> state
+        self._targets = {}   # how a target is reached -> state
         self._closures = {}  # state key -> closure
-        self._fed = {}       # (state key, index, value) -> _feed result
 
     # -- moves and closures of states --------------------------------------
 
@@ -322,33 +322,41 @@ class _Game:
         self._moves[mk] = out
         return out
 
-    def _target(self, comp: Composite, i: int, d: int):
-        """The target of transition ``i`` of ``comp`` as a state.
+    def _target(self, comp: Composite, i: int, d: int, value=None):
+        """The target of transition ``i`` of ``comp`` as a state, its input
+        parameter bound to ``value`` if one is given.
 
-        The table is per game.  ``i`` indexes ``space.step``'s list, fixed
-        per state key, so (state key, i) names one raw target; an input or
-        bound-output target also renames its introduced names to play depth
-        ``d``'s %-names, as :meth:`_std_moves` does, and is keyed by (state
-        key, i, d).  A free-output target is keyed by (state key, label):
-        the output is a top-level atom of the canonical state, so equal
-        labels give congruent targets, as :func:`explore` argues.  A target
-        that is already a state with nothing to rename, as a tau target or
-        a node of a seeded graph, is returned as it is.
+        One table per game, keyed by how the target is reached (``i``
+        indexes ``space.step``'s list, fixed per state key): (state key, i,
+        printed value) for a fed input, with no play depth, as substituting
+        the value at the raw target's own parameter gives the state that
+        renaming it to %i#d first gives; (state key, i, d) for an input or
+        bound-output target whose introduced names are renamed to ``d``'s
+        %-names, as :meth:`_std_moves` does; (state key, label) for a free
+        output, a top-level atom of the canonical state, so equal labels
+        give congruent targets, as :func:`explore` argues.  A target that
+        is already a state with nothing to rename, as a tau target or a
+        node of a seeded graph, is returned as it is.
         """
         mu, c2 = self.space.step(comp)[i]
-        ren = {}
-        if isinstance(mu, In):
+        ren, tk = {}, (comp.key, i, d)
+        if value is not None:
+            tk = (comp.key, i, print_value(value))
+        elif isinstance(mu, In):
             ren = {mu.param: Name("%i", d)}
         elif isinstance(mu, BoundOut):
             ren = {mu.exported: Name("%e", d), mu.companion: Name("%k", d)}
         elif c2.pkey is not None:
             return c2
-        tk = (comp.key, i, d) if ren else (comp.key, mu)
+        else:
+            tk = (comp.key, mu)
         out = self._targets.get(tk)
         if out is None:
+            p = rename_free(c2.process, ren) if value is None \
+                else substitute(c2.process, {mu.param: value})
             out = self._targets[tk] = self.space.state(
-                rename_free(c2.process, ren),
-                frozenset((ren.get(x, x), ren.get(y, y)) for x, y in c2.delta))
+                p, frozenset((ren.get(x, x), ren.get(y, y))
+                             for x, y in c2.delta))
         return out
 
     def _closure(self, comp: Composite):
@@ -360,24 +368,6 @@ class _Game:
             walk = self._closures[comp.key] = closure(
                 comp, self.space.tau_targets, self.cfg.tau_budget)
         return walk
-
-    def _feed(self, comp: Composite, i: int, value):
-        """The target of input transition ``i`` of ``comp`` with its
-        parameter bound to ``value``.
-
-        The table is per game and keyed by (state key, i, printed value),
-        with no play depth: the value is substituted into the raw
-        ``space.step`` target at its own parameter, which gives the state
-        that renaming the parameter to %i#d first gives, as substitution
-        avoids capture.  One key means one raw target and one value.
-        """
-        fk = (comp.key, i, print_value(value))
-        out = self._fed.get(fk)
-        if out is None:
-            mu, c2 = self.space.step(comp)[i]
-            out = self._fed[fk] = self.space.state(
-                substitute(c2.process, {mu.param: value}), c2.delta)
-        return out
 
     def _weak_after(self, comp: Composite, key: str, d: int, env,
                     value=None):
@@ -402,9 +392,7 @@ class _Game:
             for k2, mu, kind, i in self._std_moves(c1, d):
                 if k2 != key:
                     continue
-                c2 = self._target(c1, i, d) if value is None \
-                    else self._feed(c1, i, value)
-                post = self._closure(c2)
+                post = self._closure(self._target(c1, i, d, value))
                 for c3 in post:
                     if c3.key not in seen:
                         seen.add(c3.key)
@@ -417,11 +405,11 @@ class _Game:
     def _attacks(self, comp: Composite, d: int, env=None, spent=frozenset()):
         """Attacker moves as (key, label, kind, build, value, intro).
 
-        ``build()`` builds the move's target: :meth:`_target` or
-        :meth:`_feed` with its arguments, called only when the game plays
-        the move (see :meth:`_rounds`).  ``value`` is the concrete input
-        fed by the observer when the subject's payload type determines its
-        shape (None for the opaque fallback and for non-input moves);
+        ``build()`` builds the move's target: :meth:`_target` with its
+        arguments, called only when the game plays the move (see
+        :meth:`_rounds`).  ``value`` is the concrete input fed by the
+        observer when the subject's payload type determines its shape
+        (None for the opaque fallback and for non-input moves);
         ``intro`` lists the fresh observer names inside it with their
         types.  A barbed attacker also shows each of its success barbs,
         first and in name order, as a "barb" move that stays at ``comp``.
@@ -454,12 +442,12 @@ class _Game:
             t = (env or {}).get(mu.subject) if kind == "in" else None
             variants = _ground_variants(t.payload, d) \
                 if isinstance(t, ChanType) else None
-            if variants is None:
-                kept.append((key, mu, kind, partial(self._target, comp, i, d),
-                             None, ()))
-            for val, intro in variants or ():
-                kept.append((f"{mu.subject}({print_value(val)})", mu, kind,
-                             partial(self._feed, comp, i, val), val, intro))
+            for val, intro in variants or ((None, ()),):
+                if val is not None:
+                    key = f"{mu.subject}({print_value(val)})"
+                kept.append((key, mu, kind,
+                             partial(self._target, comp, i, d, val), val,
+                             intro))
         return kept
 
     def _responses(self, dfn: Composite, key, mu, kind, d, env, value=None):

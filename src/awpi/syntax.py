@@ -438,17 +438,18 @@ def _ast_size(p: Process) -> int:
     raise TypeError(f"not a process: {p!r}")
 
 
-def _shallow(walk, *args):
+def _shallow(walk, *args, what="process"):
     """``walk(*args)``, where nesting too deep for the recursion limit is a
-    ``ValueError("process nested too deeply")``, not a RecursionError,
-    as :meth:`TokenStream.whole` does for text.  Public walks over a
-    process go through here; the parser and the walks themselves call the
-    recursive ones directly, so that too-deep text is still a ParseError."""
+    ``ValueError(f"{what} nested too deeply")``, not a RecursionError,
+    as :meth:`TokenStream.whole` does for text; ``what`` names what the
+    walk is over.  Public walks over a process go through here; the parser
+    and the walks themselves call the recursive ones directly, so that
+    too-deep text is still a ParseError."""
     try:
         return walk(*args)
     except RecursionError:
         pass
-    raise ValueError("process nested too deeply")
+    raise ValueError(f"{what} nested too deeply")
 
 
 def _bind(env, name, value):

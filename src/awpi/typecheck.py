@@ -256,17 +256,34 @@ def _check(env: dict, p: Process, path: list, table):
             raise TypingError("Out", path,
                               f"payload of {p.subject} has type {got}, expected {t.payload}")
         return
-    if isinstance(p, Input):
-        t = _subject_type(env, p.subject, path, "In", "i")
+    if isinstance(p, (Input, RepInput)):
+        rep = isinstance(p, RepInput)
+        rule = "RIn" if rep else "In"
+        t = _subject_type(env, p.subject, path, rule, "i")
         if p.subject.kind == SUCCESS:
             raise TypingError("Success", path,
                               f"success name {p.subject} cannot be an input subject")
+        if rep and t.mode == "li":
+            raise TypingError("RIn", path,
+                              f"replicated input needs a nonlinear subject; {p.subject} : {t}")
         if t.mode not in INPUT_MODES:
-            raise TypingError("In", path,
+            raise TypingError(rule, path,
                               f"input at {p.subject} : {t}; subject must be an I-name")
-        _check_success_binder((p.param,), path, "In")
+        _check_success_binder((p.param,), path, rule)
         owned = None  # an affine subject, which the body does not own
-        if t.mode == "li":
+        if rep:
+            for n in sorted(_frees(p.body, table) - {p.param}):
+                rt = env.get(n)
+                if rt is None or is_copyable(rt):
+                    continue  # an unbound name is reported where it is used
+                if isinstance(rt, ChanType) and rt.mode == "i":
+                    raise TypingError(
+                        "InputUnderReplication", path,
+                        f"input name {n} is not copyable and cannot occur under replication")
+                raise TypingError(
+                    "LinearUnderReplication", path,
+                    f"{n} : {rt} is affine and cannot occur under replication")
+        elif t.mode == "li":
             owned = env.pop(p.subject)
             if p.subject in _frees(p.body, table) and p.param != p.subject:
                 raise TypingError(
@@ -279,38 +296,6 @@ def _check(env: dict, p: Process, path: list, table):
         _unbind(env, p.param, old)
         if owned is not None:
             env[p.subject] = owned
-        return
-    if isinstance(p, RepInput):
-        t = _subject_type(env, p.subject, path, "RIn", "i")
-        if p.subject.kind == SUCCESS:
-            raise TypingError("Success", path,
-                              f"success name {p.subject} cannot be an input subject")
-        if t.mode == "li":
-            raise TypingError("RIn", path,
-                              f"replicated input needs a nonlinear subject; {p.subject} : {t}")
-        if t.mode not in INPUT_MODES:
-            raise TypingError("RIn", path,
-                              f"input at {p.subject} : {t}; subject must be an I-name")
-        _check_success_binder((p.param,), path, "RIn")
-        residual = _frees(p.body, table) - {p.param}
-        for n in sorted(residual):
-            rt = env.get(n)
-            if rt is None:
-                continue  # reported as unbound where it is used
-            if is_copyable(rt):
-                continue
-            if isinstance(rt, ChanType) and rt.mode == "i":
-                raise TypingError(
-                    "InputUnderReplication", path,
-                    f"input name {n} is not copyable and cannot occur under replication")
-            raise TypingError(
-                "LinearUnderReplication", path,
-                f"{n} : {rt} is affine and cannot occur under replication")
-        old = _bind(env, p.param, t.payload)
-        path.append("body")
-        _check(env, p.body, path, table)
-        path.pop()
-        _unbind(env, p.param, old)
         return
     if isinstance(p, Res):
         _check_success_binder((p.in_name, p.out_name), path, "Res")

@@ -12,8 +12,8 @@ from collections import deque
 
 from awpi.syntax import (
     Case, ChanType, Input, LetTuple, Name, Nil, NIL, Output, Par, Process,
-    RepInput, Res, SumType, TupleType, UNIT, UnitType, VInl, VInr, VName,
-    VTuple, VUNIT, VUnit, Value, ast_size, free_names, value_names,
+    RepInput, Res, UNIT, VInl, VInr, VName, VTuple, VUNIT, VUnit, ast_size,
+    free_names, value_names,
 )
 
 

@@ -417,8 +417,9 @@ def _deep_alpi():
 ], ids=["alpi_free_names", "check_locality", "alpi_names", "alpi_env",
         "alpi_to_api", "check_alpi_correspondence"])
 def test_alpi_walks_reject_deep_nesting(walk):
-    # each raised RecursionError
-    with pytest.raises(ValueError, match="process nested too deeply"):
+    # each raised RecursionError, and then each said "process"
+    with pytest.raises(ValueError,
+                       match="^localised process nested too deeply$"):
         walk(*_deep_alpi())
 
 
@@ -431,7 +432,8 @@ def test_encoding_rejects_a_source_it_cannot_compile(check):
     p = AlpiOutput(Name("ok", kind="success"), None)
     for _ in range(300):
         p = AlpiRes(nm("a"), ALPI_UNIT, AlpiInput(nm("a"), nm("y"), p))
-    with pytest.raises(ValueError, match="process nested too deeply"):
+    with pytest.raises(ValueError,
+                       match="^localised process nested too deeply$"):
         check(p)
 
 
@@ -445,18 +447,18 @@ def _deep_stlc():
     return term, ty
 
 
-@pytest.mark.parametrize("walk", [
-    lambda t, ty: stlc_type(t, {}),
-    lambda t, ty: term_size(t),
-    lambda t, ty: str(t),
-    lambda t, ty: encode_stlc(t, {}, nm("p")),
-    lambda t, ty: type_order(ty),
-    lambda t, ty: encode_stlc_type(ty),
+@pytest.mark.parametrize("walk, what", [
+    (lambda t, ty: stlc_type(t, {}), "term"),
+    (lambda t, ty: term_size(t), "term"),
+    (lambda t, ty: str(t), "term"),
+    (lambda t, ty: encode_stlc(t, {}, nm("p")), "term"),
+    (lambda t, ty: type_order(ty), "type"),
+    (lambda t, ty: encode_stlc_type(ty), "type"),
 ], ids=["stlc_type", "term_size", "str", "encode_stlc", "type_order",
         "encode_stlc_type"])
-def test_stlc_walks_reject_deep_nesting(walk):
-    # each raised RecursionError
-    with pytest.raises(ValueError, match="nested too deeply"):
+def test_stlc_walks_reject_deep_nesting(walk, what):
+    # each raised RecursionError, and then each said "process"
+    with pytest.raises(ValueError, match=f"^lambda {what} nested too deeply$"):
         walk(*_deep_stlc())
 
 

@@ -1,9 +1,9 @@
 import pytest
 
 from awpi.syntax import (
-    ChanType, Name, UNIT, VName, VUNIT, canonical_process, canonicalize,
-    free_names, parse_file, parse_process, print_process, print_value,
-    rename_free,
+    ChanType, Name, UNIT, VName, VTuple, VUNIT, canonical_process,
+    canonicalize, free_names, parse_file, parse_process, print_process,
+    print_value, rename_free,
 )
 from awpi.syntax import NIL, Res
 from awpi.syntax import Input as SInput, Output as SOutput, Par as SPar
@@ -868,3 +868,34 @@ def test_api_substitute_walks_a_deep_prefix_once(monkeypatch):
     # 80,000 free_names calls
     assert calls[0] <= 4 * depth
     assert api.print_process(q).endswith(".k!(z)")
+
+
+def _api_binders(x, body):
+    """One process per binder kind of ``api``, each binding ``x`` over
+    ``body(x)``, a case over both of its branches."""
+    a = Name("a")
+    return [
+        api.Input(a, x, body(x)),
+        api.RepInput(a, x, body(x)),
+        api.Res(x, body(x)),
+        api.LetTuple((x, Name("y")), VName(a), body(x)),
+        api.Case(VName(a), x, body(x), x, body(x)),
+    ]
+
+
+def test_api_substitute_refreshes_a_binder_the_value_names():
+    x, m, w = Name("x"), Name("m"), Name("w")
+
+    def uses(b, free):
+        return api.Output(Name("k"), VTuple((VName(b), VName(free))))
+
+    # m := x under a binder of x: the binder is renamed, here to w, so that
+    # the incoming x stays free
+    got = [api.substitute(p, {m: VName(x)})
+           for p in _api_binders(x, lambda b: uses(b, m))]
+    want = _api_binders(w, lambda b: uses(b, x))
+    assert [api.alpha_key(p) for p in got] == [api.alpha_key(q) for q in want]
+    # keeping the binder captured the x
+    captured = _api_binders(x, lambda b: uses(b, b))
+    assert all(api.alpha_key(p) != api.alpha_key(q)
+               for p, q in zip(got, captured))

@@ -11,11 +11,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from awpi.syntax import (
-    CanonicalForm, ChanType, Input, Name, Nil, Output, Par, ParseError,
-    RepInput, Res, SUCCESS, UNIT, VName, VUNIT, alpha_eq, ast_size,
-    canonicalize, congruent, free_names, fresh_name, parse_file,
-    parse_process, parse_value, parse_vtype, print_process, print_value,
-    print_vtype, rename_free, substitute, substitute_value,
+    ChanType, Input, Name, Nil, Output, Par, ParseError, RepInput, Res,
+    SUCCESS, UNIT, VName, VUNIT, alpha_eq, ast_size, canonicalize,
+    congruent, free_names, fresh_name, parse_file, parse_process,
+    parse_value, parse_vtype, print_process, print_vtype, rename_free,
+    substitute, substitute_value,
 )
 from awpi import api, encodings, equivalence, internal, semantics, syntax
 from awpi import typecheck as typecheck_module
@@ -25,8 +25,8 @@ from awpi.typecheck import typecheck
 
 from gen_typed import random_typed
 from oracles import (
-    alpha_key, bound_names, congruence_closure, enumerate_core,
-    oracle_congruent, random_process, subst_oracle,
+    alpha_key, bound_names, enumerate_core, oracle_congruent,
+    random_process, subst_oracle,
 )
 
 

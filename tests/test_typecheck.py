@@ -3,8 +3,7 @@ import random
 import pytest
 
 from awpi.syntax import (
-    ChanType, Name, Output, SumType, TupleType, UNIT, VName, parse_file,
-    parse_process, parse_vtype,
+    ChanType, Name, Output, VName, parse_file, parse_process, parse_vtype,
 )
 from awpi.typecheck import (
     ANY, EnvCombineError, classify, combine_env, dual, is_copyable,
@@ -521,6 +520,16 @@ TWO_ERRORS = [
     ("a(x, y).(k!(x) | zz!())",
      ("With", ("body",),
       "let destructures 2 components but the scrutinee has type unit")),
+    # the replicated input's own checks, in the order they run
+    ("!c(x).(c(y).k!() | zz!())",
+     ("RIn", (), "replicated input needs a nonlinear subject; c : li[unit]")),
+    ("success w; !b(w).zz!()",
+     ("RIn", (), "input at b : o[unit]; subject must be an I-name")),
+    ("success w; !a(w).(a(y).k!() | zz!())",
+     ("Success", (), "success name w cannot be bound by RIn")),
+    ("!a(x).(a(y).k!() | zz!())",
+     ("InputUnderReplication", (),
+      "input name a is not copyable and cannot occur under replication")),
 ]
 
 
