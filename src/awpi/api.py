@@ -7,15 +7,18 @@ a shared subject) so it can serve as an independent reference when
 checking that erasure preserves and reflects transitions.  It must not be
 defined via the connection-set machinery.
 
-From :mod:`syntax` it takes names, values, ``_node`` and the ``_shallow``
-depth guard, which has no semantics; it shares no walk over a process.
+From :mod:`syntax` it takes names, values, ``_node``, the ``_shallow``
+depth guard and the ``_bind``/``_unbind`` environment steps, none of which
+has semantics; it shares no walk over a process.  Nodes are immutable, so
+each keeps its free names once they are found (see :func:`_frees`), as a
+``str`` keeps its hash.
 """
 
 from __future__ import annotations
 
 from .syntax import (
-    Name, Value, VName, VTuple, VInl, VInr, VUNIT, _node, _shallow,
-    fresh_name, print_value, substitute_value, value_names,
+    Name, Value, VName, VTuple, VInl, VInr, VUNIT, _bind, _node, _shallow,
+    _unbind, fresh_name, print_value, substitute_value, value_names,
 )
 
 
@@ -24,7 +27,9 @@ from .syntax import (
 # ---------------------------------------------------------------------------
 
 class Process:
-    pass
+    # the free names, once :func:`_frees` has found them; a class default,
+    # not a field, so equality, hash, repr and ``fields`` do not see them
+    _names = None
 
 
 @_node
@@ -84,65 +89,65 @@ NIL = Nil()
 
 
 def free_names(p: Process) -> frozenset:
-    return _shallow(_frees, p, {})
+    return _shallow(_frees, p)
 
 
-def _frees(p: Process, table) -> frozenset:
-    """The free names of ``p``.  ``table`` maps ``id(node)`` to (node,
-    free names) for every node above a leaf that a walk with it has
-    reached, filled in post order, so that a caller that asks about a
-    subterm and again about its parts, as :func:`substitute` does, walks
-    each node once in all.  It holds each node, so no id in it is
-    reused."""
-    if isinstance(p, Nil):
-        return frozenset()
-    if isinstance(p, Output):
-        return frozenset((p.subject,)) | value_names(p.payload)
-    hit = table.get(id(p))
-    if hit is not None:
-        return hit[1]
+def _frees(p: Process) -> frozenset:
+    """The free names of ``p``.  They are kept on the node the first time
+    they are found, so a subterm that many states share, or that a walk
+    asks about again, as :func:`substitute` and :func:`lts_step` do, is
+    walked once in its life.  The names live and die with the node."""
+    out = p._names
+    if out is not None:
+        return out
     if isinstance(p, Par):
-        # walk the | spine in a loop, so that a wide composition cannot
-        # exhaust the recursion limit
+        # walk the | tree in a loop, down to the nodes that have their
+        # names, so that a wide composition cannot exhaust the recursion
+        # limit; only p keeps its names, as a set for each inner | would
+        # make a wide one quadratic
         names, todo = set(), [p]
         while todo:
             q = todo.pop()
-            if isinstance(q, Par):
+            if isinstance(q, Par) and q._names is None:
                 todo += (q.left, q.right)
             else:
-                names |= _frees(q, table)
+                names |= _frees(q)
         out = frozenset(names)
+    elif isinstance(p, Nil):
+        out = frozenset()
+    elif isinstance(p, Output):
+        out = frozenset((p.subject,)) | value_names(p.payload)
     elif isinstance(p, (Input, RepInput)):
-        out = frozenset((p.subject,)) | (_frees(p.body, table) - {p.param})
+        out = frozenset((p.subject,)) | (_frees(p.body) - {p.param})
     elif isinstance(p, Res):
-        out = _frees(p.body, table) - {p.name}
+        out = _frees(p.body) - {p.name}
     elif isinstance(p, LetTuple):
-        out = value_names(p.scrutinee) | (_frees(p.body, table) - set(p.params))
+        out = value_names(p.scrutinee) | (_frees(p.body) - set(p.params))
     elif isinstance(p, Case):
         out = (value_names(p.scrutinee)
-               | (_frees(p.left_body, table) - {p.left_param})
-               | (_frees(p.right_body, table) - {p.right_param}))
+               | (_frees(p.left_body) - {p.left_param})
+               | (_frees(p.right_body) - {p.right_param}))
     else:
         raise TypeError(f"not a process: {p!r}")
-    table[id(p)] = (p, out)
+    object.__setattr__(p, "_names", out)
     return out
 
 
 def substitute(p: Process, mapping) -> Process:
-    """Capture-avoiding substitution of values for free names.  One call
-    keeps one table of free names (see :func:`_frees`), which guards
-    every subterm and serves every refresh, so a subterm's names are
-    found once, not once per binder above it."""
+    """Capture-avoiding substitution of values for free names.  The free
+    names kept on each node (see :func:`_frees`) guard every subterm and
+    serve every refresh, so a subterm's names are found once, not once
+    per binder above it."""
     mapping = {k: v for k, v in mapping.items() if v != VName(k)}
-    return _shallow(_guarded, p, mapping, {})
+    return _shallow(_guarded, p, mapping)
 
 
-def _guarded(p: Process, mapping, table) -> Process:
+def _guarded(p: Process, mapping) -> Process:
     """``p`` itself when ``mapping`` touches none of its free names, else
     ``p`` with ``mapping`` applied."""
-    if not mapping or mapping.keys().isdisjoint(_frees(p, table)):
+    if not mapping or mapping.keys().isdisjoint(_frees(p)):
         return p
-    return _subst(p, mapping, table)
+    return _subst(p, mapping)
 
 
 def _subst_subject(n: Name, mapping) -> Name:
@@ -154,7 +159,7 @@ def _subst_subject(n: Name, mapping) -> Name:
     raise ValueError(f"cannot use non-name value as subject for {n}")
 
 
-def _scope(binders, mapping, body, table):
+def _scope(binders, mapping, body):
     """One binder level: (binders, body, mapping) as they stand under it.
     The entries the binders shadow are dropped from ``mapping``, and a
     binder that clashes with a name ``mapping`` brings in is renamed apart
@@ -166,17 +171,17 @@ def _scope(binders, mapping, body, table):
         incoming |= value_names(v)
     if incoming.isdisjoint(binders):
         return binders, body, live
-    taken = incoming | set(binders) | _frees(body, table)
+    taken = incoming | set(binders) | _frees(body)
     renames = {}
     for b in binders:
         if b in incoming:
             renames[b] = VName(fresh_name(b, taken))
             taken.add(renames[b].name)
     return (tuple(renames[b].name if b in renames else b for b in binders),
-            _guarded(body, renames, table), live)
+            _guarded(body, renames), live)
 
 
-def _subst(p: Process, mapping, table) -> Process:
+def _subst(p: Process, mapping) -> Process:
     if isinstance(p, Nil):
         return p
     if isinstance(p, Par):
@@ -185,31 +190,29 @@ def _subst(p: Process, mapping, table) -> Process:
         while isinstance(p, Par):
             rights.append(p.right)
             p = p.left
-        out = _guarded(p, mapping, table)
+        out = _guarded(p, mapping)
         for r in reversed(rights):
-            out = Par(out, _guarded(r, mapping, table))
+            out = Par(out, _guarded(r, mapping))
         return out
     if isinstance(p, Output):
         return Output(_subst_subject(p.subject, mapping),
                       substitute_value(p.payload, mapping))
     if isinstance(p, (Input, RepInput)):
         subj = _subst_subject(p.subject, mapping)
-        (x,), body, live = _scope((p.param,), mapping, p.body, table)
-        return type(p)(subj, x, _guarded(body, live, table))
+        (x,), body, live = _scope((p.param,), mapping, p.body)
+        return type(p)(subj, x, _guarded(body, live))
     if isinstance(p, Res):
-        (x,), body, live = _scope((p.name,), mapping, p.body, table)
-        return Res(x, _guarded(body, live, table))
+        (x,), body, live = _scope((p.name,), mapping, p.body)
+        return Res(x, _guarded(body, live))
     if isinstance(p, LetTuple):
         scrut = substitute_value(p.scrutinee, mapping)
-        xs, body, live = _scope(p.params, mapping, p.body, table)
-        return LetTuple(xs, scrut, _guarded(body, live, table))
+        xs, body, live = _scope(p.params, mapping, p.body)
+        return LetTuple(xs, scrut, _guarded(body, live))
     if isinstance(p, Case):
         scrut = substitute_value(p.scrutinee, mapping)
-        (x,), lb, livel = _scope((p.left_param,), mapping, p.left_body, table)
-        (y,), rb, liver = _scope((p.right_param,), mapping, p.right_body,
-                                 table)
-        return Case(scrut, x, _guarded(lb, livel, table),
-                    y, _guarded(rb, liver, table))
+        (x,), lb, livel = _scope((p.left_param,), mapping, p.left_body)
+        (y,), rb, liver = _scope((p.right_param,), mapping, p.right_body)
+        return Case(scrut, x, _guarded(lb, livel), y, _guarded(rb, liver))
     raise TypeError(f"not a process: {p!r}")
 
 
@@ -265,7 +268,9 @@ def alpha_key(p: Process) -> str:
 
 
 def _akey_name(n, env):
-    return env.get(n, f"f:{n}")
+    # a bound name's label, else its printed name, printed only then
+    label = env.get(n)
+    return f"f:{n}" if label is None else label
 
 
 def _akey_value(v, env):
@@ -280,27 +285,12 @@ def _akey_value(v, env):
     return "*"
 
 
-def _labels(counter, k):
-    """The next ``k`` binder labels; binders are numbered left to right."""
-    first = counter[0]
-    counter[0] += k
-    return [f"b{i}" for i in range(first, first + k)]
-
-
-def _bind(env, names, labels):
-    """Bind ``names`` to ``labels`` in place, so that no binder copies
-    ``env``; return the entries they shadow, which ``_unbind`` puts back."""
-    shadowed = [(n, env.get(n)) for n in names]
-    env.update(zip(names, labels))
-    return shadowed
-
-
-def _unbind(env, shadowed):
-    for n, old in reversed(shadowed):
-        if old is None:
-            del env[n]
-        else:
-            env[n] = old
+def _label(counter):
+    """The next binder label; binders are numbered left to right, and
+    each is bound in ``env`` in place (``syntax._bind``), so that no
+    binder copies ``env`` or builds a list."""
+    counter[0] += 1
+    return f"b{counter[0] - 1}"
 
 
 def _akey(p, env, counter):
@@ -321,33 +311,34 @@ def _akey(p, env, counter):
     if isinstance(p, (Input, RepInput)):
         bang = "!" if isinstance(p, RepInput) else ""
         subject = _akey_name(p.subject, env)
-        shadowed = _bind(env, (p.param,), _labels(counter, 1))
+        old = _bind(env, p.param, _label(counter))
         body = _akey(p.body, env, counter)
-        _unbind(env, shadowed)
+        _unbind(env, p.param, old)
         return f"{bang}{subject}?.{body}"
     if isinstance(p, Output):
         return f"{_akey_name(p.subject, env)}!{_akey_value(p.payload, env)}"
     if isinstance(p, Res):
-        shadowed = _bind(env, (p.name,), _labels(counter, 1))
+        old = _bind(env, p.name, _label(counter))
         body = _akey(p.body, env, counter)
-        _unbind(env, shadowed)
+        _unbind(env, p.name, old)
         return f"nu.{body}"
     if isinstance(p, LetTuple):
         s = _akey_value(p.scrutinee, env)
-        shadowed = _bind(env, p.params, _labels(counter, len(p.params)))
+        shadowed = [_bind(env, x, _label(counter)) for x in p.params]
         body = _akey(p.body, env, counter)
-        _unbind(env, shadowed)
+        for x, old in zip(reversed(p.params), reversed(shadowed)):
+            _unbind(env, x, old)
         return f"let{len(p.params)} {s} in {body}"
     if isinstance(p, Case):
         # both branch binders are numbered before either branch is keyed
         s = _akey_value(p.scrutinee, env)
-        ll, lr = _labels(counter, 2)
-        shadowed = _bind(env, (p.left_param,), (ll,))
+        ll, lr = _label(counter), _label(counter)
+        old = _bind(env, p.left_param, ll)
         left = _akey(p.left_body, env, counter)
-        _unbind(env, shadowed)
-        shadowed = _bind(env, (p.right_param,), (lr,))
+        _unbind(env, p.left_param, old)
+        old = _bind(env, p.right_param, lr)
         right = _akey(p.right_body, env, counter)
-        _unbind(env, shadowed)
+        _unbind(env, p.right_param, old)
         return f"case {s} [{left}][{right}]"
     raise TypeError(f"not a process: {p!r}")
 
@@ -401,30 +392,6 @@ class BoundOutLabel(Label):
 TAU = TauLabel()
 
 
-def label_free_names(mu: Label) -> frozenset:
-    if isinstance(mu, TauLabel):
-        return frozenset()
-    if isinstance(mu, InLabel):
-        return frozenset((mu.subject,))
-    if isinstance(mu, OutLabel):
-        return frozenset((mu.subject,)) | value_names(mu.payload)
-    if isinstance(mu, BoundOutLabel):
-        return frozenset((mu.subject,))
-    raise TypeError(f"not a label: {mu!r}")
-
-
-def label_bound_names(mu: Label) -> frozenset:
-    if isinstance(mu, InLabel):
-        return frozenset((mu.param,))
-    if isinstance(mu, BoundOutLabel):
-        return frozenset((mu.exported,))
-    return frozenset()
-
-
-def label_names(mu: Label) -> frozenset:
-    return label_free_names(mu) | label_bound_names(mu)
-
-
 def _rename_label(mu: Label, renames) -> Label:
     if isinstance(mu, TauLabel):
         return mu
@@ -441,56 +408,65 @@ def _rename_label(mu: Label, renames) -> Label:
     raise TypeError(f"not a label: {mu!r}")
 
 
+def _bound(mu: Label):
+    """The one name ``mu`` binds, or None: a label binds one name at
+    most, so a clash is one ``in`` test, with no set built."""
+    if isinstance(mu, InLabel):
+        return mu.param
+    if isinstance(mu, BoundOutLabel):
+        return mu.exported
+    return None
+
+
 def _freshen_bound(mu, target, avoid):
-    clash = label_bound_names(mu) & frozenset(avoid)
-    if not clash:
+    """Rename the label's bound name (and the target) away from the
+    names in ``avoid``, only if it is one of them."""
+    b = _bound(mu)
+    if b is None or b not in avoid:
         return mu, target
-    taken = set(avoid) | label_names(mu) | free_names(target)
-    renames = {}
-    for n in clash:
-        nn = fresh_name(n, taken)
-        taken.add(nn)
-        renames[n] = nn
-    return _rename_label(mu, renames), rename_free(target, renames)
+    nn = fresh_name(b, set(avoid) | {mu.subject, b} | _frees(target))
+    return _rename_label(mu, {b: nn}), rename_free(target, {b: nn})
 
 
 def lts_step(p: Process):
     """Early transitions (ground inputs), written from the standard rules.
 
-    One bottom-up walk: each subterm's transitions come with its free
-    names, so a ``|`` node freshens bound labels against its children's
-    names instead of re-walking a sibling once per step.
+    One bottom-up walk.  A ``|`` node freshens bound labels against the
+    free names its children keep (see :func:`_frees`), instead of
+    re-walking a sibling once per step.
     """
-    return _shallow(_steps, p)[0]
+    return _shallow(_steps, p)
 
 
 def _steps(p: Process):
-    """``(transitions of p, free names of p)``."""
     if isinstance(p, Par):
         # the left | spine in a loop, combined as the recursion would
         spine = []
         while isinstance(p, Par):
             spine.append(p)
             p = p.left
-        steps, names = _steps(p)
+        steps = _steps(p)
         for node in reversed(spine):
-            steps, names = _par_steps(node, steps, names)
-        return steps, names
+            steps = _par_steps(node, steps)
+        return steps
     out = []
     if isinstance(p, Res):
-        steps, names = _steps(p.body)
-        for mu, q in steps:
-            if isinstance(mu, OutLabel) and mu.subject != p.name \
-                    and p.name in value_names(mu.payload):
-                if mu.payload == VName(p.name):
-                    out.append((BoundOutLabel(mu.subject, p.name), q))
-                # a composite value holding the restricted name stays private
+        n = p.name
+        for mu, q in _steps(p.body):
+            if isinstance(mu, OutLabel):
+                if mu.subject == n:
+                    continue
+                if n in value_names(mu.payload):
+                    if mu.payload == VName(n):
+                        out.append((BoundOutLabel(mu.subject, n), q))
+                    # a composite value holding the restricted name stays
+                    # private
+                    continue
+            elif not isinstance(mu, TauLabel) and (mu.subject == n
+                                                   or _bound(mu) == n):
                 continue
-            if p.name in label_names(mu):
-                continue
-            out.append((mu, Res(p.name, q)))
-        return out, names - {p.name}
-    if isinstance(p, Input):
+            out.append((mu, Res(n, q)))
+    elif isinstance(p, Input):
         out.append((InLabel(p.subject, p.param), p.body))
     elif isinstance(p, RepInput):
         out.append((InLabel(p.subject, p.param), Par(p.body, p)))
@@ -509,12 +485,13 @@ def _steps(p: Process):
                                         {p.right_param: p.scrutinee.value})))
     elif not isinstance(p, Nil):
         raise TypeError(f"not a process: {p!r}")
-    return out, free_names(p)
+    return out
 
 
-def _par_steps(p: Par, lsteps, lnames):
-    """The transitions and free names of ``p`` from those of ``p.left``."""
-    rsteps, rnames = _steps(p.right)
+def _par_steps(p: Par, lsteps):
+    """The transitions of ``p`` from those of ``p.left``."""
+    rsteps = _steps(p.right)
+    lnames, rnames = _frees(p.left), _frees(p.right)
     out = []
     for mu, l2 in lsteps:
         mu2, l3 = _freshen_bound(mu, l2, rnames)
@@ -536,8 +513,8 @@ def _par_steps(p: Par, lsteps, lnames):
                 elif (isinstance(mu_o, BoundOutLabel)
                       and mu_o.subject == mu_i.subject):
                     mu_o2, qo2 = _freshen_bound(
-                        mu_o, qo, free_names(pi) | {mu_i.param})
+                        mu_o, qo, _frees(pi) | {mu_i.param})
                     inst = substitute(pi, {mu_i.param: VName(mu_o2.exported)})
                     body = Par(inst, qo2) if fromleft else Par(qo2, inst)
                     out.append((TAU, Res(mu_o2.exported, body)))
-    return out, lnames | rnames
+    return out

@@ -16,6 +16,7 @@ names.
 from __future__ import annotations
 
 import re
+from functools import cached_property
 
 from . import api
 from .syntax import (
@@ -275,11 +276,12 @@ def _enc_alpi_res(p: AlpiRes, f: dict, tenv: dict, fresh: _Fresh) -> Process:
 def alpi_env(p: AlpiProcess) -> dict:
     """Typing environment for the image of a process whose free names are
     success names carrying unit."""
-    env = {}
-    for n in alpi_free_names(p):
-        if n.kind == SUCCESS:
-            env[n] = ChanType("o", UNIT)
-    return env
+    return _success_env(alpi_free_names(p))
+
+
+def _success_env(names) -> dict:
+    """:func:`alpi_env` from the source's free names."""
+    return {n: ChanType("o", UNIT) for n in names if n.kind == SUCCESS}
 
 
 # ---------------------------------------------------------------------------
@@ -419,14 +421,25 @@ def _to_api(p: AlpiProcess) -> api.Process:
     raise TypeError(f"not a localised process: {p!r}")
 
 
+class _ApiState(Composite):
+    """A state of the reference route: a process of the plain calculus,
+    with no connection set, keyed by its alpha key the first time ``key``
+    is read, so a target that no game or walk reads is never keyed."""
+
+    @cached_property
+    def key(self) -> str:
+        return api.alpha_key(self.process)
+
+
 def _api_state(p: api.Process) -> Composite:
-    """A state of the reference route: ``p`` keyed by its alpha key."""
-    return Composite(p, frozenset(), api.alpha_key(p))
+    """``p`` as a reference-route state, keyed on first read."""
+    return _ApiState(p, frozenset())
 
 
 def _api_steps(space: _Space, comp: Composite):
     """The reference LTS as a game space's successors: each transition
-    of ``api.lts_step`` as (label, target state), tau as ``TAU``.
+    of ``api.lts_step`` as (label, target state), tau as ``TAU``.  Every
+    target is a state already, keyed the first time its key is read.
 
     States are keyed by alpha key, so each alpha class is stepped once
     per space.  That is sound because the processes compared are closed
@@ -492,14 +505,16 @@ def check_alpi_correspondence(p: AlpiProcess, cfg: BisimConfig = None) -> Verdic
     one.
     """
     cfg = cfg or BisimConfig()
-    for n in alpi_free_names(p):
+    source = alpi_to_api(p)
+    names = api.free_names(source)
+    for n in names:
         if n.kind != SUCCESS:
             raise NotClosed(f"free name {n} is not a success name")
     image = encode_alpi(p, {})
-    typed = typecheck(alpi_env(p), image)
+    typed = typecheck(_success_env(names), image)
     if not typed.ok:
         raise TypeMismatch(f"image does not typecheck: {typed.errors[0]}")
-    direct = _api_state(alpi_to_api(p))
+    direct = _api_state(source)
     erased = _api_state(erase_to_api(
         Composite(canonical_process(image), frozenset())))
 

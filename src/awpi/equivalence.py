@@ -335,8 +335,12 @@ class _Game:
         %-names, as :meth:`_std_moves` does; (state key, label) for a free
         output, a top-level atom of the canonical state, so equal labels
         give congruent targets, as :func:`explore` argues.  A target that
-        is already a state with nothing to rename, as a tau target or a
-        node of a seeded graph, is returned as it is.
+        is already a state with nothing to rename is returned as it is:
+        one that carries its canonical key, as a tau target or a node of a
+        seeded graph does, or one of a :class:`Composite` subclass, which
+        keys itself when first read, as a reference-route state does
+        (``encodings._api_steps``).  Only a plain ``Composite`` without a
+        key is raw.
         """
         mu, c2 = self.space.step(comp)[i]
         ren, tk = {}, (comp.key, i, d)
@@ -346,7 +350,7 @@ class _Game:
             ren = {mu.param: Name("%i", d)}
         elif isinstance(mu, BoundOut):
             ren = {mu.exported: Name("%e", d), mu.companion: Name("%k", d)}
-        elif c2.pkey is not None:
+        elif c2.pkey is not None or type(c2) is not Composite:
             return c2
         else:
             tk = (comp.key, mu)

@@ -91,28 +91,12 @@ class BoundOut(Label):
 TAU = Tau()
 
 
-def label_free_names(mu: Label) -> frozenset:
-    if isinstance(mu, Tau):
-        return frozenset()
-    if isinstance(mu, In):
-        return frozenset((mu.subject,))
-    if isinstance(mu, FreeOut):
-        return frozenset((mu.subject,)) | value_names(mu.payload)
-    if isinstance(mu, BoundOut):
-        return frozenset((mu.subject,))
-    raise TypeError(f"not a label: {mu!r}")
-
-
 def label_bound_names(mu: Label) -> frozenset:
     if isinstance(mu, In):
         return frozenset((mu.param,))
     if isinstance(mu, BoundOut):
         return frozenset((mu.exported, mu.companion))
     return frozenset()
-
-
-def label_names(mu: Label) -> frozenset:
-    return label_free_names(mu) | label_bound_names(mu)
 
 
 def rename_label(mu: Label, renames) -> Label:
@@ -164,12 +148,24 @@ def parse_delta(text: str) -> frozenset:
 # The delta-parameterized LTS
 # ---------------------------------------------------------------------------
 
+def _binds_any(mu: Label, names) -> bool:
+    """Whether ``mu`` binds a name in ``names``: ``label_bound_names(mu)
+    & names`` without building a set."""
+    if isinstance(mu, In):
+        return mu.param in names
+    if isinstance(mu, BoundOut):
+        return mu.exported in names or mu.companion in names
+    return False
+
+
 def _freshen_bound(mu: Label, target: Process, avoid):
-    """Rename the label's bound names (and the target) away from ``avoid``."""
-    clash = label_bound_names(mu) & frozenset(avoid)
-    if not clash:
+    """Rename the label's bound names (and the target) away from ``avoid``,
+    only if one of them is in it."""
+    if not _binds_any(mu, avoid):
         return mu, target
-    taken = set(avoid) | label_names(mu) | free_names(target)
+    bound = label_bound_names(mu)
+    clash = bound & frozenset(avoid)
+    taken = set(avoid) | {mu.subject} | bound | free_names(target)
     renames = {}
     for n in clash:
         nn = fresh_name(n, taken)
@@ -224,7 +220,9 @@ def _steps(delta, p: Process):
                     continue
                 out.append((mu, Res(p.in_name, p.out_name, p.in_type, q)))
                 continue
-            if label_names(mu) & pair:
+            # a free output here has its subject in the pair
+            if (isinstance(mu, FreeOut) or mu.subject in pair
+                    or _binds_any(mu, pair)):
                 continue
             out.append((mu, Res(p.in_name, p.out_name, p.in_type, q)))
         return out, names - pair

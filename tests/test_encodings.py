@@ -335,6 +335,33 @@ def test_correspondence_steps_each_state_once(monkeypatch):
     assert keys and len(keys) == len(set(keys))
 
 
+def test_correspondence_keys_a_state_when_first_read(monkeypatch):
+    # a target no game or barb walk reads is never keyed
+    keyed, built = [0], [0]
+    alpha_key, steps = api.alpha_key, encodings._api_steps
+
+    def counted_key(p):
+        keyed[0] += 1
+        return alpha_key(p)
+
+    def counted_steps(space, comp):
+        out = steps(space, comp)
+        built[0] += len(out)
+        return out
+
+    monkeypatch.setattr(api, "alpha_key", counted_key)
+    monkeypatch.setattr(encodings, "_api_steps", counted_steps)
+    v = check_alpi_correspondence(_replication_source(),
+                                  BisimConfig(depth=6, tau_budget=400))
+    assert 0 < keyed[0] < built[0]
+    # as when every target was keyed when built
+    assert (v.result, v.witness, v.truncated) == ("equivalent", (), False)
+    assert v.bounds == {
+        "method": "alpi-correspondence", "forward": "equivalent",
+        "backward": "equivalent", "barbs_direct": ["ok"],
+        "barbs_encoded": ["ok"], "depth": 6, "tau_budget": 400}
+
+
 # ---------------------------------------------------------------------------
 # lambda-calculus: parsing and typing
 

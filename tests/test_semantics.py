@@ -823,6 +823,56 @@ def test_api_lts_close_example():
     assert api.alpha_eq(q, api.Res(Name("b"), api.Par(api.NIL, api.NIL)))
 
 
+def _api_clash_cases():
+    """(process, [(label, printed target)]) for bound names that clash
+    with a sibling other than the adjacent one, so the renaming runs; the
+    expected steps are written by hand."""
+    a, b, c, e, x, y = map(Name, "abcexy")
+    inp, out, par, res = api.Input, api.Output, api.Par, api.Res
+    # a(x).x!() | b!() | x!(): the parameter clashes with x!() only
+    wide_in = par(par(inp(a, x, out(x, VUNIT)), out(b, VUNIT)), out(x, VUNIT))
+    in_steps = [(api.InLabel(a, Name("x", 1)), "x#1!() | b!() | x!()"),
+                (api.OutLabel(b, VUNIT), "a(x).x!() | 0 | x!()"),
+                (api.OutLabel(x, VUNIT), "a(x).x!() | b!() | 0")]
+    # new(c) (e!(c) | c(y).0) | b!() | c!(): the exported c clashes with
+    # c!() only
+    wide_out = par(par(res(c, par(out(e, VName(c)), inp(c, y, api.NIL))),
+                       out(b, VUNIT)), out(c, VUNIT))
+    opened = "new(c) (e!(c) | c(y).0)"
+    out_steps = [(api.BoundOutLabel(e, Name("c", 1)),
+                  "0 | c#1(y).0 | b!() | c!()"),
+                 (api.OutLabel(b, VUNIT), f"{opened} | 0 | c!()"),
+                 (api.OutLabel(c, VUNIT), f"{opened} | b!() | 0")]
+    # a close whose exported c is free in the receiver e(y).c!(y): the
+    # restriction is re-formed on a fresh name
+    sender, receiver = res(c, out(e, VName(c))), inp(e, y, out(c, VName(y)))
+    return [
+        (wide_in, in_steps),
+        (wide_out, out_steps),
+        # the same under new: b!() is dropped, the renamed steps pass
+        (res(b, wide_in), [(mu, f"new(b) ({t})") for mu, t in in_steps
+                           if mu != api.OutLabel(b, VUNIT)]),
+        (res(a, wide_out), [(mu, f"new(a) ({t})") for mu, t in out_steps]),
+        (par(sender, receiver),
+         [(api.BoundOutLabel(e, Name("c", 1)), "0 | e(y).c!(y)"),
+          (api.InLabel(e, y), "new(c) e!(c) | c!(y)"),
+          (api.TAU, "new(c#1) (0 | c!(c#1))")]),
+        (par(receiver, sender),
+         [(api.InLabel(e, y), "c!(y) | new(c) e!(c)"),
+          (api.BoundOutLabel(e, Name("c", 1)), "e(y).c!(y) | 0"),
+          (api.TAU, "new(c#1) (c!(c#1) | 0)")]),
+    ]
+
+
+@pytest.mark.parametrize("case", range(6), ids=[
+    "input-far-sibling", "bound-output-far-sibling", "input-under-new",
+    "bound-output-under-new", "close-output-left", "close-output-right"])
+def test_api_lts_step_renames_a_bound_name_on_a_clash(case):
+    p, expected = _api_clash_cases()[case]
+    assert [(mu, api.print_process(q)) for mu, q in api.lts_step(p)] \
+        == expected
+
+
 def test_api_open_example():
     ap = api.Res(Name("c"), api.Output(Name("e"), VName(Name("c"))))
     ((mu, q),) = api.lts_step(ap)

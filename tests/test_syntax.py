@@ -844,8 +844,8 @@ def test_node_classes_keep_frozen_dataclass_behaviour():
     # the records with defaults, field options or mutable fields
     assert {c.__name__ for c in _dataclasses()} - {
         c.__name__ for c in classes} == {
-        "SourceFile", "Composite", "LtsGraph", "TypeVerdict", "WireSpec",
-        "BisimConfig", "Verdict"}
+        "SourceFile", "Composite", "_ApiState", "LtsGraph", "TypeVerdict",
+        "WireSpec", "BisimConfig", "Verdict"}
     for cls in classes:
         twin, own = _twin(cls), _own(cls)
         names = [f.name for f in dataclasses.fields(cls)]
@@ -895,6 +895,23 @@ def test_node_classes_keep_frozen_dataclass_behaviour():
         with pytest.raises(TypeError):
             cls(*vals, "extra")
         assert hasattr(x, "__dict__") == hasattr(t, "__dict__"), cls
+    # a node of the reference calculus keeps its free names once found, and
+    # its equality, hash, repr and fields do not see them
+    a, x, y = Name("a"), Name("x"), Name("y")
+    out = api.Output(a, VName(x))
+    real = {api.Nil: (), api.Par: (out, api.NIL), api.Input: (a, x, out),
+            api.RepInput: (a, x, out), api.Output: (a, VName(x)),
+            api.Res: (x, out), api.LetTuple: ((x, y), VName(a), out),
+            api.Case: (VName(a), x, out, y, out)}
+    assert set(real) == {c for c in classes if issubclass(c, api.Process)}
+    for cls, vals in real.items():
+        node, t = cls(*vals), _twin(cls)(*vals)
+        assert api.free_names(node) is api.free_names(node), cls
+        assert node == cls(*vals) and not node != cls(*vals), cls
+        assert hash(node) == hash(t) == hash(cls(*vals)), cls
+        assert repr(node) == repr(t), cls
+        assert ([(f.name, f.type) for f in dataclasses.fields(node)]
+                == [(f.name, f.type) for f in dataclasses.fields(t)]), cls
 
 
 # exec calls made from dataclasses.py and from the package while the four
