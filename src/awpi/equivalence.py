@@ -3,7 +3,8 @@
 Strong and weak bisimilarity, weak similarity, barbed bisimilarity on
 closed processes, and the connection-set-indexed internal bisimilarity,
 all played as one stratified game, :class:`_Game`, whose method picks the
-moves and the responses, over a :class:`_Space` of states.  Barbed
+moves and the responses, over a :class:`_Space` of states; the internal
+game's states are settled, and serve their requests first.  Barbed
 moves come from the reduction route (:func:`semantics.reducts`), never
 from the LTS, and each success barb is a move of its own; the localised-pi
 correspondence in ``encodings`` plays over the reference LTS of ``api``.
@@ -46,7 +47,8 @@ from .typecheck import ANY, dual, typecheck
 from .internal import internalize, is_internal
 from .semantics import (
     TAU, BoundOut, Composite, FreeOut, In, Tau, canonical_barbs, closure,
-    composite_step, delta_key, delta_names, explore, reducts, state,
+    composite_step, delta_key, delta_names, explore, reducts, requests,
+    settle, state,
 )
 
 
@@ -183,9 +185,10 @@ class _Space:
 
     ``_steps`` maps a state key to its transitions, (label, target) pairs
     from ``successors(space, state)``: :func:`_lts` for most methods,
-    :func:`_reductions` for the barbed one, ``encodings._api_steps`` for
-    the localised-pi correspondence.  Tau targets must be states, as
-    closures need their keys.  ``_states`` is :meth:`state`'s table.
+    :func:`_internal_steps` for a typed internal one, whose space also
+    ``settle``s the states it builds, :func:`_reductions` for the barbed
+    one, and ``encodings._api_steps`` for the localised-pi
+    correspondence.  Tau targets must be states: closures read their keys.
 
     A space holds no closure and nothing that leads back to a game, and
     its successor functions are module-level functions, not bound
@@ -193,10 +196,10 @@ class _Space:
     and each game is freed by reference counting when its check returns.
     """
 
-    __slots__ = ("_successors", "_steps", "_states")
+    __slots__ = ("_successors", "_settle", "_steps", "_states")
 
-    def __init__(self, successors):
-        self._successors = successors
+    def __init__(self, successors, settle=None):
+        self._successors, self._settle = successors, settle
         self._steps = {}   # state key -> [(label, target)]
         self._states = {}  # (chain, atom multiset, delta) -> state
 
@@ -210,16 +213,18 @@ class _Space:
         unit ``0``, and the chain is the same.  Since :func:`state` is a
         normal form for congruence, they have the same canonical process
         and key, so returning the stored state changes no key, verdict,
-        witness or bound.  The table is incomplete: atoms or chains equal
-        only up to alpha-renaming, a chain in another order, or a
-        restriction no atom uses, miss it and are canonicalized as before.
+        witness or bound, nor does settling, which fires the same atoms.
+        The table is incomplete: atoms or chains equal only up to
+        alpha-renaming, a chain in another order, or a restriction no atom
+        uses, miss it and are canonicalized as before.
         """
         pairs, core = _split_chain(p)
         atoms = Counter(a for a in _par_list(core) if not isinstance(a, Nil))
         sk = (tuple(pairs), frozenset(atoms.items()), frozenset(delta))
         out = self._states.get(sk)
         if out is None:
-            out = self._states[sk] = state(p, delta)
+            settled = self._settle(p) if self._settle else p
+            out = self._states[sk] = state(settled, delta)
         return out
 
     def step(self, comp: Composite):
@@ -243,6 +248,34 @@ def _lts(space: _Space, comp: Composite):
     space; every other target stays raw until the game reads it."""
     return [(mu, space.state(c2.process, c2.delta) if isinstance(mu, Tau)
              else c2) for mu, c2 in composite_step(comp)]
+
+
+def _internal_steps(space: _Space, comp: Composite):
+    """The internal game's transitions: the first :func:`requests` entry
+    whose target has fewer requests, as the only tau; else :func:`_lts`.
+
+    Sound as tau-prioritisation: following one confluent tau along a
+    well-founded relation preserves branching, hence weak, bisimilarity
+    (Groote & Sellink, "Confluence for process verification", TCS 1996;
+    Groote & van de Pol, MFCS 2000).  A request and a ready destructor,
+    which the space fires on building a state (:func:`settle`), are
+    confluent: by property (1), which ``typecheck`` enforces (a game given
+    no environment is not checked, and keeps the full LTS), the server
+    alone receives on ``a`` and, replicated, stays for every other message;
+    a destructor has no partner.  A firing removes a destructor and a
+    request taken here lowers the count, so neither runs forever and hides
+    the other moves.  ``b!(v)`` is unobserved: ``b`` is restricted or in
+    delta, whose outputs the attacker does not play.  Delta grows only by
+    fresh pairs, so a request keeps its partner, and a message absorbed at
+    a server is one more request.  ``spent`` removes input attacks, no
+    tau.  ``depth`` counts rounds of this reduced game: a distinction may
+    take a round more or fewer."""
+    reqs = requests(comp.process, comp.delta)
+    for build in reqs:
+        t = space.state(build(), comp.delta)
+        if len(requests(t.process, t.delta)) < len(reqs):
+            return [(TAU, t)]
+    return _lts(space, comp)
 
 
 def _reductions(space: _Space, comp: Composite):
@@ -282,7 +315,9 @@ class _Game:
         self.method = method
         self.cfg = cfg
         self.env = dict(env or {})
-        self.space = space or _Space(_reductions if method == "barbed" else _lts)
+        self.space = space or (
+            _Space(_internal_steps, settle) if method == "internal" and env
+            else _Space(_reductions if method == "barbed" else _lts))
         self.memo = {}
         self.truncated = False
         self._moves = {}     # state key [, play depth] -> _std_moves result
@@ -815,7 +850,9 @@ def internal_bisim_n(delta, p: Process, q: Process, n: int,
     emitting the message at the subject's companion, extending the
     connection set with a fresh pair when the subject is unconnected.
     The game is played to depth ``n``, which replaces ``cfg.depth``; a
-    negative ``n`` raises ``ValueError`` as ``BisimConfig`` does.
+    negative ``n`` raises ``ValueError`` as ``BisimConfig`` does.  With an
+    ``env``, states are settled and serve requests first
+    (:func:`_internal_steps`), and ``n`` counts rounds of that game.
     """
     cfg = replace(cfg or BisimConfig(), depth=n)
     env = dict(env or {})

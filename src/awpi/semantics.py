@@ -17,14 +17,16 @@ Two independent routes to dynamics are kept deliberately separate:
   name and an output name.
 
 Their agreement on restricted processes is the harmony property checked
-by the test suite; neither is defined in terms of the other.
+by the test suite; neither is defined in terms of the other.  The internal
+game's two deterministic steps, :func:`settle` and :func:`requests`, reuse
+``reduce``'s atom rules, ``_fire`` and ``_served``.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 from . import api
 from .syntax import (
@@ -91,14 +93,6 @@ class BoundOut(Label):
 TAU = Tau()
 
 
-def label_bound_names(mu: Label) -> frozenset:
-    if isinstance(mu, In):
-        return frozenset((mu.param,))
-    if isinstance(mu, BoundOut):
-        return frozenset((mu.exported, mu.companion))
-    return frozenset()
-
-
 def rename_label(mu: Label, renames) -> Label:
     if isinstance(mu, Tau):
         return mu
@@ -149,8 +143,7 @@ def parse_delta(text: str) -> frozenset:
 # ---------------------------------------------------------------------------
 
 def _binds_any(mu: Label, names) -> bool:
-    """Whether ``mu`` binds a name in ``names``: ``label_bound_names(mu)
-    & names`` without building a set."""
+    """Whether ``mu`` binds a name in ``names``, without building a set."""
     if isinstance(mu, In):
         return mu.param in names
     if isinstance(mu, BoundOut):
@@ -163,7 +156,7 @@ def _freshen_bound(mu: Label, target: Process, avoid):
     only if one of them is in it."""
     if not _binds_any(mu, avoid):
         return mu, target
-    bound = label_bound_names(mu)
+    bound = {mu.param} if isinstance(mu, In) else {mu.exported, mu.companion}
     clash = bound & frozenset(avoid)
     taken = set(avoid) | {mu.subject} | bound | free_names(target)
     renames = {}
@@ -419,49 +412,46 @@ class closure:
 # Reduction (normal-form route, independent of the LTS)
 # ---------------------------------------------------------------------------
 
+def _fire(atom: Process):
+    """What a ready destructor fires to: a ``let`` on a tuple literal of its
+    arity, or a ``case`` on ``inl``/``inr``; None for any other atom."""
+    if isinstance(atom, LetTuple):
+        v = atom.scrutinee
+        if isinstance(v, VTuple) and len(v.items) == len(atom.params):
+            return substitute(atom.body, dict(zip(atom.params, v.items)))
+    elif isinstance(atom, Case):
+        v = atom.scrutinee
+        if isinstance(v, VInl):
+            return substitute(atom.left_body, {atom.left_param: v.value})
+        if isinstance(v, VInr):
+            return substitute(atom.right_body, {atom.right_param: v.value})
+    return None
+
+
+def _served(pairs, atoms, i: int, j: int) -> Process:
+    """``new pairs (atoms)`` once input atom ``i`` has received message atom
+    ``j``, the receiver staying if it is replicated."""
+    recv, send = atoms[i], atoms[j]
+    body = substitute(recv.body, {recv.param: send.payload})
+    rest = [x for k, x in enumerate(atoms) if k not in (i, j)]
+    keep = [recv] if isinstance(recv, RepInput) else []
+    return _chain(pairs, _par([body] + keep + rest))
+
+
 def _reducts(canon: Process) -> dict:
     """One-step reducts of a canonical process as ``key -> process``."""
     pairs, core = _split_chain(canon)
     atoms = _par_list(core)
-    if atoms == [NIL]:
-        atoms = []
-    results = {}
-
-    def emit(q: Process):
-        c = canonicalize(q)
-        results[c.key] = c.process
-
-    for a, b, t in pairs:
-        for i, recv in enumerate(atoms):
-            if isinstance(recv, Input) and recv.subject == a:
-                replica = None
-            elif isinstance(recv, RepInput) and recv.subject == a:
-                replica = recv
-            else:
-                continue
-            for j, send in enumerate(atoms):
-                if j == i or not isinstance(send, Output) or send.subject != b:
-                    continue
-                body = substitute(recv.body, {recv.param: send.payload})
-                rest = [x for k, x in enumerate(atoms) if k not in (i, j)]
-                newatoms = [body] + ([replica] if replica else []) + rest
-                emit(_chain(pairs, _par(newatoms)))
+    out = [_served(pairs, atoms, i, j) for a, b, _ in pairs
+           for i, recv in enumerate(atoms)
+           if isinstance(recv, (Input, RepInput)) and recv.subject == a
+           for j, send in enumerate(atoms)
+           if j != i and isinstance(send, Output) and send.subject == b]
     for i, atom in enumerate(atoms):
-        fired = None
-        if isinstance(atom, LetTuple) and isinstance(atom.scrutinee, VTuple) \
-                and len(atom.scrutinee.items) == len(atom.params):
-            fired = substitute(atom.body,
-                               dict(zip(atom.params, atom.scrutinee.items)))
-        elif isinstance(atom, Case) and isinstance(atom.scrutinee, VInl):
-            fired = substitute(atom.left_body,
-                               {atom.left_param: atom.scrutinee.value})
-        elif isinstance(atom, Case) and isinstance(atom.scrutinee, VInr):
-            fired = substitute(atom.right_body,
-                               {atom.right_param: atom.scrutinee.value})
+        fired = _fire(atom)
         if fired is not None:
-            rest = [x for k, x in enumerate(atoms) if k != i]
-            emit(_chain(pairs, _par([fired] + rest)))
-    return results
+            out.append(_chain(pairs, _par([fired] + atoms[:i] + atoms[i + 1:])))
+    return {c.key: c.process for c in map(canonicalize, out)}
 
 
 def reduce(p: Process):
@@ -479,6 +469,39 @@ def reducts(c: CanonicalForm):
     order, so that searches over them do not depend on hashing."""
     return [CanonicalForm(q, k)
             for k, q in sorted(_reducts(c.process).items())]
+
+
+def settle(p: Process) -> Process:
+    """``p`` with its ready destructors under ``|`` and ``new`` fired until
+    none is left, or ``p`` itself if none is ready.  It ends: each firing
+    removes a destructor, and substitution adds none."""
+    pairs, core = _split_chain(p)
+    atoms = _par_list(core)
+    done = []
+    for atom in atoms:
+        fired = _fire(atom)
+        done.append(atom if fired is None and not isinstance(atom, Res)
+                    else settle(atom if fired is None else fired))
+    if all(x is atom for x, atom in zip(done, atoms)):
+        return p
+    return _chain(pairs, _par(done))
+
+
+def requests(p: Process, delta) -> list:
+    """The requests of ``p``, in canonical form, under ``delta``, in atom
+    order: each message ``b!(v)`` whose one pair ``(a, b)``, in the top
+    chain or in ``delta``, has a server ``!a(x).P`` among the top-level
+    atoms, as a ``build()`` of ``p`` once served (a reduct of ``reduce``)."""
+    pairs, core = _split_chain(p)
+    atoms = _par_list(core)
+    servers = {x.subject: i for i, x in enumerate(atoms)
+               if isinstance(x, RepInput)}
+    ins = {}  # an output end's input end, None if it has two
+    for a, b in [*delta, *((a, b) for a, b, _ in pairs)]:
+        ins[b] = None if b in ins else a
+    return [partial(_served, pairs, atoms, servers[ins[x.subject]], j)
+            for j, x in enumerate(atoms)
+            if isinstance(x, Output) and ins.get(x.subject) in servers]
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,8 @@ from awpi.semantics import Composite, Tau, delta_key, erase_to_api, state
 from awpi.typecheck import ANY
 from awpi import api
 from awpi.equivalence import (
-    DISTINGUISHED, BisimConfig, NotClosed, NotInternal, TypeMismatch,
-    Verdict, WitnessStep, _Game, _stable_graphs, barbed_bisim,
+    DISTINGUISHED, INCONCLUSIVE, BisimConfig, NotClosed, NotInternal,
+    TypeMismatch, Verdict, WitnessStep, _Game, _stable_graphs, barbed_bisim,
     internal_bisim_n, replay_witness, strong_bisim, weak_bisim, weak_sim,
 )
 
@@ -583,6 +583,159 @@ def test_internal_game_rejects_ill_typed_terms():
     with pytest.raises(TypeMismatch):
         internal_bisim_n(frozenset(), parse_process("a!()"),
                          parse_process("a!()"), 3, env=env)
+
+
+# ---------------------------------------------------------------------------
+# the reduced internal game: settled states, requests served first
+
+
+def _rule_off(monkeypatch):
+    """Play the internal game on the full LTS, without settling."""
+    import awpi.equivalence
+    monkeypatch.setattr(awpi.equivalence, "_internal_steps",
+                        awpi.equivalence._lts)
+    monkeypatch.setattr(awpi.equivalence, "settle", None)
+
+
+def _record_priority(monkeypatch):
+    """Record each (state, transitions) that the request rule reduced to
+    one tau: the internal game's transitions, found without ``_lts``."""
+    import awpi.equivalence
+    steps, lts = awpi.equivalence._internal_steps, awpi.equivalence._lts
+    fired, full = [], []
+
+    def recording(space, comp):
+        del full[:]
+        out = steps(space, comp)
+        if not full:
+            fired.append((comp, out))
+        return out
+
+    def counted(space, comp):
+        full.append(comp)
+        return lts(space, comp)
+
+    monkeypatch.setattr(awpi.equivalence, "_internal_steps", recording)
+    monkeypatch.setattr(awpi.equivalence, "_lts", counted)
+    return fired
+
+
+# a server fed by its own requests: it sends as many as it serves (the
+# ring and the forwarder) or more (the growing server), so a rule without
+# the strict decrease would play its tau forever and never show k!()
+UNSETTLED_SERVERS = [
+    ("growing", "new(a: i[unit], b)( b!() | !a(x).( b!() | b!() ) )"),
+    ("ring", "new(a: i[unit], b) new(c: i[unit], d)"
+             "( b!() | !a(x).d!(x) | !c(y).b!(y) )"),
+    ("forwarder", "new(a: i[unit], b)( b!() | !a(x).b!(x) )"),
+]
+
+
+@pytest.mark.parametrize("name,src", UNSETTLED_SERVERS,
+                         ids=[s[0] for s in UNSETTLED_SERVERS])
+def test_a_request_that_never_falls_keeps_every_move(name, src):
+    env = tenv("k: o[unit]")
+    q = parse_process(src)
+    p = Par(q, parse_process("k!()"))
+    # without the strict decrease, each of the three was equivalent
+    if name == "growing":
+        # the defender's closure grows without end, so no answer to k!()
+        # is ruled out at any tau budget; a small one keeps the states small
+        v = internal_bisim_n(frozenset(), p, q, 4, env=env,
+                             cfg=BisimConfig(tau_budget=20))
+        assert v.inconclusive and v.truncated
+    else:
+        v = internal_bisim_n(frozenset(), p, q, 4, env=env)
+        assert v.distinguished and v.witness[0].label == "k!()"
+        assert replay_witness(p, q, v, env=env)
+    game = _Game("internal", BisimConfig(), env)
+    assert "k!()" in [str(mu) for mu, _ in
+                      game.space.step(state(p, frozenset()))]
+
+
+def test_a_game_without_an_environment_keeps_the_full_lts():
+    # two receivers on a break property (1), which only a typed game
+    # checks; serving b!() to the server first hid the one-shot receiver's
+    # m!(), and the pair came out equivalent
+    p = proc("new(a: i[unit], b)( !a(x).k!() | a(y).m!() | b!() )")
+    q = proc("new(a: i[unit], b)( !a(x).k!() | a(y).m!() ) | k!()")
+    v = internal_bisim_n(frozenset(), p, q, 4)
+    assert v.distinguished and replay_witness(p, q, v)
+
+
+@pytest.mark.parametrize("rule", ["on", "off"])
+def test_laws_hold_in_the_reduced_and_the_full_game(monkeypatch, rule):
+    if rule == "off":
+        _rule_off(monkeypatch)
+    for name, *_ in LAWS:
+        assert _law_game(name).equivalent, name
+
+
+def _without_first_atom(seed):
+    """A generated program and the same without its first top-level atom,
+    both internalized, with their environment."""
+    from gen_typed import random_typed
+    from awpi.syntax import _chain, _par
+    env, p = random_typed(seed, size=6)
+    pairs, core = _split_chain(p)
+    q = _chain(pairs, _par(_par_list(core)[1:]))
+    return env, internalize(p, env), internalize(q, env)
+
+
+def test_reduced_game_distinguishes_what_the_full_game_does(monkeypatch):
+    # a distinction may take the reduced game a round more or fewer, so a
+    # depth-4 distinction of either game must be one of the other at 6
+    seeds = range(120)
+    fired = _record_priority(monkeypatch)
+    verdicts, reduced = {}, set()
+    for seed in seeds:
+        env, p, q = _without_first_atom(seed)
+        del fired[:]
+        for n in (4, 6):
+            verdicts[seed, "on", n] = internal_bisim_n(
+                frozenset(), p, q, n, env=env).result
+        if fired:
+            reduced.add(seed)
+    monkeypatch.undo()
+    _rule_off(monkeypatch)
+    for seed in seeds:
+        env, p, q = _without_first_atom(seed)
+        for n in (4, 6):
+            verdicts[seed, "off", n] = internal_bisim_n(
+                frozenset(), p, q, n, env=env).result
+    inconclusive = [k for k, v in verdicts.items() if v == INCONCLUSIVE]
+    print(f"{len(inconclusive)} inconclusive of {len(verdicts)} games; "
+          f"the rule fired on {len(reduced)} of {len(seeds)} pairs")
+    for seed in seeds:
+        for one, other in (("on", "off"), ("off", "on")):
+            if verdicts[seed, one, 4] == DISTINGUISHED:
+                assert verdicts[seed, other, 6] == DISTINGUISHED, seed
+    assert len(reduced) >= 10
+    assert sum(v == DISTINGUISHED for v in verdicts.values()) >= 100
+
+
+def test_a_prioritised_tau_is_a_tau_of_the_full_lts(monkeypatch):
+    from awpi.semantics import composite_step, settle
+    from test_encodings import BETA_ETA, _encode_pair
+    fired = _record_priority(monkeypatch)
+    # the law, beta/eta and distinguishing corpora
+    for name, *_ in LAWS:
+        _law_game(name)
+    unequal = ({}, "\\x:o. \\y:o. x", "\\x:o. \\y:o. y", "o -> o -> o")
+    for envs, lsrc, rsrc, tsrc in [row[1:] for row in BETA_ETA] + [unequal]:
+        le, re_, env, _, _ = _encode_pair(envs, lsrc, rsrc, tsrc)
+        internal_bisim_n(frozenset(), internalize(le, env),
+                         internalize(re_, env), 6, env=env)
+    env = tenv("a: o[unit]; k: o[unit]; c: o[o[unit]]")
+    internal_bisim_n(frozenset(), internalize(parse_process(
+        "new(bi: i[unit], b)( c!(b) | !bi(x).k!(x) )"), env),
+        internalize(parse_process("c!(a)"), env), 6, env=env)
+    assert len(fired) >= 20
+    for comp, out in fired:
+        (mu, target), = out
+        taus = {state(settle(c.process), c.delta).key
+                for nu, c in composite_step(comp) if isinstance(nu, Tau)}
+        assert isinstance(mu, Tau) and target.key in taus
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ from awpi import api
 from awpi import semantics as S
 from awpi.semantics import (
     BoundOut, Composite, FreeOut, In, Tau, TAU, composite_step, erase_label,
-    closure, erase_to_api, explore, lts_step, reduce, strong_barbs,
-    weak_barbs,
+    closure, erase_to_api, explore, lts_step, reduce, requests, settle,
+    strong_barbs, weak_barbs,
 )
 from awpi.encodings import _api_weak_barbs, encode_alpi, parse_alpi
 
@@ -99,6 +99,50 @@ def test_reduce_branching():
 def test_reduce_results_are_canonical():
     for q in reduce(proc("new(a: i[unit], b) ( a(x).(0 | 0) | b!() )")):
         assert q == canonical_process(q)
+
+
+def test_settle_fires_ready_destructors_under_par_and_new():
+    p = proc("k!() | let (u, v) = ((), ()) in case inl () { inl x -> "
+             "new(a: i[unit], b)( let (w, z) = (x, ()) in k!(w) | b!() ) ; "
+             "inr y -> c!(y) }")
+    assert print_process(settle(p)) == \
+        "k!() | new(a: i[unit], b) (k!() | b!())"
+    # what a firing leaves is a reduct, and none is left to fire
+    assert reduce(settle(p)) == set()
+
+
+@pytest.mark.parametrize("src", [
+    "k!()", "a(x).let (u, v) = ((), ()) in k!()",
+    "let (u, v) = x in k!()", "let (u, v) = ((), (), ()) in k!()",
+    "case x { inl y -> k!() ; inr z -> 0 }",
+    "new(a: i[unit], b)( b!() | !a(x).k!() )",
+])
+def test_settle_returns_a_process_with_no_ready_destructor(src):
+    p = proc(src)
+    assert settle(p) is p
+
+
+def test_requests_are_served_in_atom_order():
+    # two messages to a server on a restricted pair and one to a server on
+    # a connected pair; the message to a one-shot input is no request
+    c = canonicalize(proc("new(s: i[unit], t)( t!() | !s(x).k!() | t!() ) "
+                          "| !a(y).m!(y) | b!() | c(z).0 | d!()"))
+    delta = frozenset({(Name("a"), Name("b")), (Name("c"), Name("d"))})
+    served = [canonical_process(build())
+              for build in requests(c.process, delta)]
+    chain = "new(_: i[unit], _#1) (!_(_#2).k!() | _#1!() | "
+    at_t = chain + "!a(_#3).m!(_#3) | b!() | c(_#4).0 | d!() | k!())"
+    at_b = chain + "_#1!() | !a(_#3).m!(_#3) | c(_#4).0 | d!() | m!())"
+    assert [print_process(q) for q in served] == [at_t, at_t, at_b]
+    # serving on the restricted pair is the one reduction reduce finds
+    assert reduce(c.process) == {served[0]}
+    # outside the connection set, b!() is no request
+    assert [canonical_process(build())
+            for build in requests(c.process, frozenset())] == served[:2]
+    # nor when c(z).0 may receive it too
+    two = delta | {(Name("c"), Name("b"))}
+    assert [canonical_process(build())
+            for build in requests(c.process, two)] == served[:2]
 
 
 def test_internal_choice_reaches_two_outcomes():
@@ -394,26 +438,45 @@ def _count_calls(monkeypatch, modules):
     return calls
 
 
+def _count_api_walks(monkeypatch):
+    """Count the calls of ``api._frees`` on a node that keeps no names yet,
+    recursive calls included: each of them walks the node's children."""
+    calls = [0]
+    original = api._frees
+
+    def counted(p):
+        calls[0] += p._names is None
+        return original(p)
+
+    monkeypatch.setattr(api, "_frees", counted)
+    return calls
+
+
 @pytest.mark.parametrize("side", ["semantics", "api"])
 def test_lts_step_walks_a_wide_par_once(monkeypatch, side):
     import awpi.syntax
+    width = 64
     if side == "semantics":
         label, inp, out, par = In, SInput, SOutput, SPar
-        modules, step = (awpi.syntax, S), lambda p: lts_step(frozenset(), p)
+        step = lambda p: lts_step(frozenset(), p)
+        calls = _count_calls(monkeypatch, (awpi.syntax, S))
+        # re-walking a sibling's free names per step made 10,017 calls here
+        bound = 4 * width
     else:
         label, inp, out, par = api.InLabel, api.Input, api.Output, api.Par
-        modules, step = (api,), api.lts_step
-    width = 64
+        step = api.lts_step
+        calls = _count_api_walks(monkeypatch)
+        # one walk per node (2 * width - 1); keeping no names on the nodes
+        # made 4,220 walks here
+        bound = 2 * width
     body = out(Name("k"), VUNIT)
     subjects = [(Name(f"a{i}"), Name(f"x{i}")) for i in range(width)]
     atoms = [inp(a, x, body) for a, x in subjects]
     p = _left_par(atoms, par)
     expected = [(label(a, x), _left_par(atoms[:i] + [body] + atoms[i + 1:], par))
                 for i, (a, x) in enumerate(subjects)]
-    calls = _count_calls(monkeypatch, modules)
     steps = step(p)
-    # re-walking a sibling's free names per step made 10,017 calls here
-    assert calls[0] <= 4 * width
+    assert calls[0] <= bound
     assert steps == expected
 
 
