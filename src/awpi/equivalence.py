@@ -214,9 +214,8 @@ class _Space:
         normal form for congruence, they have the same canonical process
         and key, so returning the stored state changes no key, verdict,
         witness or bound, nor does settling, which fires the same atoms.
-        The table is incomplete: atoms or chains equal only up to
-        alpha-renaming, a chain in another order, or a restriction no atom
-        uses, miss it and are canonicalized as before.
+        Atoms or chains equal only up to alpha-renaming, a chain in another
+        order, or a restriction no atom uses miss the table.
         """
         pairs, core = _split_chain(p)
         atoms = Counter(a for a in _par_list(core) if not isinstance(a, Nil))
@@ -245,7 +244,8 @@ class _Space:
 
 def _lts(space: _Space, comp: Composite):
     """The connection-set LTS.  Tau targets are built as states, once per
-    space; every other target stays raw until the game reads it."""
+    space; every other target stays raw until the game reads it.  A typed
+    internal game reads it only where no request is served first."""
     return [(mu, space.state(c2.process, c2.delta) if isinstance(mu, Tau)
              else c2) for mu, c2 in composite_step(comp)]
 

@@ -663,10 +663,9 @@ def test_a_game_without_an_environment_keeps_the_full_lts():
     assert v.distinguished and replay_witness(p, q, v)
 
 
-@pytest.mark.parametrize("rule", ["on", "off"])
-def test_laws_hold_in_the_reduced_and_the_full_game(monkeypatch, rule):
-    if rule == "off":
-        _rule_off(monkeypatch)
+def test_laws_hold_in_the_full_game_too(monkeypatch):
+    # test_law plays them in the reduced game
+    _rule_off(monkeypatch)
     for name, *_ in LAWS:
         assert _law_game(name).equivalent, name
 
