@@ -824,7 +824,7 @@ def weak_bisim(p: Process, q: Process, delta=frozenset(), cfg=None):
     return _verdict(_Game("weak", cfg), state(p, delta), state(q, delta), cfg)
 
 
-def weak_sim(p: Process, q: Process, cfg=None, delta=frozenset()):
+def weak_sim(p: Process, q: Process, delta=frozenset(), cfg=None):
     """Does q weakly simulate p: every move of p has a weak answer in q."""
     cfg = cfg or BisimConfig()
     return _verdict(_Game("sim", cfg), state(p, delta), state(q, delta), cfg)

@@ -246,11 +246,11 @@ def is_internal(p: Process, env) -> bool:
     One walk checks every restriction level (:func:`_chk`) and returns,
     from each subterm, its free payload occurrences, so a level reads its
     pair ends' occurrences off its atoms instead of walking them once per
-    end.  The free names of a wire's body come from one table per call
-    (``syntax._frees``, keyed by node id).
+    end.  The free names of a wire's body are the ones it keeps
+    (``syntax._frees``).
     """
     try:
-        _shallow(_chk, p, dict(env), {})
+        _shallow(_chk, p, dict(env))
     except _External:
         return False
     return True
@@ -260,7 +260,7 @@ class _External(Exception):
     """An output of the process checked is not in the internal shape."""
 
 
-def _chk(p: Process, env, table) -> dict:
+def _chk(p: Process, env) -> dict:
     """The free occurrences of each name inside output payloads of ``p``,
     at any depth, as name -> count, where ``p`` is checked as one level: a
     restriction chain over a ``|`` of atoms.  Subject, forward-target and
@@ -271,8 +271,7 @@ def _chk(p: Process, env, table) -> dict:
     atoms = _par_list(core)
     if pairs:
         env = dict(env)
-    in_of = {}
-    out_of = {}
+    in_of, out_of = {}, {}
     for a, b, t in pairs:
         env[a] = t
         env[b] = dual(t)
@@ -290,21 +289,21 @@ def _chk(p: Process, env, table) -> dict:
             t = env.get(atom.subject)
             env2 = dict(env)
             env2[atom.param] = t.payload if _is_chan(t) else ANY
-            occ = _chk(atom.body, env2, table)
+            occ = _chk(atom.body, env2)
             occ.pop(atom.param, None)
         elif isinstance(atom, Res):
-            occ = _chk(atom, env, table)
+            occ = _chk(atom, env)
         elif isinstance(atom, LetTuple):
             env2 = dict(env)
             env2.update(zip(atom.params, _let_types(atom, env)))
-            occ = _chk(atom.body, env2, table)
+            occ = _chk(atom.body, env2)
             for x in atom.params:
                 occ.pop(x, None)
         elif isinstance(atom, Case):
             lt, rt = _branch_types(atom.scrutinee, env)
-            occ = _chk(atom.left_body, {**env, atom.left_param: lt}, table)
+            occ = _chk(atom.left_body, {**env, atom.left_param: lt})
             occ.pop(atom.left_param, None)
-            right = _chk(atom.right_body, {**env, atom.right_param: rt}, table)
+            right = _chk(atom.right_body, {**env, atom.right_param: rt})
             right.pop(atom.right_param, None)
             for m, k in right.items():
                 occ[m] = occ.get(m, 0) + k
@@ -329,12 +328,12 @@ def _chk(p: Process, env, table) -> dict:
             # wire, an input that forwards its parameter onward
             c = in_of[m]
             served = any(isinstance(w, (Input, RepInput)) and w.subject == c
-                         and w.param in _frees(w.body, table) for w in rest)
+                         and w.param in _frees(w.body) for w in rest)
         else:
             # exported input end: some wire forwards into the companion
             c = out_of[m]
             served = any(isinstance(w, (Input, RepInput))
-                         and c in _frees(w.body, table) for w in rest)
+                         and c in _frees(w.body) for w in rest)
         if not served:
             raise _External
     for a, b, _ in pairs:

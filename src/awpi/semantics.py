@@ -32,7 +32,7 @@ from . import api
 from .syntax import (
     Case, CanonicalForm, ChanType, Input, LetTuple, Name, Nil, NIL, Output,
     Par, Process, RepInput, Res, SUCCESS, VInl, VInr, VName, VTuple, VUNIT,
-    Value, _chain, _node, _par, _par_list, _shallow, _split_chain,
+    Value, _chain, _frees, _node, _par, _par_list, _shallow, _split_chain,
     canonicalize, canonical_process, free_names, fresh_name, parse_name,
     print_value,
     rename_free, substitute, substitute_value, value_names,
@@ -172,31 +172,30 @@ def lts_step(delta, p: Process):
 
     Ground style: input parameters stay uninstantiated.  The caller is
     expected to have canonicalized ``p`` (or otherwise guaranteed distinct
-    bound names, disjoint from n(delta)).  One bottom-up walk: each
-    subterm's transitions come with its free names, so a ``|`` node
-    freshens bound labels without re-walking a sibling once per step.
+    bound names, disjoint from n(delta)).  One bottom-up walk: a ``|`` node
+    freshens bound labels against the free names its children keep (see
+    ``syntax._frees``), instead of re-walking a sibling once per step.
     """
-    return _steps(delta, p)[0]
+    return _steps(delta, p)
 
 
 def _steps(delta, p: Process):
-    """``(transitions of p, free names of p)``."""
+    """The transitions of ``p``."""
     if isinstance(p, Par):
         # the left | spine in a loop, combined as the recursion would
         spine = []
         while isinstance(p, Par):
             spine.append(p)
             p = p.left
-        steps, names = _steps(delta, p)
+        steps = _steps(delta, p)
         for node in reversed(spine):
-            steps, names = _par_steps(delta, node, steps, names)
-        return steps, names
+            steps = _par_steps(delta, node, steps)
+        return steps
     out = []
     if isinstance(p, Res):
         pair = {p.in_name, p.out_name}
         inner = frozenset(delta) | {(p.in_name, p.out_name)}
-        steps, names = _steps(inner, p.body)
-        for mu, q in steps:
+        for mu, q in _steps(inner, p.body):
             if isinstance(mu, Tau):
                 out.append((TAU, Res(p.in_name, p.out_name, p.in_type, q)))
                 continue
@@ -218,7 +217,7 @@ def _steps(delta, p: Process):
                     or _binds_any(mu, pair)):
                 continue
             out.append((mu, Res(p.in_name, p.out_name, p.in_type, q)))
-        return out, names - pair
+        return out
     if isinstance(p, Input):
         out.append((In(p.subject, p.param), p.body))
     elif isinstance(p, RepInput):
@@ -238,12 +237,13 @@ def _steps(delta, p: Process):
                                         {p.right_param: p.scrutinee.value})))
     elif not isinstance(p, Nil):
         raise TypeError(f"not a process: {p!r}")
-    return out, free_names(p)
+    return out
 
 
-def _par_steps(delta, p: Par, lsteps, lnames):
-    """The transitions and free names of ``p`` from those of ``p.left``."""
-    rsteps, rnames = _steps(delta, p.right)
+def _par_steps(delta, p: Par, lsteps):
+    """The transitions of ``p`` from those of ``p.left``."""
+    rsteps = _steps(delta, p.right)
+    lnames, rnames = _frees(p.left), _frees(p.right)
     out = []
     for mu, l2 in lsteps:
         mu2, l3 = _freshen_bound(mu, l2, rnames)
@@ -269,7 +269,7 @@ def _par_steps(delta, p: Par, lsteps, lnames):
                         continue
                     # keep the extruded pair clear of the receiving side
                     mu_o2, qo2 = _freshen_bound(
-                        mu_o, qo, free_names(pi) | {mu_i.param})
+                        mu_o, qo, _frees(pi) | {mu_i.param})
                     inst = substitute(pi, {mu_i.param: VName(mu_o2.exported)})
                     body = Par(inst, qo2) if fromleft else Par(qo2, inst)
                     if mu_o2.exported_is_input:
@@ -277,7 +277,7 @@ def _par_steps(delta, p: Par, lsteps, lnames):
                     else:
                         a, b = mu_o2.companion, mu_o2.exported
                     out.append((TAU, Res(a, b, mu_o2.in_type, body)))
-    return out, lnames | rnames
+    return out
 
 
 

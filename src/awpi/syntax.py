@@ -33,7 +33,9 @@ equal; AST nodes as tagged tuples also measured no faster on the front end,
 as their fields are read through descriptors all the same.  Process and
 value nodes are slotted (``__slots__`` on :class:`Process` and
 :class:`Value` and ``_node(slots=True)`` on each node), so a node has no
-per-instance ``__dict__``.
+per-instance ``__dict__``.  A process node has one more slot, ``_names``:
+nodes are immutable, so each keeps its free names once :func:`_frees`
+finds them, and no walk keeps a table of them.
 
 Every node class of the package (processes, values, types and labels
 here and in ``api``, ``semantics``, ``encodings`` and ``typecheck``, and
@@ -354,7 +356,13 @@ def _value_counts(v: Value, counts):
 # ---------------------------------------------------------------------------
 
 class Process:
-    __slots__ = ()
+    # the free names, once :func:`_frees` has found them and stored them
+    # through the slot's own setter (``_node_setattr`` refuses them); a
+    # slot, not a field, so equality, hash, repr and ``fields`` miss them
+    __slots__ = ("_names",)
+
+
+_keep_names = Process._names.__set__
 
 
 @_node(slots=True)
@@ -488,41 +496,50 @@ def _unbind_all(env, names, olds):
 def free_names(p: Process) -> frozenset:
     """The free names of ``p``.  Raises ValueError on a process nested too
     deeply for the recursion limit (a ``|`` chain of any width is fine)."""
-    return _shallow(_frees, p, {})
+    return _shallow(_frees, p)
 
 
-def _frees(p: Process, table) -> frozenset:
-    """The free names of ``p``.  ``table`` maps ``id(node)`` to (node, free
-    names) for every node above a leaf that a walk with it has reached,
-    filled in post order, so that a caller that asks about a subterm and
-    again about the subterms within it, as ``typecheck``, ``is_internal``
-    and :func:`substitute` do, walks each node once in all; it holds each
-    node, so no id in it is reused while it lives."""
-    if isinstance(p, Output):
-        return frozenset((p.subject,)) | value_names(p.payload)
-    if isinstance(p, Nil):
-        return frozenset()
-    hit = table.get(id(p))
-    if hit is not None:
-        return hit[1]
+def _frees(p: Process) -> frozenset:
+    """The free names of ``p``, kept on the node the first time they are
+    found, as a ``str`` keeps its hash, so a subterm that many states share
+    or that a walk asks about again is walked once in its life."""
+    out = getattr(p, "_names", None)
+    if out is not None:
+        return out
     if isinstance(p, Par):
-        # the | spine is walked in a loop, so a wide composition cannot
-        # exhaust the recursion limit
-        free = frozenset().union(*[_frees(q, table) for q in _par_list(p)])
-    elif isinstance(p, (Input, RepInput)):
-        free = frozenset((p.subject,)) | (_frees(p.body, table) - {p.param})
+        # the | tree in a loop, not by recursion, down to nodes that keep
+        # names; only p keeps them, as a set per inner | is quadratic
+        names, todo = set(), [p]
+        while todo:
+            q = todo.pop()
+            if isinstance(q, Par) and getattr(q, "_names", None) is None:
+                todo += (q.left, q.right)
+            else:
+                names |= _frees(q)
+        out = frozenset(names)
     elif isinstance(p, Res):
-        free = _frees(p.body, table) - {p.in_name, p.out_name}
+        # a chain in a loop too: normalization merges a wide |'s pairs
+        bound, q = [p.in_name, p.out_name], p.body
+        while isinstance(q, Res) and getattr(q, "_names", None) is None:
+            bound += (q.in_name, q.out_name)
+            q = q.body
+        out = _frees(q).difference(bound)
+    elif isinstance(p, Output):
+        out = frozenset((p.subject,)) | value_names(p.payload)
+    elif isinstance(p, Nil):
+        out = frozenset()
+    elif isinstance(p, (Input, RepInput)):
+        out = frozenset((p.subject,)) | (_frees(p.body) - {p.param})
     elif isinstance(p, LetTuple):
-        free = value_names(p.scrutinee) | (_frees(p.body, table) - set(p.params))
+        out = value_names(p.scrutinee) | (_frees(p.body) - set(p.params))
     elif isinstance(p, Case):
-        free = (value_names(p.scrutinee)
-                | (_frees(p.left_body, table) - {p.left_param})
-                | (_frees(p.right_body, table) - {p.right_param}))
+        out = (value_names(p.scrutinee)
+               | (_frees(p.left_body) - {p.left_param})
+               | (_frees(p.right_body) - {p.right_param}))
     else:
         raise TypeError(f"not a process: {p!r}")
-    table[id(p)] = (p, free)
-    return free
+    _keep_names(p, out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -560,22 +577,21 @@ def substitute(p: Process, mapping) -> Process:
     name, the names substituted for, the binder's other names and the free
     names of its scope.  A refreshed binder that meets an inner binder of
     the same name is substituted into that binder's scope like any other
-    value, so the inner binder is refreshed in turn.  One call keeps one
-    table of free names (:func:`_frees`), so a subterm's free names are
-    computed at most once per call, when a binder above it is passed, and
-    the work is linear in the size of ``p``, however deeply it nests.
+    value, so the inner binder is refreshed in turn.  The free names kept
+    on each node (see :func:`_frees`) guard every subterm and serve every
+    refresh, so a subterm's names are found once, not once per binder
+    above it, and the work is linear in the size of ``p``, however deeply
+    it nests.
     """
     mapping = {k: v for k, v in mapping.items() if not (isinstance(v, VName) and v.name == k)}
-    table = {}
-    if not mapping or mapping.keys().isdisjoint(_shallow(_frees, p, table)):
+    if not mapping or mapping.keys().isdisjoint(_shallow(_frees, p)):
         return p
-    return _shallow(_subst, p, mapping, table)
+    return _shallow(_subst, p, mapping)
 
 
-def _subst_binders(binders, mapping, p, table):
-    """Refresh ``binders`` as needed; returns (new binders, inner mapping).
-    ``table`` is the call's table of free names."""
-    free = _frees(p, table)
+def _subst_binders(binders, mapping, p):
+    """Refresh ``binders`` as needed; returns (new binders, inner mapping)."""
+    free = _frees(p)
     relevant = {k: v for k, v in mapping.items() if k not in binders and k in free}
     if not relevant:
         # nothing to substitute below; keep binders untouched
@@ -598,7 +614,7 @@ def _subst_binders(binders, mapping, p, table):
     return out, {**relevant, **renames}
 
 
-def _subst(p: Process, mapping, table) -> Process:
+def _subst(p: Process, mapping) -> Process:
     if isinstance(p, Nil):
         return p
     if isinstance(p, Par):
@@ -607,33 +623,33 @@ def _subst(p: Process, mapping, table) -> Process:
         while isinstance(p, Par):
             rights.append(p.right)
             p = p.left
-        out = _subst(p, mapping, table)
+        out = _subst(p, mapping)
         for r in reversed(rights):
-            out = Par(out, _subst(r, mapping, table))
+            out = Par(out, _subst(r, mapping))
         return out
     if isinstance(p, Output):
         return Output(_subst_subject(p.subject, mapping),
                       substitute_value(p.payload, mapping))
     if isinstance(p, (Input, RepInput)):
         subject = _subst_subject(p.subject, mapping)
-        (param,), inner = _subst_binders((p.param,), mapping, p.body, table)
-        body = _subst(p.body, inner, table) if inner else p.body
+        (param,), inner = _subst_binders((p.param,), mapping, p.body)
+        body = _subst(p.body, inner) if inner else p.body
         return type(p)(subject, param, body)
     if isinstance(p, Res):
-        (a, b), inner = _subst_binders((p.in_name, p.out_name), mapping, p.body, table)
-        body = _subst(p.body, inner, table) if inner else p.body
+        (a, b), inner = _subst_binders((p.in_name, p.out_name), mapping, p.body)
+        body = _subst(p.body, inner) if inner else p.body
         return Res(a, b, p.in_type, body)
     if isinstance(p, LetTuple):
         scrut = substitute_value(p.scrutinee, mapping)
-        params, inner = _subst_binders(tuple(p.params), mapping, p.body, table)
-        body = _subst(p.body, inner, table) if inner else p.body
+        params, inner = _subst_binders(tuple(p.params), mapping, p.body)
+        body = _subst(p.body, inner) if inner else p.body
         return LetTuple(tuple(params), scrut, body)
     if isinstance(p, Case):
         scrut = substitute_value(p.scrutinee, mapping)
-        (lp,), linner = _subst_binders((p.left_param,), mapping, p.left_body, table)
-        (rp,), rinner = _subst_binders((p.right_param,), mapping, p.right_body, table)
-        lbody = _subst(p.left_body, linner, table) if linner else p.left_body
-        rbody = _subst(p.right_body, rinner, table) if rinner else p.right_body
+        (lp,), linner = _subst_binders((p.left_param,), mapping, p.left_body)
+        (rp,), rinner = _subst_binders((p.right_param,), mapping, p.right_body)
+        lbody = _subst(p.left_body, linner) if linner else p.left_body
+        rbody = _subst(p.right_body, rinner) if rinner else p.right_body
         return Case(scrut, lp, lbody, rp, rbody)
     raise TypeError(f"not a process: {p!r}")
 
@@ -936,9 +952,10 @@ class _Parser(TokenStream):
         self.success = {(s.base, s.index): s for s in success}
         # one frame per polyadic input body being read, innermost last:
         # [indices k of the regular names _v#k read or bound in it, the
-        # least k not known to be among them].  Tables of the bodies' free
-        # and bound names, as substitute keeps, would visit each node once
-        # but still copy the names and try _v#1, _v#2, ... at every level.
+        # least k not known to be among them].  The bodies' free and bound
+        # names, kept on each node as free names are (_frees), would visit
+        # each node once but still copy the names and try _v#1, _v#2, ...
+        # at every level.
         self.v_frames = [[set(), 1]]
 
     # -- names ------------------------------------------------------------
@@ -1290,16 +1307,15 @@ _NIL_ENTRY = ("0", None)
 
 
 class _Canon:
-    """The tables of one :func:`canonicalize` call, all keyed by ``id``.
+    """The tables of one :func:`canonicalize` call, both keyed by ``id``.
 
-    ``fvs`` maps ``id(node)`` to ``(node, free names)`` for every node of
-    the normalized process: :meth:`normalize` records a node's free names
-    as it makes it, from its children's.  Holding the node keeps its id
-    from being reused while the call runs.  ``parts`` maps ``id(level)`` to
-    the level's ``(pairs, atoms)``, recorded by :meth:`_merge`, so that no
-    level is split again.  ``memo`` maps ``(id(node), depth, shape, labels
-    of the node's free names)`` to the node's entry ``(certificate,
-    plan)``.
+    Free names are read from the nodes, which keep them (:func:`_frees`).
+    ``parts`` maps ``id(level)`` to ``(level, pairs, atoms)``, recorded by
+    :meth:`_merge`, so that no level is split again.  ``memo`` maps
+    ``(id(node), depth, shape, labels of the node's free names)`` to
+    ``(node, entry)``, where the entry is ``(certificate, plan)``.  Each
+    table holds its nodes, so no id in it is reused while the call runs,
+    though normalization drops the levels it merges into larger ones.
 
     A plan is the certificate's decisions, kept beside it so that
     :meth:`build` only follows them: an input's or a let's plan is its
@@ -1310,12 +1326,8 @@ class _Canon:
     """
 
     def __init__(self):
-        self.fvs = {id(NIL): (NIL, frozenset())}
         self.parts = {}
         self.memo = {}
-
-    def fv(self, p):
-        return self.fvs[id(p)][1]
 
     # -- normalization ----------------------------------------------------
 
@@ -1326,8 +1338,8 @@ class _Canon:
         of atoms (inputs, outputs, lets and cases), in source order.  A
         whole chain is merged at once; one whose pairs repeat a name is
         merged one scope at a time, so that no level binds a name twice.
-        Every node of the result has its entry in ``fvs``.  An input, let
-        or case none of whose bodies changed is kept, not rebuilt.
+        An input, let or case none of whose bodies changed is kept, not
+        rebuilt.
         """
         if isinstance(p, (Par, Res)):
             pairs, core = _split_chain(p)
@@ -1336,44 +1348,33 @@ class _Canon:
             return self._merge(pairs, [self.normalize(c) for c in _par_list(core)])
         if isinstance(p, (Input, RepInput)):
             body = self.normalize(p.body)
-            names = (self.fv(body) - {p.param}) | {p.subject}
             if body is not p.body:
                 p = type(p)(p.subject, p.param, body)
         elif isinstance(p, LetTuple):
             body = self.normalize(p.body)
-            names = (self.fv(body) - set(p.params)) | value_names(p.scrutinee)
             if body is not p.body:
                 p = LetTuple(p.params, p.scrutinee, body)
         elif isinstance(p, Case):
             left, right = self.normalize(p.left_body), self.normalize(p.right_body)
-            names = (value_names(p.scrutinee) | (self.fv(left) - {p.left_param})
-                     | (self.fv(right) - {p.right_param}))
             if left is not p.left_body or right is not p.right_body:
                 p = Case(p.scrutinee, p.left_param, left, p.right_param, right)
-        elif isinstance(p, Output):
-            names = value_names(p.payload) | {p.subject}
-        elif isinstance(p, Nil):
-            names = frozenset()
-        else:
+        elif not isinstance(p, (Output, Nil)):
             raise TypeError(f"not a process: {p!r}")
-        self.fvs[id(p)] = (p, names)
         return p
 
     def _merge(self, pairs, comps):
         """Combine components under one restriction chain with capture
         avoidance; a pair no atom uses is dropped (scope extrusion and the
-        nil axioms derive this).  A component's parts and free names are
-        read from the tables, and the new level's are recorded there.  An
-        atom is renamed, and normalized again, only when it uses a renamed
-        pair."""
-        fvs, parts = self.fvs, self.parts
-        taken = set().union(*[fvs[id(c)][1] for c in comps])
-        for a, b, _ in pairs:
-            taken |= {a, b}
+        nil axioms derive this).  A component's parts are read from
+        ``parts``, and the new level's are recorded there.  An atom is
+        renamed, and normalized again, only when it uses a renamed pair."""
+        parts = self.parts
+        taken = set().union(*map(_frees, comps), *[pair[:2] for pair in pairs])
         pairs = list(pairs)
         atoms = []
         for c in comps:
-            cpairs, catoms = parts.get(id(c)) or ([], [] if isinstance(c, Nil) else [c])
+            _, cpairs, catoms = parts.get(id(c)) or (
+                c, [], [] if isinstance(c, Nil) else [c])
             renames = {}
             for a, b, t in cpairs:
                 for n in (a, b):
@@ -1382,18 +1383,16 @@ class _Canon:
                     taken.add(renames.get(n, n))
                 pairs.append((renames.get(a, a), renames.get(b, b), t))
             for atom in catoms:
-                if renames and not renames.keys().isdisjoint(fvs[id(atom)][1]):
+                if renames and not renames.keys().isdisjoint(_frees(atom)):
                     atom = self.normalize(rename_free(atom, renames))
                 atoms.append(atom)
         if not atoms:
             return NIL
-        used = set().union(*[fvs[id(x)][1] for x in atoms])
+        used = set().union(*map(_frees, atoms))
         pairs = [(a, b, t) for a, b, t in pairs if a in used or b in used]
         node = _chain(pairs, _par(atoms))
         if node is not atoms[0]:
-            fvs[id(node)] = (node, frozenset(used).difference(
-                *[(a, b) for a, b, _ in pairs]))
-            parts[id(node)] = (pairs, atoms)
+            parts[id(node)] = (node, pairs, atoms)
         return node
 
     # -- certificates -----------------------------------------------------
@@ -1417,10 +1416,10 @@ class _Canon:
                     f"!({_render_value(p.payload, env)})", None)
         if isinstance(p, Nil):
             return _NIL_ENTRY
-        key = (id(p), d, shape, tuple(map(env.get, self.fvs[id(p)][1])))
+        key = (id(p), d, shape, tuple(map(env.get, _frees(p))))
         got = self.memo.get(key)
         if got is not None:
-            return got
+            return got[1]
         if isinstance(p, (Input, RepInput)):
             x = f"%{d}"
             head = (f"{'!' if isinstance(p, RepInput) else ''}"
@@ -1449,14 +1448,15 @@ class _Canon:
                  f"{{inl {x}->({left[0]});inr {x}->({right[0]})}}")
         else:
             s, plan = self._level(p, d, env, shape)
-        got = self.memo[key] = (s, plan)
+        got = s, plan
+        self.memo[key] = p, got
         return got
 
     def _level(self, p, d, env, shape):
         """Entry of a restriction chain over ``|``: its connected components
         (atoms linked by the pairs they use) in certificate order,
         components with pairs first."""
-        pairs, atoms = self.parts[id(p)]
+        _, pairs, atoms = self.parts[id(p)]
         if shape:
             slots = dict(env)
             for a, b, t in pairs:
@@ -1490,7 +1490,7 @@ class _Canon:
 
         uses = []
         for x in atoms:
-            ks = list(map(owner.__getitem__, self.fv(x) & owner.keys()))
+            ks = list(map(owner.__getitem__, _frees(x) & owner.keys()))
             uses.append(ks)
             for k in ks[1:]:
                 root[find(k)] = find(ks[0])
@@ -1532,7 +1532,7 @@ class _Canon:
                 out.append(((got[1],) + role, got[0]))
 
         def walk(q, depth, names):
-            if not names.keys() & self.fv(q):
+            if not names.keys() & _frees(q):
                 return
             if isinstance(q, Output):
                 use(q.subject, ("o", depth, -1), names)
@@ -1544,7 +1544,7 @@ class _Canon:
                                 depth, -1), names)
                 walk(q.body, depth + 1, _hide(names, (q.param,)))
             elif isinstance(q, (Res, Par)):
-                pairs, atoms = self.parts[id(q)]
+                _, pairs, atoms = self.parts[id(q)]
                 inner = _hide(names, [n for a, b, _ in pairs for n in (a, b)])
                 for c in atoms:
                     walk(c, depth, inner)
@@ -1743,7 +1743,7 @@ def canonicalize(p: Process) -> CanonicalForm:
 def _canonicalize(p: Process) -> CanonicalForm:
     c = _Canon()
     norm = c.normalize(p)
-    start = max((n.index + 1 for n in c.fv(norm)
+    start = max((n.index + 1 for n in _frees(norm)
                  if n.base == "_" and n.kind == REGULAR), default=0)
     entry = c.render(norm, 0, {}, False)
     alloc = map(Name, repeat("_"), count(start))

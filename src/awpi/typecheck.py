@@ -11,13 +11,13 @@ the 1-input property.
 The checker is algorithmic: it walks the term top-down with a lexically
 scoped environment and validates each multiplicative split (parallel
 composition, output payloads, destructor scrutinees) by requiring the shared
-free names to be copyable.  The free names of the subterms it compares come
-from one table per :func:`typecheck` call (``syntax._frees``, keyed by node
-id), so each subterm is walked once, not once per ancestor.  The
-environment is one dict per call, where a binder is bound in place while
-its scope is checked, and the path to the node checked is one stack, read
-only when an error is reported; so no level copies either, and a deep
-chain of binders is checked in linear time.
+free names to be copyable.  The free names of the subterms it compares are
+the ones each node keeps (``syntax._frees``), so each subterm is walked
+once in its life, not once per ancestor.  The environment is one dict per
+call, where a binder is bound in place while its scope is checked, and the
+path to the node checked is one stack, read only when an error is
+reported; so no level copies either, and a deep chain of binders is
+checked in linear time.
 """
 
 from __future__ import annotations
@@ -221,7 +221,7 @@ def _subject_type(env, subject, path, rule, want_mode):
     return t
 
 
-def _check(env: dict, p: Process, path: list, table):
+def _check(env: dict, p: Process, path: list):
     """Check ``p`` under ``env``.  A binder is bound in ``env`` in place
     while its body is checked, and ``path`` is the stack of steps from the
     root, pushed and popped in place, so that neither is copied per level;
@@ -233,13 +233,13 @@ def _check(env: dict, p: Process, path: list, table):
         comps = _par_list(p)
         seen, shared = set(), set()
         for c in comps:
-            names = _frees(c, table)
+            names = _frees(c)
             shared |= seen & names
             seen |= names
         _shared_ok(env, shared, path, "Par")
         for i, c in enumerate(comps):
             path.append(f"par{i}")
-            _check(env, c, path, table)
+            _check(env, c, path)
             path.pop()
         return
     if isinstance(p, Output):
@@ -272,7 +272,7 @@ def _check(env: dict, p: Process, path: list, table):
         _check_success_binder((p.param,), path, rule)
         owned = None  # an affine subject, which the body does not own
         if rep:
-            for n in sorted(_frees(p.body, table) - {p.param}):
+            for n in sorted(_frees(p.body) - {p.param}):
                 rt = env.get(n)
                 if rt is None or is_copyable(rt):
                     continue  # an unbound name is reported where it is used
@@ -285,13 +285,13 @@ def _check(env: dict, p: Process, path: list, table):
                     f"{n} : {rt} is affine and cannot occur under replication")
         elif t.mode == "li":
             owned = env.pop(p.subject)
-            if p.subject in _frees(p.body, table) and p.param != p.subject:
+            if p.subject in _frees(p.body) and p.param != p.subject:
                 raise TypingError(
                     "LinearReuse", path,
                     f"affine input name {p.subject} reused in its own body")
         old = _bind(env, p.param, t.payload)
         path.append("body")
-        _check(env, p.body, path, table)
+        _check(env, p.body, path)
         path.pop()
         _unbind(env, p.param, old)
         if owned is not None:
@@ -305,13 +305,13 @@ def _check(env: dict, p: Process, path: list, table):
         ends = (p.in_name, p.out_name)
         olds = _bind_all(env, ends, (p.in_type, dual(p.in_type)))
         path.append("body")
-        _check(env, p.body, path, table)
+        _check(env, p.body, path)
         path.pop()
         _unbind_all(env, ends, olds)
         return
     if isinstance(p, LetTuple):
         _check_success_binder(p.params, path, "With")
-        body_frees = _frees(p.body, table) - set(p.params)
+        body_frees = _frees(p.body) - set(p.params)
         _shared_ok(env, value_names(p.scrutinee) & body_frees, path, "With")
         st = typecheck_value(env, p.scrutinee, path, "With")
         if isinstance(st, AnyType):
@@ -324,14 +324,14 @@ def _check(env: dict, p: Process, path: list, table):
                               f"but the scrutinee has type {st}")
         olds = _bind_all(env, p.params, comp)
         path.append("body")
-        _check(env, p.body, path, table)
+        _check(env, p.body, path)
         path.pop()
         _unbind_all(env, p.params, olds)
         return
     if isinstance(p, Case):
         _check_success_binder((p.left_param, p.right_param), path, "Case")
-        branch_frees = ((_frees(p.left_body, table) - {p.left_param})
-                        | (_frees(p.right_body, table) - {p.right_param}))
+        branch_frees = ((_frees(p.left_body) - {p.left_param})
+                        | (_frees(p.right_body) - {p.right_param}))
         _shared_ok(env, value_names(p.scrutinee) & branch_frees, path, "Case")
         st = typecheck_value(env, p.scrutinee, path, "Case")
         if isinstance(st, AnyType):
@@ -346,7 +346,7 @@ def _check(env: dict, p: Process, path: list, table):
                                    p.right_body)):
             old = _bind(env, x, tx)
             path.append(step)
-            _check(env, body, path, table)
+            _check(env, body, path)
             path.pop()
             _unbind(env, x, old)
         return
@@ -357,11 +357,11 @@ def typecheck(env: dict, p: Process) -> TypeVerdict:
     """Check ``p`` under ``env`` (success names are implicitly o[unit]).
 
     The checks run top down, in the order that fixes the first error
-    reported; the free names they read come from one table for the call,
-    filled in post order the first time a subterm is asked about.
+    reported; the free names they read are kept on the nodes, found the
+    first time a subterm is asked about.
     """
     try:
-        _shallow(_check, dict(env), p, [], {})
+        _shallow(_check, dict(env), p, [])
     except TypingError as e:
         return TypeVerdict(False, [e])
     return TypeVerdict(True, [])

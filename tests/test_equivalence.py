@@ -98,6 +98,17 @@ def test_weak_sim_is_one_directional():
     assert weak_sim(big, small).distinguished
 
 
+def test_weak_sim_takes_delta_third_as_the_other_checkers_do():
+    # a(x).k!() | b!() reaches k!() only through the pair (a, b)
+    small, big = proc("k!()"), proc("a(x).k!() | b!()")
+    delta = frozenset({(Name("a"), Name("b"))})
+    v = weak_sim(small, big, delta)
+    w = weak_sim(small, big, delta=delta)
+    assert v.equivalent
+    assert (v.result, v.witness, v.bounds) == (w.result, w.witness, w.bounds)
+    assert weak_sim(small, big).distinguished
+
+
 def test_barbed_requires_closed_terms():
     with pytest.raises(NotClosed):
         barbed_bisim(parse_process("a(x).0"), parse_process("0"))

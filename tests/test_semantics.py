@@ -423,18 +423,20 @@ def _left_par(atoms, par):
     return out
 
 
-def _count_calls(monkeypatch, modules):
-    """Count calls of ``free_names`` through each of ``modules``' bindings,
-    recursive calls included."""
+def _count_syntax_walks(monkeypatch):
+    """Count the calls of ``syntax._frees`` on a node that keeps no names
+    yet, through the bindings of ``syntax`` and ``semantics``, recursive
+    calls included: each of them walks the node's children."""
+    import awpi.syntax
     calls = [0]
-    for m in modules:
-        original = m.free_names
+    original = awpi.syntax._frees
 
-        def counted(p, _original=original):
-            calls[0] += 1
-            return _original(p)
+    def counted(p):
+        calls[0] += getattr(p, "_names", None) is None
+        return original(p)
 
-        monkeypatch.setattr(m, "free_names", counted)
+    for m in (awpi.syntax, S):
+        monkeypatch.setattr(m, "_frees", counted)
     return calls
 
 
@@ -454,21 +456,19 @@ def _count_api_walks(monkeypatch):
 
 @pytest.mark.parametrize("side", ["semantics", "api"])
 def test_lts_step_walks_a_wide_par_once(monkeypatch, side):
-    import awpi.syntax
     width = 64
     if side == "semantics":
         label, inp, out, par = In, SInput, SOutput, SPar
         step = lambda p: lts_step(frozenset(), p)
-        calls = _count_calls(monkeypatch, (awpi.syntax, S))
-        # re-walking a sibling's free names per step made 10,017 calls here
-        bound = 4 * width
+        calls = _count_syntax_walks(monkeypatch)
     else:
         label, inp, out, par = api.InLabel, api.Input, api.Output, api.Par
         step = api.lts_step
         calls = _count_api_walks(monkeypatch)
-        # one walk per node (2 * width - 1); keeping no names on the nodes
-        # made 4,220 walks here
-        bound = 2 * width
+    # one walk per node (2 * width - 1); re-walking a sibling's free names
+    # per step made 10,017 calls here on the semantics side, and keeping
+    # no names on the nodes 4,220 walks on the api side
+    bound = 2 * width
     body = out(Name("k"), VUNIT)
     subjects = [(Name(f"a{i}"), Name(f"x{i}")) for i in range(width)]
     atoms = [inp(a, x, body) for a, x in subjects]

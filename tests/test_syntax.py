@@ -28,6 +28,7 @@ from oracles import (
     alpha_key, bound_names, enumerate_core, oracle_congruent,
     random_process, subst_oracle,
 )
+from test_semantics import _count_syntax_walks
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +157,15 @@ def test_deep_prefix_built_through_the_api():
                  lambda q: typecheck(env, q), lambda q: is_internal(q, env)):
         with pytest.raises(ValueError, match="process nested too deeply"):
             walk(deep)
+
+
+def test_canonicalize_a_wide_par_of_restrictions():
+    # normalization merges the 1,200 pairs into one restriction chain,
+    # whose free names are found in a loop: recursion raised ValueError
+    p = parse_process(" | ".join(f"new(a{i}: i[unit], b{i})(a{i}(x).k!() | b{i}!())"
+                                 for i in range(1200)))
+    c = canonicalize(p)
+    assert c.key.count("new(") == 1200 and free_names(c.process) == {Name("k")}
 
 
 def test_substitute_walks_a_deep_prefix_once():
@@ -679,15 +689,26 @@ def test_canonicalize_aliased_subtrees(src):
         assert c.key == print_process(c.process)
 
 
+def test_kept_free_names_leave_canonical_keys_unchanged():
+    """Nodes keep their free names once a walk finds them, and canonicalize
+    reads them there; its own tables are keyed by node id.  A program whose
+    nodes the other layers filled first gets the key of a fresh parse."""
+    for seed in range(200):
+        env, p = random_typed(seed)
+        text = print_process(p)
+        fresh = canonicalize(parse_process(text)).key
+        p = parse_process(text)
+        assert typecheck(env, p).ok, text
+        is_internal(p, env)
+        semantics.lts_step(frozenset(), p)
+        names = sorted(free_names(p))
+        substitute(p, {names[0]: VName(Name("z"))} if names else {})
+        assert canonicalize(p).key == fresh, text
+        assert canonicalize(p).key == fresh, text
+
+
 def test_polyadic_parse_walks_no_body_per_level(monkeypatch):
-    import awpi.syntax as syntax
-    visits, frees = [0], syntax._frees
-
-    def counted(*args):
-        visits[0] += 1
-        return frees(*args)
-
-    monkeypatch.setattr(syntax, "_frees", counted)
+    visits = _count_syntax_walks(monkeypatch)
     depth = 400
     p = parse_process(".".join(f"a(x{i}, y{i})" for i in range(depth))
                       + ".k!()")
@@ -895,23 +916,26 @@ def test_node_classes_keep_frozen_dataclass_behaviour():
         with pytest.raises(TypeError):
             cls(*vals, "extra")
         assert hasattr(x, "__dict__") == hasattr(t, "__dict__"), cls
-    # a node of the reference calculus keeps its free names once found, and
-    # its equality, hash, repr and fields do not see them
+    # a process node of either calculus keeps its free names once found,
+    # and its equality, hash, repr and fields do not see them
     a, x, y = Name("a"), Name("x"), Name("y")
-    out = api.Output(a, VName(x))
-    real = {api.Nil: (), api.Par: (out, api.NIL), api.Input: (a, x, out),
-            api.RepInput: (a, x, out), api.Output: (a, VName(x)),
-            api.Res: (x, out), api.LetTuple: ((x, y), VName(a), out),
-            api.Case: (VName(a), x, out, y, out)}
-    assert set(real) == {c for c in classes if issubclass(c, api.Process)}
-    for cls, vals in real.items():
-        node, t = cls(*vals), _twin(cls)(*vals)
-        assert api.free_names(node) is api.free_names(node), cls
-        assert node == cls(*vals) and not node != cls(*vals), cls
-        assert hash(node) == hash(t) == hash(cls(*vals)), cls
-        assert repr(node) == repr(t), cls
-        assert ([(f.name, f.type) for f in dataclasses.fields(node)]
-                == [(f.name, f.type) for f in dataclasses.fields(t)]), cls
+    for m in (api, syntax):
+        out = m.Output(a, VName(x))
+        real = {m.Nil: (), m.Par: (out, m.NIL), m.Input: (a, x, out),
+                m.RepInput: (a, x, out), m.Output: (a, VName(x)),
+                m.Res: ((x, out) if m is api
+                        else (x, y, ChanType("i", UNIT), out)),
+                m.LetTuple: ((x, y), VName(a), out),
+                m.Case: (VName(a), x, out, y, out)}
+        assert set(real) == {c for c in classes if issubclass(c, m.Process)}
+        for cls, vals in real.items():
+            node, t = cls(*vals), _twin(cls)(*vals)
+            assert m.free_names(node) is m.free_names(node), cls
+            assert node == cls(*vals) and not node != cls(*vals), cls
+            assert hash(node) == hash(t) == hash(cls(*vals)), cls
+            assert repr(node) == repr(t), cls
+            assert ([(f.name, f.type) for f in dataclasses.fields(node)]
+                    == [(f.name, f.type) for f in dataclasses.fields(t)]), cls
 
 
 # exec calls made from dataclasses.py and from the package while the four

@@ -466,9 +466,9 @@ def test_typecheck_copies_no_environment_or_path_per_level(monkeypatch):
     import awpi.typecheck as tc
     seen, check = [], tc._check
 
-    def spy(env, p, path, table):
+    def spy(env, p, path):
         seen.append((id(env), id(path)))
-        return check(env, p, path, table)
+        return check(env, p, path)
 
     monkeypatch.setattr(tc, "_check", spy)
     depth, env = 200, {Name("k"): parse_vtype("o[unit]")}
