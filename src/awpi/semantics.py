@@ -173,8 +173,8 @@ def lts_step(delta, p: Process):
     Ground style: input parameters stay uninstantiated.  The caller is
     expected to have canonicalized ``p`` (or otherwise guaranteed distinct
     bound names, disjoint from n(delta)).  One bottom-up walk: a ``|`` node
-    freshens bound labels against the free names its children keep (see
-    ``syntax._frees``), instead of re-walking a sibling once per step.
+    freshens bound labels against the names its right child keeps and those
+    gathered along the ``|`` spine, not re-walking a sibling once per step.
     """
     return _steps(delta, p)
 
@@ -187,9 +187,11 @@ def _steps(delta, p: Process):
         while isinstance(p, Par):
             spine.append(p)
             p = p.left
-        steps = _steps(delta, p)
+        # one set of the spine's names: kept on each inner | they cost n^2
+        steps, names = _steps(delta, p), set(_frees(p))
         for node in reversed(spine):
-            steps = _par_steps(delta, node, steps)
+            steps = _par_steps(delta, node, steps, names)
+            names |= _frees(node.right)
         return steps
     out = []
     if isinstance(p, Res):
@@ -240,10 +242,9 @@ def _steps(delta, p: Process):
     return out
 
 
-def _par_steps(delta, p: Par, lsteps):
-    """The transitions of ``p`` from those of ``p.left``."""
-    rsteps = _steps(delta, p.right)
-    lnames, rnames = _frees(p.left), _frees(p.right)
+def _par_steps(delta, p: Par, lsteps, lnames):
+    """The transitions of ``p`` from those and the names of ``p.left``."""
+    rsteps, rnames = _steps(delta, p.right), _frees(p.right)
     out = []
     for mu, l2 in lsteps:
         mu2, l3 = _freshen_bound(mu, l2, rnames)

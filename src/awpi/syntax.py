@@ -356,13 +356,10 @@ def _value_counts(v: Value, counts):
 # ---------------------------------------------------------------------------
 
 class Process:
-    # the free names, once :func:`_frees` has found them and stored them
-    # through the slot's own setter (``_node_setattr`` refuses them); a
-    # slot, not a field, so equality, hash, repr and ``fields`` miss them
+    # free names, once :func:`_frees` stores them with ``_keep_names`` (the
+    # slot's setter; ``_node_setattr`` refuses them); a slot, not a field,
+    # so equality, hash, repr and ``fields`` do not see them
     __slots__ = ("_names",)
-
-
-_keep_names = Process._names.__set__
 
 
 @_node(slots=True)
@@ -423,6 +420,7 @@ class Case(Process):
 
 
 NIL = Nil()
+_keep_names = Process._names.__set__
 
 
 def ast_size(p: Process) -> int:
