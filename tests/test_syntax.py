@@ -704,6 +704,7 @@ def test_kept_free_names_leave_canonical_keys_unchanged():
         names = sorted(free_names(p))
         substitute(p, {names[0]: VName(Name("z"))} if names else {})
         assert canonicalize(p).key == fresh, text
+        # and again, once canonicalize has filled the names it read too
         assert canonicalize(p).key == fresh, text
 
 
