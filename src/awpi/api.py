@@ -432,8 +432,8 @@ def lts_step(p: Process):
     """Early transitions (ground inputs), written from the standard rules.
 
     One bottom-up walk.  A ``|`` node freshens bound labels against the
-    free names its children keep (see :func:`_frees`), instead of
-    re-walking a sibling once per step.
+    names its right child keeps (see :func:`_frees`) and those gathered
+    along the ``|`` spine, not re-walking a sibling once per step.
     """
     return _shallow(_steps, p)
 
@@ -445,9 +445,11 @@ def _steps(p: Process):
         while isinstance(p, Par):
             spine.append(p)
             p = p.left
-        steps = _steps(p)
+        # one set of the spine's names: kept on each inner | they cost n^2
+        steps, names = _steps(p), set(_frees(p))
         for node in reversed(spine):
-            steps = _par_steps(node, steps)
+            steps = _par_steps(node, steps, names)
+            names |= _frees(node.right)
         return steps
     out = []
     if isinstance(p, Res):
@@ -488,10 +490,9 @@ def _steps(p: Process):
     return out
 
 
-def _par_steps(p: Par, lsteps):
-    """The transitions of ``p`` from those of ``p.left``."""
-    rsteps = _steps(p.right)
-    lnames, rnames = _frees(p.left), _frees(p.right)
+def _par_steps(p: Par, lsteps, lnames):
+    """The transitions of ``p`` from those and the names of ``p.left``."""
+    rsteps, rnames = _steps(p.right), _frees(p.right)
     out = []
     for mu, l2 in lsteps:
         mu2, l3 = _freshen_bound(mu, l2, rnames)

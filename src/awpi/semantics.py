@@ -175,8 +175,10 @@ def lts_step(delta, p: Process):
     bound names, disjoint from n(delta)).  One bottom-up walk: a ``|`` node
     freshens bound labels against the names its right child keeps and those
     gathered along the ``|`` spine, not re-walking a sibling once per step.
+    Raises ValueError on a process nested too deeply for the recursion
+    limit, such as a long restriction chain.
     """
-    return _steps(delta, p)
+    return _shallow(_steps, delta, p)
 
 
 def _steps(delta, p: Process):

@@ -43,8 +43,8 @@ here and in ``api``, ``semantics``, ``encodings`` and ``typecheck``, and
 behaviour of a frozen dataclass at a fraction of the cost: a frozen
 dataclass makes about six functions with ``exec`` per class at import,
 which was most of the package's import time.  Node
-construction is also the largest self-time item on every workload, as
-normalization, substitution and the canonical build make nodes by the
+construction is a large self-time item on every workload, as
+substitution, transitions and the canonical build make nodes by the
 thousand; ``_node``'s ``__init__`` stores each field through a setter
 bound once (on a slotted class the slot's own descriptor), where a
 dataclass's looks ``object.__setattr__`` up again for every field.
@@ -516,7 +516,7 @@ def _frees(p: Process) -> frozenset:
                 names |= _frees(q)
         out = frozenset(names)
     elif isinstance(p, Res):
-        # a chain in a loop too: normalization merges a wide |'s pairs
+        # a chain in a loop too: a wide |'s canonical form is one long chain
         bound, q = [p.in_name, p.out_name], p.body
         while isinstance(q, Res) and getattr(q, "_names", None) is None:
             bound += (q.in_name, q.out_name)
@@ -1307,13 +1307,16 @@ _NIL_ENTRY = ("0", None)
 class _Canon:
     """The tables of one :func:`canonicalize` call, both keyed by ``id``.
 
-    Free names are read from the nodes, which keep them (:func:`_frees`).
-    ``parts`` maps ``id(level)`` to ``(level, pairs, atoms)``, recorded by
-    :meth:`_merge`, so that no level is split again.  ``memo`` maps
-    ``(id(node), depth, shape, labels of the node's free names)`` to
-    ``(node, entry)``, where the entry is ``(certificate, plan)``.  Each
-    table holds its nodes, so no id in it is reused while the call runs,
-    though normalization drops the levels it merges into larger ones.
+    A call walks its input twice, making no normalized copy: :meth:`render`
+    certifies it and :meth:`build` makes the canonical process as the
+    certificate plans.  Free names are read from the nodes, which keep
+    them (:func:`_frees`).  ``parts`` maps ``id(level)`` of each ``|`` or
+    ``new`` node of the input that a walk reaches to ``(level, pairs,
+    atoms)``, as :meth:`_flat` flattens it then.  ``memo`` maps ``(id(node),
+    depth, shape, labels of the node's free names)`` to ``(node, entry)``,
+    where the entry is ``(certificate, plan)``; only a pair search renders
+    a node again, so it is used only while :meth:`_search` runs.  Each
+    table holds its nodes, so no id in it is reused while the call runs.
 
     A plan is the certificate's decisions, kept beside it so that
     :meth:`build` only follows them: an input's or a let's plan is its
@@ -1326,53 +1329,44 @@ class _Canon:
     def __init__(self):
         self.parts = {}
         self.memo = {}
+        self.searching = 0
 
-    # -- normalization ----------------------------------------------------
+    # -- levels -----------------------------------------------------------
 
-    def normalize(self, p):
-        """Flatten ``|``, hoist restrictions, drop nil and dead pairs.
-
-        Every level of the result is a restriction chain over a flat ``|``
-        of atoms (inputs, outputs, lets and cases), in source order.  A
-        whole chain is merged at once; one whose pairs repeat a name is
-        merged one scope at a time, so that no level binds a name twice.
-        An input, let or case none of whose bodies changed is kept, not
-        rebuilt.
-        """
-        if isinstance(p, (Par, Res)):
+    def _flat(self, p):
+        """``(p, pairs, atoms)`` for a ``|`` or ``new`` node ``p``: one
+        restriction chain over a flat ``|`` of atoms (inputs, outputs, lets
+        and cases) in source order.  A chain whose pairs repeat a name is
+        merged one scope at a time, so that no level binds a name twice.  A
+        level of no pair and at most one atom stands for that atom or nil."""
+        got = self.parts.get(id(p))
+        if got is None:
             pairs, core = _split_chain(p)
             if len({n for a, b, _ in pairs for n in (a, b)}) < 2 * len(pairs):
-                return self._merge(pairs[:1], [self.normalize(p.body)])
-            return self._merge(pairs, [self.normalize(c) for c in _par_list(core)])
-        if isinstance(p, (Input, RepInput)):
-            body = self.normalize(p.body)
-            if body is not p.body:
-                p = type(p)(p.subject, p.param, body)
-        elif isinstance(p, LetTuple):
-            body = self.normalize(p.body)
-            if body is not p.body:
-                p = LetTuple(p.params, p.scrutinee, body)
-        elif isinstance(p, Case):
-            left, right = self.normalize(p.left_body), self.normalize(p.right_body)
-            if left is not p.left_body or right is not p.right_body:
-                p = Case(p.scrutinee, p.left_param, left, p.right_param, right)
-        elif not isinstance(p, (Output, Nil)):
-            raise TypeError(f"not a process: {p!r}")
-        return p
+                got = p, *self._merge(pairs[:1], [p.body])
+            else:
+                got = p, *self._merge(pairs, _par_list(core))
+            self.parts[id(p)] = got
+        return got
 
     def _merge(self, pairs, comps):
-        """Combine components under one restriction chain with capture
-        avoidance; a pair no atom uses is dropped (scope extrusion and the
-        nil axioms derive this).  A component's parts are read from
-        ``parts``, and the new level's are recorded there.  An atom is
-        renamed, and normalized again, only when it uses a renamed pair."""
-        parts = self.parts
-        taken = set().union(*map(_frees, comps), *[pair[:2] for pair in pairs])
-        pairs = list(pairs)
-        atoms = []
+        """``(pairs, atoms)`` of components under one restriction chain,
+        with capture avoidance; a pair no atom uses is dropped (scope
+        extrusion and the nil axioms derive this).  A ``|`` or ``new``
+        component is flattened first.  An atom that uses a renamed pair is
+        renamed with :func:`rename_free`; its own levels flatten when a
+        walk reaches them."""
+        pairs, atoms, taken = list(pairs), [], None
         for c in comps:
-            _, cpairs, catoms = parts.get(id(c)) or (
-                c, [], [] if isinstance(c, Nil) else [c])
+            if isinstance(c, (Par, Res)):
+                _, cpairs, catoms = self._flat(c)
+            else:
+                cpairs, catoms = (), () if isinstance(c, Nil) else (c,)
+            if not cpairs:
+                atoms += catoms
+                continue
+            if taken is None:
+                taken = set().union(*map(_frees, comps), *[pair[:2] for pair in pairs])
             renames = {}
             for a, b, t in cpairs:
                 for n in (a, b):
@@ -1382,16 +1376,12 @@ class _Canon:
                 pairs.append((renames.get(a, a), renames.get(b, b), t))
             for atom in catoms:
                 if renames and not renames.keys().isdisjoint(_frees(atom)):
-                    atom = self.normalize(rename_free(atom, renames))
+                    atom = rename_free(atom, renames)
                 atoms.append(atom)
-        if not atoms:
-            return NIL
-        used = set().union(*map(_frees, atoms))
-        pairs = [(a, b, t) for a, b, t in pairs if a in used or b in used]
-        node = _chain(pairs, _par(atoms))
-        if node is not atoms[0]:
-            parts[id(node)] = (node, pairs, atoms)
-        return node
+        if pairs:
+            used = set().union(*map(_frees, atoms))
+            pairs = [(a, b, t) for a, b, t in pairs if a in used or b in used]
+        return pairs, atoms
 
     # -- certificates -----------------------------------------------------
 
@@ -1409,15 +1399,21 @@ class _Canon:
         atoms, their entries)`` per component, atoms and components in
         certificate order.
         """
+        if isinstance(p, (Par, Res)):
+            _, pairs, atoms = self._flat(p)
+            if not pairs and len(atoms) < 2:
+                p = atoms[0] if atoms else NIL
         if isinstance(p, Output):
             return (f"{env.get(p.subject) or str(p.subject)}"
                     f"!({_render_value(p.payload, env)})", None)
         if isinstance(p, Nil):
             return _NIL_ENTRY
-        key = (id(p), d, shape, tuple(map(env.get, _frees(p))))
-        got = self.memo.get(key)
-        if got is not None:
-            return got[1]
+        key = None
+        if self.searching:
+            key = (id(p), d, shape, tuple(map(env.get, _frees(p))))
+            got = self.memo.get(key)
+            if got is not None:
+                return got[1]
         if isinstance(p, (Input, RepInput)):
             x = f"%{d}"
             head = (f"{'!' if isinstance(p, RepInput) else ''}"
@@ -1445,16 +1441,16 @@ class _Canon:
             s = (f"case {_render_value(p.scrutinee, env)}"
                  f"{{inl {x}->({left[0]});inr {x}->({right[0]})}}")
         else:
-            s, plan = self._level(p, d, env, shape)
+            s, plan = self._level(pairs, atoms, d, env, shape)
         got = s, plan
-        self.memo[key] = p, got
+        if key is not None:
+            self.memo[key] = p, got
         return got
 
-    def _level(self, p, d, env, shape):
+    def _level(self, pairs, atoms, d, env, shape):
         """Entry of a restriction chain over ``|``: its connected components
         (atoms linked by the pairs they use) in certificate order,
         components with pairs first."""
-        _, pairs, atoms = self.parts[id(p)]
         if shape:
             slots = dict(env)
             for a, b, t in pairs:
@@ -1542,7 +1538,7 @@ class _Canon:
                                 depth, -1), names)
                 walk(q.body, depth + 1, _hide(names, (q.param,)))
             elif isinstance(q, (Res, Par)):
-                _, pairs, atoms = self.parts[id(q)]
+                _, pairs, atoms = self._flat(q)
                 inner = _hide(names, [n for a, b, _ in pairs for n in (a, b)])
                 for c in atoms:
                     walk(c, depth, inner)
@@ -1579,6 +1575,7 @@ class _Canon:
             return self._leaf([pairs[k] for k in sorted(range(m),
                                                         key=types.__getitem__)],
                               atoms, d, env)
+        self.searching += 1
         ad = d + 2 * m
         slots = dict(env)
         owner = {}
@@ -1650,6 +1647,7 @@ class _Canon:
 
         shapes = _ranks([self.render(x, ad, slots, True)[0] for x in atoms])
         visit(*refine(types, shapes), [])
+        self.searching -= 1
         return best[0]
 
     # -- the canonical process --------------------------------------------
@@ -1661,6 +1659,10 @@ class _Canon:
         bound above ``p`` to their new names as ``VName`` values; a binder
         is bound in it in place while its scope is built.  ``alloc``
         yields the new names, ``_#k`` with k counting up."""
+        if isinstance(p, (Par, Res)):
+            _, pairs, atoms = self.parts[id(p)]
+            if not pairs and len(atoms) < 2:
+                p = atoms[0] if atoms else NIL
         if isinstance(p, Nil):
             return p, "0"
         if isinstance(p, Output):
@@ -1732,20 +1734,24 @@ def canonicalize(p: Process) -> CanonicalForm:
     order, above the index of any free name with base ``_``.  Congruent
     processes get equal keys and, as the key is the rebuilt process's text
     (printed while building, byte for byte as :func:`print_process` prints
-    it), only they do.  Raises ValueError on a process nested too deeply
-    for the recursion limit (a ``|`` chain of any width is fine).
+    it), only they do.  Two walks: one certifies the input, flattening each
+    level where it first reaches it (a node is certified again, from a
+    memo, only under a pair search), and one builds the result, whose root
+    keeps the input's free names.  Raises ValueError on a process nested
+    too deeply for the recursion limit (a ``|`` chain of any width is fine).
     """
     return _shallow(_canonicalize, p)
 
 
 def _canonicalize(p: Process) -> CanonicalForm:
     c = _Canon()
-    norm = c.normalize(p)
-    start = max((n.index + 1 for n in _frees(norm)
+    names = _frees(p)
+    start = max((n.index + 1 for n in names
                  if n.base == "_" and n.kind == REGULAR), default=0)
-    entry = c.render(norm, 0, {}, False)
     alloc = map(Name, repeat("_"), count(start))
-    return CanonicalForm(*c.build(norm, entry, {}, alloc))
+    q, key = c.build(p, c.render(p, 0, {}, False), {}, alloc)
+    _keep_names(q, names)  # the canonical form has the input's free names
+    return CanonicalForm(q, key)
 
 
 def canonical_process(p: Process) -> Process:

@@ -480,15 +480,47 @@ def test_lts_step_walks_a_wide_par_once(monkeypatch, side):
     assert steps == expected
 
 
-def test_lts_step_keeps_no_names_on_inner_pars():
+@pytest.mark.parametrize("side", ["semantics", "api"])
+def test_lts_step_keeps_no_names_on_inner_pars(side):
     # the | spine's names are gathered in one set: kept on each inner |,
     # they held 51.8 MB after stepping the 1,500-way k0!() | ... | k1499!()
-    p = _left_par([SOutput(Name(f"k{i}"), VUNIT) for i in range(64)], SPar)
-    assert len(lts_step(frozenset(), p)) == 64
+    if side == "semantics":
+        out, par, step = SOutput, SPar, lambda p: lts_step(frozenset(), p)
+    else:
+        out, par, step = api.Output, api.Par, api.lts_step
+    p = _left_par([out(Name(f"k{i}"), VUNIT) for i in range(64)], par)
+    assert len(step(p)) == 64
     q = p.left
-    while isinstance(q, SPar):
+    while isinstance(q, par):
         assert getattr(q, "_names", None) is None
         q = q.left
+
+
+def test_lts_step_rejects_a_long_restriction_chain():
+    # the canonical form of this | is one chain of 1,200 pairs, and the
+    # step recurses once per restriction: a RecursionError, not a ValueError
+    p = canonical_process(parse_process(" | ".join(
+        f"new(a{i}: i[unit], b{i})(a{i}(x).k!() | b{i}!())"
+        for i in range(1200))))
+    with pytest.raises(ValueError, match="nested too deeply"):
+        lts_step(frozenset(), p)
+
+
+def test_canonical_root_keeps_the_input_free_names(monkeypatch):
+    """A canonical process keeps its input's free names on its root, so
+    that ``Composite.gc`` of a state walks nothing again."""
+    walks = _count_syntax_walks(monkeypatch)
+    for seed in range(200):
+        _, p = random_typed(seed)
+        names = free_names(p)
+        c = canonicalize(p)
+        assert getattr(c.process, "_names", None) == names
+        assert free_names(parse_process(print_process(c.process))) == names
+        delta = {(Name("u"), Name("v"))} | {(n, n) for n in names}
+        comp = S.state(p, delta)
+        before = walks[0]
+        assert comp.gc().delta == {(n, n) for n in names}
+        assert walks[0] == before
 
 
 def test_free_names_of_a_wide_par():

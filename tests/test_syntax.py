@@ -160,12 +160,15 @@ def test_deep_prefix_built_through_the_api():
 
 
 def test_canonicalize_a_wide_par_of_restrictions():
-    # normalization merges the 1,200 pairs into one restriction chain,
-    # whose free names are found in a loop: recursion raised ValueError
+    # the 1,200 pairs make one restriction chain, whose free names are
+    # found in a loop (the root keeps its input's): recursion raised
+    # ValueError
     p = parse_process(" | ".join(f"new(a{i}: i[unit], b{i})(a{i}(x).k!() | b{i}!())"
                                  for i in range(1200)))
     c = canonicalize(p)
     assert c.key.count("new(") == 1200 and free_names(c.process) == {Name("k")}
+    body = c.process.body
+    assert free_names(body) == {Name("k"), c.process.in_name, c.process.out_name}
 
 
 def test_substitute_walks_a_deep_prefix_once():
@@ -687,6 +690,114 @@ def test_canonicalize_aliased_subtrees(src):
         c = canonicalize(p)
         assert c.key == canonicalize(parse_process(print_process(p))).key
         assert c.key == print_process(c.process)
+
+
+# (name, input, key) for each rewrite the flattening of a level makes; the
+# keys are those the normal form had when it was built as a copy first
+_x = parse_process("new(a: i[unit], b)( a(x).k!(x) | b!(a) )")
+_k = parse_process("k!()")
+PINNED_KEYS = [
+    # a hoisted pair renamed to avoid capture: of a free name, of the
+    # level's own pair, of a free name under an input
+    ("capture-free", "k!(a) | new(a: i[unit], b)( a(x).m!(x) | b!() )",
+     "new(_: i[unit], _#1) (_(_#2).m!(_#2) | _#1!() | k!(a))"),
+    ("capture-pair",
+     "new(a: i[unit], b)( a(x).k!() | new(a: i[unit], b)( a(y).b!() | b!() ) | b!() )",
+     "new(_: i[unit], _#1) new(_#2: i[unit], _#3) "
+     "(_(_#4)._#1!() | _#1!() | _#2(_#5).k!() | _#3!())"),
+    ("capture-under-input",
+     "c(z).( z!(a) | new(a: i[unit], b)( a(x).x!(z) | b!(a) ) )",
+     "c(_).new(_#1: i[unit], _#2) (_#1(_#3)._#3!(_) | _#2!(_#1) | _!(a))"),
+    # a chain that repeats a name is merged one scope at a time
+    ("repeated-chain",
+     "new(a: i[unit], b) new(a: i[unit], c)( a(x).k!() | b!() | c!() )",
+     "new(_: i[unit], _#1) new(_#2: i[unit], _#3) (_(_#4).k!() | _#1!() | _#3!())"),
+    ("repeated-chain-3",
+     "new(a: i[unit], b) new(a: i[unit], c) new(d: i[unit], c)"
+     "( a(x).k!(x) | b!() | c!() | d(y).b!() )",
+     "new(_: i[unit], _#1) new(_#2: i[unit], _#3) new(_#4: i[unit], _#5) "
+     "(_(_#6).k!(_#6) | _#2(_#7)._#5!() | _#3!() | _#5!())"),
+    # bodies that flatten to one atom or to nil
+    ("input-one-atom", "a(x).(0 | x!())", "a(_)._!()"),
+    ("input-nil", "a(x).(0 | new(c: i[unit], d) 0)", "a(_).0"),
+    ("input-unused-pair", "!a(x).new(c: i[unit], d)( x!() )", "!a(_)._!()"),
+    ("let-one-atom", "let (y, z) = (u, v) in (0 | new(c: i[unit], d)( y!(z) ))",
+     "let (_, _#1) = (u, v) in _!(_#1)"),
+    ("let-nil", "let (y, z) = (u, v) in (0 | 0)", "let (_, _#1) = (u, v) in 0"),
+    ("case-one-atom-and-nil",
+     "case w { inl y -> (0 | y!()) ; inr z -> new(c: i[unit], d) (0 | 0) }",
+     "case w { inl _ -> _!() ; inr _#1 -> 0 }"),
+    # unused pairs are dropped
+    ("unused-pairs",
+     "new(a: i[unit], b) new(c: i[unit], d)( c(x).k!() | new(e: i[unit], f) 0 )",
+     "new(_: i[unit], _#1) _(_#2).k!()"),
+    ("all-unused", "new(a: i[unit], b) new(c: i[unit], d)( 0 | k!() )", "k!()"),
+    # | nested under every binder
+    ("par-under-every-binder",
+     "new(a: i[unit], b)( !a(x).(x!() | (k!() | 0)) | b!(m)"
+     " | c(y).(y!() | new(e: i[unit], f)(e(z).y!() | f!()))"
+     " | let (p, q) = (u, v) in (p!() | q!())"
+     " | case w { inl r -> (r!() | r!()) ; inr s -> (0 | (s!() | k!())) } )",
+     "new(_: i[unit], _#1) (!_(_#2).(_#2!() | k!()) | _#1!(m) | "
+     "c(_#3).new(_#4: i[unit], _#5) (_#4(_#6)._#3!() | _#5!() | _#3!()) | "
+     "case w { inl _#7 -> _#7!() | _#7!() ; inr _#8 -> _#8!() | k!() } | "
+     "let (_#9, _#10) = (u, v) in (_#9!() | _#10!()))"),
+    # one subterm object in several places
+    ("shared-res-twice", Par(_x, _x),
+     "new(_: i[unit], _#1) new(_#2: i[unit], _#3) "
+     "(_(_#4).k!(_#4) | _#1!(_) | _#2(_#5).k!(_#5) | _#3!(_#2))"),
+    ("shared-under-input", Par(Input(Name("c"), Name("y"), Par(_x, _k)), Par(_x, _k)),
+     "new(_: i[unit], _#1) (_(_#2).k!(_#2) | _#1!(_) | "
+     "c(_#3).new(_#4: i[unit], _#5) (_#4(_#6).k!(_#6) | _#5!(_#4) | k!()) | k!())"),
+    ("shared-atom-twice",
+     Par(_k, Par(Res(Name("a"), Name("b"), parse_vtype("i[unit]"), Par(_k, _k)), _k)),
+     "k!() | k!() | k!() | k!()"),
+]
+
+
+@pytest.mark.parametrize("name, p, key", PINNED_KEYS,
+                         ids=[case[0] for case in PINNED_KEYS])
+def test_canonical_keys_of_flattened_levels(name, p, key):
+    c = canonicalize(parse_process(p) if isinstance(p, str) else p)
+    assert c.key == key == print_process(c.process)
+
+
+def _count_levels(p):
+    """The ``|`` and ``new`` nodes of ``p``."""
+    kids = [getattr(p, f.name) for f in dataclasses.fields(p)]
+    return isinstance(p, (Par, Res)) + sum(
+        _count_levels(q) for q in kids if isinstance(q, syntax.Process))
+
+
+def test_canonicalize_makes_only_the_levels_of_its_result(monkeypatch):
+    """Levels are flattened where a walk reaches them in the input, so no
+    ``|`` or ``new`` node is made but those of the canonical process."""
+    made = [0]
+    for cls in (Par, Res):
+        init = cls.__init__
+
+        def counted(self, *args, _init=init):
+            made[0] += 1
+            _init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    for name, p, _ in PINNED_KEYS:
+        if name.startswith("capture"):
+            continue  # a renamed atom is a copy
+        p = parse_process(p) if isinstance(p, str) else p
+        made[0] = 0
+        q = canonicalize(p).process
+        assert made[0] == _count_levels(q), name
+
+
+def test_canonicalize_memoizes_only_under_a_pair_search():
+    # outside a search each node is certified once, so nothing is memoized
+    c = syntax._Canon()
+    c.render(_nested(6), 0, {}, False)
+    assert c.memo == {}
+    # a search renders atoms again, per leaf and per automorphism check
+    c.render(_ring(7), 0, {}, False)
+    assert c.memo and not c.searching
 
 
 def test_kept_free_names_leave_canonical_keys_unchanged():
