@@ -498,7 +498,7 @@ def test_lts_step_keeps_no_names_on_inner_pars(side):
 
 def test_lts_step_rejects_a_long_restriction_chain():
     # the canonical form of this | is one chain of 1,200 pairs, and the
-    # step recurses once per restriction: a RecursionError, not a ValueError
+    # step recurses once per restriction, past the recursion limit
     p = canonical_process(parse_process(" | ".join(
         f"new(a{i}: i[unit], b{i})(a{i}(x).k!() | b{i}!())"
         for i in range(1200))))

@@ -692,8 +692,9 @@ def test_canonicalize_aliased_subtrees(src):
         assert c.key == print_process(c.process)
 
 
-# (name, input, key) for each rewrite the flattening of a level makes; the
-# keys are those the normal form had when it was built as a copy first
+# (name, input, key) for each rewrite that flattening a level makes; the
+# keys are literals, so that a change to how levels are flattened cannot
+# move them unseen
 _x = parse_process("new(a: i[unit], b)( a(x).k!(x) | b!(a) )")
 _k = parse_process("k!()")
 PINNED_KEYS = [
