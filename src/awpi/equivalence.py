@@ -32,23 +32,21 @@ from __future__ import annotations
 
 import math
 import re
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Optional
 
 from .syntax import (
-    CanonicalForm, ChanType, Name, Nil, Output, Par, Process, SUCCESS,
-    SumType, TupleType, UnitType, VInl, VInr, VName, VTuple, VUNIT,
-    _node, _par_list, _split_chain, free_names, print_process, print_value,
-    rename_free, substitute, value_names,
+    ChanType, Name, Output, Par, Process, SUCCESS, SumType, TupleType,
+    UnitType, VInl, VInr, VName, VTuple, VUNIT, _node, free_names,
+    print_process, print_value, rename_free, substitute, value_names,
 )
 from .typecheck import ANY, dual, typecheck
 from .internal import internalize, is_internal
 from .semantics import (
-    TAU, BoundOut, Composite, FreeOut, In, Tau, canonical_barbs, closure,
-    composite_step, delta_key, delta_names, explore, reducts, requests,
-    settle, state,
+    TAU, BoundOut, Composite, Fragments, FreeOut, In, Tau, _redexes,
+    canonical_barbs, closure, composite_step, delta_key, delta_names,
+    explore, requests, settle, state,
 )
 
 
@@ -180,15 +178,16 @@ class _Round:
         return pair + (env, self.spent)
 
 
-class _Space:
+class _Space(Fragments):
     """The states a game reads and their transitions, built as read.
 
     ``_steps`` maps a state key to its transitions, (label, target) pairs
     from ``successors(space, state)``: :func:`_lts` for most methods,
     :func:`_internal_steps` for a typed internal one, whose space also
-    ``settle``s the states it builds, :func:`_reductions` for the barbed
-    one, and ``encodings._api_steps`` for the localised-pi
-    correspondence.  Tau targets must be states: closures read their keys.
+    ``settle``s the fragments it builds, :func:`_reductions` for the
+    barbed one, and ``encodings._api_steps`` for the localised-pi
+    correspondence.  Tau targets must be states, as closures read their
+    keys; a space is the :class:`Fragments` table of its game's states.
 
     A space holds no closure and nothing that leads back to a game, and
     its successor functions are module-level functions, not bound
@@ -196,35 +195,11 @@ class _Space:
     and each game is freed by reference counting when its check returns.
     """
 
-    __slots__ = ("_successors", "_settle", "_steps", "_states")
+    __slots__ = ("_successors", "_steps")
 
     def __init__(self, successors, settle=None):
-        self._successors, self._settle = successors, settle
-        self._steps = {}   # state key -> [(label, target)]
-        self._states = {}  # (chain, atom multiset, delta) -> state
-
-    def state(self, p: Process, delta) -> Composite:
-        """:func:`state` of ``p`` under ``delta``, built once per space for
-        each restriction chain and multiset of top-level atoms.
-
-        Two processes ``new c (A1 | ... | An)`` with the same chain ``c``
-        and the same multiset of atoms ``Ai``, up to ``0``s, are
-        structurally congruent: ``|`` is associative and commutative with
-        unit ``0``, and the chain is the same.  Since :func:`state` is a
-        normal form for congruence, they have the same canonical process
-        and key, so returning the stored state changes no key, verdict,
-        witness or bound, nor does settling, which fires the same atoms.
-        Atoms or chains equal only up to alpha-renaming, a chain in another
-        order, or a restriction no atom uses miss the table.
-        """
-        pairs, core = _split_chain(p)
-        atoms = Counter(a for a in _par_list(core) if not isinstance(a, Nil))
-        sk = (tuple(pairs), frozenset(atoms.items()), frozenset(delta))
-        out = self._states.get(sk)
-        if out is None:
-            settled = self._settle(p) if self._settle else p
-            out = self._states[sk] = state(settled, delta)
-        return out
+        super().__init__(settle)
+        self._successors, self._steps = successors, {}  # key -> transitions
 
     def step(self, comp: Composite):
         """The transitions of ``comp``, computed once per space.
@@ -251,14 +226,15 @@ def _lts(space: _Space, comp: Composite):
 
 
 def _internal_steps(space: _Space, comp: Composite):
-    """The internal game's transitions: the first :func:`requests` entry
-    whose target has fewer requests, as the only tau; else :func:`_lts`.
+    """The internal game's transitions: the first :func:`requests` entry,
+    in fragment-key order, then atom order, whose target has fewer
+    requests, as the only tau; else :func:`_lts`.
 
     Sound as tau-prioritisation: following one confluent tau along a
     well-founded relation preserves branching, hence weak, bisimilarity
     (Groote & Sellink, "Confluence for process verification", TCS 1996;
     Groote & van de Pol, MFCS 2000).  A request and a ready destructor,
-    which the space fires on building a state (:func:`settle`), are
+    which the space fires on building a fragment (:func:`settle`), are
     confluent: by property (1), which ``typecheck`` enforces (a game given
     no environment is not checked, and keeps the full LTS), the server
     alone receives on ``a`` and, replicated, stays for every other message;
@@ -279,10 +255,11 @@ def _internal_steps(space: _Space, comp: Composite):
 
 
 def _reductions(space: _Space, comp: Composite):
-    """The reducts of the normal-form route, as tau moves."""
-    canon = CanonicalForm(comp.process, comp.pkey)
-    return [(TAU, Composite(r.process, comp.delta, r.key))
-            for r in reducts(canon)]
+    """The reducts of the normal-form route, fragment by fragment, as tau
+    moves in key order, one per key."""
+    out = {t.key: t for t in [space.state(r, comp.delta)
+                              for r in _redexes(comp.process)]}
+    return [(TAU, out[k]) for k in sorted(out)]
 
 
 class _Game:
@@ -366,16 +343,13 @@ class _Game:
         printed value) for a fed input, with no play depth, as substituting
         the value at the raw target's own parameter gives the state that
         renaming it to %i#d first gives; (state key, i, d) for an input or
-        bound-output target whose introduced names are renamed to ``d``'s
-        %-names, as :meth:`_std_moves` does; (state key, label) for a free
-        output, a top-level atom of the canonical state, so equal labels
-        give congruent targets, as :func:`explore` argues.  A target that
-        is already a state with nothing to rename is returned as it is:
-        one that carries its canonical key, as a tau target or a node of a
-        seeded graph does, or one of a :class:`Composite` subclass, which
-        keys itself when first read, as a reference-route state does
-        (``encodings._api_steps``).  Only a plain ``Composite`` without a
-        key is raw.
+        bound-output target renamed to ``d``'s %-names, as
+        :meth:`_std_moves` does; (state key, label) for a free output,
+        which is a whole fragment of the state, so equal labels remove
+        equal fragments.  A target that is already a state is returned as
+        it is: one with a key, as a tau target or a seeded graph's node
+        has, or of a :class:`Composite` subclass, which keys itself when
+        first read (``encodings._api_steps``).
         """
         mu, c2 = self.space.step(comp)[i]
         ren, tk = {}, (comp.key, i, d)
@@ -807,7 +781,7 @@ def strong_bisim(p: Process, q: Process, delta=frozenset(), cfg=None):
     game = _Game("strong", cfg)
     graphs = _stable_graphs(p, q, delta, cfg)
     if graphs is None:
-        a, b = state(p, delta), state(q, delta)
+        a, b = game.space.state(p, delta), game.space.state(q, delta)
     else:
         ga, gb = graphs
         if _refine(ga, gb):
@@ -819,26 +793,28 @@ def strong_bisim(p: Process, q: Process, delta=frozenset(), cfg=None):
     return _verdict(game, a, b, cfg)
 
 
+def _check(game: _Game, p: Process, q: Process, delta):
+    """:func:`_verdict` from start states built by the game's space."""
+    a, b = game.space.state(p, delta), game.space.state(q, delta)
+    return _verdict(game, a, b, game.cfg)
+
+
 def weak_bisim(p: Process, q: Process, delta=frozenset(), cfg=None):
-    cfg = cfg or BisimConfig()
-    return _verdict(_Game("weak", cfg), state(p, delta), state(q, delta), cfg)
+    return _check(_Game("weak", cfg or BisimConfig()), p, q, delta)
 
 
 def weak_sim(p: Process, q: Process, delta=frozenset(), cfg=None):
     """Does q weakly simulate p: every move of p has a weak answer in q."""
-    cfg = cfg or BisimConfig()
-    return _verdict(_Game("sim", cfg), state(p, delta), state(q, delta), cfg)
+    return _check(_Game("sim", cfg or BisimConfig()), p, q, delta)
 
 
 def barbed_bisim(p: Process, q: Process, cfg=None):
     """Barbed bisimilarity of closed processes: reductions are answered by
     the defender's reduction closure, and every success barb must show
     somewhere in the defender's closure."""
-    cfg = cfg or BisimConfig()
     if any(n.kind != SUCCESS for n in free_names(p) | free_names(q)):
         raise NotClosed("barbed bisimilarity needs closed processes")
-    return _verdict(_Game("barbed", cfg), state(p, frozenset()),
-                    state(q, frozenset()), cfg)
+    return _check(_Game("barbed", cfg or BisimConfig()), p, q, frozenset())
 
 
 def internal_bisim_n(delta, p: Process, q: Process, n: int,
@@ -857,7 +833,8 @@ def internal_bisim_n(delta, p: Process, q: Process, n: int,
     cfg = replace(cfg or BisimConfig(), depth=n)
     env = dict(env or {})
     delta = frozenset(delta)
-    a, b = state(p, delta), state(q, delta)
+    game = _Game("internal", cfg, env)
+    a, b = game.space.state(p, delta), game.space.state(q, delta)
     for side, proc in (("left", a.process), ("right", b.process)):
         if not is_internal(proc, env):
             raise NotInternal(f"{side} process is not in the internal "
@@ -868,7 +845,7 @@ def internal_bisim_n(delta, p: Process, q: Process, n: int,
             if not v.ok:
                 raise TypeMismatch(f"{side} process does not typecheck: "
                                    f"{v.errors[0]}")
-    return _verdict(_Game("internal", cfg, env), a, b, cfg)
+    return _verdict(game, a, b, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -886,4 +863,5 @@ def replay_witness(p: Process, q: Process, verdict: Verdict,
         k: verdict.bounds[k] for k in ("depth", "tau_budget", "state_budget")
         if k in verdict.bounds})
     game = _Game(verdict.bounds.get("method", "weak"), cfg, env)
-    return game.replay(state(p, delta), state(q, delta), verdict.witness)
+    return game.replay(game.space.state(p, delta),
+                       game.space.state(q, delta), verdict.witness)

@@ -32,10 +32,10 @@ from . import api
 from .syntax import (
     Case, CanonicalForm, ChanType, Input, LetTuple, Name, Nil, NIL, Output,
     Par, Process, RepInput, Res, SUCCESS, VInl, VInr, VName, VTuple, VUNIT,
-    Value, _chain, _frees, _node, _par, _par_list, _shallow, _split_chain,
-    canonicalize, canonical_process, free_names, fresh_name, parse_name,
-    print_value,
-    rename_free, substitute, substitute_value, value_names,
+    Value, _chain, _fragments, _frees, _level, _node, _par, _par_list,
+    _shallow, _split_chain, canonicalize, canonical_process, free_names,
+    fresh_name, parse_name, print_value, rename_free, substitute,
+    substitute_value, value_names,
 )
 
 
@@ -171,12 +171,12 @@ def lts_step(delta, p: Process):
     """All transitions of ``p`` under connection set ``delta``.
 
     Ground style: input parameters stay uninstantiated.  The caller is
-    expected to have canonicalized ``p`` (or otherwise guaranteed distinct
-    bound names, disjoint from n(delta)).  One bottom-up walk: a ``|`` node
-    freshens bound labels against the names its right child keeps and those
-    gathered along the ``|`` spine, not re-walking a sibling once per step.
-    Raises ValueError on a process nested too deeply for the recursion
-    limit, such as a long restriction chain.
+    expected to have canonicalized ``p`` or its fragments, which may bind
+    the same names: a pair hides what delta connects at its names.  One
+    walk: a ``|`` node freshens bound labels against the names its right
+    child keeps and those gathered along the spine, not re-walking a
+    sibling once per step.  Raises ValueError on a process nested too
+    deeply for the recursion limit, such as a long restriction chain.
     """
     return _shallow(_steps, delta, p)
 
@@ -198,7 +198,9 @@ def _steps(delta, p: Process):
     out = []
     if isinstance(p, Res):
         pair = {p.in_name, p.out_name}
-        inner = frozenset(delta) | {(p.in_name, p.out_name)}
+        # the pair hides what delta connects at its names
+        inner = frozenset([(a, b) for a, b in delta if a not in pair
+                           and b not in pair] + [(p.in_name, p.out_name)])
         for mu, q in _steps(inner, p.body):
             if isinstance(mu, Tau):
                 out.append((TAU, Res(p.in_name, p.out_name, p.in_type, q)))
@@ -292,11 +294,11 @@ def _par_steps(delta, p: Par, lsteps, lnames):
 class Composite:
     """A process with its connection set.
 
-    ``pkey`` is the canonical key of ``process``, set when :func:`state`
-    built the composite (``process`` is then in canonical form).  ``key``
-    identifies the state modulo structural congruence as ``pkey@a-b,...``;
-    a composite built without ``pkey`` canonicalizes its process the first
-    time ``key`` is read.
+    ``pkey`` is the fragment key of ``process``, set when :class:`Fragments`
+    built the composite (``process`` is then the ``|`` of its canonical
+    fragments in key order).  ``key`` identifies the state modulo
+    structural congruence as ``pkey@a-b,...``; a composite built without
+    ``pkey`` finds its fragment key the first time ``key`` is read.
     """
 
     process: Process
@@ -305,9 +307,7 @@ class Composite:
 
     @cached_property
     def key(self) -> str:
-        pkey = self.pkey
-        if pkey is None:
-            pkey = canonicalize(self.process).key
+        pkey = self.pkey or state(self.process, ()).pkey
         return f"{pkey}@{delta_key(self.delta)}"
 
     def with_delta(self, delta) -> "Composite":
@@ -323,15 +323,72 @@ class Composite:
                                if a in fn or b in fn)
 
 
-def state(process: Process, delta) -> Composite:
-    """The composite of ``process`` in canonical form, carrying its key.
+class Fragments:
+    """The fragments one walk has met, and the states built of them.
 
-    This is where a state gets its identity: everything built from a state
-    (moves, closures, explored nodes) reads the stored key instead of
-    canonicalizing again.
+    A fragment is a pair-free top-level atom, or ``new(chain)(atoms)``
+    whose atoms the chain's pairs connect, canonicalized alone, so
+    siblings may bind the same ``_#k`` names.  A state's process is the
+    ``|`` of its fragments in key order, which ``pkey`` prints.  A target
+    keeps the fragments its step left alone, which :meth:`state` finds by
+    identity; it splits and canonicalizes, once per chain and multiset of
+    atoms, each other top-level component, settled if ``settle`` is given.
+
+    Processes are congruent exactly when their fragment multisets are
+    equal (Engelfriet & Gelsema, TCS 1999).  Equal multisets make both
+    congruent to one ``|`` of fragments, by scope extrusion and the monoid
+    laws of ``|``.  Congruent processes have one canonical form, whose top
+    level :func:`canonicalize` certifies component by component, each at
+    binder depth 0 with no label bound, as it would certify it alone.  The
+    table holds each node it keys, so no ``id`` is reused while it lives.
     """
-    c = canonicalize(process)
-    return Composite(c.process, frozenset(delta), c.key)
+
+    __slots__ = ("_settle", "_keys", "_pieces", "_states")
+
+    def __init__(self, settle=None):
+        self._settle = settle
+        self._keys = {}    # id(fragment node) -> (node, key)
+        self._pieces = {}  # (chain, atoms sorted by hash) -> fragments
+        self._states = {}  # state key -> state
+
+    def state(self, p: Process, delta) -> Composite:
+        """The state of ``p`` under ``delta``, one object per key."""
+        frags = []
+        for x in _par_list(p):
+            got = self._keys.get(id(x))
+            frags += [got] if got else self._new(x)
+        frags.sort(key=lambda f: f[1])
+        delta = frozenset(delta)
+        pkey = " | ".join([k for _, k in frags]) or "0"
+        key = f"{pkey}@{delta_key(delta)}"
+        out = self._states.get(key)
+        if out is None:
+            root = _par([f for f, _ in frags])
+            _frees(root)  # the root keeps its fragments' names too
+            out = self._states[key] = Composite(root, delta, pkey)
+        return out
+
+    def _new(self, x: Process) -> list:
+        """The fragments of a top-level component that is no fragment,
+        found once per restriction chain and multiset of atoms."""
+        pairs, core = _split_chain(x)
+        atoms = [a for a in _par_list(core) if not isinstance(a, Nil)]
+        sk = (tuple(pairs), tuple(sorted(atoms, key=hash)))
+        out = self._pieces.get(sk)
+        if out is None:
+            out = self._pieces[sk] = []
+            for f in _fragments(self._settle(x) if self._settle else x):
+                c = canonicalize(f)
+                out.append((c.process, c.key))
+                self._keys[id(c.process)] = out[-1]
+        return out
+
+
+def state(process: Process, delta) -> Composite:
+    """The composite of ``process`` as the ``|`` of its canonical
+    fragments, carrying the key that everything built from it reads; a
+    walk keeps one :class:`Fragments` table instead of calling this."""
+    return Fragments().state(process, delta)
 
 
 def composite_step(comp: Composite):
@@ -441,20 +498,23 @@ def _served(pairs, atoms, i: int, j: int) -> Process:
     return _chain(pairs, _par([body] + keep + rest))
 
 
-def _reducts(canon: Process) -> dict:
-    """One-step reducts of a canonical process as ``key -> process``."""
-    pairs, core = _split_chain(canon)
-    atoms = _par_list(core)
-    out = [_served(pairs, atoms, i, j) for a, b, _ in pairs
-           for i, recv in enumerate(atoms)
-           if isinstance(recv, (Input, RepInput)) and recv.subject == a
-           for j, send in enumerate(atoms)
-           if j != i and isinstance(send, Output) and send.subject == b]
-    for i, atom in enumerate(atoms):
-        fired = _fire(atom)
-        if fired is not None:
-            out.append(_chain(pairs, _par([fired] + atoms[:i] + atoms[i + 1:])))
-    return {c.key: c.process for c in map(canonicalize, out)}
+def _redexes(p: Process) -> list:
+    """One-step reducts of ``p``, a canonical process or the ``|`` of
+    canonical fragments, unbuilt, each fragment reducing on its own."""
+    frags, out = _par_list(p), []
+    for k, frag in enumerate(frags):
+        pairs, core = _split_chain(frag)
+        atoms = _par_list(core)
+        made = [_served(pairs, atoms, i, j) for a, b, _ in pairs
+                for i, recv in enumerate(atoms)
+                if isinstance(recv, (Input, RepInput)) and recv.subject == a
+                for j, send in enumerate(atoms)
+                if j != i and isinstance(send, Output) and send.subject == b]
+        made += [_chain(pairs, _par([fired] + atoms[:i] + atoms[i + 1:]))
+                 for i, fired in enumerate(map(_fire, atoms))
+                 if fired is not None]
+        out += [_par(frags[:k] + [r] + frags[k + 1:]) for r in made]
+    return out
 
 
 def reduce(p: Process):
@@ -464,14 +524,14 @@ def reduce(p: Process):
     end to the output end; destructors fire on literal values.  Results are
     canonical, deduplicated.
     """
-    return set(_reducts(canonical_process(p)).values())
+    return {c.process for c in reducts(canonicalize(p))}
 
 
 def reducts(c: CanonicalForm):
     """One-step reducts of a canonical form, as canonical forms in key
     order, so that searches over them do not depend on hashing."""
-    return [CanonicalForm(q, k)
-            for k, q in sorted(_reducts(c.process).items())]
+    found = {r.key: r for r in map(canonicalize, _redexes(c.process))}
+    return [found[k] for k in sorted(found)]
 
 
 def settle(p: Process) -> Process:
@@ -491,20 +551,39 @@ def settle(p: Process) -> Process:
 
 
 def requests(p: Process, delta) -> list:
-    """The requests of ``p``, in canonical form, under ``delta``, in atom
-    order: each message ``b!(v)`` whose one pair ``(a, b)``, in the top
-    chain or in ``delta``, has a server ``!a(x).P`` among the top-level
-    atoms, as a ``build()`` of ``p`` once served (a reduct of ``reduce``)."""
-    pairs, core = _split_chain(p)
-    atoms = _par_list(core)
-    servers = {x.subject: i for i, x in enumerate(atoms)
-               if isinstance(x, RepInput)}
-    ins = {}  # an output end's input end, None if it has two
-    for a, b in [*delta, *((a, b) for a, b, _ in pairs)]:
-        ins[b] = None if b in ins else a
-    return [partial(_served, pairs, atoms, servers[ins[x.subject]], j)
-            for j, x in enumerate(atoms)
-            if isinstance(x, Output) and ins.get(x.subject) in servers]
+    """The requests of ``p``, a canonical process or the ``|`` of canonical
+    fragments, under ``delta``, in fragment order, then atom order: each
+    message ``b!(v)`` whose one pair ``(a, b)`` has a server ``!a(x).P``
+    among the top-level atoms, as a ``build()`` of ``p`` once served (a
+    reduct of ``reduce``).  A pair of a fragment's chain has its server in
+    that fragment; a pair of ``delta`` may join two (:func:`_request`)."""
+    outer, frags, levels, servers, wants = {}, _par_list(p), [], {}, []
+    for a, b in delta:
+        outer[b] = None if b in outer else a  # None: two input ends
+    for i, frag in enumerate(frags):
+        pairs, core = _split_chain(frag)
+        levels.append((pairs, _par_list(core)))
+        # a chain name -> the server key of its pair, None at an input end
+        own = dict(x for a, b, _ in pairs for x in ((a, None), (b, (i, a))))
+        for j, x in enumerate(levels[-1][1]):
+            if isinstance(x, RepInput):
+                servers[(i, x.subject) if x.subject in own else x.subject] = (
+                    i, j)
+            elif isinstance(x, Output):
+                wants.append((own[x.subject] if x.subject in own
+                               else outer.get(x.subject), i, j))
+    return [partial(_request, frags, levels, *servers[w], i, j)
+            for w, i, j in wants if w in servers]
+
+
+def _request(frags, levels, k, s, i, j) -> Process:
+    """``frags`` once message ``j`` of fragment ``i`` is served by server
+    ``s`` of fragment ``k``, two fragments merged under one chain first."""
+    if k != i:  # the server's atoms come first
+        j += len(levels[k][1])
+    pairs, atoms = _level(Par(frags[k], frags[i])) if k != i else levels[i]
+    return _par([f for n, f in enumerate(frags) if n not in (i, k)]
+                + [_served(pairs, atoms, s, j)])
 
 
 # ---------------------------------------------------------------------------
@@ -518,9 +597,10 @@ class NameSet(frozenset):
 
 
 def canonical_barbs(canon: Process) -> frozenset:
-    """Success names with an unguarded output in a canonical process."""
-    _, core = _split_chain(canon)
-    return frozenset(atom.subject for atom in _par_list(core)
+    """Success names with an unguarded output in a canonical process or
+    in the ``|`` of canonical fragments, read fragment by fragment."""
+    return frozenset(atom.subject for frag in _par_list(canon)
+                     for atom in _par_list(_split_chain(frag)[1])
                      if isinstance(atom, Output)
                      and atom.subject.kind == SUCCESS)
 
@@ -572,14 +652,14 @@ class LtsGraph:
 
 def explore(delta, p: Process, depth_bound: int = 6,
             state_bound: int = 2000) -> LtsGraph:
-    """Breadth-first LTS exploration over canonical composite states.
-
-    A free-output target is built once per (node, label): an unguarded
-    output whose names are all free is a top-level atom of the canonical
-    node, so equal labels remove identical atoms, under the same
-    connection set (``composite_step`` keeps it on a free output).
+    """Breadth-first LTS exploration over composite states, built by one
+    :class:`Fragments` table per call.  A free-output target is built once
+    per (node, label): a free output is a whole fragment, so equal labels
+    remove equal fragments, under the same connection set
+    (``composite_step`` keeps it on a free output).
     """
-    root = state(p, delta).gc()
+    table = Fragments()
+    root = table.state(p, delta).gc()
     nodes = [root]
     index = {root.key: 0}
     edges = []
@@ -596,7 +676,7 @@ def explore(delta, p: Process, depth_bound: int = 6,
         for mu, c in steps:
             nxt = outs.get(mu)
             if nxt is None:
-                nxt = state(c.process, c.delta).gc()
+                nxt = table.state(c.process, c.delta).gc()
                 if isinstance(mu, FreeOut):
                     outs[mu] = nxt
             tid = index.get(nxt.key)

@@ -85,6 +85,9 @@ def _node(cls=None, /, *, slots=False):
     own = vars(cls)
     names = [f.name for f in fields(cls)]
     env, body = {"_set": object.__setattr__}, []
+    if isinstance(getattr(cls, "_names", None), MemberDescriptorType):
+        env["_setn"] = cls._names.__set__  # a process keeps no names yet
+        body.append("_setn(self, None)")
     for k, name in enumerate(names):
         slot = own.get(name)
         if isinstance(slot, MemberDescriptorType):
@@ -356,9 +359,9 @@ def _value_counts(v: Value, counts):
 # ---------------------------------------------------------------------------
 
 class Process:
-    # free names, once :func:`_frees` stores them with ``_keep_names`` (the
-    # slot's setter; ``_node_setattr`` refuses them); a slot, not a field,
-    # so equality, hash, repr and ``fields`` do not see them
+    # free names, None until :func:`_frees` stores them with ``_keep_names``
+    # (the slot's setter; ``_node_setattr`` refuses them); a slot, not a
+    # field, so equality, hash, repr and ``fields`` do not see them
     __slots__ = ("_names",)
 
 
@@ -501,7 +504,7 @@ def _frees(p: Process) -> frozenset:
     """The free names of ``p``, kept on the node the first time they are
     found, as a ``str`` keeps its hash, so a subterm that many states share
     or that a walk asks about again is walked once in its life."""
-    out = getattr(p, "_names", None)
+    out = p._names
     if out is not None:
         return out
     if isinstance(p, Par):
@@ -510,7 +513,7 @@ def _frees(p: Process) -> frozenset:
         names, todo = set(), [p]
         while todo:
             q = todo.pop()
-            if isinstance(q, Par) and getattr(q, "_names", None) is None:
+            if isinstance(q, Par) and q._names is None:
                 todo += (q.left, q.right)
             else:
                 names |= _frees(q)
@@ -518,7 +521,7 @@ def _frees(p: Process) -> frozenset:
     elif isinstance(p, Res):
         # a chain in a loop too: a wide |'s canonical form is one long chain
         bound, q = [p.in_name, p.out_name], p.body
-        while isinstance(q, Res) and getattr(q, "_names", None) is None:
+        while isinstance(q, Res) and q._names is None:
             bound += (q.in_name, q.out_name)
             q = q.body
         out = _frees(q).difference(bound)
@@ -616,14 +619,16 @@ def _subst(p: Process, mapping) -> Process:
     if isinstance(p, Nil):
         return p
     if isinstance(p, Par):
-        # the left | spine is walked in a loop, as in _frees, shape kept
+        # the left | spine in a loop, as in _frees, shape kept; a component
+        # free of mapped names is kept, and no inner | is asked (n^2 names)
         rights = []
         while isinstance(p, Par):
             rights.append(p.right)
             p = p.left
-        out = _subst(p, mapping)
+        out = p if mapping.keys().isdisjoint(_frees(p)) else _subst(p, mapping)
         for r in reversed(rights):
-            out = Par(out, _subst(r, mapping))
+            keep = not isinstance(r, Par) and mapping.keys().isdisjoint(_frees(r))
+            out = Par(out, r if keep else _subst(r, mapping))
         return out
     if isinstance(p, Output):
         return Output(_subst_subject(p.subject, mapping),
@@ -1468,7 +1473,8 @@ class _Canon:
         comps.sort(key=lambda c: c[:2])
         return "|".join([c[1] for c in comps]), [c[2] for c in comps]
 
-    def _components(self, pairs, atoms):
+    @staticmethod
+    def _components(pairs, atoms):
         """Connected components of a level: ``(pairs, atoms)`` groups."""
         if not pairs:
             return [([], [x]) for x in atoms]
@@ -1752,6 +1758,22 @@ def _canonicalize(p: Process) -> CanonicalForm:
     q, key = c.build(p, c.render(p, 0, {}, False), {}, alloc)
     _keep_names(q, names)  # the canonical form has the input's free names
     return CanonicalForm(q, key)
+
+
+def _level(p: Process) -> tuple:
+    """``(pairs, atoms)``: ``p``'s top level as one chain over its atoms,
+    in order, names that clash renamed apart (:meth:`_Canon._flat`)."""
+    if not isinstance(p, (Par, Res)):
+        return [], [] if isinstance(p, Nil) else [p]
+    return _Canon()._flat(p)[1:]
+
+
+def _fragments(p: Process) -> list:
+    """The connected components of ``p``'s top level, each pair pushed to
+    its smallest scope: pair-free atoms, and chains over the atoms that
+    their pairs connect.  No nil."""
+    return [_chain(cpairs, _par(catoms))
+            for cpairs, catoms in _Canon._components(*_level(p))]
 
 
 def canonical_process(p: Process) -> Process:

@@ -14,11 +14,14 @@ import pytest
 import awpi
 from awpi.syntax import (
     NIL, Name, Par, Res, VUNIT, _par_list, _split_chain, canonical_process,
-    canonicalize, parse_file, parse_process, parse_vtype, rename_free,
+    canonicalize, parse_file, parse_process, parse_vtype, print_process,
+    rename_free,
 )
 from awpi.encodings import check_alpi_correspondence, encode_alpi, parse_alpi
 from awpi.internal import internalize
-from awpi.semantics import Composite, Tau, delta_key, erase_to_api, state
+from awpi.semantics import (
+    Composite, Tau, composite_step, delta_key, erase_to_api, state,
+)
 from awpi.typecheck import ANY
 from awpi import api
 from awpi.equivalence import (
@@ -28,6 +31,7 @@ from awpi.equivalence import (
 )
 
 from oracles import bisimulation_classes
+from test_semantics import fragment_key, fresh_key
 
 
 def nm(s):
@@ -200,7 +204,7 @@ def test_game_closure_states_carry_fresh_keys():
     reach = list(walk)
     assert len(reach) == 3 and not walk.truncated
     for s in reach:
-        assert s.key == canonicalize(s.process).key + "@" + delta_key(s.delta)
+        assert s.key == fresh_key(s)
 
 
 def test_every_game_is_freed_when_its_check_returns(monkeypatch):
@@ -440,18 +444,21 @@ def test_game_instantiates_each_input_once(monkeypatch, name):
 
 
 def _record_states(monkeypatch):
-    """Patch the game's ``state`` to record each (printed process, delta)
-    it is asked to build."""
-    import awpi.equivalence
+    """Patch the fragment table's ``state`` to record each (printed
+    process, delta) that it makes a new state for."""
+    import awpi.semantics
     from awpi.syntax import print_process
-    build = awpi.equivalence.state
+    build = awpi.semantics.Fragments.state
     built = []
 
-    def recording(p, delta):
-        built.append((print_process(p), delta_key(frozenset(delta))))
-        return build(p, delta)
+    def recording(table, p, delta):
+        before = len(table._states)
+        out = build(table, p, delta)
+        if len(table._states) > before:
+            built.append((print_process(p), delta_key(frozenset(delta))))
+        return out
 
-    monkeypatch.setattr(awpi.equivalence, "state", recording)
+    monkeypatch.setattr(awpi.semantics.Fragments, "state", recording)
     return built
 
 
@@ -543,9 +550,38 @@ def test_game_state_table_keys_up_to_the_monoid_laws():
         game = _Game("weak", BisimConfig())
         first = game.space.state(p, frozenset())
         assert game.space.state(q, frozenset()) is first
-        assert first.pkey == canonicalize(q).key
+        assert first.pkey == fragment_key(q)
         shuffled += len(atoms) > 1
     assert shuffled >= 50
+
+
+def test_a_step_canonicalizes_only_the_fragment_it_touched(monkeypatch):
+    # bench/corpus.client_server(4): a served client leaves the server's
+    # fragment, and its own step canonicalizes no other
+    client = "new(r: i[unit], ro)( so!(ro) | r(x).ok!() )"
+    p = proc("success ok; new(s: i[o[unit]], so)( !s(r).r!() | "
+             + " | ".join([client] * 4) + " )")
+    space = _Game("weak", BisimConfig()).space
+    served = next(t for mu, t in space.step(space.state(p, frozenset()))
+                  if isinstance(mu, Tau))
+    big, alone = sorted(_par_list(served.process),
+                        key=lambda f: -len(print_process(f)))
+    assert print_process(alone) == \
+        "new(_: i[unit], _#1) (_(_#2).ok!() | _#1!())"
+    steps = [c for mu, c in composite_step(served) if isinstance(mu, Tau)
+             and any(f is big for f in _par_list(c.process))]
+    assert len(steps) == 1
+    calls = []
+
+    def recording(q):
+        calls.append(print_process(q))
+        return canonicalize(q)
+
+    monkeypatch.setattr(awpi.semantics, "canonicalize", recording)
+    after = space.state(steps[0].process, steps[0].delta)
+    # canonicalizing the state canonicalized the server's fragment too
+    assert calls == ["ok!()"]
+    assert any(f is big for f in _par_list(after.process))
 
 
 def test_game_stops_at_the_first_winning_attack(monkeypatch):

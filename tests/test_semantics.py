@@ -5,7 +5,7 @@ from awpi.syntax import (
     canonicalize, free_names, parse_file, parse_process, print_process,
     print_value, rename_free,
 )
-from awpi.syntax import NIL, Res
+from awpi.syntax import NIL, Res, _fragments
 from awpi.syntax import Input as SInput, Output as SOutput, Par as SPar
 from awpi.typecheck import typecheck
 from awpi import api
@@ -617,8 +617,10 @@ def test_explore_builds_a_free_output_target_once_per_label(monkeypatch):
     monkeypatch.setattr(S, "canonicalize", counted)
     g = explore(frozenset(), parse_process(" | ".join(["k!()"] * 30)),
                 depth_bound=30)
-    # one call per state; building one target per edge made 466
-    assert calls[0] == 31
+    # one call for the root's thirty equal fragments, and none for a
+    # target, which keeps the rest; one per state made 31, and building
+    # one target per edge made 466
+    assert calls[0] == 1
     assert (len(g.nodes), len(g.edges), g.truncated) == (31, 465, False)
     assert [dst for _, _, dst in g.edges[:30]] == [1] * 30
 
@@ -746,8 +748,15 @@ new(s: i[o[unit]], so) (
 """
 
 
+def fragment_key(p):
+    """The fragment key of ``p`` computed afresh: its top-level connected
+    components canonicalized one by one, their keys sorted."""
+    return " | ".join(sorted(canonicalize(f).key for f in _fragments(p))) \
+        or "0"
+
+
 def fresh_key(comp):
-    return canonicalize(comp.process).key + "@" + S.delta_key(comp.delta)
+    return fragment_key(comp.process) + "@" + S.delta_key(comp.delta)
 
 
 def test_explored_states_carry_fresh_keys():

@@ -269,6 +269,28 @@ def test_substitute_vs_oracle_seeded():
         assert alpha_eq(got, want), (print_process(p), mapping)
 
 
+def test_substitute_keeps_the_components_it_does_not_touch():
+    atoms = [Output(Name("k", i), VUNIT) for i in range(64)]
+    left = atoms[0]
+    for a in atoms[1:]:
+        left = Par(left, a)
+    got = syntax._par_list(substitute(left, {Name("k", 17): VName(Name("m"))}))
+    assert got[17] == Output(Name("m"), VUNIT)
+    assert all(x is a for i, (x, a) in enumerate(zip(got, atoms)) if i != 17)
+    # a right-nested | keeps no names on its inner | nodes, before or after
+    right = atoms[-1]
+    for a in reversed(atoms[:-1]):
+        right = Par(a, right)
+    out = substitute(right, {Name("k", 17): VName(Name("m"))})
+    assert syntax._par_list(out) == got
+    for p in (right, out):
+        inner = []
+        while isinstance(p.right, Par):
+            p = p.right
+            inner.append(getattr(p, "_names", None))
+        assert inner == [None] * 62
+
+
 def test_substitute_composition():
     rng = random.Random(11)
     a, b, c, d = Name("a"), Name("b"), Name("c"), Name("d")
@@ -462,6 +484,18 @@ def test_canonicalize_sound_exhaustive():
             f"not derivable: {print_process(members[0])}  ~  {print_process(fails[0])}"
         checked += len(members) - 1
     assert checked >= 50000  # the enumeration genuinely exercises the oracle
+
+
+def test_fragment_keys_partition_as_canonical_keys():
+    """A state's fragment key, the sorted keys of its canonicalized
+    connected components, groups the size <= 7 enumeration of
+    :func:`test_canonicalize_sound_exhaustive` as ``canonicalize`` does."""
+    by_key, by_fragments, n = {}, {}, 0
+    for n, p in enumerate(enumerate_core(7), 1):
+        by_key.setdefault(canonicalize(p).key, []).append(n)
+        by_fragments.setdefault(semantics.state(p, ()).pkey, []).append(n)
+    assert (n, len(by_key)) == (92075, 22975)
+    assert sorted(by_key.values()) == sorted(by_fragments.values())
 
 
 def test_dead_restriction_drop_is_derivable():
