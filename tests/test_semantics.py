@@ -617,7 +617,7 @@ def test_explore_builds_a_free_output_target_once_per_label(monkeypatch):
     monkeypatch.setattr(S, "canonicalize", counted)
     g = explore(frozenset(), parse_process(" | ".join(["k!()"] * 30)),
                 depth_bound=30)
-    # one call for the root's thirty equal fragments, and none for a
+    # one call for the root's thirty equal components, and none for a
     # target, which keeps the rest; one per state made 31, and building
     # one target per edge made 466
     assert calls[0] == 1
