@@ -453,7 +453,7 @@ def _api_steps(space: _Space, comp: Composite):
             for mu, q in api.lts_step(comp.process)]
 
 
-def _api_weak_barbs(p: api.Process, budget: int, space: _Space = None):
+def _api_weak_barbs(p: api.Process, budget: int, space: _Space):
     """The success barbs of the closed ``p`` after any number of tau steps,
     and whether the tau budget cut the walk short.
 
@@ -461,11 +461,11 @@ def _api_weak_barbs(p: api.Process, budget: int, space: _Space = None):
     ``p``, and then reports ``truncated = False``.  That answer is exact: a
     tau step never adds a free name, so no state of the walk can show a
     barb on a name outside that set.  When ``p`` has no free success name,
-    the walk stops after its first state.  ``space`` is a reference-route
-    space (:func:`_api_steps`) that may already hold stepped states.
+    the walk stops after its first state.  ``space`` is the reference-route
+    space (:func:`_api_steps`) of the check's game, which may already hold
+    stepped states.
     """
     possible = {str(n) for n in api.free_names(p) if n.kind == SUCCESS}
-    space = space or _Space(_api_steps)
     barbs = set()
     walk = closure(_api_state(p), space.tau_targets, budget)
     for s in walk:

@@ -9,7 +9,7 @@ moves come from the reduction route (:func:`semantics.reducts`), never
 from the LTS, and each success barb is a move of its own; the localised-pi
 correspondence in ``encodings`` plays over the reference LTS of ``api``.
 Strong bisimilarity on two finite explored graphs is decided exactly by
-partition refinement; the game, seeded with those graphs, then only
+partition refinement; the game, played over the same table, then only
 supplies a distinguished pair's witness.
 Verdicts are three-valued: budget edges surface as ``inconclusive``
 rather than as a silent guess, and every ``distinguished`` verdict
@@ -45,8 +45,8 @@ from .typecheck import ANY, dual, typecheck
 from .internal import internalize, is_internal
 from .semantics import (
     TAU, BoundOut, Composite, Fragments, FreeOut, In, Tau, _redexes,
-    canonical_barbs, closure, composite_step, delta_key, delta_names,
-    explore, requests, settle, state,
+    _explore, canonical_barbs, closure, composite_step, delta_key,
+    delta_names, requests, settle,
 )
 
 
@@ -71,8 +71,8 @@ INCONCLUSIVE = "inconclusive"
 class BisimConfig:
     """Bounds of a check.  ``depth``: rounds of the game, the
     correspondence check's included.  ``tau_budget``: states of each weak
-    closure.  ``state_budget``: only :func:`strong_bisim`'s :func:`explore`;
-    the game ignores it.
+    closure.  ``state_budget``: only the graphs :func:`strong_bisim`
+    explores; the game ignores it.
     """
 
     depth: int = 6
@@ -245,10 +245,14 @@ def _internal_steps(space: _Space, comp: Composite):
     fresh pairs, so a request keeps its partner, and a message absorbed at
     a server is one more request.  ``spent`` removes input attacks, no
     tau.  ``depth`` counts rounds of this reduced game: a distinction may
-    take a round more or fewer."""
-    reqs = requests(comp.process, comp.delta)
+    take a round more or fewer.  Congruent targets are one state, judged
+    once."""
+    reqs, judged = requests(comp.process, comp.delta), set()
     for build in reqs:
         t = space.state(build(), comp.delta)
+        if t.key in judged:
+            continue
+        judged.add(t.key)
         if len(requests(t.process, t.delta)) < len(reqs):
             return [(TAU, t)]
     return _lts(space, comp)
@@ -338,18 +342,18 @@ class _Game:
         """The target of transition ``i`` of ``comp`` as a state, its input
         parameter bound to ``value`` if one is given.
 
-        One table per game, keyed by how the target is reached (``i``
-        indexes ``space.step``'s list, fixed per state key): (state key, i,
-        printed value) for a fed input, with no play depth, as substituting
-        the value at the raw target's own parameter gives the state that
-        renaming it to %i#d first gives; (state key, i, d) for an input or
-        bound-output target renamed to ``d``'s %-names, as
-        :meth:`_std_moves` does; (state key, label) for a free output,
-        which is a whole fragment of the state, so equal labels remove
-        equal fragments.  A target that is already a state is returned as
-        it is: one with a key, as a tau target or a seeded graph's node
-        has, or of a :class:`Composite` subclass, which keys itself when
-        first read (``encodings._api_steps``).
+        A renamed or fed target is kept in one table per game, keyed by
+        how it is reached (``i`` indexes ``space.step``'s list, fixed per
+        state key): (state key, i, printed value) for a fed input, with no
+        play depth, as substituting the value at the raw target's own
+        parameter gives the state that renaming it to %i#d first gives;
+        (state key, i, d) for an input or bound-output target renamed to
+        ``d``'s %-names, as :meth:`_std_moves` does.  A free output's
+        target goes straight to the space, which keeps the fragments the
+        output left alone.  A target that is already a state is returned
+        as it is: one with a key, as a tau target has, or of a
+        :class:`Composite` subclass, which keys itself when first read
+        (``encodings._api_steps``).
         """
         mu, c2 = self.space.step(comp)[i]
         ren, tk = {}, (comp.key, i, d)
@@ -362,7 +366,7 @@ class _Game:
         elif c2.pkey is not None or type(c2) is not Composite:
             return c2
         else:
-            tk = (comp.key, mu)
+            return self.space.state(c2.process, c2.delta)
         out = self._targets.get(tk)
         if out is None:
             p = rename_free(c2.process, ren) if value is None \
@@ -710,14 +714,15 @@ def _verdict(game: _Game, a: Composite, b: Composite, cfg: BisimConfig):
 # partition refinement, used when both graphs are finite and label-stable
 
 
-def _stable_graphs(p, q, delta, cfg):
+def _stable_graphs(space: _Space, p, q, delta, cfg):
+    """The graphs of ``p`` and ``q`` explored through ``space``, or None
+    when one is truncated or has a label that introduces a name."""
     out = []
     for r in (p, q):
-        if out and state(r, delta).gc().key == out[0].nodes[out[0].root].key:
+        if out and space.state(r, delta).gc().key == out[0].nodes[0].key:
             out.append(out[0])  # same start state: the same graph
             break
-        g = explore(delta, r, depth_bound=cfg.state_budget,
-                    state_bound=cfg.state_budget)
+        g = _explore(space, delta, r, cfg.state_budget, cfg.state_budget)
         if g.truncated:
             return None
         for src, mu, dst in g.edges:
@@ -752,22 +757,6 @@ def _refine(ga, gb):
     return block[("a", ga.root)] == block[("b", gb.root)]
 
 
-def _seed(game: _Game, g, delta):
-    """Enter the transitions of explored graph ``g`` into ``game``'s
-    table and return its root, so that the game builds no state again.
-
-    A graph :func:`_stable_graphs` accepts has no bound output, so no
-    transition grows the connection set: every node lives under ``delta``,
-    of which ``explore`` only dropped the pairs the node no longer touches.
-    """
-    nodes = [c.with_delta(delta) for c in g.nodes]
-    steps = {c.key: [] for c in nodes}
-    for src, mu, dst in g.edges:
-        steps[nodes[src].key].append((mu, nodes[dst]))
-    game.space._steps.update(steps)
-    return nodes[g.root]
-
-
 # ---------------------------------------------------------------------------
 # public checkers
 
@@ -775,22 +764,22 @@ def _seed(game: _Game, g, delta):
 def strong_bisim(p: Process, q: Process, delta=frozenset(), cfg=None):
     """Strong bisimilarity.  When both processes have finite graphs whose
     labels introduce no names, partition refinement decides exactly; a
-    distinguished pair's witness then comes from the game, played on those
-    graphs one round deeper than they have states together."""
+    distinguished pair's witness then comes from the game, played one
+    round deeper than the graphs have states together.  The graphs are
+    explored through the game's space, so the game builds no state
+    again."""
     cfg = cfg or BisimConfig()
     game = _Game("strong", cfg)
-    graphs = _stable_graphs(p, q, delta, cfg)
-    if graphs is None:
-        a, b = game.space.state(p, delta), game.space.state(q, delta)
-    else:
+    graphs = _stable_graphs(game.space, p, q, delta, cfg)
+    if graphs is not None:
         ga, gb = graphs
         if _refine(ga, gb):
             bounds = {"method": "strong", "exact": True,
                       "states": len(ga.nodes) + len(gb.nodes)}
             return Verdict(EQUIVALENT, (), bounds, False)
-        a, b = _seed(game, ga, delta), _seed(game, gb, delta)
         cfg = replace(cfg, depth=len(ga.nodes) + len(gb.nodes) + 1)
-    return _verdict(game, a, b, cfg)
+    return _verdict(game, game.space.state(p, delta),
+                    game.space.state(q, delta), cfg)
 
 
 def _check(game: _Game, p: Process, q: Process, delta):

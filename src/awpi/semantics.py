@@ -653,12 +653,15 @@ class LtsGraph:
 def explore(delta, p: Process, depth_bound: int = 6,
             state_bound: int = 2000) -> LtsGraph:
     """Breadth-first LTS exploration over composite states, built by one
-    :class:`Fragments` table per call.  A free-output target is built once
-    per (node, label): a free output is a whole fragment, so equal labels
-    remove equal fragments, under the same connection set
-    (``composite_step`` keeps it on a free output).
-    """
-    table = Fragments()
+    :class:`Fragments` table per call."""
+    return _explore(Fragments(), delta, p, depth_bound, state_bound)
+
+
+def _explore(table: Fragments, delta, p: Process, depth_bound: int,
+             state_bound: int) -> LtsGraph:
+    """:func:`explore` through ``table``, which keeps every state built.
+    A node is its state with the connection pairs it no longer touches
+    dropped (:meth:`Composite.gc`)."""
     root = table.state(p, delta).gc()
     nodes = [root]
     index = {root.key: 0}
@@ -672,13 +675,8 @@ def explore(delta, p: Process, depth_bound: int = 6,
         if depth >= depth_bound:
             depth_trunc = depth_trunc or bool(steps)
             continue
-        outs = {}  # free-output label -> its target
         for mu, c in steps:
-            nxt = outs.get(mu)
-            if nxt is None:
-                nxt = table.state(c.process, c.delta).gc()
-                if isinstance(mu, FreeOut):
-                    outs[mu] = nxt
+            nxt = table.state(c.process, c.delta).gc()
             tid = index.get(nxt.key)
             if tid is None:
                 if len(nodes) >= state_bound:

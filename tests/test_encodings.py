@@ -307,7 +307,7 @@ def test_api_weak_barbs_steps_each_visited_state_once(monkeypatch):
         "success ok; success err; new(a: ^unit)( a!() | a!() | !a(y).ok!() )"
         " | new(c: ^unit)( c(z).err!() )"))
     keys = _record_steps(monkeypatch)
-    barbs, truncated = _api_weak_barbs(erased, 400)
+    barbs, truncated = _api_weak_barbs(erased, 400, _Space(_api_steps))
     assert barbs == {"ok"} and truncated
     assert len(keys) == len(set(keys)) == 400
 
@@ -315,14 +315,16 @@ def test_api_weak_barbs_steps_each_visited_state_once(monkeypatch):
 def test_api_weak_barbs_stops_once_every_success_name_is_seen(monkeypatch):
     _direct, erased = _replication_pair()
     keys = _record_steps(monkeypatch)
-    assert _api_weak_barbs(erased, 400) == ({"ok"}, False)
+    space = _Space(_api_steps)
+    assert _api_weak_barbs(erased, 400, space) == ({"ok"}, False)
     assert len(keys) <= 40
 
 
 def test_api_weak_barbs_without_success_names_steps_once(monkeypatch):
     loop = alpi_to_api(parse_alpi("new(a: ^unit)( a!() | !a(y).a!() )"))
     keys = _record_steps(monkeypatch)
-    assert _api_weak_barbs(loop, 400) == (frozenset(), False)
+    space = _Space(_api_steps)
+    assert _api_weak_barbs(loop, 400, space) == (frozenset(), False)
     assert len(keys) == 1
 
 

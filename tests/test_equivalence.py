@@ -240,6 +240,49 @@ def test_every_game_is_freed_when_its_check_returns(monkeypatch):
             gc.enable()
 
 
+def _one_table_checks():
+    """(name, a call of one check) pairs, each built outside the call."""
+    p = proc("success ok; new(a: i[unit], b)( a(x).ok!() | b!() )")
+    q = proc("success ok; success err; ok!() | new(a: i[unit], b)"
+             "( a(x).err!() | b!() )")
+    distinguished = weak_bisim(p, q)
+    delta, lhs, rhs, env = _law("message-meets-companion-payload")
+    alpi = parse_alpi("success ok; new(a: ^unit)( a!() | a!() | !a(y).ok!() )")
+    congruent = proc("success ok; new(a: i[unit], b)( a(x).ok!() | b!() )")
+    bound = proc("new(a: i[unit], b)( m!(b) | a(x).k!() )")
+    return [
+        ("weak", lambda: weak_bisim(p, q)),
+        ("sim", lambda: weak_sim(p, q)),
+        ("barbed", lambda: barbed_bisim(p, q)),
+        ("internal", lambda: internal_bisim_n(delta, lhs, rhs, 4, env=env)),
+        ("alpi", lambda: check_alpi_correspondence(
+            alpi, BisimConfig(depth=4, tau_budget=100))),
+        ("replay", lambda: replay_witness(p, q, distinguished)),
+        ("strong-congruent", lambda: strong_bisim(congruent, congruent)),
+        ("strong-distinct", lambda: strong_bisim(*_strong_pair(2, 3))),
+        ("strong-bound-output", lambda: strong_bisim(bound, congruent)),
+    ]
+
+
+def test_each_check_reads_and_adds_states_through_one_table(monkeypatch):
+    import awpi.semantics
+    tables = []
+    init = awpi.semantics.Fragments.__init__
+
+    def counting(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        tables.append(type(self).__name__)
+
+    checks = _one_table_checks()
+    monkeypatch.setattr(awpi.semantics.Fragments, "__init__", counting)
+    counted = {}
+    for name, check in checks:
+        del tables[:]
+        check()
+        counted[name] = len(tables)
+    assert counted == {name: 1 for name, _ in checks}
+
+
 def test_truncated_search_reports_inconclusive_not_distinguished():
     chain = proc(
         "success ok; "
@@ -700,6 +743,28 @@ def test_a_request_that_never_falls_keeps_every_move(name, src):
                       game.space.step(state(p, frozenset()))]
 
 
+def test_requests_are_counted_once_per_distinct_state(monkeypatch):
+    # each request of the growing server leads to one congruent target;
+    # a state's requests are counted when it is stepped, and a target's
+    # once when first judged
+    import awpi.equivalence
+    from collections import Counter
+    counted = Counter()
+    original = awpi.equivalence.requests
+
+    def counting(p, delta):
+        counted[p] += 1
+        return original(p, delta)
+
+    monkeypatch.setattr(awpi.equivalence, "requests", counting)
+    q = parse_process(UNSETTLED_SERVERS[0][1])
+    p = Par(q, parse_process("k!()"))
+    v = internal_bisim_n(frozenset(), p, q, 1, env=tenv("k: o[unit]"),
+                         cfg=BisimConfig(tau_budget=20))
+    assert v.inconclusive and len(counted) > 1
+    assert max(counted.values()) <= 2
+
+
 def test_a_game_without_an_environment_keeps_the_full_lts():
     # two receivers on a break property (1), which only a typed game
     # checks; serving b!() to the server first hid the one-shot receiver's
@@ -848,14 +913,14 @@ def test_strong_refinement_verdict_is_exact_on_finite_graphs():
 
 
 def test_strong_bisim_explores_once_when_start_states_share_a_key(monkeypatch):
-    from awpi.semantics import explore
+    from awpi.semantics import _explore, explore
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return explore(*args, **kwargs)
+        return _explore(*args, **kwargs)
 
-    monkeypatch.setattr("awpi.equivalence.explore", counting)
+    monkeypatch.setattr("awpi.equivalence._explore", counting)
     client = "new(r{0}: i[unit], ro{0})( so!(ro{0}) | r{0}(x).ok!() )"
     p = proc("success ok; new(s: i[o[unit]], so)( !s(r).r!() | "
              + client.format(1) + " | " + client.format(2) + " )")
@@ -912,12 +977,13 @@ def test_strong_bisim_agrees_with_partition_refinement(monkeypatch, p, q,
         return canonicalize(x)
 
     monkeypatch.setattr("awpi.semantics.canonicalize", counting)
-    graphs = _stable_graphs(p, q, frozenset(), BisimConfig())
+    graphs = _stable_graphs(_Game("strong", BisimConfig()).space, p, q,
+                            frozenset(), BisimConfig())
     explored = len(calls)
     del calls[:]
     v = strong_bisim(p, q)
-    # refinement, and the witness game on the explored graphs, build no
-    # state again
+    # refinement, and the witness game over the table the graphs were
+    # explored through, build no state again
     assert len(calls) == explored
     monkeypatch.undo()
 

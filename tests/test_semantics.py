@@ -15,7 +15,10 @@ from awpi.semantics import (
     closure, erase_to_api, explore, lts_step, reduce, requests, settle,
     strong_barbs, weak_barbs,
 )
-from awpi.encodings import _api_weak_barbs, encode_alpi, parse_alpi
+from awpi.encodings import (
+    _api_steps, _api_weak_barbs, encode_alpi, parse_alpi,
+)
+from awpi.equivalence import _Space
 
 from gen_typed import random_typed
 from oracles import enumerate_core
@@ -244,7 +247,8 @@ def test_weak_barbs_agree_with_the_reference_route():
         p = rename_free(p, {Name("b"): ok})
         wb = weak_barbs(p, budget=50)
         erased = erase_to_api(Composite(p, frozenset()))
-        barbs, truncated = _api_weak_barbs(erased, 50)
+        barbs, truncated = _api_weak_barbs(erased, 50,
+                                           _Space(_api_steps))
         if wb.truncated or truncated:
             continue
         assert {str(n) for n in wb} == barbs, print_process(p)
