@@ -25,10 +25,10 @@ from .syntax import (
     _node, _shallow, _unbind, canonical_process, vtuple,
 )
 from .typecheck import ANY, typecheck
-from .semantics import TAU, Composite, closure, erase_to_api, lts_step, In
-from .equivalence import (
-    BisimConfig, NotClosed, TypeMismatch, Verdict, _Game, _Space,
+from .semantics import (
+    TAU, Composite, Fragments, closure, erase_to_api, lts_step, In,
 )
+from .equivalence import BisimConfig, NotClosed, TypeMismatch, Verdict, _Game
 
 
 class LocalityViolation(ValueError):
@@ -436,13 +436,13 @@ def _api_state(p: api.Process) -> Composite:
     return _ApiState(p, frozenset())
 
 
-def _api_steps(space: _Space, comp: Composite):
-    """The reference LTS as a game space's successors: each transition
+def _api_steps(space: Fragments, comp: Composite):
+    """The reference LTS as a table's successors: each transition
     of ``api.lts_step`` as (label, target state), tau as ``TAU``.  Every
     target is a state already, keyed the first time its key is read.
 
     States are keyed by alpha key, so each alpha class is stepped once
-    per space.  That is sound because the processes compared are closed
+    per table.  That is sound because the processes compared are closed
     and their images typecheck (:func:`check_alpi_correspondence`
     rejects the rest), so their labels are tau or ``s!()`` on a success
     name ``s``: alpha-equivalent states then have the same labels and
@@ -453,7 +453,7 @@ def _api_steps(space: _Space, comp: Composite):
             for mu, q in api.lts_step(comp.process)]
 
 
-def _api_weak_barbs(p: api.Process, budget: int, space: _Space):
+def _api_weak_barbs(p: api.Process, budget: int, space: Fragments):
     """The success barbs of the closed ``p`` after any number of tau steps,
     and whether the tau budget cut the walk short.
 
@@ -461,9 +461,11 @@ def _api_weak_barbs(p: api.Process, budget: int, space: _Space):
     ``p``, and then reports ``truncated = False``.  That answer is exact: a
     tau step never adds a free name, so no state of the walk can show a
     barb on a name outside that set.  When ``p`` has no free success name,
-    the walk stops after its first state.  ``space`` is the reference-route
-    space (:func:`_api_steps`) of the check's game, which may already hold
-    stepped states.
+    the walk stops after its first state.  ``space`` is the check's game's
+    :class:`Fragments` table of reference-route states (:func:`_api_steps`),
+    which may already hold stepped states; the walk reads the transitions
+    through it, as :func:`semantics.weak_barbs` reads the reductions
+    through its own table.
     """
     possible = {str(n) for n in api.free_names(p) if n.kind == SUCCESS}
     barbs = set()
@@ -489,7 +491,7 @@ def check_alpi_correspondence(p: AlpiProcess, cfg: BisimConfig = None) -> Verdic
     a fresh reference-route game.  An image that does not typecheck under
     :func:`alpi_env` raises ``TypeMismatch`` before any game is played.
 
-    Both directions are ``_Game``'s ``sim`` method over one space of
+    Both directions are ``_Game``'s ``sim`` method over one table of
     reference-route states (:func:`_api_steps`), which the barb walks
     share, so each alpha class is stepped once per call.  Only the game
     loop is shared with the workbench: the transitions come from
@@ -518,7 +520,7 @@ def check_alpi_correspondence(p: AlpiProcess, cfg: BisimConfig = None) -> Verdic
     erased = _api_state(erase_to_api(
         Composite(canonical_process(image), frozenset())))
 
-    game = _Game("sim", cfg, space=_Space(_api_steps))
+    game = _Game("sim", cfg, space=Fragments(_api_steps))
     fwd = game.run(direct, erased, cfg.depth)
     bwd = game.run(erased, direct, cfg.depth)
     barbs_d, tr_d = _api_weak_barbs(direct.process, cfg.tau_budget,

@@ -3,11 +3,13 @@
 Strong and weak bisimilarity, weak similarity, barbed bisimilarity on
 closed processes, and the connection-set-indexed internal bisimilarity,
 all played as one stratified game, :class:`_Game`, whose method picks the
-moves and the responses, over a :class:`_Space` of states; the internal
-game's states are settled, and serve their requests first.  Barbed
-moves come from the reduction route (:func:`semantics.reducts`), never
-from the LTS, and each success barb is a move of its own; the localised-pi
-correspondence in ``encodings`` plays over the reference LTS of ``api``.
+moves and the responses, over one :class:`semantics.Fragments` table of
+states and transitions; the internal game's states are settled, and
+serve their requests first.  Barbed moves come from the reduction route
+(:func:`semantics._reductions`, the moves :func:`semantics.weak_barbs`
+walks), never from the LTS, and each success barb is a move of its own;
+the localised-pi correspondence in ``encodings`` plays over the
+reference LTS of ``api``.
 Strong bisimilarity on two finite explored graphs is decided exactly by
 partition refinement; the game, played over the same table, then only
 supplies a distinguished pair's witness.
@@ -44,9 +46,9 @@ from .syntax import (
 from .typecheck import ANY, dual, typecheck
 from .internal import internalize, is_internal
 from .semantics import (
-    TAU, BoundOut, Composite, Fragments, FreeOut, In, Tau, _redexes,
-    _explore, canonical_barbs, closure, composite_step, delta_key,
-    delta_names, requests, settle,
+    TAU, BoundOut, Composite, Fragments, FreeOut, In, Tau, _explore, _lts,
+    _reductions, canonical_barbs, closure, delta_key, delta_names,
+    requests, settle,
 )
 
 
@@ -178,54 +180,7 @@ class _Round:
         return pair + (env, self.spent)
 
 
-class _Space(Fragments):
-    """The states a game reads and their transitions, built as read.
-
-    ``_steps`` maps a state key to its transitions, (label, target) pairs
-    from ``successors(space, state)``: :func:`_lts` for most methods,
-    :func:`_internal_steps` for a typed internal one, whose space also
-    ``settle``s the fragments it builds, :func:`_reductions` for the
-    barbed one, and ``encodings._api_steps`` for the localised-pi
-    correspondence.  Tau targets must be states, as closures read their
-    keys; a space is the :class:`Fragments` table of its game's states.
-
-    A space holds no closure and nothing that leads back to a game, and
-    its successor functions are module-level functions, not bound
-    methods.  So a game and the walks it caches form no reference cycle,
-    and each game is freed by reference counting when its check returns.
-    """
-
-    __slots__ = ("_successors", "_steps")
-
-    def __init__(self, successors, settle=None):
-        super().__init__(settle)
-        self._successors, self._steps = successors, {}  # key -> transitions
-
-    def step(self, comp: Composite):
-        """The transitions of ``comp``, computed once per space.
-
-        Keyed by the state key: one key means one state up to the space's
-        identity (structural congruence and connection set, or alpha
-        equivalence on the reference route), hence one list of
-        transitions."""
-        out = self._steps.get(comp.key)
-        if out is None:
-            out = self._steps[comp.key] = self._successors(self, comp)
-        return out
-
-    def tau_targets(self, comp: Composite):
-        return [c2 for mu, c2 in self.step(comp) if isinstance(mu, Tau)]
-
-
-def _lts(space: _Space, comp: Composite):
-    """The connection-set LTS.  Tau targets are built as states, once per
-    space; every other target stays raw until the game reads it.  A typed
-    internal game reads it only where no request is served first."""
-    return [(mu, space.state(c2.process, c2.delta) if isinstance(mu, Tau)
-             else c2) for mu, c2 in composite_step(comp)]
-
-
-def _internal_steps(space: _Space, comp: Composite):
+def _internal_steps(space: Fragments, comp: Composite):
     """The internal game's transitions: the first :func:`requests` entry,
     in fragment-key order, then atom order, whose target has fewer
     requests, as the only tau; else :func:`_lts`.
@@ -258,14 +213,6 @@ def _internal_steps(space: _Space, comp: Composite):
     return _lts(space, comp)
 
 
-def _reductions(space: _Space, comp: Composite):
-    """The reducts of the normal-form route, fragment by fragment, as tau
-    moves in key order, one per key."""
-    out = {t.key: t for t in [space.state(r, comp.delta)
-                              for r in _redexes(comp.process)]}
-    return [(TAU, out[k]) for k in sorted(out)]
-
-
 class _Game:
     """Shared stratified game engine.
 
@@ -282,8 +229,9 @@ class _Game:
     target past its first winning attack and a round none past its first
     proved answer.
 
-    Every table lives and dies with one game.  The space holds the
-    transitions and the states (see :class:`_Space`); the game holds the
+    Every table lives and dies with one game.  The space, a
+    :class:`semantics.Fragments` table, holds the transitions and the
+    states, and leads back to no game; the game holds the
     memo and what depends on the method: ``_moves``, keyed by state key
     and, where a label needs it, play depth; ``_closures``, keyed by state
     key; and ``_targets``, the one table of built targets, renamed or fed,
@@ -297,8 +245,8 @@ class _Game:
         self.cfg = cfg
         self.env = dict(env or {})
         self.space = space or (
-            _Space(_internal_steps, settle) if method == "internal" and env
-            else _Space(_reductions if method == "barbed" else _lts))
+            Fragments(_internal_steps, settle) if method == "internal" and env
+            else Fragments(_reductions if method == "barbed" else _lts))
         self.memo = {}
         self.truncated = False
         self._moves = {}     # state key [, play depth] -> _std_moves result
@@ -714,7 +662,7 @@ def _verdict(game: _Game, a: Composite, b: Composite, cfg: BisimConfig):
 # partition refinement, used when both graphs are finite and label-stable
 
 
-def _stable_graphs(space: _Space, p, q, delta, cfg):
+def _stable_graphs(space: Fragments, p, q, delta, cfg):
     """The graphs of ``p`` and ``q`` explored through ``space``, or None
     when one is truncated or has a label that introduces a name."""
     out = []
@@ -766,8 +714,8 @@ def strong_bisim(p: Process, q: Process, delta=frozenset(), cfg=None):
     labels introduce no names, partition refinement decides exactly; a
     distinguished pair's witness then comes from the game, played one
     round deeper than the graphs have states together.  The graphs are
-    explored through the game's space, so the game builds no state
-    again."""
+    explored through the game's space, so the game builds and steps no
+    explored state again."""
     cfg = cfg or BisimConfig()
     game = _Game("strong", cfg)
     graphs = _stable_graphs(game.space, p, q, delta, cfg)

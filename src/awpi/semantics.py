@@ -1,11 +1,12 @@
 """Operational semantics: reduction, barbs, the connection-set LTS,
-composite processes, one bounded closure walk, state-space exploration,
-and the erasure into the ordinary asynchronous pi-calculus.
+composite processes, the one table of states and transitions each walk
+keeps (:class:`Fragments`), one bounded closure walk, state-space
+exploration, and the erasure into the ordinary asynchronous pi-calculus.
 
 :func:`closure` is the one bounded tau/reduction walk, breadth first and
-lazy: :func:`weak_barbs` runs it over reducts, and the games in
-``equivalence``, the localised-pi correspondence's among them, run it over
-the tau transitions of their states to build weak moves.
+lazy: :func:`weak_barbs` runs it over the reductions of its table, and the
+games in ``equivalence``, the localised-pi correspondence's among them,
+run it over the tau transitions of their states to build weak moves.
 
 Two independent routes to dynamics are kept deliberately separate:
 
@@ -30,12 +31,12 @@ from functools import cached_property, partial
 
 from . import api
 from .syntax import (
-    Case, CanonicalForm, ChanType, Input, LetTuple, Name, Nil, NIL, Output,
-    Par, Process, RepInput, Res, SUCCESS, VInl, VInr, VName, VTuple, VUNIT,
-    Value, _chain, _fragments, _frees, _level, _node, _par, _par_list,
-    _shallow, _split_chain, canonicalize, canonical_process, free_names,
-    fresh_name, parse_name, print_value, rename_free, substitute,
-    substitute_value, value_names,
+    Case, ChanType, Input, LetTuple, Name, Nil, NIL, Output, Par, Process,
+    RepInput, Res, SUCCESS, VInl, VInr, VName, VTuple, VUNIT, Value, _chain,
+    _fragments, _frees, _level, _node, _par, _par_list, _shallow,
+    _split_chain, canonicalize, canonical_process, free_names, fresh_name,
+    parse_name, print_value, rename_free, substitute, substitute_value,
+    value_names,
 )
 
 
@@ -324,7 +325,8 @@ class Composite:
 
 
 class Fragments:
-    """The fragments one walk has met, and the states built of them.
+    """One walk's table: the fragments it has met, the states built of
+    them, and their transitions, each built when first read.
 
     A fragment is a pair-free top-level atom, or ``new(chain)(atoms)``
     whose atoms the chain's pairs connect, canonicalized alone, so
@@ -341,15 +343,26 @@ class Fragments:
     level :func:`canonicalize` certifies component by component, each at
     binder depth 0 with no label bound, as it would certify it alone.  The
     table holds each node it keys, so no ``id`` is reused while it lives.
+
+    :meth:`step` steps a state once per table, by ``successors(table,
+    state)``: :func:`_lts`, :func:`_reductions`,
+    ``equivalence._internal_steps`` (whose table also ``settle``s what it
+    builds) or ``encodings._api_steps``.  Tau targets must be states, as
+    closures read their keys.  A table holds no closure and nothing that
+    leads back to a game, and its successors are module-level functions,
+    so a game and its tables form no reference cycle, and each game is
+    freed by reference counting when its check returns.
     """
 
-    __slots__ = ("_settle", "_keys", "_pieces", "_states")
+    __slots__ = ("_successors", "_settle", "_keys", "_pieces", "_states",
+                 "_steps")
 
-    def __init__(self, settle=None):
-        self._settle = settle
+    def __init__(self, successors=None, settle=None):
+        self._successors, self._settle = successors, settle
         self._keys = {}    # id(fragment node) -> (node, key)
         self._pieces = {}  # (chain, atoms sorted by hash) -> fragments
         self._states = {}  # state key -> state
+        self._steps = {}   # state key -> transitions
 
     def state(self, p: Process, delta) -> Composite:
         """The state of ``p`` under ``delta``, one object per key."""
@@ -383,6 +396,18 @@ class Fragments:
                 self._keys[id(c.process)] = out[-1]
         return out
 
+    def step(self, comp: Composite):
+        """The transitions of ``comp``, once per state key: one key is one
+        state up to the table's identity (structural congruence and
+        connection set, or alpha equivalence on the reference route)."""
+        out = self._steps.get(comp.key)
+        if out is None:
+            out = self._steps[comp.key] = self._successors(self, comp)
+        return out
+
+    def tau_targets(self, comp: Composite):
+        return [c2 for mu, c2 in self.step(comp) if isinstance(mu, Tau)]
+
 
 def state(process: Process, delta) -> Composite:
     """The composite of ``process`` as the ``|`` of its canonical
@@ -401,6 +426,14 @@ def composite_step(comp: Composite):
             delta2 = comp.delta
         out.append((mu, Composite(q, delta2)))
     return out
+
+
+def _lts(table: Fragments, comp: Composite):
+    """The connection-set LTS.  Tau targets are built as states, once per
+    table; every other target stays raw until its reader builds it.  A
+    typed internal game reads it only where no request is served first."""
+    return [(mu, table.state(c2.process, c2.delta) if isinstance(mu, Tau)
+             else c2) for mu, c2 in composite_step(comp)]
 
 
 # ---------------------------------------------------------------------------
@@ -524,14 +557,15 @@ def reduce(p: Process):
     end to the output end; destructors fire on literal values.  Results are
     canonical, deduplicated.
     """
-    return {c.process for c in reducts(canonicalize(p))}
+    return {canonical_process(r) for r in _redexes(canonical_process(p))}
 
 
-def reducts(c: CanonicalForm):
-    """One-step reducts of a canonical form, as canonical forms in key
-    order, so that searches over them do not depend on hashing."""
-    found = {r.key: r for r in map(canonicalize, _redexes(c.process))}
-    return [found[k] for k in sorted(found)]
+def _reductions(table: Fragments, comp: Composite):
+    """The reducts of the normal-form route, fragment by fragment, as tau
+    moves in key order, one per key."""
+    out = {t.key: t for t in [table.state(r, comp.delta)
+                              for r in _redexes(comp.process)]}
+    return [(TAU, out[k]) for k in sorted(out)]
 
 
 def settle(p: Process) -> Process:
@@ -614,16 +648,19 @@ def weak_barbs(p: Process, budget: int = 2000) -> NameSet:
     """Union of strong barbs over reducts reachable within the budget
     (``truncated`` when the budget cut the search short).
 
-    The walk is :func:`closure`, so breadth first, and it stops once it
-    has seen every success name free in ``p``, with an answer that is not
+    The walk is :func:`closure` over the tau moves of one
+    :class:`Fragments` table of :func:`_reductions`, so breadth first, in
+    the barbed game's state identity and order.  It stops once it has seen
+    every success name free in ``p``, with an answer that is not
     truncated.  That is exact, because a reduction never adds a free
     name, so no reduct can show a barb outside that set.
     """
-    start = canonicalize(p)
+    table = Fragments(_reductions)
+    start = table.state(p, ())
     possible = frozenset(n for n in free_names(start.process)
                          if n.kind == SUCCESS)
     seen = set()
-    walk = closure(start, reducts, budget)
+    walk = closure(start, table.tau_targets, budget)
     for c in walk:
         seen |= canonical_barbs(c.process)
         if seen == possible:
@@ -652,16 +689,17 @@ class LtsGraph:
 
 def explore(delta, p: Process, depth_bound: int = 6,
             state_bound: int = 2000) -> LtsGraph:
-    """Breadth-first LTS exploration over composite states, built by one
-    :class:`Fragments` table per call."""
-    return _explore(Fragments(), delta, p, depth_bound, state_bound)
+    """Breadth-first LTS exploration over composite states, built and
+    stepped by one :class:`Fragments` table of :func:`_lts` per call."""
+    return _explore(Fragments(_lts), delta, p, depth_bound, state_bound)
 
 
 def _explore(table: Fragments, delta, p: Process, depth_bound: int,
              state_bound: int) -> LtsGraph:
-    """:func:`explore` through ``table``, which keeps every state built.
-    A node is its state with the connection pairs it no longer touches
-    dropped (:meth:`Composite.gc`)."""
+    """:func:`explore` through ``table``, which keeps every state built
+    and every node's transitions (:meth:`Fragments.step`), so a game over
+    the same table steps no node again.  A node is its state with the
+    connection pairs it no longer touches dropped (:meth:`Composite.gc`)."""
     root = table.state(p, delta).gc()
     nodes = [root]
     index = {root.key: 0}
@@ -671,7 +709,7 @@ def _explore(table: Fragments, delta, p: Process, depth_bound: int,
     frontier = deque([(0, 0)])
     while frontier:
         nid, depth = frontier.popleft()
-        steps = composite_step(nodes[nid])
+        steps = table.step(nodes[nid])
         if depth >= depth_bound:
             depth_trunc = depth_trunc or bool(steps)
             continue

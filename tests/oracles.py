@@ -12,8 +12,8 @@ from collections import deque
 
 from awpi.syntax import (
     Case, ChanType, Input, LetTuple, Name, Nil, NIL, Output, Par, Process,
-    RepInput, Res, UNIT, VInl, VInr, VName, VTuple, VUNIT, VUnit, ast_size,
-    free_names, value_names,
+    RepInput, Res, SUCCESS, UNIT, VInl, VInr, VName, VTuple, VUNIT, VUnit,
+    ast_size, free_names, value_names,
 )
 
 
@@ -497,3 +497,46 @@ def bisimulation_classes(nodes, edges):
         if len(ids) == len(set(block.values())):
             return block  # refinement only splits: same count, same blocks
         block = nxt
+
+
+# ---------------------------------------------------------------------------
+# Weak barbs by a plain breadth-first walk over a given reduction step
+# ---------------------------------------------------------------------------
+
+def _unguarded_success_outputs(p: Process):
+    """Success names with an output under ``|`` and ``new`` only."""
+    if isinstance(p, Par):
+        return (_unguarded_success_outputs(p.left)
+                | _unguarded_success_outputs(p.right))
+    if isinstance(p, Res):
+        return _unguarded_success_outputs(p.body)
+    if isinstance(p, Output) and p.subject.kind == SUCCESS:
+        return {p.subject}
+    return set()
+
+
+def weak_barbs_walk(p: Process, budget: int, step, key):
+    """The success barbs of the states reachable from ``p`` and whether the
+    budget cut the walk short, as (set of names, bool).
+
+    States are found breadth first, the successors of each, ``step(q)``,
+    taken in ``key`` order and kept once per key.  The walk expands a state
+    only while it has found fewer than ``budget``; it is cut when it stops
+    there with a state left unexpanded.  The barbs are read state by state
+    in the order found, and a walk that has shown every success name free
+    in ``p`` answers with those, not cut.
+    """
+    found, keys, expanded = [p], {key(p)}, 0
+    while expanded < len(found) and len(found) < budget:
+        for q in sorted(step(found[expanded]), key=key):
+            if key(q) not in keys:
+                keys.add(key(q))
+                found.append(q)
+        expanded += 1
+    possible = {n for n in free_names(p) if n.kind == SUCCESS}
+    seen = set()
+    for q in found:
+        seen |= _unguarded_success_outputs(q)
+        if seen == possible:
+            return seen, False
+    return seen, expanded < len(found)

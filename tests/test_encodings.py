@@ -11,12 +11,12 @@ from awpi.syntax import (
     ChanType, Input, Name, NIL, Output, Par, ParseError, RepInput, Res,
     VName, alpha_eq, canonical_process, parse_process, print_process,
 )
-from awpi.semantics import Composite, erase_to_api
+from awpi.semantics import Composite, Fragments, erase_to_api
 from awpi.typecheck import ANY, typecheck
 from awpi.internal import internalize
 from awpi import encodings
 from awpi.equivalence import BisimConfig, NotClosed, TypeMismatch, _Game, \
-    _Space, internal_bisim_n, replay_witness
+    internal_bisim_n, replay_witness
 from awpi.encodings import (
     ALPI_NIL, AlpiChan, AlpiInput, AlpiOutput, AlpiPar, AlpiRepInput,
     AlpiRes, ALPI_UNIT, Arrow, BASE, IllTyped, LocalityViolation, SApp,
@@ -221,7 +221,7 @@ def test_correspondence_rejects_a_success_name_with_a_payload():
 def _api_game(cfg):
     """The game ``check_alpi_correspondence`` plays: weak simulation over
     reference-route states."""
-    return _Game("sim", cfg, space=_Space(_api_steps))
+    return _Game("sim", cfg, space=Fragments(_api_steps))
 
 
 def test_api_weak_sim_distinguishes():
@@ -307,7 +307,7 @@ def test_api_weak_barbs_steps_each_visited_state_once(monkeypatch):
         "success ok; success err; new(a: ^unit)( a!() | a!() | !a(y).ok!() )"
         " | new(c: ^unit)( c(z).err!() )"))
     keys = _record_steps(monkeypatch)
-    barbs, truncated = _api_weak_barbs(erased, 400, _Space(_api_steps))
+    barbs, truncated = _api_weak_barbs(erased, 400, Fragments(_api_steps))
     assert barbs == {"ok"} and truncated
     assert len(keys) == len(set(keys)) == 400
 
@@ -315,7 +315,7 @@ def test_api_weak_barbs_steps_each_visited_state_once(monkeypatch):
 def test_api_weak_barbs_stops_once_every_success_name_is_seen(monkeypatch):
     _direct, erased = _replication_pair()
     keys = _record_steps(monkeypatch)
-    space = _Space(_api_steps)
+    space = Fragments(_api_steps)
     assert _api_weak_barbs(erased, 400, space) == ({"ok"}, False)
     assert len(keys) <= 40
 
@@ -323,7 +323,7 @@ def test_api_weak_barbs_stops_once_every_success_name_is_seen(monkeypatch):
 def test_api_weak_barbs_without_success_names_steps_once(monkeypatch):
     loop = alpi_to_api(parse_alpi("new(a: ^unit)( a!() | !a(y).a!() )"))
     keys = _record_steps(monkeypatch)
-    space = _Space(_api_steps)
+    space = Fragments(_api_steps)
     assert _api_weak_barbs(loop, 400, space) == (frozenset(), False)
     assert len(keys) == 1
 

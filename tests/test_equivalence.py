@@ -20,7 +20,8 @@ from awpi.syntax import (
 from awpi.encodings import check_alpi_correspondence, encode_alpi, parse_alpi
 from awpi.internal import internalize
 from awpi.semantics import (
-    Composite, Tau, composite_step, delta_key, erase_to_api, state,
+    Composite, Tau, composite_step, delta_key, erase_to_api, explore, state,
+    weak_barbs,
 )
 from awpi.typecheck import ANY
 from awpi import api
@@ -261,6 +262,8 @@ def _one_table_checks():
         ("strong-congruent", lambda: strong_bisim(congruent, congruent)),
         ("strong-distinct", lambda: strong_bisim(*_strong_pair(2, 3))),
         ("strong-bound-output", lambda: strong_bisim(bound, congruent)),
+        ("weak_barbs", lambda: weak_barbs(p)),
+        ("explore", lambda: explore(frozenset(), p)),
     ]
 
 
@@ -461,7 +464,6 @@ def test_game_steps_each_state_once(monkeypatch, name):
         return step(comp)
 
     monkeypatch.setattr(awpi.semantics, "composite_step", counting)
-    monkeypatch.setattr(awpi.equivalence, "composite_step", counting)
     assert _law_game(name).equivalent
     # moves and tau closures each stepped a state again: up to 9 per key
     assert calls and max(calls.values()) == 1
@@ -942,6 +944,24 @@ def test_strong_distinction_found_through_refinement_fallback():
     v = strong_bisim(p, q)
     assert v.distinguished
     assert replay_witness(p, q, v)
+
+
+def test_strong_bisim_steps_each_state_once(monkeypatch):
+    import awpi.semantics
+    step = awpi.semantics.composite_step
+    calls = {}
+
+    def counting(comp):
+        calls[comp.key] = calls.get(comp.key, 0) + 1
+        return step(comp)
+
+    monkeypatch.setattr(awpi.semantics, "composite_step", counting)
+    p = proc("success ok; new(a: i[unit], b)( a(x).( ok!() | ok!() ) | b!() )")
+    q = proc("success ok; new(a: i[unit], b)( a(x).ok!() | b!() )")
+    assert strong_bisim(p, q).distinguished
+    # a witness game that steps the explored states again makes 12 steps
+    # of these 5 keys
+    assert calls and max(calls.values()) == 1
 
 
 def _strong_pair(n, m):

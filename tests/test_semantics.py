@@ -11,17 +11,16 @@ from awpi.typecheck import typecheck
 from awpi import api
 from awpi import semantics as S
 from awpi.semantics import (
-    BoundOut, Composite, FreeOut, In, Tau, TAU, composite_step, erase_label,
-    closure, erase_to_api, explore, lts_step, reduce, requests, settle,
-    strong_barbs, weak_barbs,
+    BoundOut, Composite, Fragments, FreeOut, In, Tau, TAU, composite_step,
+    erase_label, closure, erase_to_api, explore, lts_step, reduce, requests,
+    settle, strong_barbs, weak_barbs,
 )
 from awpi.encodings import (
     _api_steps, _api_weak_barbs, encode_alpi, parse_alpi,
 )
-from awpi.equivalence import _Space
 
 from gen_typed import random_typed
-from oracles import enumerate_core
+from oracles import enumerate_core, weak_barbs_walk
 
 
 def proc(src, success=()):
@@ -228,8 +227,8 @@ def test_weak_barbs_find_the_barb_of_a_regenerating_image(budget):
 
 def test_weak_barbs_stop_once_every_success_name_is_seen(monkeypatch):
     calls = []
-    real = S.reducts
-    monkeypatch.setattr(S, "reducts", lambda c: calls.append(c) or real(c))
+    real = S._redexes
+    monkeypatch.setattr(S, "_redexes", lambda p: calls.append(p) or real(p))
     p = proc("new(a: i[unit], b) ( a(x).ok!() | b!() "
              "| !a(y).(b!() | b!()) )", success=("ok",))
     wb = weak_barbs(p)
@@ -248,13 +247,58 @@ def test_weak_barbs_agree_with_the_reference_route():
         wb = weak_barbs(p, budget=50)
         erased = erase_to_api(Composite(p, frozenset()))
         barbs, truncated = _api_weak_barbs(erased, 50,
-                                           _Space(_api_steps))
+                                           Fragments(_api_steps))
         if wb.truncated or truncated:
             continue
         assert {str(n) for n in wb} == barbs, print_process(p)
         compared += 1
         shown += bool(barbs)
     assert compared > 2000 and 0 < shown < compared
+
+
+def _canonical_key(q):
+    return canonicalize(q).key
+
+
+@pytest.mark.parametrize("budget", [1, 3, 6, 50])
+def test_weak_barbs_match_a_walk_keyed_by_canonical_keys(budget):
+    """``weak_barbs`` walks the barbed game's fragment states; a plain
+    breadth-first walk of ``reduce``, keyed by whole-process canonical
+    keys in key order, finds the same barbs and the same cut, on closed
+    enumerated processes (the free output renamed to a success name).
+    Only budget 1 cuts a walk of these short."""
+    ok = parse_process("ok!()", success=("ok",)).subject
+    shown = cut = 0
+    for p in enumerate_core(5, in_frees=()):
+        p = rename_free(p, {Name("b"): ok})
+        wb = weak_barbs(p, budget=budget)
+        expected = weak_barbs_walk(p, budget, reduce, _canonical_key)
+        assert (set(wb), wb.truncated) == expected, print_process(p)
+        shown += bool(wb)
+        cut += wb.truncated
+    assert shown and bool(cut) == (budget == 1)
+
+
+def test_weak_barbs_cut_short_show_no_more_than_an_uncut_walk():
+    """On generated typed programs, whose closures outgrow small budgets,
+    an answer that is not truncated is exact: it equals the reference
+    walk's answer when that is not truncated either, and holds every barb
+    of a truncated one.  Which states a cut walk reaches depends on the
+    order it takes reducts in, so truncated answers may differ."""
+    ok = parse_process("ok!()", success=("ok",)).subject
+    cut = 0
+    for seed in range(400):
+        p = rename_free(random_typed(seed, size=18)[1], {Name("b"): ok})
+        for budget in (2, 4, 8):
+            wb = weak_barbs(p, budget=budget)
+            barbs, truncated = weak_barbs_walk(p, budget, reduce,
+                                               _canonical_key)
+            if not wb.truncated:
+                assert barbs <= set(wb), print_process(p)
+            if not truncated:
+                assert set(wb) <= barbs, print_process(p)
+            cut += wb.truncated
+    assert cut
 
 
 # ---------------------------------------------------------------------------
