@@ -17,8 +17,12 @@ Verdicts are three-valued: budget edges surface as ``inconclusive``
 rather than as a silent guess, and every ``distinguished`` verdict
 carries a trace that :func:`replay_witness` can re-validate.
 
-Names introduced during a play (input parameters, exported ends) are
-renamed to reserved ``%``-names indexed by the play depth, so the two
+Inputs are ground: the observer supplies what an input receives, as in
+the early semantics of the asynchronous pi-calculus (Amadio, Castellani
+& Sangiorgi, "On bisimulations for the asynchronous pi-calculus", TCS
+1998).  Moves match by keys that name no introduced name, and the
+observer names what a played move introduces (an input's value, a bound
+output's ends) with reserved ``%``-names of its play depth, so the two
 sides agree on labels without a nominal state-space construction.  The
 game's memo is keyed by position, up to those names, and a
 ``distinguished`` witness is read off it by one walk from the root.
@@ -35,13 +39,12 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field, replace
-from functools import partial
 from typing import Optional
 
 from .syntax import (
     ChanType, Name, Output, Par, Process, SUCCESS, SumType, TupleType,
     UnitType, VInl, VInr, VName, VTuple, VUNIT, _node, free_names,
-    print_process, print_value, rename_free, substitute, value_names,
+    print_process, print_value, substitute, value_names,
 )
 from .typecheck import ANY, dual, typecheck
 from .internal import internalize, is_internal
@@ -120,6 +123,18 @@ def _label_key(mu) -> str:
         pol = "i" if mu.exported_is_input else "o"
         return f"{mu.subject}!(new {mu.exported}/{pol})"
     return str(mu)
+
+
+def _named(mu, d):
+    """``mu`` with the names it introduces renamed to play depth ``d``'s:
+    an input's parameter to ``%i#d``, a bound output's ends to ``%e#d``
+    and ``%k#d``."""
+    if isinstance(mu, In):
+        return In(mu.subject, Name("%i", d))
+    if isinstance(mu, BoundOut):
+        return BoundOut(mu.subject, Name("%e", d), Name("%k", d),
+                        mu.in_type, mu.exported_is_input)
+    return mu
 
 
 def _ground_variants(t, d, k=0):
@@ -220,8 +235,8 @@ class _Game:
     have a defender response whose continuation is equivalent at n-1.
     ``method`` selects the move/response discipline, and ``space`` the
     states and transitions (by default the LTS, or the reducts for the
-    barbed method).  :meth:`_round` is one round, shared by the search,
-    the witness walk and :meth:`replay`; the search is the local,
+    barbed method).  :meth:`_rounds` gives a position's rounds to the
+    search, the witness walk and :meth:`replay`; the search is the local,
     on-the-fly game of Stirling ("Local model checking games", CONCUR
     1995).  Targets and answers are built when played: :meth:`_rounds`
     builds an attack's target when it reaches the attack, and a round's
@@ -232,12 +247,12 @@ class _Game:
     Every table lives and dies with one game.  The space, a
     :class:`semantics.Fragments` table, holds the transitions and the
     states, and leads back to no game; the game holds the
-    memo and what depends on the method: ``_moves``, keyed by state key
-    and, where a label needs it, play depth; ``_closures``, keyed by state
-    key; and ``_targets``, the one table of built targets, renamed or fed,
-    keyed by how a target is reached from its source, so that a hit builds
-    no raw target (see :meth:`_target`).  A cached closure reads the space,
-    never the game, so no table of the game leads back to it.
+    memo and what depends on the method: ``_moves`` and ``_closures``,
+    keyed by state key, one entry per state; and ``_targets``, the one
+    table of built targets, fed or with named ends, keyed by how a target
+    is reached from its source, so that a hit builds no raw target (see
+    :meth:`_target`).  A cached closure reads the space, never the game,
+    so no table of the game leads back to it.
     """
 
     def __init__(self, method: str, cfg: BisimConfig, env=None, space=None):
@@ -249,79 +264,63 @@ class _Game:
             else Fragments(_reductions if method == "barbed" else _lts))
         self.memo = {}
         self.truncated = False
-        self._moves = {}     # state key [, play depth] -> _std_moves result
+        self._moves = {}     # state key -> _std_moves result
         self._targets = {}   # how a target is reached -> state
         self._closures = {}  # state key -> closure
 
     # -- moves and closures of states --------------------------------------
 
-    def _std_moves(self, comp: Composite, d: int):
-        """Moves of ``comp`` as (key, label, kind, index) tuples sorted by
-        key; ``index`` points into ``space.step``; no target is built.
+    def _std_moves(self, comp: Composite):
+        """Moves of ``comp`` as (key, label, index) triples sorted by key,
+        kept per game and keyed by the state key; ``label`` is the one
+        ``space.step`` made, ``index`` points into its list, and no target
+        is built.
 
-        Input parameters become %i#d, exported pair ends %e#d with companion
-        %k#d, so moves taken at the same play depth by the two sides carry
-        identical labels.  The table is per game and keyed by (state key,
-        play depth), the two things a label depends on, or by the state key
-        alone when no label introduces a name.
+        A key names no introduced name: it is :func:`_label_key` of the
+        label renamed to play depth 0 (:func:`_named`), whose ``%i``,
+        ``%e`` and ``%k`` no state holds, so the two sides' moves that
+        introduce names match by key at every depth.  Keys sort as the
+        keys of any depth ``d``, which print ``%i#d``, sort.
         """
         out = self._moves.get(comp.key)
         if out is None:
-            out = self._moves.get((comp.key, d))
-        if out is not None:
-            return out
-        out, mk = [], comp.key
-        for i, (mu, _) in enumerate(self.space.step(comp)):
-            if isinstance(mu, In):
-                mu, kind = In(mu.subject, Name("%i", d)), "in"
-            elif isinstance(mu, BoundOut):
-                mu, kind = BoundOut(mu.subject, Name("%e", d), Name("%k", d),
-                                    mu.in_type, mu.exported_is_input), "bout"
-            else:
-                kind = "tau" if isinstance(mu, Tau) else "out"
-            if kind in ("in", "bout"):
-                mk = (comp.key, d)
-            out.append((_label_key(mu), mu, kind, i))
-        out.sort(key=lambda t: t[0])
-        self._moves[mk] = out
+            out = self._moves[comp.key] = sorted(
+                ((_label_key(_named(mu, 0)), mu, i)
+                 for i, (mu, _) in enumerate(self.space.step(comp))),
+                key=lambda t: t[0])
         return out
 
     def _target(self, comp: Composite, i: int, d: int, value=None):
-        """The target of transition ``i`` of ``comp`` as a state, its input
-        parameter bound to ``value`` if one is given.
+        """The target of transition ``i`` of ``comp`` as a state: an
+        input's parameter is bound to the fed ``value``, a bound output's
+        ends are named ``%e#d`` and ``%k#d``.
 
-        A renamed or fed target is kept in one table per game, keyed by
-        how it is reached (``i`` indexes ``space.step``'s list, fixed per
-        state key): (state key, i, printed value) for a fed input, with no
-        play depth, as substituting the value at the raw target's own
-        parameter gives the state that renaming it to %i#d first gives;
-        (state key, i, d) for an input or bound-output target renamed to
-        ``d``'s %-names, as :meth:`_std_moves` does.  A free output's
-        target goes straight to the space, which keeps the fragments the
-        output left alone.  A target that is already a state is returned
-        as it is: one with a key, as a tau target has, or of a
-        :class:`Composite` subclass, which keys itself when first read
-        (``encodings._api_steps``).
+        Such a target is kept in one table per game, keyed by how it is
+        reached (``i`` indexes ``space.step``'s list, fixed per state key):
+        (state key, i, printed value) for an input, with no play depth, as
+        the value names its own depth; (state key, i, d) for a bound
+        output.  A free output's target goes straight to the space, which
+        keeps the fragments the output left alone.  A target that is
+        already a state is returned as it is: one with a key, as a tau
+        target has, or of a :class:`Composite` subclass, which keys itself
+        when first read (``encodings._api_steps``).
         """
         mu, c2 = self.space.step(comp)[i]
-        ren, tk = {}, (comp.key, i, d)
-        if value is not None:
-            tk = (comp.key, i, print_value(value))
-        elif isinstance(mu, In):
-            ren = {mu.param: Name("%i", d)}
+        ren = {}
+        if isinstance(mu, In):
+            tk, sub = (comp.key, i, print_value(value)), {mu.param: value}
         elif isinstance(mu, BoundOut):
             ren = {mu.exported: Name("%e", d), mu.companion: Name("%k", d)}
+            tk, sub = (comp.key, i, d), {x: VName(y) for x, y in ren.items()}
         elif c2.pkey is not None or type(c2) is not Composite:
             return c2
         else:
             return self.space.state(c2.process, c2.delta)
         out = self._targets.get(tk)
         if out is None:
-            p = rename_free(c2.process, ren) if value is None \
-                else substitute(c2.process, {mu.param: value})
             out = self._targets[tk] = self.space.state(
-                p, frozenset((ren.get(x, x), ren.get(y, y))
-                             for x, y in c2.delta))
+                substitute(c2.process, sub),
+                frozenset((ren.get(x, x), ren.get(y, y)) for x, y in c2.delta))
         return out
 
     def _closure(self, comp: Composite):
@@ -338,13 +337,15 @@ class _Game:
                     value=None):
         """Yields each target of tau* . key . tau* from ``comp``, with
         ``env``, as it is built, and returns whether the tau budget cut a
-        closure short; key "tau" allows the empty move.  A ``value``
-        instantiates the parameter of the matched input with the attack
-        value, so destructors in the body can fire.
+        closure short; ``key`` is a move key of :meth:`_std_moves`, and
+        "tau" allows the empty move.  A matched move introduces what the
+        attack did at depth ``d``: an input is fed ``value``, so
+        destructors in the body can fire, and a bound output's ends are
+        named ``%e#d`` and ``%k#d``.
 
         Targets come in construction order: the closure states of
         ``comp`` for "tau"; otherwise, for each closure state in order and
-        each of its moves labelled ``key``, the closure of that move's
+        each of its moves keyed ``key``, the closure of that move's
         target, without the states already yielded.  Only the targets of
         matching moves are built, and only as far as the caller reads."""
         pre = self._closure(comp)
@@ -354,7 +355,7 @@ class _Game:
             return pre.truncated
         seen, trunc = set(), False
         for c1 in pre:
-            for k2, mu, kind, i in self._std_moves(c1, d):
+            for k2, _, i in self._std_moves(c1):
                 if k2 != key:
                     continue
                 post = self._closure(self._target(c1, i, d, value))
@@ -367,79 +368,86 @@ class _Game:
 
     # -- move disciplines --------------------------------------------------
 
-    def _attacks(self, comp: Composite, d: int, env=None, spent=frozenset()):
-        """Attacker moves as (key, label, kind, build, value, intro).
+    def _attacks(self, comp: Composite, d: int, env, spent=frozenset()):
+        """Attacker moves at play depth ``d`` as (key, move key, label,
+        index, value, intro): ``key`` is the label the witness shows,
+        ``move key``, ``label`` and ``index`` are the move's
+        :meth:`_std_moves` triple, and ``intro`` lists the names the move
+        introduces at ``d`` with their types.
 
-        ``build()`` builds the move's target: :meth:`_target` with its
-        arguments, called only when the game plays the move (see
-        :meth:`_rounds`).  ``value`` is the concrete input fed by the
-        observer when the subject's payload type determines its shape
-        (None for the opaque fallback and for non-input moves);
-        ``intro`` lists the fresh observer names inside it with their
-        types.  A barbed attacker also shows each of its success barbs,
-        first and in name order, as a "barb" move that stays at ``comp``.
+        The observer feeds every input ``value``: in the internal game,
+        when the subject's payload type in ``env`` determines its shape,
+        one concrete value per :func:`_ground_variants` choice, else the
+        fresh name ``%i#d`` typed by that payload.  A bound output's ends
+        are ``%e#d`` and ``%k#d``.  A barbed attacker also shows each of
+        its success barbs, first and in name order, as a move of index
+        None that stays at ``comp``.
         """
-        moves = self._std_moves(comp, d)
         kept = []
         if self.method == "barbed":
             for s in sorted(canonical_barbs(comp.process), key=str):
                 mu = FreeOut(s, VUNIT)
-                kept.append((_label_key(mu), mu, "barb", lambda: comp, None,
-                             ()))
-        if self.method != "internal":
-            return kept + [(key, mu, kind, partial(self._target, comp, i, d),
-                            None, ()) for key, mu, kind, i in moves]
+                kept.append((str(mu), str(mu), mu, None, None, ()))
+        internal = self.method == "internal"
         dnames = delta_names(comp.delta)
-        for key, mu, kind, i in moves:
-            if kind == "bout":
-                # checked on the raw target, under the name lts_step chose,
-                # so that unobserved outputs need not be built
-                raw_mu, raw = self.space.step(comp)[i]
-                if raw_mu.exported in free_names(raw.process):
-                    raise RuntimeError(
-                        f"exported name {raw_mu.exported} retained after "
-                        f"{raw_mu}; strict duality violated")
-            if kind in ("out", "bout") and mu.subject in dnames:
-                continue  # outputs toward the connection are unobserved
-            if kind == "in" and mu.subject in spent:
-                # the environment's one output at the linear dual is used up
+        for key, mu, i in self._std_moves(comp):
+            if isinstance(mu, In):
+                if mu.subject in spent:
+                    # the environment's one output at the linear dual is
+                    # used up
+                    continue
+                t, x = env.get(mu.subject), Name("%i", d)
+                typed = isinstance(t, ChanType)
+                fed = internal and typed and _ground_variants(t.payload, d)
+                for v, intro in fed or [
+                        (VName(x), ((x, t.payload if typed else ANY),))]:
+                    kept.append((f"{mu.subject}({print_value(v)})", key, mu,
+                                 i, v, intro))
                 continue
-            t = (env or {}).get(mu.subject) if kind == "in" else None
-            variants = _ground_variants(t.payload, d) \
-                if isinstance(t, ChanType) else None
-            for val, intro in variants or ((None, ()),):
-                if val is not None:
-                    key = f"{mu.subject}({print_value(val)})"
-                kept.append((key, mu, kind,
-                             partial(self._target, comp, i, d, val), val,
-                             intro))
+            if internal and not isinstance(mu, Tau):
+                if isinstance(mu, BoundOut) and mu.exported in free_names(
+                        self.space.step(comp)[i][1].process):
+                    # checked on the raw target, under the name lts_step
+                    # chose, so that unobserved outputs need not be built
+                    raise RuntimeError(
+                        f"exported name {mu.exported} retained after "
+                        f"{mu}; strict duality violated")
+                if mu.subject in dnames:
+                    continue  # outputs toward the connection are unobserved
+            intro = ()
+            if isinstance(mu, BoundOut):
+                ti, e, k = mu.in_type, Name("%e", d), Name("%k", d)
+                intro = ((e, ti), (k, dual(ti))) if mu.exported_is_input \
+                    else ((e, dual(ti)), (k, ti))
+            kept.append((_label_key(_named(mu, d)), key, mu, i, None, intro))
         return kept
 
-    def _responses(self, dfn: Composite, key, mu, kind, d, env, value=None):
-        """Yields the defender's answers as (defender state, env') pairs,
-        each built as it is read, and returns whether a budget cut them
-        short.
+    def _responses(self, dfn: Composite, attack, d, env):
+        """Yields the defender's answers to ``attack``, a move of
+        :meth:`_attacks` at play depth ``d``, as (defender state, env)
+        pairs, each built as it is read, and returns whether a budget cut
+        them short; ``env`` already types what the attack introduced.
 
-        They come in construction order: the matching moves (the weak
-        ones in :meth:`_weak_after`'s order), then, for an internal input,
-        the absorptions of the message at each closure state in order.  A
-        barb has no answer here: :meth:`_round` plays no round for a barb
+        They come in construction order: the moves with the attack's move
+        key (the weak ones in :meth:`_weak_after`'s order), each
+        introducing what the attack did, then, for an internal input, the
+        absorptions of the fed value at each closure state in order.  A
+        barb has no answer here: :meth:`_rounds` plays no round for a barb
         the defender shows."""
-        if kind == "barb":
+        _, key, mu, i, value, _ = attack
+        if i is None:
             return self._closure(dfn).truncated
         if self.method == "strong":
-            for k, m, kd, i in self._std_moves(dfn, d):
+            for k, _, j in self._std_moves(dfn):
                 if k == key:
-                    yield self._target(dfn, i, d), env
+                    yield self._target(dfn, j, d, value), env
             return False
-        trunc = yield from self._weak_after(dfn, _label_key(mu), d, env,
-                                            value)
-        if self.method != "internal" or kind != "in":
+        trunc = yield from self._weak_after(dfn, key, d, env, value)
+        if self.method != "internal" or not isinstance(mu, In):
             return trunc
         # internal-bisimilarity input clause: match the input directly, or
         # absorb the message at the companion side of the connection
         subject = mu.subject
-        payload = VName(mu.param) if value is None else value
         companion = None
         for x, y in dfn.delta:
             if x == subject:
@@ -455,7 +463,7 @@ class _Game:
             env[at] = dual(t) if isinstance(t, ChanType) else ANY
         else:
             return trunc
-        particle = self._particle(at, payload, env)
+        particle = self._particle(at, value, env)
         for q in self._closure(dfn):
             yield self.space.state(Par(q.process, particle),
                                    q.delta | pair), env
@@ -470,63 +478,42 @@ class _Game:
             return internalize(msg, env)
         return msg
 
-    def _env_after(self, mu, kind, env, value=None, intro=()):
-        if kind == "in":
-            env = dict(env)
-            if value is None:
-                t = env.get(mu.subject)
-                env[mu.param] = t.payload if isinstance(t, ChanType) else ANY
-            else:
-                env.update(dict(intro))
-        elif kind == "bout":
-            env = dict(env)
-            ti = mu.in_type
-            env[mu.exported] = ti if mu.exported_is_input else dual(ti)
-            env[mu.companion] = dual(ti) if mu.exported_is_input else ti
-        return env
-
     # -- the game ----------------------------------------------------------
 
-    def _round(self, side, dfn: Composite, attack, tgt, d, env, spent):
-        """One round: ``attack`` from ``side`` to its built target ``tgt``,
-        answered by defender ``dfn``; None if the attack is a barb the
-        defender shows.  The answers are built as the round is read.
+    def _rounds(self, a, b, env, spent, d, step=None):
+        """The rounds of position (a, b, env, spent) at play depth ``d``,
+        or only those of a witness ``step``'s attack; none for a barb the
+        defender shows.  An attack's target is built here, when its round
+        is reached, so the targets of the attacks after a winning one are
+        never built; for a ``step``, only attacks with its label are built.
+        A round's answers are built as it is read.
 
-        They are not reordered.  Putting an answer equal to ``tgt`` first
-        would need every answer built, and gains nothing but order: such
-        an answer leads to a position of two identical states, which
+        They are not reordered.  Putting an answer equal to the target
+        first would need every answer built, and gains nothing but order:
+        such an answer leads to a position of two identical states, which
         :meth:`_solve` proves at once, so the order changes which answers
         are tried before it, never a position's value.  A refuted round
         has no such answer, so the witness walk's first answer is the same
         in either order."""
-        key, mu, kind, _, val, intro = attack
-        if kind == "barb" and any(mu.subject in canonical_barbs(q.process)
-                                  for q in self._closure(dfn)):
-            return None
-        env1 = self._env_after(mu, kind, env, val, intro)
-        t = kind == "in" and self.method == "internal" and env.get(mu.subject)
-        if isinstance(t, ChanType) and t.mode == "li":
-            spent = spent | {mu.subject}
-        return _Round(side, key, tgt, spent, self._responses(
-            dfn, key, mu, kind, d, env1, val))
-
-    def _rounds(self, a, b, env, spent, d, step=None):
-        """The rounds of position (a, b, env, spent) at play depth ``d``,
-        or only those of a witness ``step``'s attack.  An attack's target
-        is built here, when its round is reached, so the targets of the
-        attacks after a winning one are never built; for a ``step``, only
-        attacks with its label are built."""
         sides = (("left", a, b), ("right", b, a))
         for side, att, dfn in sides[:1] if self.method == "sim" else sides:
             for attack in self._attacks(att, d, env, spent):
-                if step and (side, attack[0]) != (step.side, step.label):
+                key, _, mu, i, value, intro = attack
+                if step and (side, key) != (step.side, step.label):
                     continue
-                tgt = attack[3]()
+                tgt = att if i is None else self._target(att, i, d, value)
                 if step and tgt.key != step.attacker_after:
                     continue
-                rnd = self._round(side, dfn, attack, tgt, d, env, spent)
-                if rnd is not None:
-                    yield rnd
+                if i is None and any(mu.subject in canonical_barbs(q.process)
+                                     for q in self._closure(dfn)):
+                    continue
+                t = env.get(mu.subject) if isinstance(mu, In) else None
+                linear = self.method == "internal" and \
+                    isinstance(t, ChanType) and t.mode == "li"
+                yield _Round(side, key, tgt,
+                             spent | {mu.subject} if linear else spent,
+                             self._responses(dfn, attack, d,
+                                             env | dict(intro)))
 
     def _position(self, a, b, env, spent):
         """A position's memo key: the state keys with introduced names
@@ -675,34 +662,29 @@ def _stable_graphs(space: Fragments, p, q, delta, cfg):
             return None
         for src, mu, dst in g.edges:
             if isinstance(mu, (In, BoundOut)):
-                return None  # the game renames introduced names per depth
+                return None  # the game names introduced names per depth
         out.append(g)
     return out
 
 
 def _refine(ga, gb):
-    """Joint partition refinement; returns True iff the roots end up in the
-    same block."""
-    states = ([("a", i) for i in range(len(ga.nodes))]
-              + [("b", j) for j in range(len(gb.nodes))])
-    succ = {s: [] for s in states}
-    for g, tag in ((ga, "a"), (gb, "b")):
+    """Joint partition refinement over state keys, which name one state
+    each, as both graphs come from one table; returns True iff the roots
+    end up in the same block."""
+    succ = {n.key: set() for g in (ga, gb) for n in g.nodes}
+    for g in (ga, gb):
         for src, mu, dst in g.edges:
-            succ[(tag, src)].append((_label_key(mu), (tag, dst)))
-    block = {s: 0 for s in states}
+            succ[g.nodes[src].key].add((_label_key(mu), g.nodes[dst].key))
+    block = dict.fromkeys(succ, 0)
     while True:
-        sig = {}
-        for s in states:
-            sig[s] = (block[s],
-                      frozenset((l, block[t]) for l, t in succ[s]))
         ids = {}
-        nxt = {}
-        for s in states:
-            nxt[s] = ids.setdefault(sig[s], len(ids))
+        nxt = {s: ids.setdefault((block[s], frozenset(
+            (l, block[t]) for l, t in out)), len(ids))
+            for s, out in succ.items()}
         if nxt == block:
             break
         block = nxt
-    return block[("a", ga.root)] == block[("b", gb.root)]
+    return block[ga.nodes[ga.root].key] == block[gb.nodes[gb.root].key]
 
 
 # ---------------------------------------------------------------------------

@@ -21,11 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .syntax import (
-    Case, ChanType, Input, LetTuple, Name, Nil, OUTPUT_MODES, Output, Par,
-    Process, RepInput, Res, TupleType, SumType, UNIT, VInl, VInr, VName,
-    VTuple, VUnit, Value, ValueType, _Fresh, _bind, _bind_all, _frees,
-    _par_list, _shallow, _split_chain, _unbind, _unbind_all, _value_counts,
-    _value_leaves, fresh_name, free_names,
+    Case, ChanType, Input, LINEAR_MODES, LetTuple, Name, Nil, OUTPUT_MODES,
+    Output, Par, Process, RepInput, Res, TupleType, SumType, UNIT, VInl,
+    VInr, VName, VTuple, VUnit, Value, ValueType, _Fresh, _bind, _bind_all,
+    _frees, _par_list, _shallow, _split_chain, _unbind, _unbind_all,
+    _value_counts, _value_leaves, fresh_name, free_names,
 )
 from .typecheck import ANY, dual
 
@@ -145,7 +145,7 @@ def _rewire(v: Value, env, fresh):
             res = (exported, companion, in_type)
             fwd_subject = companion
             wire_subject = v.name
-        linear = t.mode in ("li", "lo")
+        linear = t.mode in LINEAR_MODES
         return VName(exported), [(res, wire_subject, fwd_subject,
                                   t.payload, linear)]
     if isinstance(v, VTuple):

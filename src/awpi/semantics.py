@@ -699,7 +699,10 @@ def _explore(table: Fragments, delta, p: Process, depth_bound: int,
     """:func:`explore` through ``table``, which keeps every state built
     and every node's transitions (:meth:`Fragments.step`), so a game over
     the same table steps no node again.  A node is its state with the
-    connection pairs it no longer touches dropped (:meth:`Composite.gc`)."""
+    connection pairs it no longer touches dropped (:meth:`Composite.gc`).
+    A node at the depth bound is not stepped through the table, which
+    would build its tau targets as states: :func:`lts_step` only tells
+    whether it has a transition."""
     root = table.state(p, delta).gc()
     nodes = [root]
     index = {root.key: 0}
@@ -709,11 +712,12 @@ def _explore(table: Fragments, delta, p: Process, depth_bound: int,
     frontier = deque([(0, 0)])
     while frontier:
         nid, depth = frontier.popleft()
-        steps = table.step(nodes[nid])
+        node = nodes[nid]
         if depth >= depth_bound:
-            depth_trunc = depth_trunc or bool(steps)
+            depth_trunc = depth_trunc or bool(lts_step(node.delta,
+                                                       node.process))
             continue
-        for mu, c in steps:
+        for mu, c in table.step(node):
             nxt = table.state(c.process, c.delta).gc()
             tid = index.get(nxt.key)
             if tid is None:

@@ -25,11 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .syntax import (
-    Case, ChanType, INPUT_MODES, Input, LetTuple, Name, Nil, Output, Par,
-    Process, RepInput, Res, SUCCESS, SumType, TupleType, UNIT, UnitType,
-    VInl, VInr, VName, VTuple, VUnit, Value, ValueType, _bind, _bind_all,
-    _frees, _node, _par_list, _shallow, _unbind, _unbind_all, _value_counts,
-    value_names,
+    Case, ChanType, INPUT_MODES, Input, LetTuple, Name, Nil, OUTPUT_MODES,
+    Output, Par, Process, RepInput, Res, SUCCESS, SumType, TupleType, UNIT,
+    UnitType, VInl, VInr, VName, VTuple, VUnit, Value, ValueType, _bind,
+    _bind_all, _frees, _node, _par_list, _shallow, _unbind, _unbind_all,
+    _value_counts, value_names,
 )
 
 
@@ -244,7 +244,7 @@ def _check(env: dict, p: Process, path: list):
         return
     if isinstance(p, Output):
         t = _subject_type(env, p.subject, path, "Out", "o")
-        if t.mode not in ("o", "lo"):
+        if t.mode not in OUTPUT_MODES:
             raise TypingError("Out", path,
                               f"output at {p.subject} : {t}; subject must be an O-name")
         payload_frees = value_names(p.payload)

@@ -13,15 +13,15 @@ import pytest
 
 import awpi
 from awpi.syntax import (
-    NIL, Name, Par, Res, VUNIT, _par_list, _split_chain, canonical_process,
-    canonicalize, parse_file, parse_process, parse_vtype, print_process,
-    rename_free,
+    NIL, Name, Par, Res, VName, VUNIT, _par_list, _split_chain,
+    canonical_process, canonicalize, parse_file, parse_process, parse_vtype,
+    print_process, rename_free,
 )
 from awpi.encodings import check_alpi_correspondence, encode_alpi, parse_alpi
 from awpi.internal import internalize
 from awpi.semantics import (
-    Composite, Tau, composite_step, delta_key, erase_to_api, explore, state,
-    weak_barbs,
+    Composite, FreeOut, Tau, composite_step, delta_key, erase_to_api,
+    explore, state, weak_barbs,
 )
 from awpi.typecheck import ANY
 from awpi import api
@@ -477,8 +477,13 @@ def test_game_instantiates_each_input_once(monkeypatch, name):
     seen = []
 
     def recording(p, mapping):
-        seen.append((print_process(p), tuple(sorted(
-            (str(k), print_value(v)) for k, v in mapping.items()))))
+        # the fresh %i#d an opaque input is fed and the %e#d, %k#d a bound
+        # output's ends are named are renames; only values of
+        # _ground_variants are recorded
+        if not all(isinstance(v, VName) and v.name.base in ("%i", "%e", "%k")
+                   for v in mapping.values()):
+            seen.append((print_process(p), tuple(sorted(
+                (str(k), print_value(v)) for k, v in mapping.items()))))
         return subst(p, mapping)
 
     monkeypatch.setattr(awpi.equivalence, "substitute", recording)
@@ -511,8 +516,9 @@ def test_game_moves_build_no_state(monkeypatch):
     p = proc("a(x).k!() | c!() | new(d: i[unit], e)( m!(e) | d(y).k!() )")
     comp = state(p, frozenset())
     built = _record_states(monkeypatch)
-    moves = _Game("internal", BisimConfig())._std_moves(comp, 1)
-    assert sorted(m[2] for m in moves) == ["bout", "in", "out"]
+    moves = _Game("internal", BisimConfig())._std_moves(comp)
+    assert sorted(type(m[1]).__name__ for m in moves) == \
+        ["BoundOut", "FreeOut", "In"]
     # building every move's target here made three states
     assert built == []
 
@@ -522,7 +528,12 @@ def test_game_feeds_an_input_once_across_play_depths(monkeypatch):
     comp = state(proc("a(x).k!()"), frozenset())
     game = _Game("internal", BisimConfig(), env)
     built = _record_states(monkeypatch)
-    targets = [game._attacks(comp, d, env)[0][3]() for d in (1, 2)]
+
+    def played(d):
+        _, _, _, i, value, _ = game._attacks(comp, d, env)[0]
+        return game._target(comp, i, d, value)
+
+    targets = [played(d) for d in (1, 2)]
     assert targets[0] is targets[1]
     # renaming the parameter to %i#1 and %i#2 before feeding made four
     # states, a renamed and a fed target at each depth
@@ -533,10 +544,11 @@ def test_game_absorbs_a_message_once(monkeypatch):
     env = tenv("a: i[unit]; k: o[unit]")
     dfn = state(proc("new(d: i[unit], e)( d(y).k!() | e!() )"), frozenset())
     game = _Game("internal", BisimConfig(), env)
-    mu = game._std_moves(state(proc("a(x).k!()"), frozenset()), 1)[0][1]
+    attack = game._attacks(state(proc("a(x).k!()"), frozenset()), 1, env)[0]
+    assert attack[0] == "a(())" and attack[4] == VUNIT
     built = _record_states(monkeypatch)
-    first = list(game._responses(dfn, "a(())", mu, "in", 1, env, VUNIT))
-    second = list(game._responses(dfn, "a(())", mu, "in", 1, env, VUNIT))
+    first = list(game._responses(dfn, attack, 1, env))
+    second = list(game._responses(dfn, attack, 1, env))
     assert [s.key for s, e in first] == [s.key for s, e in second]
     assert len(first) == 2 and all("%a#1!()" in s.key for s, e in first)
     # rebuilding them on the second call made four absorption states
@@ -547,13 +559,25 @@ def test_game_absorbs_a_message_once(monkeypatch):
 def test_game_builds_one_target_for_two_copies_of_a_message(monkeypatch):
     comp = state(proc("k!() | k!() | a(x).0"), frozenset())
     game = _Game("internal", BisimConfig())
-    outs = [i for _, _, kind, i in game._std_moves(comp, 1) if kind == "out"]
+    outs = [i for _, mu, i in game._std_moves(comp)
+            if isinstance(mu, FreeOut)]
     assert len(outs) == 2
     built = _record_states(monkeypatch)
     first, second = (game._target(comp, i, 1) for i in outs)
     assert first is second
     # keying by transition index built it twice
     assert built == [("a(_).0 | 0 | k!()", "")]
+
+
+def test_game_builds_a_states_moves_once_across_play_depths():
+    comp = state(proc("a(x).k!() | new(d: i[unit], e)( m!(e) | d(y).k!() )"),
+                 frozenset())
+    game = _Game("internal", BisimConfig())
+    for d in (1, 2, 3):
+        game._attacks(comp, d, {})
+    # keyed by (state key, play depth) where a label introduces a name,
+    # the state's moves were listed once per depth
+    assert len(game._moves) == 1
 
 
 def test_game_builds_congruent_tau_siblings_once(monkeypatch):

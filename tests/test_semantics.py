@@ -786,6 +786,25 @@ def test_explore_depth_bound_truncates():
     assert g.depth_truncated
 
 
+def test_explore_steps_no_node_at_its_depth_bound(monkeypatch):
+    # bench/corpus.client_server(4)
+    client = "new(r: i[unit], ro)( so!(ro) | r(x).ok!() )"
+    p = parse_file("success ok; new(s: i[o[unit]], so)( !s(r).r!() | "
+                   + " | ".join([client] * 4) + " )").process
+    calls = [0]
+    build = S.canonicalize
+
+    def counted(q):
+        calls[0] += 1
+        return build(q)
+
+    monkeypatch.setattr(S, "canonicalize", counted)
+    g = explore(frozenset(), p, depth_bound=3)
+    # stepping the nodes at the bound built their tau targets: 22 calls
+    assert calls[0] == 20
+    assert (len(g.nodes), len(g.edges), g.depth_truncated) == (7, 16, True)
+
+
 CLIENT_SERVER_SRC = """
 success ok;
 new(s: i[o[unit]], so) (
