@@ -392,22 +392,6 @@ class BoundOutLabel(Label):
 TAU = TauLabel()
 
 
-def _rename_label(mu: Label, renames) -> Label:
-    if isinstance(mu, TauLabel):
-        return mu
-    if isinstance(mu, InLabel):
-        return InLabel(renames.get(mu.subject, mu.subject),
-                       renames.get(mu.param, mu.param))
-    if isinstance(mu, OutLabel):
-        return OutLabel(renames.get(mu.subject, mu.subject),
-                        substitute_value(mu.payload,
-                                         {k: VName(v) for k, v in renames.items()}))
-    if isinstance(mu, BoundOutLabel):
-        return BoundOutLabel(renames.get(mu.subject, mu.subject),
-                             renames.get(mu.exported, mu.exported))
-    raise TypeError(f"not a label: {mu!r}")
-
-
 def _bound(mu: Label):
     """The one name ``mu`` binds, or None: a label binds one name at
     most, so a clash is one ``in`` test, with no set built."""
@@ -420,12 +404,13 @@ def _bound(mu: Label):
 
 def _freshen_bound(mu, target, avoid):
     """Rename the label's bound name (and the target) away from the
-    names in ``avoid``, only if it is one of them."""
+    names in ``avoid``, only if it is one of them.  The subject is kept,
+    also where an input binds its own subject, ``a(a).P``."""
     b = _bound(mu)
     if b is None or b not in avoid:
         return mu, target
     nn = fresh_name(b, set(avoid) | {mu.subject, b} | _frees(target))
-    return _rename_label(mu, {b: nn}), rename_free(target, {b: nn})
+    return type(mu)(mu.subject, nn), rename_free(target, {b: nn})
 
 
 def lts_step(p: Process):

@@ -26,7 +26,7 @@ from .syntax import (
 )
 from .typecheck import ANY, typecheck
 from .semantics import (
-    TAU, Composite, Fragments, closure, erase_to_api, lts_step, In,
+    TAU, Composite, Fragments, _barb_walk, erase_to_api, lts_step, In,
 )
 from .equivalence import BisimConfig, NotClosed, TypeMismatch, Verdict, _Game
 
@@ -455,28 +455,17 @@ def _api_steps(space: Fragments, comp: Composite):
 
 def _api_weak_barbs(p: api.Process, budget: int, space: Fragments):
     """The success barbs of the closed ``p`` after any number of tau steps,
-    and whether the tau budget cut the walk short.
-
-    The walk stops as soon as its barbs are all the success names free in
-    ``p``, and then reports ``truncated = False``.  That answer is exact: a
-    tau step never adds a free name, so no state of the walk can show a
-    barb on a name outside that set.  When ``p`` has no free success name,
-    the walk stops after its first state.  ``space`` is the check's game's
+    by name, and whether the tau budget cut the walk short
+    (:func:`semantics._barb_walk`).  ``space`` is the check's game's
     :class:`Fragments` table of reference-route states (:func:`_api_steps`),
     which may already hold stepped states; the walk reads the transitions
     through it, as :func:`semantics.weak_barbs` reads the reductions
     through its own table.
     """
     possible = {str(n) for n in api.free_names(p) if n.kind == SUCCESS}
-    barbs = set()
-    walk = closure(_api_state(p), space.tau_targets, budget)
-    for s in walk:
-        barbs.update(str(mu.subject) for mu, _t in space.step(s)
-                     if isinstance(mu, api.OutLabel)
-                     and mu.subject.kind == SUCCESS)
-        if barbs == possible:
-            return frozenset(barbs), False
-    return frozenset(barbs), walk.truncated
+    return _barb_walk(space, _api_state(p), budget, possible, lambda s: {
+        str(mu.subject) for mu, _ in space.step(s)
+        if isinstance(mu, api.OutLabel) and mu.subject.kind == SUCCESS})
 
 
 def check_alpi_correspondence(p: AlpiProcess, cfg: BisimConfig = None) -> Verdict:

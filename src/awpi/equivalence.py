@@ -215,10 +215,10 @@ def _internal_steps(space: Fragments, comp: Composite):
     fresh pairs, so a request keeps its partner, and a message absorbed at
     a server is one more request.  ``spent`` removes input attacks, no
     tau.  ``depth`` counts rounds of this reduced game: a distinction may
-    take a round more or fewer.  Congruent targets are one state, judged
-    once."""
+    take a round more or fewer.  Equal messages share one builder, built
+    once, and congruent targets are one state, judged once."""
     reqs, judged = requests(comp.process, comp.delta), set()
-    for build in reqs:
+    for build in dict.fromkeys(reqs):
         t = space.state(build(), comp.delta)
         if t.key in judged:
             continue

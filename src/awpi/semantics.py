@@ -94,24 +94,6 @@ class BoundOut(Label):
 TAU = Tau()
 
 
-def rename_label(mu: Label, renames) -> Label:
-    if isinstance(mu, Tau):
-        return mu
-    if isinstance(mu, In):
-        return In(renames.get(mu.subject, mu.subject),
-                  renames.get(mu.param, mu.param))
-    if isinstance(mu, FreeOut):
-        return FreeOut(renames.get(mu.subject, mu.subject),
-                       substitute_value(mu.payload,
-                                        {k: VName(v) for k, v in renames.items()}))
-    if isinstance(mu, BoundOut):
-        return BoundOut(renames.get(mu.subject, mu.subject),
-                        renames.get(mu.exported, mu.exported),
-                        renames.get(mu.companion, mu.companion),
-                        mu.in_type, mu.exported_is_input)
-    raise TypeError(f"not a label: {mu!r}")
-
-
 # ---------------------------------------------------------------------------
 # Connection sets
 # ---------------------------------------------------------------------------
@@ -154,18 +136,24 @@ def _binds_any(mu: Label, names) -> bool:
 
 def _freshen_bound(mu: Label, target: Process, avoid):
     """Rename the label's bound names (and the target) away from ``avoid``,
-    only if one of them is in it."""
+    only if one of them is in it.  Only bound names are renamed: an input
+    may bind its own subject, ``a(a).P``, whose label keeps subject ``a``."""
     if not _binds_any(mu, avoid):
         return mu, target
-    bound = {mu.param} if isinstance(mu, In) else {mu.exported, mu.companion}
-    clash = bound & frozenset(avoid)
-    taken = set(avoid) | {mu.subject} | bound | free_names(target)
+    bound = (mu.param,) if isinstance(mu, In) else (mu.exported, mu.companion)
+    taken = set(avoid) | {mu.subject, *bound} | free_names(target)
     renames = {}
-    for n in clash:
-        nn = fresh_name(n, taken)
-        taken.add(nn)
-        renames[n] = nn
-    return rename_label(mu, renames), rename_free(target, renames)
+    for n in bound:
+        if n in avoid:
+            renames[n] = fresh_name(n, taken)
+            taken.add(renames[n])
+    if isinstance(mu, In):
+        mu = In(mu.subject, renames[mu.param])
+    else:
+        mu = BoundOut(mu.subject, renames.get(mu.exported, mu.exported),
+                      renames.get(mu.companion, mu.companion), mu.in_type,
+                      mu.exported_is_input)
+    return mu, rename_free(target, renames)
 
 
 def lts_step(delta, p: Process):
@@ -295,11 +283,14 @@ def _par_steps(delta, p: Par, lsteps, lnames):
 class Composite:
     """A process with its connection set.
 
-    ``pkey`` is the fragment key of ``process``, set when :class:`Fragments`
-    built the composite (``process`` is then the ``|`` of its canonical
-    fragments in key order).  ``key`` identifies the state modulo
-    structural congruence as ``pkey@a-b,...``; a composite built without
-    ``pkey`` finds its fragment key the first time ``key`` is read.
+    ``pkey`` is the fragment key of ``process``: the keys of its canonical
+    fragments (:func:`canonicalize`'s certificates), sorted and joined by
+    ``" | "``.  It is set when :class:`Fragments` built the composite
+    (``process`` is then the ``|`` of those fragments in key order).
+    ``key`` identifies the state modulo structural congruence as
+    ``pkey@a-b,...``; a composite built without ``pkey`` finds its
+    fragment key the first time ``key`` is read.  Neither is process
+    text: print ``process`` to read a state.
     """
 
     process: Process
@@ -331,7 +322,8 @@ class Fragments:
     A fragment is a pair-free top-level atom, or ``new(chain)(atoms)``
     whose atoms the chain's pairs connect, canonicalized alone, so
     siblings may bind the same ``_#k`` names.  A state's process is the
-    ``|`` of its fragments in key order, which ``pkey`` prints.  A target
+    ``|`` of its fragments in key order, and its ``pkey`` is their keys in
+    that order (:class:`Composite`).  A target
     keeps the fragments its step left alone, which :meth:`state` finds by
     identity; it splits and canonicalizes, once per chain and multiset of
     atoms, each other top-level component, settled if ``settle`` is given.
@@ -590,7 +582,10 @@ def requests(p: Process, delta) -> list:
     message ``b!(v)`` whose one pair ``(a, b)`` has a server ``!a(x).P``
     among the top-level atoms, as a ``build()`` of ``p`` once served (a
     reduct of ``reduce``).  A pair of a fragment's chain has its server in
-    that fragment; a pair of ``delta`` may join two (:func:`_request`)."""
+    that fragment; a pair of ``delta`` may join two (:func:`_request`).
+    Equal messages of one fragment at one server build congruent targets,
+    so they share one builder: the list counts every request, and
+    ``dict.fromkeys`` of it gives each target once."""
     outer, frags, levels, servers, wants = {}, _par_list(p), [], {}, []
     for a, b in delta:
         outer[b] = None if b in outer else a  # None: two input ends
@@ -606,7 +601,9 @@ def requests(p: Process, delta) -> list:
             elif isinstance(x, Output):
                 wants.append((own[x.subject] if x.subject in own
                                else outer.get(x.subject), i, j))
-    return [partial(_request, frags, levels, *servers[w], i, j)
+    builds = {}
+    return [builds.setdefault((servers[w], i, levels[i][1][j]), partial(
+                _request, frags, levels, *servers[w], i, j))
             for w, i, j in wants if w in servers]
 
 
@@ -648,26 +645,38 @@ def weak_barbs(p: Process, budget: int = 2000) -> NameSet:
     """Union of strong barbs over reducts reachable within the budget
     (``truncated`` when the budget cut the search short).
 
-    The walk is :func:`closure` over the tau moves of one
+    The walk is :func:`_barb_walk` over the tau moves of one
     :class:`Fragments` table of :func:`_reductions`, so breadth first, in
-    the barbed game's state identity and order.  It stops once it has seen
-    every success name free in ``p``, with an answer that is not
-    truncated.  That is exact, because a reduction never adds a free
-    name, so no reduct can show a barb outside that set.
+    the barbed game's state identity and order.
     """
     table = Fragments(_reductions)
     start = table.state(p, ())
-    possible = frozenset(n for n in free_names(start.process)
-                         if n.kind == SUCCESS)
+    possible = {n for n in free_names(start.process) if n.kind == SUCCESS}
+    seen, truncated = _barb_walk(table, start, budget, possible,
+                                 lambda c: canonical_barbs(c.process))
+    barbs = NameSet(seen)
+    barbs.truncated = truncated
+    return barbs
+
+
+def _barb_walk(table: Fragments, start, budget: int, possible, barbs_of):
+    """The barbs, by ``barbs_of`` a state, over the :func:`closure` of
+    ``start`` through ``table``'s tau targets, and whether ``budget`` cut
+    the walk short.
+
+    ``possible`` holds the success names free in ``start``.  The walk
+    stops once it has seen them all, with an answer that is not
+    truncated.  That is exact: a tau step never adds a free name, so no
+    state of the walk can show a barb outside that set.  With no free
+    success name, it stops after its first state.
+    """
     seen = set()
     walk = closure(start, table.tau_targets, budget)
     for c in walk:
-        seen |= canonical_barbs(c.process)
+        seen |= barbs_of(c)
         if seen == possible:
-            break
-    barbs = NameSet(seen)
-    barbs.truncated = seen != possible and walk.truncated
-    return barbs
+            return frozenset(seen), False
+    return frozenset(seen), walk.truncated
 
 
 # ---------------------------------------------------------------------------

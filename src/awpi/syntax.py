@@ -792,11 +792,8 @@ def _print_payload(v: Value) -> str:
 
 
 def _print_prefix(p: Process) -> str:
-    return _prefix_text(p, _print_process(p))
-
-
-def _prefix_text(p: Process, text: str) -> str:
     # a process at prefix level: parallel compositions get parentheses
+    text = _print_process(p)
     return f"({text})" if isinstance(p, Par) else text
 
 
@@ -1217,7 +1214,10 @@ def parse_file(text: str) -> SourceFile:
 
 @_node
 class CanonicalForm:
-    """A structurally normalized process with a stable identity key."""
+    """A structurally normalized process and its identity key, the
+    certificate :func:`canonicalize` computed for it.  The key is no
+    process text: print ``process`` with :func:`print_process` to read
+    it."""
 
     process: Process
     key: str
@@ -1313,15 +1313,16 @@ class _Canon:
     """The tables of one :func:`canonicalize` call, both keyed by ``id``.
 
     A call walks its input twice, making no normalized copy: :meth:`render`
-    certifies it and :meth:`build` makes the canonical process as the
-    certificate plans.  Free names are read from the nodes, which keep
-    them (:func:`_frees`).  ``parts`` maps ``id(level)`` of each ``|`` or
-    ``new`` node of the input that a walk reaches to ``(level, pairs,
-    atoms)``, as :meth:`_flat` flattens it then.  ``memo`` maps ``(id(node),
-    depth, shape, labels of the node's free names)`` to ``(node, entry)``,
-    where the entry is ``(certificate, plan)``; only a pair search renders
-    a node again, so it is used only while :meth:`_search` runs.  Each
-    table holds its nodes, so no id in it is reused while the call runs.
+    certifies it, and the certificate is the key; :meth:`build` makes the
+    canonical process as the certificate plans, and prints nothing.  Free
+    names are read from the nodes, which keep them (:func:`_frees`).
+    ``parts`` maps ``id(level)`` of each ``|`` or ``new`` node of the input
+    that a walk reaches to ``(level, pairs, atoms)``, as :meth:`_flat`
+    flattens it then.  ``memo`` maps ``(id(node), depth, shape, labels of
+    the node's free names)`` to ``(node, entry)``, where the entry is
+    ``(certificate, plan)``; only a pair search renders a node again, so
+    it is used only while :meth:`_search` runs.  Each table holds its
+    nodes, so no id in it is reused while the call runs.
 
     A plan is the certificate's decisions, kept beside it so that
     :meth:`build` only follows them: an input's or a let's plan is its
@@ -1660,8 +1661,8 @@ class _Canon:
 
     def build(self, p, entry, names, alloc):
         """``p`` rebuilt as its render ``entry`` plans it, with binders
-        renamed ``_#k`` in print order, and its text, byte for byte what
-        :func:`print_process` prints for it.  ``names`` maps the names
+        renamed ``_#k`` in the order it meets them, a level's pairs before
+        its atoms.  ``names`` maps the names
         bound above ``p`` to their new names as ``VName`` values; a binder
         is bound in it in place while its scope is built.  ``alloc``
         yields the new names, ``_#k`` with k counting up."""
@@ -1670,45 +1671,39 @@ class _Canon:
             if not pairs and len(atoms) < 2:
                 p = atoms[0] if atoms else NIL
         if isinstance(p, Nil):
-            return p, "0"
+            return p
         if isinstance(p, Output):
-            q = Output(_renamed(p.subject, names),
-                       substitute_value(p.payload, names))
-            return q, f"{q.subject}!({_print_payload(q.payload)})"
+            return Output(_renamed(p.subject, names),
+                          substitute_value(p.payload, names))
         plan = entry[1]
         if isinstance(p, (Input, RepInput)):
             x = next(alloc)
             subject = _renamed(p.subject, names)
             old = _bind(names, p.param, VName(x))
-            body, text = self.build(p.body, plan, names, alloc)
+            body = self.build(p.body, plan, names, alloc)
             _unbind(names, p.param, old)
-            bang = "!" if isinstance(p, RepInput) else ""
-            return (type(p)(subject, x, body),
-                    f"{bang}{subject}({x}).{_prefix_text(body, text)}")
+            return type(p)(subject, x, body)
         if isinstance(p, LetTuple):
             xs = [next(alloc) for _ in p.params]
             scrut = substitute_value(p.scrutinee, names)
             olds = _bind_all(names, p.params, [VName(x) for x in xs])
-            body, text = self.build(p.body, plan, names, alloc)
+            body = self.build(p.body, plan, names, alloc)
             _unbind_all(names, p.params, olds)
-            return (LetTuple(tuple(xs), scrut, body),
-                    f"let ({', '.join(map(str, xs))}) = {print_value(scrut)}"
-                    f" in {_prefix_text(body, text)}")
+            return LetTuple(tuple(xs), scrut, body)
         if isinstance(p, Case):
             scrut = substitute_value(p.scrutinee, names)
             x = next(alloc)
             old = _bind(names, p.left_param, VName(x))
-            left, ltext = self.build(p.left_body, plan[0], names, alloc)
+            left = self.build(p.left_body, plan[0], names, alloc)
             _unbind(names, p.left_param, old)
             y = next(alloc)
             old = _bind(names, p.right_param, VName(y))
-            right, rtext = self.build(p.right_body, plan[1], names, alloc)
+            right = self.build(p.right_body, plan[1], names, alloc)
             _unbind(names, p.right_param, old)
-            return (Case(scrut, x, left, y, right),
-                    f"case {print_value(scrut)} {{ inl {x} -> {ltext} ; "
-                    f"inr {y} -> {rtext} }}")
-        # a level: every pair is named before any atom, as they print; no
-        # atom uses a pair of another component, so all are bound at once
+            return Case(scrut, x, left, y, right)
+        # a level: every pair is named before any atom, as the certificate
+        # numbers them; no atom uses a pair of another component, so all
+        # are bound at once
         pairs, ends, news = [], [], []
         for order, _, _ in plan:
             for a, b, t in order:
@@ -1720,11 +1715,7 @@ class _Canon:
         built = [self.build(x, e, names, alloc)
                  for _, atoms, entries in plan for x, e in zip(atoms, entries)]
         _unbind_all(names, ends, olds)
-        core = " | ".join([text for _, text in built])
-        if pairs and len(built) > 1:
-            core = f"({core})"
-        return (_chain(pairs, _par([q for q, _ in built])),
-                "".join([f"new({x}: {t}, {y}) " for x, y, t in pairs]) + core)
+        return _chain(pairs, _par(built))
 
 
 def canonicalize(p: Process) -> CanonicalForm:
@@ -1736,15 +1727,30 @@ def canonicalize(p: Process) -> CanonicalForm:
     the pairs they use) come in certificate order, components with pairs
     first; within a component the pairs are numbered by colour refinement
     and individualization, keeping the least certificate, and the atoms
-    follow in certificate order.  Bound names become ``_#k`` in print
-    order, above the index of any free name with base ``_``.  Congruent
-    processes get equal keys and, as the key is the rebuilt process's text
-    (printed while building, byte for byte as :func:`print_process` prints
-    it), only they do.  Two walks: one certifies the input, flattening each
-    level where it first reaches it (a node is certified again, from a
-    memo, only under a pair search), and one builds the result, whose root
-    keeps the input's free names.  Raises ValueError on a process nested
-    too deeply for the recursion limit (a ``|`` chain of any width is fine).
+    follow in certificate order.  Bound names become ``_#k`` in that
+    order, a level's pairs before its atoms, above the index of any free
+    name with base ``_``.
+
+    The key is the certificate of the least leaf, as in canonical labelling
+    (McKay & Piperno, "Practical graph isomorphism, II", JSC 2014): the
+    search makes it equal for congruent processes.  Only they get equal
+    keys.  The certificate spells out every node of the normal form:
+    inputs, replication, outputs, lets and cases in their own syntax, each
+    restriction pair with its type, and every free name by its text (its
+    kind, which a file header fixes for every occurrence, is not printed).
+    Binders print as de Bruijn levels ``%k`` where they bind, and every
+    body, branch and chain's scope is enclosed in balanced parentheses, so
+    the text reads back as one normal form, up to the names of its
+    binders.  Equal keys thus stand for one normal form, to which both
+    processes are congruent.  A test independent of this function checks
+    it over every process of size at most 7
+    (``test_canonicalize_sound_exhaustive``).
+
+    Two walks: one certifies the input, flattening each level where it
+    first reaches it (a node is certified again, from a memo, only under a
+    pair search), and one builds the result, whose root keeps the input's
+    free names.  Raises ValueError on a process nested too deeply for the
+    recursion limit (a ``|`` chain of any width is fine).
     """
     return _shallow(_canonicalize, p)
 
@@ -1755,9 +1761,10 @@ def _canonicalize(p: Process) -> CanonicalForm:
     start = max((n.index + 1 for n in names
                  if n.base == "_" and n.kind == REGULAR), default=0)
     alloc = map(Name, repeat("_"), count(start))
-    q, key = c.build(p, c.render(p, 0, {}, False), {}, alloc)
+    entry = c.render(p, 0, {}, False)
+    q = c.build(p, entry, {}, alloc)
     _keep_names(q, names)  # the canonical form has the input's free names
-    return CanonicalForm(q, key)
+    return CanonicalForm(q, entry[0])
 
 
 def _level(p: Process) -> tuple:

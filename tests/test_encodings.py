@@ -203,6 +203,18 @@ def test_success_output_is_identity_like():
     assert v.equivalent
 
 
+def test_correspondence_of_an_input_that_binds_its_subject():
+    # the reference route freshened a(a)'s parameter and its subject alike,
+    # so the received name escaped the restriction: distinguished, while
+    # the alpha-variant a(x).x!() was equivalent
+    for src in ("success ok; new(a: ^o[unit])( a(a).a!() | a!(ok) )",
+                "success ok; new(a: ^o[unit])( a(x).x!() | a!(ok) )"):
+        v = check_alpi_correspondence(parse_alpi(src))
+        assert v.equivalent, src
+        assert (v.bounds["forward"], v.bounds["backward"]) == (
+            "equivalent", "equivalent")
+
+
 def test_correspondence_needs_closed_process():
     with pytest.raises(NotClosed):
         check_alpi_correspondence(parse_alpi("a!()"))

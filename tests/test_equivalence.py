@@ -146,9 +146,10 @@ def test_barbed_shown_barb_ends_the_play():
     v = barbed_bisim(p, q)
     assert v.distinguished
     # q shows ok, so that move has no continuation: the witness goes
-    # through the reduction and ends on the err barb q cannot show
+    # through the reduction, which q answers by staying, and ends on the
+    # err barb q cannot show
     assert [(s.label, s.defender_after) for s in v.witness] == [
-        ("tau", "ok!()@"), ("err!()", None)]
+        ("tau", state(q, frozenset()).key), ("err!()", None)]
     assert replay_witness(p, q, v)
 
 
@@ -493,6 +494,23 @@ def test_game_instantiates_each_input_once(monkeypatch, name):
     assert seen and len(seen) == len(set(seen))
 
 
+def test_game_feeds_each_choice_of_a_sum():
+    # the observer feeds s both inl () and inr (), so the swapped branches
+    # show; had the sum branch of _ground_variants given None, s would be
+    # fed an opaque name, the case would sit stuck and the game would
+    # equate them, and had it dropped a side, one attack would be missing
+    env = tenv("s: i[unit + unit]; k: o[unit]; m: o[unit]")
+    p = proc("s(x).case x { inl y -> k!() ; inr z -> m!() }")
+    q = proc("s(x).case x { inl y -> m!() ; inr z -> k!() }")
+    game = _Game("internal", BisimConfig(), env)
+    attacks = game._attacks(game.space.state(p, frozenset()), 1, env)
+    assert [a[0] for a in attacks] == ["s(inl ())", "s(inr ())"]
+    v = internal_bisim_n(frozenset(), p, q, 3, env=env)
+    assert v.distinguished
+    assert v.witness[0].label in ("s(inl ())", "s(inr ())")
+    assert replay_witness(p, q, v, frozenset(), env)
+
+
 def _record_states(monkeypatch):
     """Patch the fragment table's ``state`` to record each (printed
     process, delta) that it makes a new state for."""
@@ -550,7 +568,8 @@ def test_game_absorbs_a_message_once(monkeypatch):
     first = list(game._responses(dfn, attack, 1, env))
     second = list(game._responses(dfn, attack, 1, env))
     assert [s.key for s, e in first] == [s.key for s, e in second]
-    assert len(first) == 2 and all("%a#1!()" in s.key for s, e in first)
+    assert len(first) == 2 and all("%a#1!()" in print_process(s.process)
+                                   for s, e in first)
     # rebuilding them on the second call made four absorption states
     absorbed = [b for b in built if "%a#1" in b[0]]
     assert len(absorbed) == 2 and len(set(absorbed)) == 2
@@ -734,6 +753,31 @@ def _record_priority(monkeypatch):
     monkeypatch.setattr(awpi.equivalence, "_internal_steps", recording)
     monkeypatch.setattr(awpi.equivalence, "_lts", counted)
     return fired
+
+
+def test_equal_messages_build_one_request_target(monkeypatch):
+    # each request to the growing server adds a message, so none lowers the
+    # count and every distinct target is judged; the three equal messages
+    # share one builder, where each built its own congruent target
+    import awpi.equivalence
+    import awpi.semantics
+    request, calls = awpi.semantics._request, []
+
+    def counted(*args):
+        calls.append(args)
+        return request(*args)
+
+    monkeypatch.setattr(awpi.semantics, "_request", counted)
+    space = awpi.semantics.Fragments(awpi.equivalence._internal_steps,
+                                     awpi.semantics.settle)
+    comp = space.state(parse_process(
+        "new(a: i[unit], b)( b!() | b!() | b!() | !a(x).( b!() | b!() ) )"),
+        frozenset())
+    steps = space.step(comp)
+    assert len(calls) == 1
+    assert [str(mu) for mu, _ in steps] == ["tau", "tau", "tau"]
+    reqs = awpi.semantics.requests(comp.process, comp.delta)
+    assert len(reqs) == 3 and len(set(reqs)) == 1
 
 
 # a server fed by its own requests: it sends as many as it serves (the

@@ -182,6 +182,17 @@ def test_reapplication_keeps_typing_and_internality():
 # the internality predicate itself
 
 
+def test_case_on_a_received_sum_types_its_branches():
+    # x is received at type o[unit] + unit, so y is an output channel and
+    # c!(y) exports it: not internal until wired; had a name scrutinee's
+    # branches been left untyped, y would pass unseen and nothing be wired
+    env = tenv("s: i[o[unit] + unit]; c: o[o[unit]]")
+    p = parse_process("s(x).case x { inl y -> c!(y) ; inr z -> 0 }")
+    assert not is_internal(p, env)
+    ip = internalize(p, env)
+    assert ip != p and is_internal(ip, env) and typecheck(env, ip).ok
+
+
 def test_free_output_of_channel_name_is_not_internal():
     env = tenv("c: o[o[unit]]; a: o[unit]")
     assert not is_internal(parse_process("c!(a)"), env)

@@ -1055,6 +1055,38 @@ def test_api_lts_step_renames_a_bound_name_on_a_clash(case):
         == expected
 
 
+def test_freshening_keeps_the_subject_an_input_binds():
+    # a(a).a!() beside a free a: the parameter is renamed away from the
+    # sibling's a, on both routes, and the subject stays a; renaming every
+    # name of the label made the input's label a#1(a#1)
+    a, a1, k = Name("a"), Name("a", 1), Name("k")
+    p = parse_process("a(a).a!() | k!(a)")
+    (mu, q), _ = lts_step(frozenset(), p)
+    assert mu == In(a, a1) and print_process(q) == "a#1!() | k!(a)"
+    ap = api.Par(api.Input(a, a, api.Output(a, VUNIT)),
+                 api.Output(k, VName(a)))
+    (mu, q), _ = api.lts_step(ap)
+    assert mu == api.InLabel(a, a1)
+    assert api.print_process(q) == "a#1!() | k!(a)"
+
+
+def test_close_of_an_exported_input_end():
+    # d!(a) sends the input end a of its pair to c(x), connected to d:
+    # the Close re-forms the pair with a still its input end, now received
+    # as x and read by the receiver; swapping the ends made the receiver
+    # read the output end b, which does not typecheck
+    a, b = Name("a"), Name("b")
+    delta = frozenset({(Name("c"), Name("d"))})
+    p = parse_process("new(a: i[unit], b)( d!(a) | b!() ) | c(x).x(y).k!()")
+    moves = lts_step(delta, p)
+    (out,) = [mu for mu, _ in moves if isinstance(mu, BoundOut)]
+    assert out.exported_is_input and (out.exported, out.companion) == (a, b)
+    (tgt,) = [q for mu, q in moves if isinstance(mu, Tau)]
+    assert isinstance(tgt, Res) and (tgt.in_name, tgt.out_name) == (a, b)
+    assert print_process(tgt) == "new(a: i[unit], b) (0 | b!() | a(y).k!())"
+    assert typecheck({Name("k"): ChanType("o", UNIT)}, tgt).ok
+
+
 def test_api_open_example():
     ap = api.Res(Name("c"), api.Output(Name("e"), VName(Name("c"))))
     ((mu, q),) = api.lts_step(ap)
