@@ -17,8 +17,8 @@ each keeps its free names once they are found (see :func:`_frees`), as a
 from __future__ import annotations
 
 from .syntax import (
-    Name, Value, VName, VTuple, VInl, VInr, VUNIT, _bind, _node, _shallow,
-    _unbind, fresh_name, print_value, substitute_value, value_names,
+    Name, SUCCESS, Value, VName, VTuple, VInl, VInr, VUNIT, _bind, _node,
+    _shallow, _unbind, fresh_name, print_value, substitute_value, value_names,
 )
 
 
@@ -268,9 +268,9 @@ def alpha_key(p: Process) -> str:
 
 
 def _akey_name(n, env):
-    # a bound name's label, else its printed name, printed only then
+    # a bound name's label, else its printed name marked by its kind
     label = env.get(n)
-    return f"f:{n}" if label is None else label
+    return label or f"{'s' if n.kind == SUCCESS else 'f'}:{n}"
 
 
 def _akey_value(v, env):

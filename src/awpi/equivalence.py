@@ -122,6 +122,8 @@ def _label_key(mu) -> str:
     if isinstance(mu, BoundOut):
         pol = "i" if mu.exported_is_input else "o"
         return f"{mu.subject}!(new {mu.exported}/{pol})"
+    if isinstance(mu, FreeOut) and mu.subject.kind == SUCCESS:
+        return f"${mu}"  # marked as in state keys (``syntax._shown``)
     return str(mu)
 
 

@@ -283,14 +283,14 @@ def _par_steps(delta, p: Par, lsteps, lnames):
 class Composite:
     """A process with its connection set.
 
-    ``pkey`` is the fragment key of ``process``: the keys of its canonical
-    fragments (:func:`canonicalize`'s certificates), sorted and joined by
-    ``" | "``.  It is set when :class:`Fragments` built the composite
-    (``process`` is then the ``|`` of those fragments in key order).
-    ``key`` identifies the state modulo structural congruence as
-    ``pkey@a-b,...``; a composite built without ``pkey`` finds its
-    fragment key the first time ``key`` is read.  Neither is process
-    text: print ``process`` to read a state.
+    ``pkey`` is the canonical key of ``process`` (:func:`canonicalize`),
+    the keys of its canonical fragments sorted and joined by ``|``.  It is
+    set when :func:`state` or :class:`Fragments` built the composite
+    (``process`` is then the canonical process or the ``|`` of those
+    fragments in key order).  ``key`` identifies the state modulo
+    structural congruence as ``pkey@a-b,...``; a composite built without
+    ``pkey`` canonicalizes its process the first time ``key`` is read.
+    Neither is process text: print ``process`` to read a state.
     """
 
     process: Process
@@ -299,7 +299,7 @@ class Composite:
 
     @cached_property
     def key(self) -> str:
-        pkey = self.pkey or state(self.process, ()).pkey
+        pkey = self.pkey or canonicalize(self.process).key
         return f"{pkey}@{delta_key(self.delta)}"
 
     def with_delta(self, delta) -> "Composite":
@@ -329,15 +329,14 @@ class Fragments:
     atoms, each other top-level component, settled if ``settle`` is given.
 
     Processes are congruent exactly when their fragment multisets are
-    equal (Engelfriet & Gelsema, TCS 1999).  Equal multisets make both
-    congruent to one ``|`` of fragments, by scope extrusion and the monoid
-    laws of ``|``.  Congruent processes have one canonical form, whose top
-    level :func:`canonicalize` certifies component by component, each at
-    binder depth 0 with no label bound, as it would certify it alone.  The
-    table holds each node it keys, so no ``id`` is reused while it lives.
+    equal (Engelfriet & Gelsema, TCS 1999), and a ``pkey`` is the key
+    :func:`canonicalize` gives the state's process: it certifies a top
+    level component by component, each as it would certify it alone, and
+    joins them in key order by ``|``.  The table holds each node it keys,
+    so no ``id`` is reused while it lives.
 
-    :meth:`step` steps a state once per table, by ``successors(table,
-    state)``: :func:`_lts`, :func:`_reductions`,
+    Every table belongs to a walk.  :meth:`step` steps a state once per
+    table, by ``successors(table, state)``: :func:`_lts`, :func:`_reductions`,
     ``equivalence._internal_steps`` (whose table also ``settle``s what it
     builds) or ``encodings._api_steps``.  Tau targets must be states, as
     closures read their keys.  A table holds no closure and nothing that
@@ -349,7 +348,7 @@ class Fragments:
     __slots__ = ("_successors", "_settle", "_keys", "_pieces", "_states",
                  "_steps")
 
-    def __init__(self, successors=None, settle=None):
+    def __init__(self, successors, settle=None):
         self._successors, self._settle = successors, settle
         self._keys = {}    # id(fragment node) -> (node, key)
         self._pieces = {}  # (chain, atoms sorted by hash) -> fragments
@@ -364,7 +363,7 @@ class Fragments:
             frags += [got] if got else self._new(x)
         frags.sort(key=lambda f: f[1])
         delta = frozenset(delta)
-        pkey = " | ".join([k for _, k in frags]) or "0"
+        pkey = "|".join([k for _, k in frags]) or "0"
         key = f"{pkey}@{delta_key(delta)}"
         out = self._states.get(key)
         if out is None:
@@ -402,10 +401,11 @@ class Fragments:
 
 
 def state(process: Process, delta) -> Composite:
-    """The composite of ``process`` as the ``|`` of its canonical
-    fragments, carrying the key that everything built from it reads; a
-    walk keeps one :class:`Fragments` table instead of calling this."""
-    return Fragments().state(process, delta)
+    """The composite of ``process``'s canonical process, carrying the key
+    that everything built from it reads; a walk keeps one
+    :class:`Fragments` table instead of calling this."""
+    c = canonicalize(process)
+    return Composite(c.process, frozenset(delta), c.key)
 
 
 def composite_step(comp: Composite):

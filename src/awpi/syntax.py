@@ -18,7 +18,7 @@ Canonicalization implements the structural congruence axioms as a normal
 form: parallel compositions are flattened to a sorted multiset, nil
 components and dead restrictions are dropped, restrictions are extruded
 outward as far as parallel structure allows, and bound names are renamed
-positionally.
+positionally.  Its key is the package's one state key.
 
 A :class:`Name` is a tuple, because every layer's inner loop looks names
 up (substitution, fresh names, connection sets, typing environments,
@@ -1215,9 +1215,8 @@ def parse_file(text: str) -> SourceFile:
 @_node
 class CanonicalForm:
     """A structurally normalized process and its identity key, the
-    certificate :func:`canonicalize` computed for it.  The key is no
-    process text: print ``process`` with :func:`print_process` to read
-    it."""
+    certificate :func:`canonicalize` computed for it (a state's ``pkey``).
+    The key is no process text: print ``process`` to read it."""
 
     process: Process
     key: str
@@ -1272,9 +1271,14 @@ def _ranks(sigs):
     return [rank[s] for s in sigs]
 
 
+def _shown(n):
+    """``n``'s text, a success name's marked ``$``, which no name holds."""
+    return f"${n}" if n.kind == SUCCESS else str(n)
+
+
 def _render_value(v, env):
     if isinstance(v, VName):
-        return env.get(v.name) or str(v.name)
+        return env.get(v.name) or _shown(v.name)
     if isinstance(v, VUnit):
         return "()"
     if isinstance(v, VTuple):
@@ -1410,7 +1414,7 @@ class _Canon:
             if not pairs and len(atoms) < 2:
                 p = atoms[0] if atoms else NIL
         if isinstance(p, Output):
-            return (f"{env.get(p.subject) or str(p.subject)}"
+            return (f"{env.get(p.subject) or _shown(p.subject)}"
                     f"!({_render_value(p.payload, env)})", None)
         if isinstance(p, Nil):
             return _NIL_ENTRY
@@ -1423,7 +1427,7 @@ class _Canon:
         if isinstance(p, (Input, RepInput)):
             x = f"%{d}"
             head = (f"{'!' if isinstance(p, RepInput) else ''}"
-                    f"{env.get(p.subject) or str(p.subject)}({x})")
+                    f"{env.get(p.subject) or _shown(p.subject)}({x})")
             old = _bind(env, p.param, x)
             plan = self.render(p.body, d + 1, env, shape)
             _unbind(env, p.param, old)
@@ -1455,8 +1459,7 @@ class _Canon:
 
     def _level(self, pairs, atoms, d, env, shape):
         """Entry of a restriction chain over ``|``: its connected components
-        (atoms linked by the pairs they use) in certificate order,
-        components with pairs first."""
+        (atoms linked by the pairs they use) in certificate order."""
         if shape:
             slots = dict(env)
             for a, b, t in pairs:
@@ -1470,9 +1473,9 @@ class _Canon:
             else:
                 entry = self.render(catoms[0], d, env, False)
                 cert, plan = entry[0], ((), catoms, (entry,))
-            comps.append((not cpairs, cert, plan))
-        comps.sort(key=lambda c: c[:2])
-        return "|".join([c[1] for c in comps]), [c[2] for c in comps]
+            comps.append((cert, plan))
+        comps.sort(key=lambda c: c[0])
+        return "|".join([c[0] for c in comps]), [c[1] for c in comps]
 
     @staticmethod
     def _components(pairs, atoms):
@@ -1724,20 +1727,21 @@ def canonicalize(p: Process) -> CanonicalForm:
     Every level (the top, an input or let body, a case branch) becomes one
     restriction chain over a flat ``|`` of atoms, with no nil component
     and no unused pair.  The level's connected components (atoms linked by
-    the pairs they use) come in certificate order, components with pairs
-    first; within a component the pairs are numbered by colour refinement
-    and individualization, keeping the least certificate, and the atoms
-    follow in certificate order.  Bound names become ``_#k`` in that
-    order, a level's pairs before its atoms, above the index of any free
-    name with base ``_``.
+    the pairs they use) come in certificate order; within a component the
+    pairs are numbered by colour refinement and individualization, keeping
+    the least certificate, and the atoms follow in certificate order.
+    Bound names become ``_#k`` in that order, a level's pairs before its
+    atoms, above the index of any free name with base ``_``.
 
     The key is the certificate of the least leaf, as in canonical labelling
     (McKay & Piperno, "Practical graph isomorphism, II", JSC 2014): the
     search makes it equal for congruent processes.  Only they get equal
     keys.  The certificate spells out every node of the normal form:
     inputs, replication, outputs, lets and cases in their own syntax, each
-    restriction pair with its type, and every free name by its text (its
-    kind, which a file header fixes for every occurrence, is not printed).
+    restriction pair with its type, and every free name by its text, a
+    success name's marked ``$``.  A top-level component is certified as
+    it would be alone, so the key is the ``|``-join of the sorted keys of
+    the fragments, as ``semantics.Fragments`` keys the process.
     Binders print as de Bruijn levels ``%k`` where they bind, and every
     body, branch and chain's scope is enclosed in balanced parentheses, so
     the text reads back as one normal form, up to the names of its

@@ -13,9 +13,9 @@ import pytest
 
 import awpi
 from awpi.syntax import (
-    NIL, Name, Par, Res, VName, VUNIT, _par_list, _split_chain,
-    canonical_process, canonicalize, parse_file, parse_process, parse_vtype,
-    print_process, rename_free,
+    NIL, Name, Output, Par, Res, SUCCESS, VName, VUNIT, _par_list,
+    _split_chain, canonical_process, canonicalize, parse_file, parse_process,
+    parse_vtype, print_process, rename_free,
 )
 from awpi.encodings import check_alpi_correspondence, encode_alpi, parse_alpi
 from awpi.internal import internalize
@@ -32,7 +32,7 @@ from awpi.equivalence import (
 )
 
 from oracles import bisimulation_classes
-from test_semantics import fragment_key, fresh_key
+from test_semantics import fresh_key
 
 
 def nm(s):
@@ -84,6 +84,18 @@ def test_distinct_success_names_distinguished():
     v = weak_bisim(p, q)
     assert v.distinguished
     assert replay_witness(p, q, v)
+
+
+def test_success_and_regular_names_of_one_text_distinguished():
+    # a file header fixes one kind per text, but the API builds either;
+    # the state keys and the move keys both mark the success name
+    ok = Output(Name("ok", 0, SUCCESS), VUNIT)
+    regular = Output(nm("ok"), VUNIT)
+    assert canonicalize(ok).key != canonicalize(regular).key
+    for check in (strong_bisim, weak_bisim):
+        v = check(ok, regular)
+        assert v.distinguished and v.witness[0].label == "$ok!()"
+        assert replay_witness(ok, regular, v)
 
 
 def test_dropped_continuation_distinguished_with_input_witness():
@@ -638,9 +650,35 @@ def test_game_state_table_keys_up_to_the_monoid_laws():
         game = _Game("weak", BisimConfig())
         first = game.space.state(p, frozenset())
         assert game.space.state(q, frozenset()) is first
-        assert first.pkey == fragment_key(q)
+        assert first.pkey == canonicalize(q).key
         shuffled += len(atoms) > 1
     assert shuffled >= 50
+
+
+def test_table_states_carry_their_canonical_keys(monkeypatch):
+    # beyond the size-7 enumeration: lets, cases, tuples, wires, settled
+    # internal tables and a barbed walk; a state's key is the one
+    # canonicalize gives its whole process
+    import awpi.semantics
+    build = awpi.semantics.Fragments.state
+    made = []
+
+    def recording(table, p, delta):
+        made.append(build(table, p, delta))
+        return made[-1]
+
+    monkeypatch.setattr(awpi.semantics.Fragments, "state", recording)
+    for name in ("wire-subst-out-twice", "message-meets-companion-payload",
+                 "tuple-projection", "case-commit", "receptive-rename"):
+        assert _law_game(name).equivalent
+    laws = len(made)
+    p = proc("success ok; success err; "
+             "ok!() | new(a: i[unit], b)( a(x).err!() | b!() )")
+    assert barbed_bisim(p, proc("success ok; ok!()")).distinguished
+    assert laws >= 500 and len(made) > laws
+    assert sum("|" in s.pkey for s in made) >= 500
+    for s in made:
+        assert canonicalize(s.process).key == s.pkey, print_process(s.process)
 
 
 def test_a_step_canonicalizes_only_the_fragment_it_touched(monkeypatch):

@@ -1,11 +1,11 @@
 import pytest
 
 from awpi.syntax import (
-    ChanType, Name, UNIT, VName, VTuple, VUNIT, canonical_process,
+    ChanType, Name, SUCCESS, UNIT, VName, VTuple, VUNIT, canonical_process,
     canonicalize, free_names, parse_file, parse_process, print_process,
     print_value, rename_free,
 )
-from awpi.syntax import NIL, Res, _fragments
+from awpi.syntax import NIL, Res
 from awpi.syntax import Input as SInput, Output as SOutput, Par as SPar
 from awpi.typecheck import typecheck
 from awpi import api
@@ -68,7 +68,7 @@ def test_reduce_replication_keeps_replica():
     r = reduce(proc("new(a: i[unit], b) ( !a(x).c!() | b!() | b!() )"))
     assert len(r) == 1
     got = print_process(next(iter(r)))
-    assert got == "new(_: i[unit], _#1) (!_(_#2).c!() | _#1!() | c!())"
+    assert got == "new(_: i[unit], _#1) (c!() | !_(_#2).c!() | _#1!())"
 
 
 def test_reduce_let_tuple():
@@ -132,19 +132,19 @@ def test_requests_are_served_in_atom_order():
     delta = frozenset({(Name("a"), Name("b")), (Name("c"), Name("d"))})
     served = [canonical_process(build())
               for build in requests(c.process, delta)]
-    chain = "new(_: i[unit], _#1) (!_(_#2).k!() | _#1!() | "
-    at_t = chain + "!a(_#3).m!(_#3) | b!() | c(_#4).0 | d!() | k!())"
-    at_b = chain + "_#1!() | !a(_#3).m!(_#3) | c(_#4).0 | d!() | m!())"
-    assert [print_process(q) for q in served] == [at_t, at_t, at_b]
+    chain = "new(_: i[unit], _#1) (!a(_#2).m!(_#2) | "
+    at_b = chain + "c(_#3).0 | d!() | m!() | !_(_#4).k!() | _#1!() | _#1!())"
+    at_t = chain + "b!() | c(_#3).0 | d!() | k!() | !_(_#4).k!() | _#1!())"
+    assert [print_process(q) for q in served] == [at_b, at_t, at_t]
     # serving on the restricted pair is the one reduction reduce finds
-    assert reduce(c.process) == {served[0]}
+    assert reduce(c.process) == {served[1]}
     # outside the connection set, b!() is no request
     assert [canonical_process(build())
-            for build in requests(c.process, frozenset())] == served[:2]
+            for build in requests(c.process, frozenset())] == served[1:]
     # nor when c(z).0 may receive it too
     two = delta | {(Name("c"), Name("b"))}
     assert [canonical_process(build())
-            for build in requests(c.process, two)] == served[:2]
+            for build in requests(c.process, two)] == served[1:]
 
 
 def test_internal_choice_reaches_two_outcomes():
@@ -718,6 +718,15 @@ def test_api_alpha_key_scopes_end_at_their_body():
         "(case f:b [b0!*][(b1!*|nu.b2!*)]|f:x!*)"
 
 
+def test_api_alpha_key_tells_a_success_name_from_a_regular_one():
+    # a file header fixes one kind per text, but the API builds either
+    ok = api.Output(Name("ok", 0, SUCCESS), VUNIT)
+    regular = api.Output(Name("ok"), VUNIT)
+    assert api.alpha_key(ok) != api.alpha_key(regular)
+    assert not api.alpha_eq(ok, regular)
+    assert api.alpha_eq(ok, api.Output(Name("ok", 0, SUCCESS), VUNIT))
+
+
 # ---------------------------------------------------------------------------
 # composites and exploration
 # ---------------------------------------------------------------------------
@@ -815,15 +824,10 @@ new(s: i[o[unit]], so) (
 """
 
 
-def fragment_key(p):
-    """The fragment key of ``p`` computed afresh: its top-level connected
-    components canonicalized one by one, their keys sorted."""
-    return " | ".join(sorted(canonicalize(f).key for f in _fragments(p))) \
-        or "0"
-
-
 def fresh_key(comp):
-    return fragment_key(comp.process) + "@" + S.delta_key(comp.delta)
+    """The key of ``comp`` computed afresh: its whole process canonicalized
+    at once, not fragment by fragment as a table keys it."""
+    return canonicalize(comp.process).key + "@" + S.delta_key(comp.delta)
 
 
 def test_explored_states_carry_fresh_keys():
