@@ -491,9 +491,9 @@ def check_alpi_correspondence(p: AlpiProcess, cfg: BisimConfig = None) -> Verdic
     A decided direction is the exact stratified answer.  The game plays
     a position on past an attack it cannot decide, so a later refuted
     attack still decides it, and no play budget applies: ``state_budget``
-    bounds only :func:`strong_bisim`.  A barb walk that has seen every
-    free success name stops there with an exact answer, not a truncated
-    one.
+    bounds only the distinct states of :func:`strong_bisim`'s refinement
+    walk.  A barb walk that has seen every free success name stops there
+    with an exact answer, not a truncated one.
     """
     cfg = cfg or BisimConfig()
     source = alpi_to_api(p)

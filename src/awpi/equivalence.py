@@ -10,9 +10,10 @@ serve their requests first.  Barbed moves come from the reduction route
 walks), never from the LTS, and each success barb is a move of its own;
 the localised-pi correspondence in ``encodings`` plays over the
 reference LTS of ``api``.
-Strong bisimilarity on two finite explored graphs is decided exactly by
-partition refinement; the game, played over the same table, then only
-supplies a distinguished pair's witness.
+Strong bisimilarity is decided exactly by partition refinement over one
+walk of that table from both start states, when the walk is finite and
+its labels introduce no names; the game, played over the same table,
+then only supplies a distinguished pair's witness.
 Verdicts are three-valued: budget edges surface as ``inconclusive``
 rather than as a silent guess, and every ``distinguished`` verdict
 carries a trace that :func:`replay_witness` can re-validate.
@@ -38,18 +39,19 @@ from __future__ import annotations
 
 import math
 import re
+from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .syntax import (
     ChanType, Name, Output, Par, Process, SUCCESS, SumType, TupleType,
     UnitType, VInl, VInr, VName, VTuple, VUNIT, _node, free_names,
-    print_process, print_value, substitute, value_names,
+    print_process, print_value, substitute, substitute_value, value_names,
 )
 from .typecheck import ANY, dual, typecheck
 from .internal import internalize, is_internal
 from .semantics import (
-    TAU, BoundOut, Composite, Fragments, FreeOut, In, Tau, _explore, _lts,
+    TAU, BoundOut, Composite, Fragments, FreeOut, In, Tau, _lts,
     _reductions, canonical_barbs, closure, delta_key, delta_names,
     requests, settle,
 )
@@ -76,8 +78,8 @@ INCONCLUSIVE = "inconclusive"
 class BisimConfig:
     """Bounds of a check.  ``depth``: rounds of the game, the
     correspondence check's included.  ``tau_budget``: states of each weak
-    closure.  ``state_budget``: only the graphs :func:`strong_bisim`
-    explores; the game ignores it.
+    closure.  ``state_budget``: distinct states of :func:`strong_bisim`'s
+    one refinement walk; the game ignores it.
     """
 
     depth: int = 6
@@ -122,8 +124,15 @@ def _label_key(mu) -> str:
     if isinstance(mu, BoundOut):
         pol = "i" if mu.exported_is_input else "o"
         return f"{mu.subject}!(new {mu.exported}/{pol})"
-    if isinstance(mu, FreeOut) and mu.subject.kind == SUCCESS:
-        return f"${mu}"  # marked as in state keys (``syntax._shown``)
+    if isinstance(mu, FreeOut):
+        # success names marked, as subject or payload, as in state keys
+        # (``syntax._shown``)
+        marked = {n: VName(Name(f"${n.base}", n.index))
+                  for n in value_names(mu.payload) if n.kind == SUCCESS}
+        if marked:
+            mu = FreeOut(mu.subject, substitute_value(mu.payload, marked))
+        if mu.subject.kind == SUCCESS:
+            return f"${mu}"
     return str(mu)
 
 
@@ -648,35 +657,28 @@ def _verdict(game: _Game, a: Composite, b: Composite, cfg: BisimConfig):
 
 
 # ---------------------------------------------------------------------------
-# partition refinement, used when both graphs are finite and label-stable
+# partition refinement over one finite, label-stable walk from both starts
 
 
-def _stable_graphs(space: Fragments, p, q, delta, cfg):
-    """The graphs of ``p`` and ``q`` explored through ``space``, or None
-    when one is truncated or has a label that introduces a name."""
-    out = []
-    for r in (p, q):
-        if out and space.state(r, delta).gc().key == out[0].nodes[0].key:
-            out.append(out[0])  # same start state: the same graph
-            break
-        g = _explore(space, delta, r, cfg.state_budget, cfg.state_budget)
-        if g.truncated:
-            return None
-        for src, mu, dst in g.edges:
+def _refine(space: Fragments, a: Composite, b: Composite, budget: int):
+    """Joint partition refinement over the states reachable from ``a`` or
+    ``b`` through ``space``, walked breadth first once, state keys naming
+    one state each: (whether ``a`` and ``b`` end up in the same block, the
+    distinct states walked), or None when the walk passes ``budget``
+    distinct states or meets a label that introduces a name."""
+    succ, todo = {a.key: set(), b.key: set()}, deque((a, b))
+    while todo:
+        s = todo.popleft()
+        for mu, c in space.step(s):
             if isinstance(mu, (In, BoundOut)):
                 return None  # the game names introduced names per depth
-        out.append(g)
-    return out
-
-
-def _refine(ga, gb):
-    """Joint partition refinement over state keys, which name one state
-    each, as both graphs come from one table; returns True iff the roots
-    end up in the same block."""
-    succ = {n.key: set() for g in (ga, gb) for n in g.nodes}
-    for g in (ga, gb):
-        for src, mu, dst in g.edges:
-            succ[g.nodes[src].key].add((_label_key(mu), g.nodes[dst].key))
+            t = space.state(c.process, c.delta)
+            succ[s.key].add((_label_key(mu), t.key))
+            if t.key not in succ:
+                succ[t.key] = set()
+                todo.append(t)
+        if len(succ) > budget:
+            return None
     block = dict.fromkeys(succ, 0)
     while True:
         ids = {}
@@ -686,7 +688,7 @@ def _refine(ga, gb):
         if nxt == block:
             break
         block = nxt
-    return block[ga.nodes[ga.root].key] == block[gb.nodes[gb.root].key]
+    return block[a.key] == block[b.key], len(succ)
 
 
 # ---------------------------------------------------------------------------
@@ -694,24 +696,25 @@ def _refine(ga, gb):
 
 
 def strong_bisim(p: Process, q: Process, delta=frozenset(), cfg=None):
-    """Strong bisimilarity.  When both processes have finite graphs whose
-    labels introduce no names, partition refinement decides exactly; a
-    distinguished pair's witness then comes from the game, played one
-    round deeper than the graphs have states together.  The graphs are
-    explored through the game's space, so the game builds and steps no
-    explored state again."""
+    """Strong bisimilarity.  Congruent starts are equivalent at once, as
+    in the game.  Otherwise, when the walk from both starts stays within
+    ``cfg.state_budget`` distinct states and meets no label that
+    introduces a name, partition refinement (:func:`_refine`) decides
+    exactly; a distinguished pair's witness then comes from the game,
+    played one round deeper than the walk has states.  The walk steps the
+    game's table, so the game builds and steps no walked state again."""
     cfg = cfg or BisimConfig()
     game = _Game("strong", cfg)
-    graphs = _stable_graphs(game.space, p, q, delta, cfg)
-    if graphs is not None:
-        ga, gb = graphs
-        if _refine(ga, gb):
-            bounds = {"method": "strong", "exact": True,
-                      "states": len(ga.nodes) + len(gb.nodes)}
+    a, b = game.space.state(p, delta), game.space.state(q, delta)
+    refined = (True, 1) if a.key == b.key else _refine(
+        game.space, a, b, cfg.state_budget)
+    if refined is not None:
+        same, states = refined
+        if same:
+            bounds = {"method": "strong", "exact": True, "states": states}
             return Verdict(EQUIVALENT, (), bounds, False)
-        cfg = replace(cfg, depth=len(ga.nodes) + len(gb.nodes) + 1)
-    return _verdict(game, game.space.state(p, delta),
-                    game.space.state(q, delta), cfg)
+        cfg = replace(cfg, depth=states + 1)
+    return _verdict(game, a, b, cfg)
 
 
 def _check(game: _Game, p: Process, q: Process, delta):

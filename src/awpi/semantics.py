@@ -699,19 +699,13 @@ class LtsGraph:
 def explore(delta, p: Process, depth_bound: int = 6,
             state_bound: int = 2000) -> LtsGraph:
     """Breadth-first LTS exploration over composite states, built and
-    stepped by one :class:`Fragments` table of :func:`_lts` per call."""
-    return _explore(Fragments(_lts), delta, p, depth_bound, state_bound)
-
-
-def _explore(table: Fragments, delta, p: Process, depth_bound: int,
-             state_bound: int) -> LtsGraph:
-    """:func:`explore` through ``table``, which keeps every state built
-    and every node's transitions (:meth:`Fragments.step`), so a game over
-    the same table steps no node again.  A node is its state with the
-    connection pairs it no longer touches dropped (:meth:`Composite.gc`).
-    A node at the depth bound is not stepped through the table, which
-    would build its tau targets as states: :func:`lts_step` only tells
-    whether it has a transition."""
+    stepped by one :class:`Fragments` table of :func:`_lts` per call, up
+    to ``depth_bound`` steps from ``p`` and ``state_bound`` nodes.  A node
+    is its state with the connection pairs it no longer touches dropped
+    (:meth:`Composite.gc`).  A node at the depth bound is not stepped
+    through the table, which would build its tau targets as states:
+    :func:`lts_step` only tells whether it has a transition."""
+    table = Fragments(_lts)
     root = table.state(p, delta).gc()
     nodes = [root]
     index = {root.key: 0}

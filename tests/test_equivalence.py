@@ -27,7 +27,7 @@ from awpi.typecheck import ANY
 from awpi import api
 from awpi.equivalence import (
     DISTINGUISHED, INCONCLUSIVE, BisimConfig, NotClosed, NotInternal,
-    TypeMismatch, Verdict, WitnessStep, _Game, _stable_graphs, barbed_bisim,
+    TypeMismatch, Verdict, WitnessStep, _Game, _refine, barbed_bisim,
     internal_bisim_n, replay_witness, strong_bisim, weak_bisim, weak_sim,
 )
 
@@ -96,6 +96,22 @@ def test_success_and_regular_names_of_one_text_distinguished():
         v = check(ok, regular)
         assert v.distinguished and v.witness[0].label == "$ok!()"
         assert replay_witness(ok, regular, v)
+
+
+def test_success_name_in_a_payload_distinguished_from_a_regular_one():
+    # the move key marks a success name inside a payload as well, and a
+    # label that holds no success name keys as it prints
+    ok = Output(nm("a"), VName(Name("ok", 0, SUCCESS)))
+    regular = Output(nm("a"), VName(nm("ok")))
+    assert canonicalize(ok).key != canonicalize(regular).key
+    for check in (strong_bisim, weak_bisim):
+        v = check(ok, regular)
+        assert v.distinguished
+        assert [s.label for s in v.witness] == ["a!($ok)"]
+        assert replay_witness(ok, regular, v)
+        v = check(regular, ok)
+        assert [s.label for s in v.witness] == ["a!(ok)"]
+        assert replay_witness(regular, ok, v)
 
 
 def test_dropped_continuation_distinguished_with_input_witness():
@@ -1020,28 +1036,27 @@ def test_strong_refinement_verdict_is_exact_on_finite_graphs():
     assert v.bounds.get("exact")
 
 
-def test_strong_bisim_explores_once_when_start_states_share_a_key(monkeypatch):
-    from awpi.semantics import _explore, explore
+def test_strong_bisim_takes_no_step_from_congruent_starts(monkeypatch):
+    import awpi.semantics
     calls = []
+    step = awpi.semantics.composite_step
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return _explore(*args, **kwargs)
+    def counting(comp):
+        calls.append(comp)
+        return step(comp)
 
-    monkeypatch.setattr("awpi.equivalence._explore", counting)
+    monkeypatch.setattr(awpi.semantics, "composite_step", counting)
     client = "new(r{0}: i[unit], ro{0})( so!(ro{0}) | r{0}(x).ok!() )"
     p = proc("success ok; new(s: i[o[unit]], so)( !s(r).r!() | "
              + client.format(1) + " | " + client.format(2) + " )")
     q = proc("success ok; new(t: i[o[unit]], to)( "
              + client.format(3).replace("so!", "to!") + " | !t(r).r!() | "
              + client.format(4).replace("so!", "to!") + " )")
+    assert canonicalize(p).key == canonicalize(q).key
     v = strong_bisim(p, q)
-    assert len(calls) == 1
+    assert calls == []
     assert v.equivalent
-    budget = BisimConfig().state_budget
-    nodes = len(explore(frozenset(), p, depth_bound=budget,
-                        state_bound=budget).nodes)
-    assert v.bounds == {"method": "strong", "exact": True, "states": 2 * nodes}
+    assert v.bounds == {"method": "strong", "exact": True, "states": 1}
 
 
 def test_strong_distinction_found_through_refinement_fallback():
@@ -1050,6 +1065,30 @@ def test_strong_distinction_found_through_refinement_fallback():
     v = strong_bisim(p, q)
     assert v.distinguished
     assert replay_witness(p, q, v)
+    # the two sides share ok!() and 0, each counted once: 5 states
+    assert v.bounds["depth"] == 6
+    assert v.witness == (
+        WitnessStep("left", "tau", "$ok!(())|$ok!(())@", "$ok!(())@", ""),
+        WitnessStep("left", "$ok!()", "$ok!(())@", "0@", ""),
+        WitnessStep("left", "$ok!()", "0@", None, ""),
+    )
+
+
+def test_strong_bisim_plays_the_game_past_the_state_budget_or_an_input():
+    with_input = (proc("success ok; a(x).( ok!() | ok!() )"),
+                  proc("success ok; a(x).ok!()"))
+    for (p, q), cfg in ((_strong_pair(2, 2), BisimConfig(state_budget=5)),
+                        (with_input, BisimConfig())):
+        assert canonicalize(p).key != canonicalize(q).key
+        v = strong_bisim(p, q, cfg=cfg)
+        assert "exact" not in v.bounds
+        assert v.bounds["depth"] == cfg.depth
+        assert not v.inconclusive
+    assert strong_bisim(*_strong_pair(2, 2),
+                        cfg=BisimConfig(state_budget=12)).bounds["exact"]
+    v = strong_bisim(*with_input)
+    assert v.distinguished
+    assert replay_witness(*with_input, v)
 
 
 def test_strong_bisim_steps_each_state_once(monkeypatch):
@@ -1081,7 +1120,8 @@ def _strong_pair(n, m):
     return p, q
 
 
-# (left, right, states of both graphs when bisimilar, else None)
+# (left, right, distinct states of the refinement walk when bisimilar,
+# else None)
 STRONG_PAIRS = [_strong_pair(n, n) + (s,) for n, s in ((2, 12), (3, 20),
                                                         (4, 30))] + [
     _strong_pair(2, 3) + (None,), _strong_pair(3, 2) + (None,),
@@ -1103,17 +1143,22 @@ def test_strong_bisim_agrees_with_partition_refinement(monkeypatch, p, q,
         return canonicalize(x)
 
     monkeypatch.setattr("awpi.semantics.canonicalize", counting)
-    graphs = _stable_graphs(_Game("strong", BisimConfig()).space, p, q,
-                            frozenset(), BisimConfig())
-    explored = len(calls)
+    space = _Game("strong", BisimConfig()).space
+    budget = BisimConfig().state_budget
+    _refine(space, space.state(p, frozenset()), space.state(q, frozenset()),
+            budget)
+    walked = len(calls)
     del calls[:]
     v = strong_bisim(p, q)
-    # refinement, and the witness game over the table the graphs were
-    # explored through, build no state again
-    assert len(calls) == explored
+    # the witness game over the table the walk stepped builds no state
+    # again
+    assert len(calls) == walked
     monkeypatch.undo()
 
-    ga, gb = graphs
+    ga, gb = (explore(frozenset(), x, depth_bound=budget, state_bound=budget)
+              for x in (p, q))
+    assert not (ga.truncated or gb.truncated)
+    distinct = len({n.key for g in (ga, gb) for n in g.nodes})
     nodes = ([("a", i) for i in range(len(ga.nodes))]
              + [("b", j) for j in range(len(gb.nodes))])
     edges = [((tag, s), mu, (tag, t))
@@ -1124,8 +1169,10 @@ def test_strong_bisim_agrees_with_partition_refinement(monkeypatch, p, q,
     if bisimilar:
         assert v.bounds == {"method": "strong", "exact": True,
                             "states": states}
+        assert distinct == states
     else:
         assert v.distinguished
+        assert v.bounds["depth"] == distinct + 1
         assert replay_witness(p, q, v)
 
 
