@@ -16,7 +16,7 @@ names.
 from __future__ import annotations
 
 import re
-from functools import cached_property
+from functools import cached_property, partial
 
 from . import api
 from .syntax import (
@@ -453,19 +453,11 @@ def _api_steps(space: Fragments, comp: Composite):
             for mu, q in api.lts_step(comp.process)]
 
 
-def _api_weak_barbs(p: api.Process, budget: int, space: Fragments):
-    """The success barbs of the closed ``p`` after any number of tau steps,
-    by name, and whether the tau budget cut the walk short
-    (:func:`semantics._barb_walk`).  ``space`` is the check's game's
-    :class:`Fragments` table of reference-route states (:func:`_api_steps`),
-    which may already hold stepped states; the walk reads the transitions
-    through it, as :func:`semantics.weak_barbs` reads the reductions
-    through its own table.
-    """
-    possible = {str(n) for n in api.free_names(p) if n.kind == SUCCESS}
-    return _barb_walk(space, _api_state(p), budget, possible, lambda s: {
-        str(mu.subject) for mu, _ in space.step(s)
-        if isinstance(mu, api.OutLabel) and mu.subject.kind == SUCCESS})
+def _api_barbs(space: Fragments, s: Composite) -> set:
+    """The success barbs ``s`` shows, by name: the subjects of its ``s!()``
+    transitions in ``space``, a table of :func:`_api_steps`."""
+    return {str(mu.subject) for mu, _ in space.step(s)
+            if isinstance(mu, api.OutLabel) and mu.subject.kind == SUCCESS}
 
 
 def check_alpi_correspondence(p: AlpiProcess, cfg: BisimConfig = None) -> Verdict:
@@ -481,12 +473,13 @@ def check_alpi_correspondence(p: AlpiProcess, cfg: BisimConfig = None) -> Verdic
     :func:`alpi_env` raises ``TypeMismatch`` before any game is played.
 
     Both directions are ``_Game``'s ``sim`` method over one table of
-    reference-route states (:func:`_api_steps`), which the barb walks
-    share, so each alpha class is stepped once per call.  Only the game
-    loop is shared with the workbench: the transitions come from
-    ``api.py``, which shares no code with the workbench's LTS, so the
-    check tests the encoding, and the loop is tested against an
-    independent weak game in the tests.
+    reference-route states (:func:`_api_steps`), and each start state's
+    weak barbs are read off the game's closure of it by
+    :func:`semantics._barb_walk`, so each alpha class is stepped once per
+    call and each start state keyed once.  Only the game loop is shared
+    with the workbench: the transitions come from ``api.py``, which shares
+    no code with the workbench's LTS, so the check tests the encoding, and
+    the loop is tested against an independent weak game in the tests.
 
     A decided direction is the exact stratified answer.  The game plays
     a position on past an attack it cannot decide, so a later refuted
@@ -512,10 +505,9 @@ def check_alpi_correspondence(p: AlpiProcess, cfg: BisimConfig = None) -> Verdic
     game = _Game("sim", cfg, space=Fragments(_api_steps))
     fwd = game.run(direct, erased, cfg.depth)
     bwd = game.run(erased, direct, cfg.depth)
-    barbs_d, tr_d = _api_weak_barbs(direct.process, cfg.tau_budget,
-                                    game.space)
-    barbs_e, tr_e = _api_weak_barbs(erased.process, cfg.tau_budget,
-                                    game.space)
+    (barbs_d, tr_d), (barbs_e, tr_e) = [_barb_walk(game._closure(s), {
+        str(n) for n in api.free_names(s.process) if n.kind == SUCCESS},
+        partial(_api_barbs, game.space)) for s in (direct, erased)]
 
     word = {True: "equivalent", False: "distinguished", None: "inconclusive"}
     witness = (game.witness(direct, erased) if fwd is False else

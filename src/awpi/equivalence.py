@@ -7,9 +7,9 @@ moves and the responses, over one :class:`semantics.Fragments` table of
 states and transitions; the internal game's states are settled, and
 serve their requests first.  Barbed moves come from the reduction route
 (:func:`semantics._reductions`, the moves :func:`semantics.weak_barbs`
-walks), never from the LTS, and each success barb is a move of its own;
-the localised-pi correspondence in ``encodings`` plays over the
-reference LTS of ``api``.
+walks), never from the LTS, and a success barb is no move but what a
+state shows (:meth:`_Game._rounds`); the localised-pi correspondence in
+``encodings`` plays over the reference LTS of ``api``.
 Strong bisimilarity is decided exactly by partition refinement over one
 walk of that table from both start states, when the walk is finite and
 its labels introduce no names; the game, played over the same table,
@@ -52,8 +52,8 @@ from .typecheck import ANY, dual, typecheck
 from .internal import internalize, is_internal
 from .semantics import (
     TAU, BoundOut, Composite, Fragments, FreeOut, In, Tau, _lts,
-    _reductions, canonical_barbs, closure, delta_key, delta_names,
-    requests, settle,
+    _barb_walk, _reductions, canonical_barbs, closure, delta_key,
+    delta_names, requests, settle,
 )
 
 
@@ -206,6 +206,12 @@ class _Round:
         return pair + (env, self.spent)
 
 
+def _unanswered(cut: bool):
+    """No answer, cut short when ``cut``: a barb the defender lacks."""
+    yield from ()
+    return cut
+
+
 def _internal_steps(space: Fragments, comp: Composite):
     """The internal game's transitions: the first :func:`requests` entry,
     in fragment-key order, then atom order, whose target has fewer
@@ -267,6 +273,8 @@ class _Game:
     """
 
     def __init__(self, method: str, cfg: BisimConfig, env=None, space=None):
+        if method not in ("strong", "weak", "sim", "barbed", "internal"):
+            raise ValueError(f"no game plays the method {method!r}")
         self.method = method
         self.cfg = cfg
         self.env = dict(env or {})
@@ -390,15 +398,9 @@ class _Game:
         when the subject's payload type in ``env`` determines its shape,
         one concrete value per :func:`_ground_variants` choice, else the
         fresh name ``%i#d`` typed by that payload.  A bound output's ends
-        are ``%e#d`` and ``%k#d``.  A barbed attacker also shows each of
-        its success barbs, first and in name order, as a move of index
-        None that stays at ``comp``.
+        are ``%e#d`` and ``%k#d``.  Barbs are no attacks (:meth:`_rounds`).
         """
         kept = []
-        if self.method == "barbed":
-            for s in sorted(canonical_barbs(comp.process), key=str):
-                mu = FreeOut(s, VUNIT)
-                kept.append((str(mu), str(mu), mu, None, None, ()))
         internal = self.method == "internal"
         dnames = delta_names(comp.delta)
         for key, mu, i in self._std_moves(comp):
@@ -442,12 +444,8 @@ class _Game:
         They come in construction order: the moves with the attack's move
         key (the weak ones in :meth:`_weak_after`'s order), each
         introducing what the attack did, then, for an internal input, the
-        absorptions of the fed value at each closure state in order.  A
-        barb has no answer here: :meth:`_rounds` plays no round for a barb
-        the defender shows."""
+        absorptions of the fed value at each closure state in order."""
         _, key, mu, i, value, _ = attack
-        if i is None:
-            return self._closure(dfn).truncated
         if self.method == "strong":
             for k, _, j in self._std_moves(dfn):
                 if k == key:
@@ -493,11 +491,14 @@ class _Game:
 
     def _rounds(self, a, b, env, spent, d, step=None):
         """The rounds of position (a, b, env, spent) at play depth ``d``,
-        or only those of a witness ``step``'s attack; none for a barb the
-        defender shows.  An attack's target is built here, when its round
-        is reached, so the targets of the attacks after a winning one are
-        never built; for a ``step``, only attacks with its label are built.
-        A round's answers are built as it is read.
+        or only those of a witness ``step``'s attack.  A barbed side's
+        first rounds stay at the attacker, with no answer, one for each of
+        its barbs, in name order, that one :func:`semantics._barb_walk`
+        does not find in the defender's closure.  An attack's target is
+        built here, when its round is reached, so the targets of the
+        attacks after a winning one are never built; for a ``step``, only
+        attacks with its label are built.  A round's answers are built as
+        it is read.
 
         They are not reordered.  Putting an answer equal to the target
         first would need every answer built, and gains nothing but order:
@@ -508,15 +509,20 @@ class _Game:
         in either order."""
         sides = (("left", a, b), ("right", b, a))
         for side, att, dfn in sides[:1] if self.method == "sim" else sides:
+            if self.method == "barbed" and (not step or step.side == side):
+                wanted = canonical_barbs(att.process)
+                shown, cut = _barb_walk(self._closure(dfn), wanted)
+                for s in sorted(wanted - shown, key=str):
+                    label = str(FreeOut(s, VUNIT))
+                    if not step or (label, att.key) == (step.label,
+                                                        step.attacker_after):
+                        yield _Round(side, label, att, spent, _unanswered(cut))
             for attack in self._attacks(att, d, env, spent):
                 key, _, mu, i, value, intro = attack
                 if step and (side, key) != (step.side, step.label):
                     continue
-                tgt = att if i is None else self._target(att, i, d, value)
+                tgt = self._target(att, i, d, value)
                 if step and tgt.key != step.attacker_after:
-                    continue
-                if i is None and any(mu.subject in canonical_barbs(q.process)
-                                     for q in self._closure(dfn)):
                     continue
                 t = env.get(mu.subject) if isinstance(mu, In) else None
                 linear = self.method == "internal" and \
@@ -778,13 +784,13 @@ def internal_bisim_n(delta, p: Process, q: Process, n: int,
 
 def replay_witness(p: Process, q: Process, verdict: Verdict,
                    delta=frozenset(), env=None) -> bool:
-    """Re-validate a distinguishing trace against the original processes,
-    on a fresh game with the verdict's method and bounds
-    (:meth:`_Game.replay`)."""
+    """Re-validate a game verdict's distinguishing trace against the
+    original processes, on a fresh game with the verdict's method and
+    bounds (:meth:`_Game.replay`)."""
     if not verdict.distinguished or not verdict.witness:
         return False
     cfg = replace(BisimConfig(), **{
-        k: verdict.bounds[k] for k in ("depth", "tau_budget", "state_budget")
+        k: verdict.bounds[k] for k in ("depth", "tau_budget")
         if k in verdict.bounds})
     game = _Game(verdict.bounds.get("method", "weak"), cfg, env)
     return game.replay(game.space.state(p, delta),

@@ -6,7 +6,8 @@ exploration, and the erasure into the ordinary asynchronous pi-calculus.
 :func:`closure` is the one bounded tau/reduction walk, breadth first and
 lazy: :func:`weak_barbs` runs it over the reductions of its table, and the
 games in ``equivalence``, the localised-pi correspondence's among them,
-run it over the tau transitions of their states to build weak moves.
+over the tau transitions of their states.  :func:`_barb_walk`, the one
+weak-barb walk, reads the closure its caller holds: its own, or a game's.
 
 Two independent routes to dynamics are kept deliberately separate:
 
@@ -645,36 +646,36 @@ def weak_barbs(p: Process, budget: int = 2000) -> NameSet:
     """Union of strong barbs over reducts reachable within the budget
     (``truncated`` when the budget cut the search short).
 
-    The walk is :func:`_barb_walk` over the tau moves of one
-    :class:`Fragments` table of :func:`_reductions`, so breadth first, in
-    the barbed game's state identity and order.
+    The walk is :func:`_barb_walk` over the :func:`closure` of ``p`` in
+    one :class:`Fragments` table of :func:`_reductions`, so breadth first,
+    in the barbed game's state identity and order.
     """
     table = Fragments(_reductions)
     start = table.state(p, ())
-    possible = {n for n in free_names(start.process) if n.kind == SUCCESS}
-    seen, truncated = _barb_walk(table, start, budget, possible,
-                                 lambda c: canonical_barbs(c.process))
+    wanted = {n for n in free_names(start.process) if n.kind == SUCCESS}
+    seen, truncated = _barb_walk(
+        closure(start, table.tau_targets, budget), wanted)
     barbs = NameSet(seen)
     barbs.truncated = truncated
     return barbs
 
 
-def _barb_walk(table: Fragments, start, budget: int, possible, barbs_of):
-    """The barbs, by ``barbs_of`` a state, over the :func:`closure` of
-    ``start`` through ``table``'s tau targets, and whether ``budget`` cut
-    the walk short.
+def _barb_walk(walk: closure, wanted,
+               barbs_of=lambda c: canonical_barbs(c.process)):
+    """The barbs, by ``barbs_of`` a state (its canonical barbs by
+    default), over the states of ``walk``, a :func:`closure` the caller
+    holds, and whether its budget cut the walk short.
 
-    ``possible`` holds the success names free in ``start``.  The walk
-    stops once it has seen them all, with an answer that is not
-    truncated.  That is exact: a tau step never adds a free name, so no
-    state of the walk can show a barb outside that set.  With no free
-    success name, it stops after its first state.
+    The walk stops once it has seen every name in ``wanted``, with an
+    answer that is not truncated.  That is exact for those names, and for
+    all when ``wanted`` holds the success names free in the start, as a
+    tau step adds no free name.  With nothing wanted, it stops after its
+    first state.
     """
     seen = set()
-    walk = closure(start, table.tau_targets, budget)
     for c in walk:
         seen |= barbs_of(c)
-        if seen == possible:
+        if wanted <= seen:
             return frozenset(seen), False
     return frozenset(seen), walk.truncated
 

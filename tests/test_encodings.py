@@ -3,15 +3,19 @@ check, and the lambda-calculus encoding with its equational sanity."""
 
 import hashlib
 import time
+from functools import partial
 
 import pytest
 
 from awpi import api
 from awpi.syntax import (
     ChanType, Input, Name, NIL, Output, Par, ParseError, RepInput, Res,
-    VName, alpha_eq, canonical_process, parse_process, print_process,
+    SUCCESS, VName, alpha_eq, canonical_process, parse_process,
+    print_process,
 )
-from awpi.semantics import Composite, Fragments, erase_to_api
+from awpi.semantics import (
+    Composite, Fragments, _barb_walk, closure, erase_to_api,
+)
 from awpi.typecheck import ANY, typecheck
 from awpi.internal import internalize
 from awpi import encodings
@@ -20,7 +24,7 @@ from awpi.equivalence import BisimConfig, NotClosed, TypeMismatch, _Game, \
 from awpi.encodings import (
     ALPI_NIL, AlpiChan, AlpiInput, AlpiOutput, AlpiPar, AlpiRepInput,
     AlpiRes, ALPI_UNIT, Arrow, BASE, IllTyped, LocalityViolation, SApp,
-    SLam, SVar, UnmappedName, _api_state, _api_steps, _api_weak_barbs,
+    SLam, SVar, UnmappedName, _api_barbs, _api_state, _api_steps,
     alpi_env, alpi_free_names, alpi_to_api, check_alpi_correspondence,
     check_locality,
     encode_alpi, encode_stlc, encode_stlc_type, is_local, is_negative_for,
@@ -312,6 +316,17 @@ def test_api_weak_sim_steps_each_state_once(monkeypatch):
         assert keys and len(keys) == len(set(keys))
 
 
+def _api_weak_barbs(p, budget):
+    """The weak success barbs of the closed ``p`` on the reference route,
+    by name, and whether ``budget`` cut the walk short: ``_barb_walk``
+    over the closure of ``p`` in a fresh table, wanting every free success
+    name, as ``check_alpi_correspondence`` reads them off its game's."""
+    space = Fragments(_api_steps)
+    wanted = {str(n) for n in api.free_names(p) if n.kind == SUCCESS}
+    return _barb_walk(closure(_api_state(p), space.tau_targets, budget),
+                      wanted, partial(_api_barbs, space))
+
+
 def test_api_weak_barbs_steps_each_visited_state_once(monkeypatch):
     # beside a stuck ``err`` the replication image never shows every free
     # success name, so its walk runs to the tau budget
@@ -319,7 +334,7 @@ def test_api_weak_barbs_steps_each_visited_state_once(monkeypatch):
         "success ok; success err; new(a: ^unit)( a!() | a!() | !a(y).ok!() )"
         " | new(c: ^unit)( c(z).err!() )"))
     keys = _record_steps(monkeypatch)
-    barbs, truncated = _api_weak_barbs(erased, 400, Fragments(_api_steps))
+    barbs, truncated = _api_weak_barbs(erased, 400)
     assert barbs == {"ok"} and truncated
     assert len(keys) == len(set(keys)) == 400
 
@@ -327,17 +342,41 @@ def test_api_weak_barbs_steps_each_visited_state_once(monkeypatch):
 def test_api_weak_barbs_stops_once_every_success_name_is_seen(monkeypatch):
     _direct, erased = _replication_pair()
     keys = _record_steps(monkeypatch)
-    space = Fragments(_api_steps)
-    assert _api_weak_barbs(erased, 400, space) == ({"ok"}, False)
+    assert _api_weak_barbs(erased, 400) == ({"ok"}, False)
     assert len(keys) <= 40
 
 
 def test_api_weak_barbs_without_success_names_steps_once(monkeypatch):
     loop = alpi_to_api(parse_alpi("new(a: ^unit)( a!() | !a(y).a!() )"))
     keys = _record_steps(monkeypatch)
-    space = Fragments(_api_steps)
-    assert _api_weak_barbs(loop, 400, space) == (frozenset(), False)
+    assert _api_weak_barbs(loop, 400) == (frozenset(), False)
     assert len(keys) == 1
+
+
+def test_correspondence_keys_each_start_process_once(monkeypatch):
+    # the barbs of both start states are read off the game's closures of
+    # them, which reuse the keys the game read, not off fresh states
+    starts, keyed = {}, {}
+    alpha_key, to_api, erase = api.alpha_key, alpi_to_api, erase_to_api
+
+    def counted_key(p):
+        keyed[id(p)] = keyed.get(id(p), 0) + 1
+        return alpha_key(p)
+
+    def start(name, build):
+        def built(*args):
+            starts[name] = build(*args)
+            return starts[name]
+        return built
+
+    monkeypatch.setattr(api, "alpha_key", counted_key)
+    monkeypatch.setattr(encodings, "alpi_to_api", start("direct", to_api))
+    monkeypatch.setattr(encodings, "erase_to_api", start("erased", erase))
+    v = check_alpi_correspondence(_replication_source(),
+                                  BisimConfig(depth=6, tau_budget=400))
+    assert v.equivalent and v.bounds["barbs_encoded"] == ["ok"]
+    assert {name: keyed.get(id(p)) for name, p in starts.items()} == {
+        "direct": 1, "erased": 1}
 
 
 def test_correspondence_steps_each_state_once(monkeypatch):

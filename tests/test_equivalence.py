@@ -200,6 +200,50 @@ def test_replay_reads_missing_bounds_from_the_config_defaults():
     assert replay_witness(p, q, bare)
 
 
+def test_replay_rejects_a_method_no_game_plays():
+    # a verdict relabelled with the correspondence check's method, or with
+    # none at all, is not replayed on the workbench LTS's weak game
+    p = proc("success ok; success err; ok!()")
+    q = proc("success ok; success err; err!()")
+    v = barbed_bisim(p, q)
+    assert replay_witness(p, q, v)
+    for method in ("alpi-correspondence", "nonsense"):
+        relabelled = dataclasses.replace(v, bounds=dict(v.bounds,
+                                                        method=method))
+        with pytest.raises(ValueError, match=method):
+            replay_witness(p, q, relabelled)
+
+
+def test_barbs_are_observations_not_attacks():
+    # a barbed game's attacks are transitions of its table; a barb the
+    # defender's closure does not show is a round of its own that stays at
+    # the attacker with no answer, cut short when that closure is
+    game = _Game("barbed", BisimConfig())
+    both = game.space.state(proc(
+        "success ok; ok!() | new(a: i[unit], b)( a(x).ok!() | b!() )"), ())
+    attacks = game._attacks(both, 1, {})
+    assert attacks and all(type(i) is int for _, _, _, i, _, _ in attacks)
+    flat = proc("success ok; ok!()")
+    chain = proc(
+        "success ok; "
+        "new(a1: i[unit], b1)( b1!() | a1(x1)."
+        "new(a2: i[unit], b2)( b2!() | a2(x2).ok!() ) )")
+    silent = proc("success ok; new(a: i[unit], b)( a(x).0 | b!() )")
+    for cfg, q, cut in ((BisimConfig(), silent, False),
+                        (BisimConfig(tau_budget=2), chain, True)):
+        game = _Game("barbed", cfg)
+        a, b = game.space.state(flat, ()), game.space.state(q, ())
+        rnd = next(game._rounds(a, b, {}, frozenset(), 1))
+        assert (rnd.side, rnd.label, rnd.target) == ("left", "ok!()", a)
+        assert list(rnd) == [] and rnd.truncated is cut
+        v = barbed_bisim(flat, q, cfg)
+        assert v.result == (INCONCLUSIVE if cut else DISTINGUISHED)
+    v = barbed_bisim(flat, silent)
+    assert [(s.label, s.defender_after) for s in v.witness] == [
+        ("ok!()", None)]
+    assert barbed_bisim(flat, chain).equivalent
+
+
 BARBED_CHOICE_SCRIPT = """
 from awpi.syntax import parse_file
 from awpi.equivalence import barbed_bisim, replay_witness

@@ -1,3 +1,5 @@
+from functools import partial
+
 import pytest
 
 from awpi.syntax import (
@@ -16,7 +18,7 @@ from awpi.semantics import (
     settle, strong_barbs, weak_barbs,
 )
 from awpi.encodings import (
-    _api_steps, _api_weak_barbs, encode_alpi, parse_alpi,
+    _api_barbs, _api_state, _api_steps, encode_alpi, parse_alpi,
 )
 
 from gen_typed import random_typed
@@ -246,8 +248,11 @@ def test_weak_barbs_agree_with_the_reference_route():
         p = rename_free(p, {Name("b"): ok})
         wb = weak_barbs(p, budget=50)
         erased = erase_to_api(Composite(p, frozenset()))
-        barbs, truncated = _api_weak_barbs(erased, 50,
-                                           Fragments(_api_steps))
+        space = Fragments(_api_steps)
+        wanted = {str(n) for n in api.free_names(erased) if n.kind == SUCCESS}
+        barbs, truncated = S._barb_walk(
+            closure(_api_state(erased), space.tau_targets, 50), wanted,
+            partial(_api_barbs, space))
         if wb.truncated or truncated:
             continue
         assert {str(n) for n in wb} == barbs, print_process(p)

@@ -469,12 +469,19 @@ def test_canonicalize_respects_axioms_one_step():
                 f"{print_process(p)}  vs  {print_process(q)}"
 
 
-def test_canonicalize_sound_exhaustive():
+@pytest.fixture(scope="module")
+def size7_keys():
+    """Each process of the size <= 7 enumeration with its canonical key,
+    in enumeration order, built once for the tests that read them all."""
+    return [(p, canonicalize(p).key) for p in enumerate_core(7)]
+
+
+def test_canonicalize_sound_exhaustive(size7_keys):
     """Equal canonical keys imply derivability by the six axioms (size <= 7)."""
     from oracles import group_all_congruent
     groups = {}
-    for p in enumerate_core(7):
-        groups.setdefault(canonicalize(p).key, []).append(p)
+    for p, key in size7_keys:
+        groups.setdefault(key, []).append(p)
     checked = 0
     for members in groups.values():
         if len(members) < 2:
@@ -486,17 +493,15 @@ def test_canonicalize_sound_exhaustive():
     assert checked >= 50000  # the enumeration genuinely exercises the oracle
 
 
-def test_fragment_key_is_the_canonical_key():
+def test_fragment_key_is_the_canonical_key(size7_keys):
     """A stepping table's key of a state, the sorted keys of its
     canonicalized connected components, is the text ``canonicalize`` gives
     the whole process, on the size <= 7 enumeration of
     :func:`test_canonicalize_sound_exhaustive`."""
-    keys, n = set(), 0
-    for n, p in enumerate(enumerate_core(7), 1):
-        key = canonicalize(p).key
+    for p, key in size7_keys:
         assert semantics.Fragments(semantics._lts).state(p, ()).pkey == key
-        keys.add(key)
-    assert (n, len(keys)) == (92075, 22975)
+    assert (len(size7_keys), len({key for _, key in size7_keys})) == (
+        92075, 22975)
 
 
 def test_dead_restriction_drop_is_derivable():
